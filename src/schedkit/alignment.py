@@ -168,12 +168,17 @@ class PreferenceScorer:
         self.bias = float(bias)
         self.training_log: list[LossBreakdown] = []
         self.sft_epochs = 0
+        # Feature rows train_scorer fitted on, for ranking_accuracy.
+        self.training_features: np.ndarray | None = None
 
     def features(self, prompt_text: str, completion_text: str) -> np.ndarray:
         return self.embedder.embed(prompt_text + "\n" + completion_text).array()
 
     def score(self, prompt_text: str, completion_text: str) -> float:
-        z = float(self.features(prompt_text, completion_text) @ self.weights + self.bias)
+        return self.score_features(self.features(prompt_text, completion_text))
+
+    def score_features(self, x: np.ndarray) -> float:
+        z = float(x @ self.weights + self.bias)
         return float(_sigmoid(np.array([z]))[0])
 
     def save(self, path: Path) -> None:
@@ -229,6 +234,7 @@ def train_scorer(
     )
     scorer.bias = (gen.uniform() * 2.0 - 1.0) * 0.01
     X, y, metas = _training_matrix(records, scorer)
+    scorer.training_features = X
     if len(set(y.tolist())) < 2:
         raise DegenerateDataError("both labels must be represented")
 
@@ -260,14 +266,26 @@ def train_scorer(
     return scorer
 
 
-def ranking_accuracy(scorer: PreferenceScorer, records: list[PreferenceRecord]) -> float:
+def ranking_accuracy(
+    scorer: PreferenceScorer,
+    records: list[PreferenceRecord],
+    features: np.ndarray | None = None,
+) -> float:
+    """Share of records whose chosen completion outscores the rejected one.
+
+    ``features`` are the records' rows in training order (chosen, then
+    rejected, per record), such as ``scorer.training_features`` after
+    ``train_scorer(records)``; without them every pair is embedded again.
+    Each row is scored on its own, exactly as ``PreferenceScorer.score``.
+    """
     if not records:
         return 0.0
+    if features is None:
+        features = _training_matrix(records, scorer)[0]
     hits = sum(
         1
-        for rec in records
-        if scorer.score(rec.prompt_text, rec.chosen_text)
-        > scorer.score(rec.prompt_text, rec.rejected_text)
+        for i in range(len(records))
+        if scorer.score_features(features[2 * i]) > scorer.score_features(features[2 * i + 1])
     )
     return hits / len(records)
 

@@ -339,7 +339,8 @@ def cmd_run_eval(args, cfg) -> int:
     def static_for(row_id: str) -> str:
         if glob is None and local is None:
             return ""
-        query = contexts[row_id]
+        # Both stores share one embedder, so the query is embedded once.
+        query = (local or glob).embedder.embed(contexts[row_id])
         parts = []
         if local is not None:
             entry = local.retrieve(query)
@@ -428,7 +429,7 @@ def cmd_train_scorer(args, cfg) -> int:
         for i, bd in enumerate(scorer.training_log)
     ]
     (out / "training_log.jsonl").write_text("\n".join(log_lines) + "\n", "utf-8")
-    accuracy = alignment.ranking_accuracy(scorer, records)
+    accuracy = alignment.ranking_accuracy(scorer, records, scorer.training_features)
     (out / "scorer_summary.json").write_text(
         json.dumps(
             {

@@ -5,12 +5,15 @@ and a global store of fixed-size document chunks. The default embedder is
 fully deterministic (feature-hashed unigram + character-trigram counts,
 FNV-1a into 256 buckets, L2-normalized), so every retrieval result is
 reproducible offline; an HTTP embedder with the same contract can be
-swapped in. A token is a maximal run of non-whitespace characters after
-NFC normalization.
+swapped in. The trigram hashes of a text are computed together with numpy
+uint64 arithmetic and equal, bit for bit, hashing each trigram on its own
+with ``rng.fnv1a64``. A token is a maximal run of non-whitespace
+characters after NFC normalization.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import unicodedata
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import fnv1a64
+from .rng import _FNV_PRIME, fnv1a64
 
 DEFAULT_DIM = 256
 DEFAULT_CHUNK_TOKENS = 500
@@ -74,7 +77,7 @@ class EmbeddingVector:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "EmbeddingVector":
         arr = np.asarray(arr, dtype=np.float64)
-        return cls(values=tuple(float(x) for x in arr), norm=float(np.linalg.norm(arr)))
+        return cls(values=tuple(arr.tolist()), norm=float(np.linalg.norm(arr)))
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
@@ -93,27 +96,71 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return float(np.dot(a.array(), b.array()) / denom)
 
 
+_PRIME = np.uint64(_FNV_PRIME)
+# FNV-1a state after the "c:" prefix that every trigram feature starts with.
+_TRIGRAM_STATE = fnv1a64(b"c:")
+
+
+def _word_hash(word: str) -> int:
+    return fnv1a64(("w:" + word).encode("utf-8"))
+
+
+def _trigram_hashes(data: bytes) -> np.ndarray:
+    """fnv1a64(b"c:" + gram) for every character trigram of UTF-8 ``data``.
+
+    All trigrams advance together, one character at a time: each folds in
+    its character's lead byte, then byte k of the character wherever the
+    character is longer than k bytes. So ASCII text takes three vectorized
+    steps, and only multi-byte characters take more. Unsigned 64-bit
+    multiplication wraps mod 2**64, exactly as FNV-1a does.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    starts = np.flatnonzero((raw & 0xC0) != 0x80)
+    n = len(starts) - 2
+    if n < 1:
+        return np.empty(0, dtype=np.uint64)
+    lengths = np.diff(starts, append=len(raw))
+    longest = int(lengths.max())
+    h = np.full(n, _TRIGRAM_STATE, dtype=np.uint64)
+    for j in range(3):
+        first = starts[j : j + n]
+        h ^= raw[first]
+        h *= _PRIME
+        for k in range(1, longest):
+            more = np.flatnonzero(lengths[j : j + n] > k)
+            h[more] = (h[more] ^ raw[first[more] + k]) * _PRIME
+    return h
+
+
+def _bucket_counts(hashes: np.ndarray, dim: int) -> np.ndarray:
+    """Count of each bucket ``hash % dim``; reuses ``hashes`` for the buckets."""
+    hashes %= np.uint64(dim)
+    return np.bincount(hashes.view(np.int64), minlength=dim)
+
+
 class HashedNgramEmbedder:
     """Deterministic stand-in for a sentence encoder.
 
     Features are word unigrams plus character trigrams of the normalized
     text; each feature's count lands in bucket fnv1a64(feature) % dim, and
-    the bucket vector is L2-normalized.
+    the bucket vector is L2-normalized. Word hashes are memoised; the
+    trigrams of one text are hashed as one uint64 array (see
+    ``_trigram_hashes``) and counted with ``np.bincount``. The vector
+    equals, bit for bit, the one from hashing every feature separately.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
+        self._word_hash = functools.lru_cache(maxsize=1 << 14)(_word_hash)
 
     def embed(self, text: str) -> EmbeddingVector:
         norm_text = normalize_text(text)
         if not norm_text:
             raise EmptyTextError("cannot embed empty text")
-        counts = np.zeros(self.dim, dtype=np.float64)
-        for word in norm_text.split(" "):
-            counts[fnv1a64(("w:" + word).encode("utf-8")) % self.dim] += 1.0
-        for i in range(len(norm_text) - 2):
-            gram = norm_text[i : i + 3]
-            counts[fnv1a64(("c:" + gram).encode("utf-8")) % self.dim] += 1.0
+        words = np.fromiter(map(self._word_hash, norm_text.split(" ")), dtype=np.uint64)
+        trigrams = _trigram_hashes(norm_text.encode("utf-8"))
+        counts = _bucket_counts(words, self.dim) + _bucket_counts(trigrams, self.dim)
+        counts = counts.astype(np.float64)
         counts /= np.linalg.norm(counts)
         return EmbeddingVector.from_array(counts)
 
@@ -223,6 +270,12 @@ def chunk_document(
     return chunks
 
 
+def _query_array(embedder, query: str | EmbeddingVector) -> np.ndarray:
+    if isinstance(query, EmbeddingVector):
+        return query.array()
+    return embedder.embed(query).array()
+
+
 class LocalTermStore:
     """Term -> definition entries with argmax retrieval over definitions."""
 
@@ -244,17 +297,15 @@ class LocalTermStore:
             self._matrix = np.stack([e.embedding.array() for e in self.entries])
         return self._matrix
 
-    def retrieve(self, query_text: str) -> TermEntry:
-        """Highest-cosine entry; earliest insertion wins ties."""
+    def retrieve(self, query: str | EmbeddingVector) -> TermEntry:
+        """Highest-cosine entry; earliest insertion wins ties.
+
+        ``query`` is a text, or its embedding when it was already embedded.
+        """
         if not self.entries:
             raise EmptyStoreError("local term store is empty")
-        q = self.embedder.embed(query_text).array()
-        sims = self._embeddings() @ q
-        best = 0
-        for i in range(1, len(sims)):
-            if sims[i] > sims[best]:
-                best = i
-        return self.entries[best]
+        sims = self._embeddings() @ _query_array(self.embedder, query)
+        return self.entries[int(np.argmax(sims))]
 
 
 class GlobalChunkStore:
@@ -264,6 +315,9 @@ class GlobalChunkStore:
         self.embedder = embedder
         self.chunks: list[KnowledgeChunk] = []
         self._matrix: np.ndarray | None = None
+        # Each chunk's position in (doc_id, chunk_index) order; built with
+        # the matrix.
+        self._rank: np.ndarray | None = None
 
     def add_document(
         self, doc_id: str, text: str, chunk_tokens: int = DEFAULT_CHUNK_TOKENS
@@ -281,20 +335,24 @@ class GlobalChunkStore:
     def _embeddings(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = np.stack([c.embedding.array() for c in self.chunks])
+            order = sorted(
+                range(len(self.chunks)),
+                key=lambda i: (self.chunks[i].doc_id, self.chunks[i].chunk_index),
+            )
+            self._rank = np.argsort(order)
         return self._matrix
 
-    def retrieve(self, query_text: str, k: int = 3) -> list[KnowledgeChunk]:
-        """k most similar chunks, ties broken by (doc_id, chunk_index)."""
+    def retrieve(self, query: str | EmbeddingVector, k: int = 3) -> list[KnowledgeChunk]:
+        """k most similar chunks, ties broken by (doc_id, chunk_index).
+
+        ``query`` is a text, or its embedding when it was already embedded.
+        """
         if not self.chunks:
             raise EmptyStoreError("global chunk store is empty")
         if k < 1:
             raise KnowledgeError("k must be >= 1")
-        q = self.embedder.embed(query_text).array()
-        sims = self._embeddings() @ q
-        ranked = sorted(
-            range(len(self.chunks)),
-            key=lambda i: (-sims[i], self.chunks[i].doc_id, self.chunks[i].chunk_index),
-        )
+        sims = self._embeddings() @ _query_array(self.embedder, query)
+        ranked = np.lexsort((self._rank, -sims))
         return [self.chunks[i] for i in ranked[:k]]
 
 
@@ -326,12 +384,18 @@ def _read_matrix(path: Path) -> list[EmbeddingVector]:
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise KnowledgeError(f"{path}: not an embedding matrix file")
+    if len(raw) < 12:
+        raise KnowledgeError(f"{path}: truncated matrix header")
     dim, count = struct.unpack_from("<II", raw, 4)
+    if len(raw) != 12 + 4 * dim * count:
+        raise KnowledgeError(
+            f"{path}: header declares {count} rows of dim {dim} "
+            f"({4 * dim * count} data bytes), file has {len(raw) - 12}"
+        )
+    rows = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
     out = []
-    offset = 12
-    for _ in range(count):
-        row = np.asarray(struct.unpack_from(f"<{dim}f", raw, offset), dtype=np.float64)
-        offset += 4 * dim
+    for row in rows:
+        row = row.astype(np.float64)
         norm = np.linalg.norm(row)
         if norm == 0:
             raise KnowledgeError(f"{path}: zero vector in matrix")

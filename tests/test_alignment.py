@@ -179,6 +179,20 @@ def test_separable_pairs_reach_95_percent_ranking():
     assert ranking_accuracy(scorer, records) >= 0.95
 
 
+def test_ranking_accuracy_from_training_features_matches_rescoring():
+    records = separable_records(20)
+    scorer = train_scorer(records, epochs=30, learning_rate=5.0, epochs_sft=3)
+    assert scorer.training_features.shape == (40, scorer.dim)
+    for rec, chosen, rejected in zip(
+        records, scorer.training_features[0::2], scorer.training_features[1::2]
+    ):
+        assert scorer.score_features(chosen) == scorer.score(rec.prompt_text, rec.chosen_text)
+        assert scorer.score_features(rejected) == scorer.score(rec.prompt_text, rec.rejected_text)
+    assert ranking_accuracy(scorer, records, scorer.training_features) == ranking_accuracy(
+        scorer, records
+    )
+
+
 def test_zero_learning_rate_freezes_weights():
     records = separable_records(4)
     scorer = train_scorer(records, epochs=5, learning_rate=0.0, epochs_sft=5, seed=9)

@@ -328,3 +328,59 @@ def test_polish_histograms_written(tmp_path, capsys):
     stats = json.loads((tmp_path / "p" / "ctx_stats.json").read_text("utf-8"))
     for kind in ("MVP", "AP"):
         assert stats["polished"][kind]["mean"] <= stats["raw"][kind]["mean"]
+
+
+def _chain_kb(tmp_path: Path) -> tuple[Path, Path]:
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manual.txt").write_text("steel erection bolting torque sequence", "utf-8")
+    terms = tmp_path / "terms.tsv"
+    terms.write_text("WBS\thierarchical decomposition of project scope\n", "utf-8")
+    kb = tmp_path / "kb"
+    argv = ["--out", str(kb), "build-kb", "--corpus-dir", str(corpus), "--terms-file", str(terms)]
+    assert run(argv) == EXIT_OK
+    return sched, kb
+
+
+def _eval_with_kb(tmp_path: Path, sched: Path, kb: Path) -> int:
+    return run(
+        [
+            "--out",
+            str(tmp_path / "e"),
+            "run-eval",
+            "--schedule",
+            str(sched),
+            "--gateway",
+            "mock:echo",
+            "--kb",
+            str(kb),
+        ]
+    )
+
+
+def test_run_eval_corrupt_matrix_is_a_data_error(tmp_path, capsys):
+    sched, kb = _chain_kb(tmp_path)
+    raw = (kb / "terms.mat").read_bytes()
+    for bad in (raw[: len(raw) - 6], b"NOPE" + raw[4:]):
+        (kb / "terms.mat").write_bytes(bad)
+        assert _eval_with_kb(tmp_path, sched, kb) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "terms.mat" in err
+
+
+def test_run_eval_embeds_each_query_once(tmp_path, monkeypatch, capsys):
+    from schedkit import knowledge
+
+    sched, kb = _chain_kb(tmp_path)
+    embedded = []
+    original = knowledge.HashedNgramEmbedder.embed
+
+    def counting_embed(self, text):
+        embedded.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(knowledge.HashedNgramEmbedder, "embed", counting_embed)
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+    assert len(embedded) == 3 == len(set(embedded))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from schedkit.knowledge import (
     EmptyTextError,
     GlobalChunkStore,
     HashedNgramEmbedder,
+    KnowledgeError,
     LocalTermStore,
     chunk_document,
     cosine_similarity,
@@ -108,6 +110,56 @@ def test_embed_unit_norm():
 def test_embed_rejects_empty():
     with pytest.raises(EmptyTextError):
         EMB.embed("  \n ")
+
+
+def reference_embed(text: str, dim: int = 256) -> tuple[float, ...]:
+    """The embedder's definition, one scalar FNV-1a hash per feature."""
+    norm_text = normalize_text(text)
+    counts = np.zeros(dim, dtype=np.float64)
+    for word in norm_text.split(" "):
+        counts[prng.fnv1a64(("w:" + word).encode("utf-8")) % dim] += 1.0
+    for i in range(len(norm_text) - 2):
+        counts[prng.fnv1a64(("c:" + norm_text[i : i + 3]).encode("utf-8")) % dim] += 1.0
+    counts /= np.linalg.norm(counts)
+    return tuple(float(x) for x in counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(min_size=1, max_size=60).filter(lambda t: normalize_text(t) != ""),
+    dim=st.sampled_from([1, 7, 256, 1000]),
+)
+def test_embed_equals_scalar_reference(text, dim):
+    assert HashedNgramEmbedder(dim).embed(text).values == reference_embed(text, dim)
+
+
+# sha256 of embed(text).values as little-endian float64, frozen so that a
+# change to the embedding space cannot pass unnoticed.
+PINNED_EMBEDDINGS = [
+    (256, "concrete pour slab", "48e5d043df015aac7be6c6c7b2e77a4b276bfd7b8e38baa8e7375413d22010dc"),
+    (
+        256,
+        "  Pour\tthe\n\nslab,  then CURE it.  ",
+        "c56370a92ad43e41f8e3658a0395a38405d51b5f2e68044b371eba7c7d7ef30b",
+    ),
+    (
+        256,
+        "Cafe\u0301 cr\u00e8me \u2014 fa\u00e7ade \U0001f3d7\ufe0f \u6771\u4eac",
+        "32e6cde82643210415fa7616042b02406e724b1729d65f8d09a3c0e674a7c49c",
+    ),
+    (256, "ab", "72e24eacea5a53363e76c48dc202d231b26b9b58c7be0d11bf376cf9396c104f"),
+    (
+        7,
+        "\u0394-Level 3 Zone 6E: grout & anchor",
+        "95522a73f69b22424bacfb97359533dbf24d89ede6aa46382c4d40585a79729b",
+    ),
+]
+
+
+@pytest.mark.parametrize("dim,text,digest", PINNED_EMBEDDINGS)
+def test_embed_pinned_digests(dim, text, digest):
+    values = HashedNgramEmbedder(dim).embed(text).values
+    assert hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest() == digest
 
 
 def test_embed_similarity_fixture():
@@ -236,6 +288,44 @@ def test_retrieve_global_matches_scan_500_chunks():
         assert retrieve_global(store, query, k=3) == brute_force_top_k(store, query, 3)
 
 
+def test_retrieve_global_tie_order_across_documents():
+    # Equal similarities rank by (doc_id, chunk_index), not insertion order.
+    store = GlobalChunkStore(EMB)
+    store.add_document("beta", "pour slab cure deck", 2)
+    store.add_document("alpha", "pour slab cure deck", 2)
+    store.add_document("gamma", "pour slab pour slab", 2)
+    got = [(c.doc_id, c.chunk_index) for c in retrieve_global(store, "pour slab", k=6)]
+    assert got == [
+        ("alpha", 0),
+        ("beta", 0),
+        ("gamma", 0),
+        ("gamma", 1),
+        ("alpha", 1),
+        ("beta", 1),
+    ]
+    assert retrieve_global(store, "pour slab", k=6) == brute_force_top_k(store, "pour slab", 6)
+
+
+def test_retrieve_local_tie_goes_to_earliest_entry():
+    store = LocalTermStore(EMB)
+    store.add("later-sorted", "crane lift rigging")
+    store.add("another", "crane lift rigging")
+    assert retrieve_local(store, "crane lift").term == "later-sorted"
+
+
+def test_retrieve_accepts_an_embedded_query():
+    store = build_store(40)
+    local = LocalTermStore(EMB)
+    for i, word in enumerate(WORDS):
+        local.add(f"t{i}", f"{word} {WORDS[-1 - i]}")
+    gen = prng.derive(9, "embedded-queries")
+    for _ in range(10):
+        query = random_text(gen, 4)
+        vec = EMB.embed(query)
+        assert store.retrieve(vec, k=3) == store.retrieve(query, k=3)
+        assert local.retrieve(vec) is local.retrieve(query)
+
+
 def test_retrieve_global_empty_store():
     with pytest.raises(EmptyStoreError):
         retrieve_global(GlobalChunkStore(EMB), "x")
@@ -260,6 +350,18 @@ def test_store_round_trip(tmp_path):
     assert [(c.doc_id, c.chunk_index) for c in loaded_g.chunks] == [
         (c.doc_id, c.chunk_index) for c in glob.chunks
     ]
+
+
+def test_read_matrix_rejects_corrupt_files(tmp_path):
+    local = LocalTermStore(EMB)
+    local.add("WBS", "hierarchical decomposition of project scope")
+    local.add("float", "schedule slack of an activity")
+    save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+    raw = (tmp_path / "terms.mat").read_bytes()
+    for bad in (raw[:-1], raw + b"\0\0\0\0", raw[:10], b"XKEM" + raw[4:], b""):
+        (tmp_path / "terms.mat").write_bytes(bad)
+        with pytest.raises(KnowledgeError, match="terms.mat"):
+            load_term_store(EMB, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
 
 
 def test_store_build_idempotent_byte_identical(tmp_path):
