@@ -487,23 +487,8 @@ def cmd_polish(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     out = _out_dir(args)
-    payload = json.loads(Path(args.report).read_text("utf-8"))
-    lines = ["Group | " + " | ".join(f"{k} (%)" for k in sorted(payload["per_task"]))]
-    lines.append(
-        "overall | "
-        + " | ".join(
-            f"{payload['per_task'][k]['accuracy_cells']:.1f}"
-            for k in sorted(payload["per_task"])
-        )
-    )
-    for dim in sorted(payload["group_breakdowns"]):
-        for group in sorted(payload["group_breakdowns"][dim]):
-            cells = payload["group_breakdowns"][dim][group]
-            row = [f"{dim}={group}"]
-            for k in sorted(payload["per_task"]):
-                row.append(f"{cells[k]['accuracy_cells']:.1f}" if k in cells else "-")
-            lines.append(" | ".join(row))
-    table = "\n".join(lines) + "\n"
+    report = masked_eval.ScoreReport.from_json(Path(args.report).read_text("utf-8"))
+    table = report.render_table()
     (out / "report.txt").write_text(table, "utf-8")
     write_manifest(out, "report", cfg, {"report": args.report})
     print(table, end="")

@@ -97,23 +97,12 @@ def sample_hierarchical(
     least ``depth(target) - max_wbs_levels`` (floored at zero) with the
     target's path. Deterministic; no sampling involved.
     """
-    by_id = schedule.by_id()
-    if target not in by_id:
+    index = schedule.index
+    if target not in index.by_id:
         raise UnknownNodeError(target)
-    target_wbs = by_id[target].wbs
+    target_wbs = index.by_id[target].wbs
     required = max(0, len(target_wbs) - cfg.max_wbs_levels)
-    out = set()
-    for act in schedule.activities:
-        if act.activity_id == target:
-            continue
-        prefix = 0
-        for a, b in zip(act.wbs, target_wbs):
-            if a != b:
-                break
-            prefix += 1
-        if prefix >= required:
-            out.add(act.activity_id)
-    return frozenset(out)
+    return index.wbs_buckets[required, target_wbs[:required]] - {target}
 
 
 def combined_context(
@@ -133,8 +122,8 @@ def combined_context(
     )
 
 
-def _row_text(schedule_index, aid: str, role: str) -> str:
-    act = schedule_index.get(aid)
+def _row_text(by_id, aid: str, role: str) -> str:
+    act = by_id.get(aid)
     if act is None:
         return f"{aid} | ? | ? | ? | {role}"
     return (
@@ -149,16 +138,11 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
     Sequential paths print in edge direction, so backward walks read
     predecessor-first and end at the target.
     """
-    index = schedule.by_id()
-    pred_ids = set()
-    succ_ids = set()
-    for link in schedule.links:
-        if link.successor_id == bundle.target:
-            pred_ids.add(link.predecessor_id)
-        if link.predecessor_id == bundle.target:
-            succ_ids.add(link.successor_id)
+    index = schedule.index
+    pred_ids = {l.predecessor_id for l in index.preds.get(bundle.target, ())}
+    succ_ids = {l.successor_id for l in index.succs.get(bundle.target, ())}
 
-    tgt = index.get(bundle.target)
+    tgt = index.by_id.get(bundle.target)
     if tgt is None:
         target_line = f"TARGET: {bundle.target}"
     else:
@@ -175,10 +159,10 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             role = "predecessor"
         else:
             role = "successor"
-        lines.append("  " + _row_text(index, aid, role))
+        lines.append("  " + _row_text(index.by_id, aid, role))
     lines.append("HIERARCHICAL:")
     for aid in sorted(bundle.hierarchical):
-        lines.append("  " + _row_text(index, aid, "wbs"))
+        lines.append("  " + _row_text(index.by_id, aid, "wbs"))
     lines.append("SEQUENTIAL:")
     rendered = []
     for path in bundle.sequential:

@@ -142,8 +142,14 @@ def load_transcript(path: Path) -> list[dict]:
     for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        if _content_hash(record) != record.get("content_hash"):
+        try:
+            record = json.loads(line)
+            digest = _content_hash(record)
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise GatewayError(
+                f"{path}:{line_no}: malformed transcript line: {exc}"
+            ) from None
+        if digest != record.get("content_hash"):
             raise GatewayError(f"{path}:{line_no}: transcript content hash mismatch")
         records.append(record)
     return records
@@ -371,9 +377,6 @@ class HttpGateway(Gateway):
         raise RetriesExhaustedError(
             f"gave up after {self.cfg.retry_limit + 1} attempts: {last_error}"
         )
-
-
-MOCK_KINDS = ("EchoOracle", "ConstantWrong", "ScriptedTranscript")
 
 
 def register_mock(

@@ -219,27 +219,19 @@ def topological_order(graph: ScheduleGraph) -> list[str]:
     return order
 
 
-def _stats_from_values(values: dict[str, int], which: str) -> GraphStats:
+def _summary(values: dict[str, int]) -> tuple[dict[int, int], float, int]:
+    """Histogram (sorted by value), mean and maximum of per-node values."""
     hist: dict[int, int] = {}
     for v in values.values():
         hist[v] = hist.get(v, 0) + 1
     mean = sum(values.values()) / len(values) if values else 0.0
     peak = max(values.values()) if values else 0
-    stats = GraphStats()
-    if which == "degree":
-        stats.degree_histogram = dict(sorted(hist.items()))
-        stats.degree_mean = mean
-        stats.degree_max = peak
-    else:
-        stats.maxhop_histogram = dict(sorted(hist.items()))
-        stats.maxhop_mean = mean
-        stats.maxhop_max = peak
-    return stats
+    return dict(sorted(hist.items())), mean, peak
 
 
 def degree_distribution(graph: ScheduleGraph) -> GraphStats:
-    values = {node: graph.degree(node) for node in graph.nodes}
-    return _stats_from_values(values, "degree")
+    hist, mean, peak = _summary({node: graph.degree(node) for node in graph.nodes})
+    return GraphStats(degree_histogram=hist, degree_mean=mean, degree_max=peak)
 
 
 def maximal_hop_values(
@@ -267,7 +259,8 @@ def maximal_hop_values(
 def maximal_hop_distribution(
     graph: ScheduleGraph, *, direction: str = "down"
 ) -> GraphStats:
-    return _stats_from_values(maximal_hop_values(graph, direction=direction), "maxhop")
+    hist, mean, peak = _summary(maximal_hop_values(graph, direction=direction))
+    return GraphStats(maxhop_histogram=hist, maxhop_mean=mean, maxhop_max=peak)
 
 
 def graph_stats(graph: ScheduleGraph) -> GraphStats:

@@ -191,6 +191,32 @@ class ScoreReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+    @classmethod
+    def from_json(cls, text: str) -> "ScoreReport":
+        """Inverse of ``to_json``: the counts come back, accuracies are
+        recomputed from them."""
+
+        def score(rec: dict) -> TaskScore:
+            return TaskScore(
+                rec["cells_total"],
+                rec["cells_correct"],
+                rec["rows_total"],
+                rec["rows_correct"],
+            )
+
+        payload = json.loads(text)
+        return cls(
+            per_task={k: score(v) for k, v in payload["per_task"].items()},
+            group_breakdowns={
+                dim: {
+                    group: {k: score(v) for k, v in kinds.items()}
+                    for group, kinds in groups.items()
+                }
+                for dim, groups in payload["group_breakdowns"].items()
+            },
+            complete=payload["complete"],
+        )
+
     def render_table(self) -> str:
         """Human summary: one accuracy row overall plus per-group rows."""
         kinds = sorted(self.per_task)
@@ -212,15 +238,13 @@ class ScoreReport:
 def maskable_columns(schedule: Schedule, activity) -> list[str]:
     """Columns eligible for MVP masking: everything except the identity
     columns (id, name) and columns whose serialized value is empty."""
-    row = canonical_row(schedule, activity)
-    pool = []
-    for col, value in row.items():
-        if col in (COL_ID, COL_NAME):
-            continue
-        if value == "":
-            continue
-        pool.append(col)
-    return pool
+    return _maskable(canonical_row(schedule, activity))
+
+
+def _maskable(row: dict[str, str]) -> list[str]:
+    return [
+        col for col, value in row.items() if col not in (COL_ID, COL_NAME) and value != ""
+    ]
 
 
 def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskSpec]:
@@ -229,7 +253,7 @@ def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskS
     for act in schedule.activities:
         row = canonical_row(schedule, act)
         if kind == MVP:
-            pool = maskable_columns(schedule, act)
+            pool = _maskable(row)
             if len(pool) < 3:
                 raise TooFewColumnsError(
                     f"row {act.activity_id!r} has only {len(pool)} maskable column(s)"
@@ -255,8 +279,7 @@ def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskS
 
 def render_masked_row(schedule: Schedule, mask: MaskSpec) -> str:
     """Row text with masked cells blanked and the masked list made explicit."""
-    act = schedule.by_id()[mask.row_id]
-    row = canonical_row(schedule, act)
+    row = canonical_row(schedule, schedule.index.by_id[mask.row_id])
     lines = []
     for col, value in row.items():
         shown = MASK_SENTINEL if col in mask.masked_columns else value
@@ -393,13 +416,15 @@ def evaluate_tasks(
 
 def build_report(schedule: Schedule, instances: list[EvalInstance]) -> ScoreReport:
     """Aggregate counts overall and per discipline/level/area group."""
-    by_id = schedule.by_id()
+    by_id = schedule.index.by_id
     report = ScoreReport()
     for dim in GROUP_DIMENSIONS:
         report.group_breakdowns[dim] = {}
     for inst in sorted(instances, key=lambda i: (i.mask.task_kind, i.mask.row_id)):
         kind = inst.mask.task_kind
         report.per_task.setdefault(kind, TaskScore()).add(inst.cells_correct)
+        if inst.error is not None:
+            report.complete = False
         act = by_id.get(inst.mask.row_id)
         if act is None:
             continue
@@ -407,8 +432,6 @@ def build_report(schedule: Schedule, instances: list[EvalInstance]) -> ScoreRepo
             group = getattr(act, dim)
             slot = report.group_breakdowns[dim].setdefault(group, {})
             slot.setdefault(kind, TaskScore()).add(inst.cells_correct)
-        if inst.error is not None:
-            report.complete = False
     return report
 
 
@@ -466,13 +489,11 @@ def _synthesize_rejection(
     order = gen.sample(columns, len(columns))
     for col in order:
         truth = mask.ground_truth[col]
+        # Values held by at least one activity whose id is not the row's.
         alternatives = sorted(
-            {
-                canonical_row(schedule, act).get(col, "")
-                for act in schedule.activities
-                if act.activity_id != mask.row_id
-            }
-            - {truth, ""}
+            value
+            for value, ids in schedule.index.value_holders(col).items()
+            if value not in (truth, "") and (len(ids) > 1 or mask.row_id not in ids)
         )
         if alternatives:
             swapped = dict(mask.ground_truth)
@@ -593,8 +614,12 @@ def save_instances(path: Path, instances: list[EvalInstance]) -> None:
 
 
 def load_instances(path: Path) -> list[EvalInstance]:
-    return [
-        EvalInstance.from_dict(json.loads(ln))
-        for ln in Path(path).read_text("utf-8").splitlines()
-        if ln.strip()
-    ]
+    instances = []
+    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            instances.append(EvalInstance.from_dict(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise CorruptRecordError(line_no, str(exc)) from None
+    return instances

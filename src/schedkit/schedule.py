@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 
 RELATIONS = ("FS", "SS", "FF", "SF")
 
@@ -133,8 +134,72 @@ class Schedule:
     links: tuple[DependencyLink, ...]
     source_label: str = ""
 
+    @cached_property
+    def index(self) -> ScheduleIndex:
+        """Per-activity lookups, built on first use and kept for the schedule."""
+        return ScheduleIndex(self)
+
     def by_id(self) -> dict[str, Activity]:
-        return {a.activity_id: a for a in self.activities}
+        return dict(self.index.by_id)
+
+
+class ScheduleIndex:
+    """Lookups into one schedule, so no caller re-scans activities or links.
+
+    ``preds``/``succs`` hold each id's links in canonical-row order (by
+    other endpoint, then relation; ties keep link order), and
+    ``dependency_cells`` their serialized Predecessor/Successor Details.
+    ``wbs_buckets`` maps (k, first k WBS segments) to the ids whose path
+    starts with them, for every k up to each path's length.
+    """
+
+    def __init__(self, schedule: Schedule):
+        self._schedule = schedule
+        self.by_id = {a.activity_id: a for a in schedule.activities}
+        preds: dict[str, list[DependencyLink]] = {}
+        succs: dict[str, list[DependencyLink]] = {}
+        for link in schedule.links:
+            preds.setdefault(link.successor_id, []).append(link)
+            succs.setdefault(link.predecessor_id, []).append(link)
+        self.preds = {
+            aid: tuple(sorted(ls, key=lambda l: (l.predecessor_id, l.relation)))
+            for aid, ls in preds.items()
+        }
+        self.succs = {
+            aid: tuple(sorted(ls, key=lambda l: (l.successor_id, l.relation)))
+            for aid, ls in succs.items()
+        }
+        self.dependency_cells = {
+            aid: (
+                ";".join(
+                    format_dependency(l, endpoint=l.predecessor_id)
+                    for l in self.preds.get(aid, ())
+                ),
+                ";".join(
+                    format_dependency(l, endpoint=l.successor_id)
+                    for l in self.succs.get(aid, ())
+                ),
+            )
+            for aid in self.preds.keys() | self.succs.keys()
+        }
+        buckets: dict[tuple[int, tuple[str, ...]], set[str]] = {}
+        for act in schedule.activities:
+            for k in range(len(act.wbs) + 1):
+                buckets.setdefault((k, act.wbs[:k]), set()).add(act.activity_id)
+        self.wbs_buckets = {key: frozenset(ids) for key, ids in buckets.items()}
+        self._holders: dict[str, dict[str, set[str]]] = {}
+
+    def value_holders(self, column: str) -> dict[str, set[str]]:
+        """Each serialized value of ``column`` mapped to the ids holding it
+        (an activity without the column holds ""). Built once per column."""
+        holders = self._holders.get(column)
+        if holders is None:
+            holders = {}
+            for act in self._schedule.activities:
+                value = canonical_row(self._schedule, act).get(column, "")
+                holders.setdefault(value, set()).add(act.activity_id)
+            self._holders[column] = holders
+        return holders
 
 
 @dataclass(frozen=True)
@@ -232,51 +297,53 @@ def parse_schedule(
         if col not in col_index:
             raise MissingColumnError(spec.get(col, col))
 
+    # Each row as stripped cells, padded to the header, read by both passes.
+    width = len(header)
+    table = [
+        [c.strip() for c in cells[:width]] + [""] * (width - len(cells))
+        for cells in rows[1:]
+    ]
+
+    def get(cells: list[str], col: str) -> str:
+        idx = col_index.get(col)
+        return "" if idx is None else cells[idx]
+
     activities: list[Activity] = []
     seen_ids: set[str] = set()
 
-    for row_no, cells in enumerate(rows[1:], start=2):
-        def get(col: str) -> str:
-            idx = col_index.get(col)
-            if idx is None or idx >= len(cells):
-                return ""
-            return cells[idx].strip()
-
-        activity_id = get(COL_ID)
+    for row_no, cells in enumerate(table, start=2):
+        activity_id = get(cells, COL_ID)
         if not activity_id:
             raise ScheduleError(f"row {row_no}: empty activity id")
         if activity_id in seen_ids:
             raise DuplicateIdError(row_no, activity_id)
         seen_ids.add(activity_id)
 
-        start = _parse_date(get(COL_START), row=row_no)
-        finish = _parse_date(get(COL_FINISH), row=row_no)
+        start = _parse_date(get(cells, COL_START), row=row_no)
+        finish = _parse_date(get(cells, COL_FINISH), row=row_no)
         if start > finish:
             raise MalformedDateError(
                 row_no,
-                get(COL_FINISH),
+                get(cells, COL_FINISH),
                 f"finish precedes start {start.isoformat()}",
             )
 
-        wbs_cell = get(COL_WBS)
+        wbs_cell = get(cells, COL_WBS)
         wbs = tuple(seg for seg in wbs_cell.split(".") if seg != "")
         if not wbs:
             raise MalformedDependencyError(row_no, wbs_cell, "empty WBS path")
 
-        extras = {
-            name: (cells[idx].strip() if idx < len(cells) else "")
-            for name, idx in extra_headers
-        }
+        extras = {name: cells[idx] for name, idx in extra_headers}
         activities.append(
             Activity(
                 activity_id=activity_id,
-                name=get(COL_NAME),
-                status=get(COL_STATUS),
+                name=get(cells, COL_NAME),
+                status=get(cells, COL_STATUS),
                 wbs=wbs,
-                discipline=get(COL_DISCIPLINE),
-                level=get(COL_LEVEL),
-                area=get(COL_AREA),
-                zone=get(COL_ZONE) or None,
+                discipline=get(cells, COL_DISCIPLINE),
+                level=get(cells, COL_LEVEL),
+                area=get(cells, COL_AREA),
+                zone=get(cells, COL_ZONE) or None,
                 current_start=start,
                 current_finish=finish,
                 extra_attributes=extras,
@@ -286,17 +353,11 @@ def parse_schedule(
     # Second pass over dependency cells now that every id is known.
     links: list[DependencyLink] = []
     seen_triples: set[tuple[str, str, str]] = set()
-    for row_no, cells in enumerate(rows[1:], start=2):
-        def get(col: str) -> str:
-            idx = col_index.get(col)
-            if idx is None or idx >= len(cells):
-                return ""
-            return cells[idx].strip()
-
-        activity_id = get(COL_ID)
-        for ref, rel, lag in parse_dependency_cell(get(COL_PRED), row=row_no):
+    for row_no, cells in enumerate(table, start=2):
+        activity_id = get(cells, COL_ID)
+        for ref, rel, lag in parse_dependency_cell(get(cells, COL_PRED), row=row_no):
             _append_link(links, seen_triples, row_no, ref, activity_id, rel, lag, seen_ids)
-        for ref, rel, lag in parse_dependency_cell(get(COL_SUCC), row=row_no):
+        for ref, rel, lag in parse_dependency_cell(get(cells, COL_SUCC), row=row_no):
             _append_link(links, seen_triples, row_no, activity_id, ref, rel, lag, seen_ids)
 
     return Schedule(
@@ -412,13 +473,8 @@ def format_dependency(link: DependencyLink, *, endpoint: str) -> str:
 
 def canonical_row(schedule: Schedule, activity: Activity) -> dict[str, str]:
     """Map canonical (plus extra) column names to serialized cell strings."""
-    preds = sorted(
-        (l for l in schedule.links if l.successor_id == activity.activity_id),
-        key=lambda l: (l.predecessor_id, l.relation),
-    )
-    succs = sorted(
-        (l for l in schedule.links if l.predecessor_id == activity.activity_id),
-        key=lambda l: (l.successor_id, l.relation),
+    pred_cell, succ_cell = schedule.index.dependency_cells.get(
+        activity.activity_id, ("", "")
     )
     row = {
         COL_ID: activity.activity_id,
@@ -431,8 +487,8 @@ def canonical_row(schedule: Schedule, activity: Activity) -> dict[str, str]:
         COL_ZONE: activity.zone or "",
         COL_START: activity.current_start.isoformat(),
         COL_FINISH: activity.current_finish.isoformat(),
-        COL_PRED: ";".join(format_dependency(l, endpoint=l.predecessor_id) for l in preds),
-        COL_SUCC: ";".join(format_dependency(l, endpoint=l.successor_id) for l in succs),
+        COL_PRED: pred_cell,
+        COL_SUCC: succ_cell,
     }
     for key in sorted(activity.extra_attributes):
         row[key] = activity.extra_attributes[key]
@@ -461,11 +517,7 @@ def serialize_schedule(schedule: Schedule) -> str:
 
 def serialize_records(schedule: Schedule) -> str:
     """Line-delimited export: one JSON object per activity."""
-    preds: dict[str, list[DependencyLink]] = {}
-    succs: dict[str, list[DependencyLink]] = {}
-    for link in schedule.links:
-        preds.setdefault(link.successor_id, []).append(link)
-        succs.setdefault(link.predecessor_id, []).append(link)
+    index = schedule.index
     lines = []
     for act in schedule.activities:
         rec = {
@@ -482,17 +534,11 @@ def serialize_records(schedule: Schedule) -> str:
             "duration_days": duration_days(act),
             "predecessors": [
                 {"id": l.predecessor_id, "relation": l.relation, "lag_days": l.lag_days}
-                for l in sorted(
-                    preds.get(act.activity_id, ()),
-                    key=lambda l: (l.predecessor_id, l.relation),
-                )
+                for l in index.preds.get(act.activity_id, ())
             ],
             "successors": [
                 {"id": l.successor_id, "relation": l.relation, "lag_days": l.lag_days}
-                for l in sorted(
-                    succs.get(act.activity_id, ()),
-                    key=lambda l: (l.successor_id, l.relation),
-                )
+                for l in index.succs.get(act.activity_id, ())
             ],
             "extra_attributes": dict(sorted(act.extra_attributes.items())),
         }

@@ -286,7 +286,8 @@ def test_report_rerender(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "Group | AP (%)"
-    assert (tmp_path / "r" / "report.txt").is_file()
+    rerendered = (tmp_path / "r" / "report.txt").read_bytes()
+    assert rerendered == (tmp_path / "e" / "report.txt").read_bytes()
 
 
 def test_polish_histograms_written(tmp_path, capsys):
@@ -384,3 +385,41 @@ def test_run_eval_embeds_each_query_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(knowledge.HashedNgramEmbedder, "embed", counting_embed)
     assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
     assert len(embedded) == 3 == len(set(embedded))
+
+
+def _truncated_eval(tmp_path, name: str) -> Path:
+    """An echo run over the chain whose ``name`` file is cut inside line 2."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(["--out", str(tmp_path / "e"), *argv]) == EXIT_OK
+    path = tmp_path / "e" / name
+    raw = path.read_bytes()
+    path.write_bytes(raw[: raw.index(b"\n") + 40])
+    return path
+
+
+def test_run_eval_truncated_transcript_is_a_gateway_error(tmp_path, capsys):
+    transcript = _truncated_eval(tmp_path, "transcript.jsonl")
+    capsys.readouterr()
+    code = run(
+        [
+            "--out", str(tmp_path / "r"), "run-eval", "--schedule", str(tmp_path / "chain.csv"),
+            "--gateway", f"mock:transcript={transcript}",
+        ]
+    )
+    assert code == EXIT_GATEWAY
+    err = capsys.readouterr().err
+    assert err.startswith("gateway error:") and f"{transcript}:2:" in err
+
+
+def test_truncated_instances_is_a_data_error(tmp_path, capsys):
+    instances = str(_truncated_eval(tmp_path, "instances.jsonl"))
+    capsys.readouterr()
+    for argv in (
+        ["collect-prefs", "--schedule", str(tmp_path / "chain.csv"), "--instances", instances],
+        ["polish", "--instances", instances],
+    ):
+        assert run(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2:")

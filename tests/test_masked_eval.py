@@ -11,6 +11,7 @@ from schedkit.masked_eval import (
     GatewayEvalError,
     MaskSpec,
     PreferenceRecord,
+    ScoreReport,
     TooFewColumnsError,
     build_report,
     canonical_date,
@@ -363,6 +364,29 @@ def test_gateway_failures_flag_partial_report():
     assert err.value.partial_report.complete is False
     # The surviving rows still scored.
     assert err.value.partial_report.per_task["AP"].cells_total == 12
+
+
+def test_failed_instance_outside_schedule_flags_incomplete():
+    sched = rich_schedule(2)
+    stray = MaskSpec("GONE", "AP", ("Current Start",), {"Current Start": "2024-01-01"})
+    failed = EvalInstance(stray, "", "", None, False, (False,), error="GatewayError: down")
+    report = build_report(sched, [failed])
+    assert report.complete is False
+    assert report.per_task["AP"].cells_total == 1
+
+
+def test_score_report_json_round_trip():
+    sched = rich_schedule(6)
+    table = truth_table(sched)
+    del table["A03"]
+    instances = evaluate_tasks(
+        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", table)
+    )
+    report = build_report(sched, instances)
+    assert not report.complete
+    again = ScoreReport.from_json(report.to_json())
+    assert again == report
+    assert again.render_table() == report.render_table()
 
 
 def test_render_table_one_decimal():
