@@ -23,6 +23,7 @@ from .gateway import (
     GatewayError,
     HttpGateway,
     TranscriptLog,
+    load_transcript,
     register_mock,
 )
 from .schedule import ScheduleError, parse_schedule, serialize_records, serialize_schedule, validate
@@ -128,37 +129,47 @@ def _gateway_config(cfg) -> GatewayConfig:
     )
 
 
-def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
-    """Gateway per config mode; mock:echo derives its table from the schedule."""
-    gw_cfg = _gateway_config(cfg)
-    transcript = TranscriptLog(out_dir / "transcript.jsonl")
-    if mode == "http":
-        return HttpGateway(gw_cfg, transcript)
-    if mode.startswith("mock:"):
-        kind = mode.split(":", 1)[1]
-        if kind == "echo":
-            if schedule is None:
-                raise UsageError("mock:echo needs a schedule to answer from")
-            from .schedule import canonical_row
+_MOCK_KINDS = {
+    "echo": "EchoOracle",
+    "wrong": "ConstantWrong",
+    "stopword": "StopwordStripper",
+    "identity": "Identity",
+}
 
-            table = {
-                a.activity_id: canonical_row(schedule, a) for a in schedule.activities
-            }
-            return register_mock("EchoOracle", table, cfg=gw_cfg, transcript=transcript)
-        if kind == "wrong":
-            return register_mock("ConstantWrong", cfg=gw_cfg, transcript=transcript)
-        if kind == "stopword":
-            return register_mock("StopwordStripper", cfg=gw_cfg, transcript=transcript)
-        if kind == "identity":
-            return register_mock("Identity", cfg=gw_cfg, transcript=transcript)
-        if kind.startswith("transcript="):
-            return register_mock(
-                "ScriptedTranscript",
-                kind.split("=", 1)[1],
-                cfg=gw_cfg,
-                transcript=transcript,
-            )
-    raise UsageError(f"unknown gateway mode {mode!r}")
+
+def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
+    """Gateway per config mode; mock:echo derives its table from the schedule.
+
+    The transcript log starts ``<out_dir>/transcript.jsonl`` empty, so it is
+    opened only after the mode is checked and a replay source is read (the
+    source may be that very file). The caller closes ``gateway.transcript``.
+    """
+    gw_cfg = _gateway_config(cfg)
+    kind = mode.split(":", 1)[1] if mode.startswith("mock:") else ""
+    data = None
+    if kind == "echo":
+        if schedule is None:
+            raise UsageError("mock:echo needs a schedule to answer from")
+        from .schedule import canonical_row
+
+        data = {a.activity_id: canonical_row(schedule, a) for a in schedule.activities}
+    elif kind.startswith("transcript="):
+        data = load_transcript(kind.split("=", 1)[1])
+    elif mode != "http" and kind not in _MOCK_KINDS:
+        raise UsageError(f"unknown gateway mode {mode!r}")
+    transcript = TranscriptLog(out_dir / "transcript.jsonl")
+    try:
+        if mode == "http":
+            return HttpGateway(gw_cfg, transcript)
+        return register_mock(
+            _MOCK_KINDS.get(kind, "ScriptedTranscript"),
+            data,
+            cfg=gw_cfg,
+            transcript=transcript,
+        )
+    except BaseException:
+        transcript.close()
+        raise
 
 
 def _read_schedule(path: str):
@@ -323,47 +334,48 @@ def cmd_run_eval(args, cfg) -> int:
     sched = _read_schedule(args.schedule)
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, out, schedule=sched)
-    kinds = [
-        k.strip().upper() if k.strip().upper() != "POLISH" else "Polish"
-        for k in (args.tasks or cfg.get("eval", "tasks")).split(",")
-        if k.strip()
-    ]
-    seed = cfg.getint("eval", "seed")
-    tasks = []
-    for kind in kinds:
-        tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
+    with gateway.transcript:
+        kinds = [
+            k.strip().upper() if k.strip().upper() != "POLISH" else "Polish"
+            for k in (args.tasks or cfg.get("eval", "tasks")).split(",")
+            if k.strip()
+        ]
+        seed = cfg.getint("eval", "seed")
+        tasks = []
+        for kind in kinds:
+            tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
 
-    local, glob = _load_kb(args.kb)
-    contexts = _context_texts(sched, cfg)
+        local, glob = _load_kb(args.kb)
+        contexts = _context_texts(sched, cfg)
 
-    def static_for(row_id: str) -> str:
-        if glob is None and local is None:
-            return ""
-        # Both stores share one embedder, so the query is embedded once.
-        query = (local or glob).embedder.embed(contexts[row_id])
-        parts = []
-        if local is not None:
-            entry = local.retrieve(query)
-            parts.append(f"{entry.term}: {entry.definition}")
-        if glob is not None:
-            for chunk in glob.retrieve(query, k=3):
-                parts.append(chunk.text)
-        return "\n".join(parts)
+        def static_for(row_id: str) -> str:
+            if glob is None and local is None:
+                return ""
+            # Both stores share one embedder, so the query is embedded once.
+            query = (local or glob).embedder.embed(contexts[row_id])
+            parts = []
+            if local is not None:
+                entry = local.retrieve(query)
+                parts.append(f"{entry.term}: {entry.definition}")
+            if glob is not None:
+                for chunk in glob.retrieve(query, k=3):
+                    parts.append(chunk.text)
+            return "\n".join(parts)
 
-    rules_text = Path(args.rules).read_text("utf-8") if args.rules else ""
-    static_cache = {rid: static_for(rid) for rid in contexts}
+        rules_text = Path(args.rules).read_text("utf-8") if args.rules else ""
+        static_cache = {rid: static_for(rid) for rid in contexts}
 
-    instances = masked_eval.evaluate_tasks(
-        sched,
-        tasks,
-        gateway,
-        static_knowledge="",
-        rules=rules_text,
-        context_provider=lambda rid: static_cache[rid] + "\n" + contexts[rid]
-        if static_cache[rid]
-        else contexts[rid],
-        k=cfg.getint("eval", "k"),
-    )
+        instances = masked_eval.evaluate_tasks(
+            sched,
+            tasks,
+            gateway,
+            static_knowledge="",
+            rules=rules_text,
+            context_provider=lambda rid: static_cache[rid] + "\n" + contexts[rid]
+            if static_cache[rid]
+            else contexts[rid],
+            k=cfg.getint("eval", "k"),
+        )
     report = masked_eval.build_report(sched, instances)
     masked_eval.save_instances(out / "instances.jsonl", instances)
     (out / "report.json").write_text(report.to_json(), "utf-8")
@@ -458,16 +470,17 @@ def cmd_polish(args, cfg) -> int:
     gateway = build_gateway(cfg, mode, out)
     stats = alignment.ContextLengthStats()
     polished_lines = []
-    for inst in instances:
-        polished = alignment.polish_context(
-            gateway, inst.mask.task_kind, inst.prompt_user, stats
-        )
-        polished_lines.append(
-            json.dumps(
-                {"row_id": inst.mask.row_id, "task_kind": inst.mask.task_kind, "polished": polished},
-                sort_keys=True,
+    with gateway.transcript:
+        for inst in instances:
+            polished = alignment.polish_context(
+                gateway, inst.mask.task_kind, inst.prompt_user, stats
             )
-        )
+            polished_lines.append(
+                json.dumps(
+                    {"row_id": inst.mask.row_id, "task_kind": inst.mask.task_kind, "polished": polished},
+                    sort_keys=True,
+                )
+            )
     (out / "polished.jsonl").write_text("\n".join(polished_lines) + "\n", "utf-8")
     (out / "ctx_stats.json").write_text(stats.to_json(), "utf-8")
     for kind in sorted(stats.raw_lengths):

@@ -122,14 +122,11 @@ def combined_context(
     )
 
 
-def _row_text(by_id, aid: str, role: str) -> str:
-    act = by_id.get(aid)
-    if act is None:
-        return f"{aid} | ? | ? | ? | {role}"
-    return (
-        f"{aid} | {act.name} | {act.current_start.isoformat()}"
-        f" | {act.current_finish.isoformat()} | {role}"
-    )
+def _row_line(row_text: dict[str, str], aid: str, role: str) -> str:
+    text = row_text.get(aid)
+    if text is None:
+        return f"  {aid} | ? | ? | ? | {role}"
+    return f"  {text} | {role}"
 
 
 def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
@@ -139,19 +136,15 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
     predecessor-first and end at the target.
     """
     index = schedule.index
+    row_text = index.row_text
     pred_ids = {l.predecessor_id for l in index.preds.get(bundle.target, ())}
     succ_ids = {l.successor_id for l in index.succs.get(bundle.target, ())}
 
-    tgt = index.by_id.get(bundle.target)
-    if tgt is None:
-        target_line = f"TARGET: {bundle.target}"
-    else:
-        target_line = (
-            f"TARGET: {bundle.target} | {tgt.name}"
-            f" | {tgt.current_start.isoformat()} | {tgt.current_finish.isoformat()}"
-        )
-    lines = [target_line, f"SEED: {bundle.sampled_at_seed}"]
-    lines.append("FIRST-ORDER:")
+    lines = [
+        f"TARGET: {row_text.get(bundle.target, bundle.target)}",
+        f"SEED: {bundle.sampled_at_seed}",
+        "FIRST-ORDER:",
+    ]
     for aid in sorted(bundle.first_order):
         if aid in pred_ids and aid in succ_ids:
             role = "predecessor+successor"
@@ -159,10 +152,9 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             role = "predecessor"
         else:
             role = "successor"
-        lines.append("  " + _row_text(index.by_id, aid, role))
+        lines.append(_row_line(row_text, aid, role))
     lines.append("HIERARCHICAL:")
-    for aid in sorted(bundle.hierarchical):
-        lines.append("  " + _row_text(index.by_id, aid, "wbs"))
+    lines.extend(_row_line(row_text, aid, "wbs") for aid in sorted(bundle.hierarchical))
     lines.append("SEQUENTIAL:")
     rendered = []
     for path in bundle.sequential:

@@ -17,7 +17,9 @@ import json
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 ROW_ID_LABEL = "Activity ID"
@@ -102,39 +104,68 @@ def exchange_hash(system_text: str, user_text: str) -> str:
     ).hexdigest()
 
 
-def _content_hash(record: dict) -> str:
-    basis = json.dumps(
-        {
-            "system_text": record["system_text"],
-            "user_text": record["user_text"],
-            "response_text": record["response_text"],
-            "error": record["error"],
-        },
-        sort_keys=True,
-    )
+# The fields ``content_hash`` covers, in sorted order.
+_HASHED_FIELDS = ("error", "response_text", "system_text", "user_text")
+
+
+def _json(value) -> str:
+    """``json.dumps(value)``; strings and None skip its per-call dispatch."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def _content_hash(encoded: dict[str, str]) -> str:
+    """sha256 of ``json.dumps`` of the hashed fields with sorted keys, built
+    from each field's own JSON encoding in ``encoded``."""
+    basis = "{" + ", ".join(f'"{k}": {encoded[k]}' for k in _HASHED_FIELDS) + "}"
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 
 
 class TranscriptLog:
-    """Append-only exchange log with a single serialized writer."""
+    """Append-only exchange log with a single serialized writer.
+
+    With a path, the log starts that file empty and keeps it open until
+    ``close``; each record is flushed as it is written. Each field value is
+    JSON-encoded once, for both the content hash and the line, which equals
+    ``json.dumps(record, sort_keys=True)``.
+    """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
         self.records: list[dict] = []
         self._lock = threading.Lock()
         self._next_id = 0
+        self._fh = open(self.path, "w", encoding="utf-8") if self.path is not None else None
 
     def append(self, **fields) -> dict:
         with self._lock:
             record = dict(fields)
             record["transcript_id"] = self._next_id
             self._next_id += 1
-            record["content_hash"] = _content_hash(record)
+            encoded = {k: _json(v) for k, v in record.items()}
+            digest = _content_hash(encoded)
+            record["content_hash"] = digest
+            encoded["content_hash"] = f'"{digest}"'
             self.records.append(record)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            if self._fh is not None:
+                self._fh.write(
+                    "{"
+                    + ", ".join(f"{_json(k)}: {encoded[k]}" for k in sorted(encoded))
+                    + "}\n"
+                )
+                self._fh.flush()
             return record
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+    def __enter__(self) -> TranscriptLog:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def load_transcript(path: Path) -> list[dict]:
@@ -144,7 +175,7 @@ def load_transcript(path: Path) -> list[dict]:
             continue
         try:
             record = json.loads(line)
-            digest = _content_hash(record)
+            digest = _content_hash({k: _json(record[k]) for k in _HASHED_FIELDS})
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise GatewayError(
                 f"{path}:{line_no}: malformed transcript line: {exc}"
@@ -267,17 +298,19 @@ class ScriptedTranscriptGateway(Gateway):
 
     def __init__(self, records: list[dict], **kw):
         super().__init__(**kw)
-        self._pending: dict[str, list[dict]] = {}
+        self._pending: dict[str, deque[dict]] = {}
+        self._pending_lock = threading.Lock()
         for rec in records:
             key = exchange_hash(rec["system_text"], rec["user_text"])
-            self._pending.setdefault(key, []).append(rec)
+            self._pending.setdefault(key, deque()).append(rec)
 
     def _respond(self, system_text: str, user_text: str) -> str:
         key = exchange_hash(system_text, user_text)
-        queue = self._pending.get(key)
-        if not queue:
-            raise TranscriptExhaustedError("no scripted response left for this prompt")
-        rec = queue.pop(0)
+        with self._pending_lock:
+            queue = self._pending.get(key)
+            if not queue:
+                raise TranscriptExhaustedError("no scripted response left for this prompt")
+            rec = queue.popleft()
         if rec["response_text"] is None:
             raise GatewayError(rec["error"] or "scripted error")
         return rec["response_text"]

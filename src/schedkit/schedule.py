@@ -150,12 +150,18 @@ class ScheduleIndex:
     other endpoint, then relation; ties keep link order), and
     ``dependency_cells`` their serialized Predecessor/Successor Details.
     ``wbs_buckets`` maps (k, first k WBS segments) to the ids whose path
-    starts with them, for every k up to each path's length.
+    starts with them, for every k up to each path's length. ``row_text``
+    holds each activity's ``id | name | start | finish`` context text.
     """
 
     def __init__(self, schedule: Schedule):
         self._schedule = schedule
         self.by_id = {a.activity_id: a for a in schedule.activities}
+        self.row_text = {
+            aid: f"{aid} | {a.name} | {a.current_start.isoformat()}"
+            f" | {a.current_finish.isoformat()}"
+            for aid, a in self.by_id.items()
+        }
         preds: dict[str, list[DependencyLink]] = {}
         succs: dict[str, list[DependencyLink]] = {}
         for link in schedule.links:

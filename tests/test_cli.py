@@ -423,3 +423,29 @@ def test_truncated_instances_is_a_data_error(tmp_path, capsys):
         assert run(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: line 2:")
+
+
+def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    evaluate = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    polish = ["--out", str(tmp_path / "p"), "polish", "--instances", str(tmp_path / "e" / "instances.jsonl")]
+    assert run(evaluate) == EXIT_OK
+    assert run(polish) == EXIT_OK
+    once = {d: tree_bytes(tmp_path / d) for d in ("e", "p")}
+    assert run(evaluate) == EXIT_OK
+    assert run(polish) == EXIT_OK
+    assert {d: tree_bytes(tmp_path / d) for d in ("e", "p")} == once
+
+
+def test_replay_into_own_directory(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    out = tmp_path / "e"
+    base = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway"]
+    assert run([*base, "mock:echo"]) == EXIT_OK
+    recorded = tree_bytes(out)
+    assert run([*base, f"mock:transcript={out / 'transcript.jsonl'}"]) == EXIT_OK
+    replayed = tree_bytes(out)
+    for name in ("transcript.jsonl", "instances.jsonl", "report.json"):
+        assert replayed[name] == recorded[name], name

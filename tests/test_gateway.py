@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedkit import gateway as gw
 from schedkit.gateway import (
@@ -60,11 +67,11 @@ def test_echo_oracle_requires_table():
 
 
 def test_transcript_records_every_call(tmp_path):
-    log = TranscriptLog(tmp_path / "t.jsonl")
-    g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
-    g.complete("sys", ROW_PROMPT)
-    with pytest.raises(MissingMockDataError):
-        g.complete("sys", ROW_PROMPT.replace("A100", "A999"))
+    with TranscriptLog(tmp_path / "t.jsonl") as log:
+        g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
+        g.complete("sys", ROW_PROMPT)
+        with pytest.raises(MissingMockDataError):
+            g.complete("sys", ROW_PROMPT.replace("A100", "A999"))
     records = load_transcript(tmp_path / "t.jsonl")
     assert len(records) == 2
     assert records[0]["error"] is None
@@ -74,9 +81,9 @@ def test_transcript_records_every_call(tmp_path):
 
 
 def test_scripted_transcript_replays_and_exhausts(tmp_path):
-    log = TranscriptLog(tmp_path / "live.jsonl")
-    live = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
-    responses = [live.complete("sys", ROW_PROMPT).response_text for _ in range(3)]
+    with TranscriptLog(tmp_path / "live.jsonl") as log:
+        live = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
+        responses = [live.complete("sys", ROW_PROMPT).response_text for _ in range(3)]
 
     replay = register_mock("ScriptedTranscript", tmp_path / "live.jsonl")
     for expected in responses:
@@ -101,14 +108,95 @@ def test_scripted_transcript_unknown_prompt():
 
 
 def test_transcript_hash_tamper_detected(tmp_path):
-    log = TranscriptLog(tmp_path / "t.jsonl")
-    EchoOracleGateway(
-        {"A100": {"Level": "SF", "Area": "6E"}}, transcript=log
-    ).complete("sys", ROW_PROMPT)
+    with TranscriptLog(tmp_path / "t.jsonl") as log:
+        EchoOracleGateway(
+            {"A100": {"Level": "SF", "Area": "6E"}}, transcript=log
+        ).complete("sys", ROW_PROMPT)
     text = (tmp_path / "t.jsonl").read_text("utf-8").replace("SF", "RF")
     (tmp_path / "t.jsonl").write_text(text, "utf-8")
     with pytest.raises(gw.GatewayError):
         load_transcript(tmp_path / "t.jsonl")
+
+
+def ref_content_hash(record: dict) -> str:
+    """The content hash as defined before field encodings were shared."""
+    basis = json.dumps(
+        {
+            "system_text": record["system_text"],
+            "user_text": record["user_text"],
+            "response_text": record["response_text"],
+            "error": record["error"],
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(basis.encode("utf-8")).hexdigest()
+
+
+# Arbitrary Unicode with JSON's escape cases drawn often.
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028é😀\n\t')))
+EXCHANGE = st.fixed_dictionaries(
+    {
+        "system_text": TEXT,
+        "user_text": TEXT,
+        "response_text": st.none() | TEXT,
+        "error": st.none() | TEXT,
+        "latency_ms": st.floats(),
+        "prompt_tokens": st.integers(0, 10**6),
+        "completion_tokens": st.integers(0, 10**6),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(EXCHANGE, min_size=1, max_size=3))
+def test_transcript_line_encoding_is_exact(exchanges):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        with TranscriptLog(path) as log:
+            records = [log.append(**fields) for fields in exchanges]
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in records]
+        for i, (fields, record) in enumerate(zip(exchanges, records)):
+            assert record == {**fields, "transcript_id": i, "content_hash": record["content_hash"]}
+            assert record["content_hash"] == ref_content_hash(record)
+        loaded = load_transcript(path)
+        assert [json.dumps(r, sort_keys=True) for r in loaded] == [
+            json.dumps(r, sort_keys=True) for r in records
+        ]
+
+
+def test_transcript_log_starts_its_file_empty(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("stale\n", "utf-8")
+    with TranscriptLog(path) as log:
+        log.append(system_text="s", user_text="u", response_text="r", error=None)
+        # Each record is on disk before the log closes.
+        assert load_transcript(path) == log.records
+    assert [r["transcript_id"] for r in load_transcript(path)] == [0]
+
+
+def test_scripted_replay_of_repeated_prompts_in_parallel():
+    prompts = [f"prompt {i % 5}" for i in range(60)]
+    records = [
+        {"system_text": "s", "user_text": p, "response_text": f"r{i}", "error": None}
+        for i, p in enumerate(prompts)
+    ]
+    replay = ScriptedTranscriptGateway(records, cfg=GatewayConfig(max_parallel=4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(
+                pool.map(lambda p: replay.complete("s", p).response_text, prompts, timeout=60)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    # Every record is served exactly once, to a prompt it was recorded for.
+    assert sorted(answers) == sorted(r["response_text"] for r in records)
+    for prompt, answer in zip(prompts, answers):
+        assert prompts[int(answer[1:])] == prompt
+    with pytest.raises(TranscriptExhaustedError):
+        replay.complete("s", prompts[0])
 
 
 def test_polish_mocks():

@@ -345,10 +345,9 @@ def test_record_then_replay_reproduces_report(tmp_path):
     table["A04"] = dict(table["A04"])
     table["A04"]["Level"] = "__OFF__"
     tasks = make_mask_tasks(sched, "DA")
-    live = register_mock(
-        "EchoOracle", table, transcript=TranscriptLog(tmp_path / "live.jsonl")
-    )
-    live_report = run_eval(sched, tasks, live).to_json()
+    with TranscriptLog(tmp_path / "live.jsonl") as log:
+        live = register_mock("EchoOracle", table, transcript=log)
+        live_report = run_eval(sched, tasks, live).to_json()
 
     replay = register_mock("ScriptedTranscript", tmp_path / "live.jsonl")
     replay_report = run_eval(sched, tasks, replay).to_json()

@@ -21,7 +21,6 @@ from schedkit.context import (
     ContextBundle,
     SamplerConfig,
     SequentialPath,
-    _row_text,
     render_context,
     sample_hierarchical,
 )
@@ -98,6 +97,16 @@ def ref_sample_hierarchical(schedule: Schedule, target: str, cfg: SamplerConfig)
     return frozenset(out)
 
 
+def ref_row_text(index: dict[str, Activity], aid: str, role: str) -> str:
+    act = index.get(aid)
+    if act is None:
+        return f"{aid} | ? | ? | ? | {role}"
+    return (
+        f"{aid} | {act.name} | {act.current_start.isoformat()}"
+        f" | {act.current_finish.isoformat()} | {role}"
+    )
+
+
 def ref_render_context(bundle: ContextBundle, schedule: Schedule) -> str:
     index = {a.activity_id: a for a in schedule.activities}
     pred_ids = set()
@@ -123,10 +132,10 @@ def ref_render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             role = "predecessor"
         else:
             role = "successor"
-        lines.append("  " + _row_text(index, aid, role))
+        lines.append("  " + ref_row_text(index, aid, role))
     lines.append("HIERARCHICAL:")
     for aid in sorted(bundle.hierarchical):
-        lines.append("  " + _row_text(index, aid, "wbs"))
+        lines.append("  " + ref_row_text(index, aid, "wbs"))
     lines.append("SEQUENTIAL:")
     rendered = []
     for path in bundle.sequential:
