@@ -172,7 +172,7 @@ class PreferenceScorer:
         self.training_features: np.ndarray | None = None
 
     def features(self, prompt_text: str, completion_text: str) -> np.ndarray:
-        return self.embedder.embed(prompt_text + "\n" + completion_text).array()
+        return self.embedder.embed(prompt_text + "\n" + completion_text)
 
     def score(self, prompt_text: str, completion_text: str) -> float:
         return self.score_features(self.features(prompt_text, completion_text))

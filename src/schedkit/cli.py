@@ -404,8 +404,14 @@ def cmd_collect_prefs(args, cfg) -> int:
         synthesize_negatives=args.synthesize_negatives,
         seed=cfg.getint("eval", "seed"),
     )
-    db_path = Path(args.prefs_db) if args.prefs_db else out / "prefs.jsonl"
-    db_path.parent.mkdir(parents=True, exist_ok=True)
+    if args.prefs_db:
+        db_path = Path(args.prefs_db)
+        db_path.parent.mkdir(parents=True, exist_ok=True)
+    else:
+        # The default database is this run's artifact, so a rerun into the
+        # same --out starts it empty; a named --prefs-db accumulates.
+        db_path = out / "prefs.jsonl"
+        db_path.unlink(missing_ok=True)
     for rec in records:
         masked_eval.preference_store_append(db_path, rec)
     write_manifest(
@@ -545,7 +551,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("collect-prefs", help="harvest preference pairs from a run")
     p.add_argument("--schedule", required=True)
     p.add_argument("--instances", required=True)
-    p.add_argument("--prefs-db", help="preference database path (JSONL)")
+    p.add_argument(
+        "--prefs-db",
+        help="preference database (JSONL) to append to; "
+        "default: <out>/prefs.jsonl, started empty on every run",
+    )
     p.add_argument("--synthesize-negatives", action="store_true")
 
     p = sub.add_parser("train-scorer", help="train the preference scorer")

@@ -1,13 +1,14 @@
 """Embedding-backed retrieval stores for terms and chunked documents.
 
 Two stores share one embedding space: a local store of term definitions
-and a global store of fixed-size document chunks. The default embedder is
-fully deterministic (feature-hashed unigram + character-trigram counts,
-FNV-1a into 256 buckets, L2-normalized), so every retrieval result is
-reproducible offline; an HTTP embedder with the same contract can be
-swapped in. The trigram hashes of a text are computed together with numpy
-uint64 arithmetic and equal, bit for bit, hashing each trigram on its own
-with ``rng.fnv1a64``. A token is a maximal run of non-whitespace
+and a global store of fixed-size document chunks. An embedding is a 1-D
+float64 unit vector, and each store keeps one ``(len, dim)`` float64
+matrix whose row i embeds its entry or chunk i. The embedder is fully
+deterministic (feature-hashed unigram + character-trigram counts, FNV-1a
+into 256 buckets, L2-normalized), so every retrieval result is
+reproducible offline. The trigram hashes of a text are computed together
+with numpy uint64 arithmetic and equal, bit for bit, hashing each trigram
+on its own with ``rng.fnv1a64``. A token is a maximal run of non-whitespace
 characters after NFC normalization.
 """
 
@@ -26,7 +27,6 @@ from .rng import _FNV_PRIME, fnv1a64
 
 DEFAULT_DIM = 256
 DEFAULT_CHUNK_TOKENS = 500
-_NORM_TOL = 1e-9
 
 
 class KnowledgeError(Exception):
@@ -60,40 +60,6 @@ def tokenize(text: str) -> list[str]:
 
 def count_tokens(text: str) -> int:
     return len(tokenize(text))
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    norm: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise KnowledgeError("embedding has non-finite components")
-        if abs(float(np.linalg.norm(arr)) - self.norm) > _NORM_TOL:
-            raise KnowledgeError("cached norm does not match values")
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "EmbeddingVector":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(values=tuple(arr.tolist()), norm=float(np.linalg.norm(arr)))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dim {a.dim} vs {b.dim}")
-    denom = a.norm * b.norm
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a.array(), b.array()) / denom)
 
 
 _PRIME = np.uint64(_FNV_PRIME)
@@ -153,7 +119,7 @@ class HashedNgramEmbedder:
         self.dim = dim
         self._word_hash = functools.lru_cache(maxsize=1 << 14)(_word_hash)
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> np.ndarray:
         norm_text = normalize_text(text)
         if not norm_text:
             raise EmptyTextError("cannot embed empty text")
@@ -162,80 +128,13 @@ class HashedNgramEmbedder:
         counts = _bucket_counts(words, self.dim) + _bucket_counts(trigrams, self.dim)
         counts = counts.astype(np.float64)
         counts /= np.linalg.norm(counts)
-        return EmbeddingVector.from_array(counts)
-
-    def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        return [self.embed(t) for t in texts]
-
-
-class HttpEmbedder:
-    """Embeddings-endpoint client honoring the same contract.
-
-    Posts {"model", "input": [...]} and expects {"data": [{"embedding":
-    [...]}]} in input order. Vectors are re-normalized on ingest so the
-    unit-norm invariant holds regardless of the server.
-    """
-
-    def __init__(
-        self,
-        endpoint_url: str,
-        model: str,
-        dim: int,
-        *,
-        api_key: str | None = None,
-        timeout: float = 30.0,
-    ):
-        self.endpoint_url = endpoint_url
-        self.model = model
-        self.dim = dim
-        self.api_key = api_key
-        self.timeout = timeout
-
-    def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        import requests
-
-        from .gateway import GatewayError
-
-        for t in texts:
-            if not normalize_text(t):
-                raise EmptyTextError("cannot embed empty text")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = requests.post(
-                self.endpoint_url,
-                json={"model": self.model, "input": texts},
-                headers=headers,
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-            rows = [item["embedding"] for item in payload["data"]]
-        except Exception as exc:
-            raise GatewayError(f"embeddings endpoint failed: {exc}") from exc
-        out = []
-        for row in rows:
-            arr = np.asarray(row, dtype=np.float64)
-            if arr.shape != (self.dim,):
-                raise DimensionMismatchError(
-                    f"endpoint returned dim {arr.shape}, expected {self.dim}"
-                )
-            norm = np.linalg.norm(arr)
-            if norm == 0 or not np.all(np.isfinite(arr)):
-                raise KnowledgeError("endpoint returned a degenerate vector")
-            out.append(EmbeddingVector.from_array(arr / norm))
-        return out
-
-    def embed(self, text: str) -> EmbeddingVector:
-        return self.embed_batch([text])[0]
+        return counts
 
 
 @dataclass(frozen=True)
 class TermEntry:
     term: str
     definition: str
-    embedding: EmbeddingVector
 
 
 @dataclass(frozen=True)
@@ -244,7 +143,6 @@ class KnowledgeChunk:
     chunk_index: int
     text: str
     token_count: int
-    embedding: EmbeddingVector | None = None
 
 
 def chunk_document(
@@ -270,100 +168,82 @@ def chunk_document(
     return chunks
 
 
-def _query_array(embedder, query: str | EmbeddingVector) -> np.ndarray:
-    if isinstance(query, EmbeddingVector):
-        return query.array()
-    return embedder.embed(query).array()
+class _MatrixStore:
+    """Items with one embedding each: row i of ``matrix`` embeds item i."""
+
+    def __init__(self, embedder, matrix: np.ndarray | None = None):
+        self.embedder = embedder
+        # The matrix, then the rows added since it was last stacked, so a
+        # build stacks once rather than on every add.
+        self._blocks = [np.empty((0, embedder.dim)) if matrix is None else matrix]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if len(self._blocks) > 1:
+            self._blocks = [np.vstack(self._blocks)]
+        return self._blocks[0]
+
+    def _similarities(self, query: str | np.ndarray) -> np.ndarray:
+        """Cosine of every row with ``query``, a text or its embedding."""
+        if isinstance(query, str):
+            query = self.embedder.embed(query)
+        return self.matrix @ query
 
 
-class LocalTermStore:
+class LocalTermStore(_MatrixStore):
     """Term -> definition entries with argmax retrieval over definitions."""
 
-    def __init__(self, embedder):
-        self.embedder = embedder
+    def __init__(self, embedder, matrix: np.ndarray | None = None):
+        super().__init__(embedder, matrix)
         self.entries: list[TermEntry] = []
-        self._matrix: np.ndarray | None = None
 
     def add(self, term: str, definition: str) -> TermEntry:
         if not term:
             raise KnowledgeError("term must be non-empty")
-        entry = TermEntry(term, definition, self.embedder.embed(definition))
+        entry = TermEntry(term, definition)
+        self._blocks.append(self.embedder.embed(definition))
         self.entries.append(entry)
-        self._matrix = None
         return entry
 
-    def _embeddings(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.stack([e.embedding.array() for e in self.entries])
-        return self._matrix
-
-    def retrieve(self, query: str | EmbeddingVector) -> TermEntry:
-        """Highest-cosine entry; earliest insertion wins ties.
-
-        ``query`` is a text, or its embedding when it was already embedded.
-        """
+    def retrieve(self, query: str | np.ndarray) -> TermEntry:
+        """Highest-cosine entry; earliest insertion wins ties."""
         if not self.entries:
             raise EmptyStoreError("local term store is empty")
-        sims = self._embeddings() @ _query_array(self.embedder, query)
-        return self.entries[int(np.argmax(sims))]
+        return self.entries[int(np.argmax(self._similarities(query)))]
 
 
-class GlobalChunkStore:
+class GlobalChunkStore(_MatrixStore):
     """Chunked reference documents with top-k cosine retrieval."""
 
-    def __init__(self, embedder):
-        self.embedder = embedder
+    def __init__(self, embedder, matrix: np.ndarray | None = None):
+        super().__init__(embedder, matrix)
         self.chunks: list[KnowledgeChunk] = []
-        self._matrix: np.ndarray | None = None
-        # Each chunk's position in (doc_id, chunk_index) order; built with
-        # the matrix.
+        # Each chunk's position in (doc_id, chunk_index) order.
         self._rank: np.ndarray | None = None
 
     def add_document(
         self, doc_id: str, text: str, chunk_tokens: int = DEFAULT_CHUNK_TOKENS
     ) -> list[KnowledgeChunk]:
         pieces = chunk_document(doc_id, text, chunk_tokens)
-        embeddings = self.embedder.embed_batch([c.text for c in pieces])
-        stored = [
-            KnowledgeChunk(c.doc_id, c.chunk_index, c.text, c.token_count, emb)
-            for c, emb in zip(pieces, embeddings)
-        ]
-        self.chunks.extend(stored)
-        self._matrix = None
-        return stored
+        self._blocks.extend([self.embedder.embed(c.text) for c in pieces])
+        self.chunks.extend(pieces)
+        self._rank = None
+        return pieces
 
-    def _embeddings(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.stack([c.embedding.array() for c in self.chunks])
+    def retrieve(self, query: str | np.ndarray, k: int = 3) -> list[KnowledgeChunk]:
+        """k most similar chunks, ties broken by (doc_id, chunk_index)."""
+        if not self.chunks:
+            raise EmptyStoreError("global chunk store is empty")
+        if k < 1:
+            raise KnowledgeError("k must be >= 1")
+        if self._rank is None:
             order = sorted(
                 range(len(self.chunks)),
                 key=lambda i: (self.chunks[i].doc_id, self.chunks[i].chunk_index),
             )
             self._rank = np.argsort(order)
-        return self._matrix
-
-    def retrieve(self, query: str | EmbeddingVector, k: int = 3) -> list[KnowledgeChunk]:
-        """k most similar chunks, ties broken by (doc_id, chunk_index).
-
-        ``query`` is a text, or its embedding when it was already embedded.
-        """
-        if not self.chunks:
-            raise EmptyStoreError("global chunk store is empty")
-        if k < 1:
-            raise KnowledgeError("k must be >= 1")
-        sims = self._embeddings() @ _query_array(self.embedder, query)
-        ranked = np.lexsort((self._rank, -sims))
+        ranked = np.lexsort((self._rank, -self._similarities(query)))
         return [self.chunks[i] for i in ranked[:k]]
-
-
-def retrieve_local(store: LocalTermStore, query_text: str) -> TermEntry:
-    return store.retrieve(query_text)
-
-
-def retrieve_global(
-    store: GlobalChunkStore, query_text: str, k: int = 3
-) -> list[KnowledgeChunk]:
-    return store.retrieve(query_text, k)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -371,16 +251,16 @@ def retrieve_global(
 _MAGIC = b"SKEM"
 
 
-def _write_matrix(path: Path, vectors: list[EmbeddingVector]) -> None:
-    dim = vectors[0].dim if vectors else 0
+def _write_matrix(path: Path, matrix: np.ndarray) -> None:
+    count, dim = matrix.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", dim, len(vectors)))
-        for vec in vectors:
-            fh.write(struct.pack(f"<{dim}f", *vec.values))
+        fh.write(struct.pack("<II", dim if count else 0, count))
+        fh.write(matrix.astype("<f4").tobytes())
 
 
-def _read_matrix(path: Path) -> list[EmbeddingVector]:
+def _read_matrix(path: Path) -> np.ndarray:
+    """The file's float32 rows as float64, each renormalized to unit length."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise KnowledgeError(f"{path}: not an embedding matrix file")
@@ -392,72 +272,82 @@ def _read_matrix(path: Path) -> list[EmbeddingVector]:
             f"{path}: header declares {count} rows of dim {dim} "
             f"({4 * dim * count} data bytes), file has {len(raw) - 12}"
         )
-    rows = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
-    out = []
-    for row in rows:
-        row = row.astype(np.float64)
-        norm = np.linalg.norm(row)
-        if norm == 0:
-            raise KnowledgeError(f"{path}: zero vector in matrix")
-        out.append(EmbeddingVector.from_array(row / norm))
-    return out
+    matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim).astype(np.float64)
+    if not np.isfinite(matrix).all():
+        raise KnowledgeError(f"{path}: non-finite value in matrix")
+    # One np.linalg.norm per row: norm(axis=1) rounds some norms differently,
+    # which would change the stored vectors and so retrieval.
+    norms = np.array([np.linalg.norm(row) for row in matrix])
+    if not norms.all():
+        raise KnowledgeError(f"{path}: zero vector in matrix")
+    matrix /= norms[:, None]
+    return matrix
 
 
-def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Path) -> None:
-    lines = [
-        json.dumps({"term": e.term, "definition": e.definition}, sort_keys=True)
-        for e in store.entries
-    ]
-    Path(manifest_path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
-    _write_matrix(Path(matrix_path), [e.embedding for e in store.entries])
+def _write_manifest(path: Path, records: list[dict]) -> None:
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
 
 
-def load_term_store(embedder, manifest_path: Path, matrix_path: Path) -> LocalTermStore:
-    store = LocalTermStore(embedder)
+def _read_store(
+    embedder, manifest_path: Path, matrix_path: Path
+) -> tuple[list[dict], np.ndarray]:
+    """The manifest records and the matrix of a saved store."""
     records = [
         json.loads(ln)
         for ln in Path(manifest_path).read_text("utf-8").splitlines()
         if ln.strip()
     ]
-    vectors = _read_matrix(Path(matrix_path))
-    if len(records) != len(vectors):
-        raise KnowledgeError("manifest/matrix length mismatch")
-    store.entries = [
-        TermEntry(r["term"], r["definition"], v) for r, v in zip(records, vectors)
-    ]
+    matrix = _read_matrix(Path(matrix_path))
+    if len(records) != len(matrix):
+        raise KnowledgeError(
+            f"{matrix_path}: {len(matrix)} rows for {len(records)} manifest records"
+        )
+    if not records:
+        return records, np.empty((0, embedder.dim))
+    if matrix.shape[1] != embedder.dim:
+        raise DimensionMismatchError(
+            f"{matrix_path}: rows have dim {matrix.shape[1]}, the embedder's is {embedder.dim}"
+        )
+    return records, matrix
+
+
+def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Path) -> None:
+    _write_manifest(
+        manifest_path, [{"term": e.term, "definition": e.definition} for e in store.entries]
+    )
+    _write_matrix(Path(matrix_path), store.matrix)
+
+
+def load_term_store(embedder, manifest_path: Path, matrix_path: Path) -> LocalTermStore:
+    records, matrix = _read_store(embedder, manifest_path, matrix_path)
+    store = LocalTermStore(embedder, matrix)
+    store.entries = [TermEntry(r["term"], r["definition"]) for r in records]
     return store
 
 
 def save_chunk_store(store: GlobalChunkStore, manifest_path: Path, matrix_path: Path) -> None:
-    lines = [
-        json.dumps(
+    _write_manifest(
+        manifest_path,
+        [
             {
                 "doc_id": c.doc_id,
                 "chunk_index": c.chunk_index,
                 "text": c.text,
                 "token_count": c.token_count,
-            },
-            sort_keys=True,
-        )
-        for c in store.chunks
-    ]
-    Path(manifest_path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
-    _write_matrix(Path(matrix_path), [c.embedding for c in store.chunks])
+            }
+            for c in store.chunks
+        ],
+    )
+    _write_matrix(Path(matrix_path), store.matrix)
 
 
 def load_chunk_store(embedder, manifest_path: Path, matrix_path: Path) -> GlobalChunkStore:
-    store = GlobalChunkStore(embedder)
-    records = [
-        json.loads(ln)
-        for ln in Path(manifest_path).read_text("utf-8").splitlines()
-        if ln.strip()
-    ]
-    vectors = _read_matrix(Path(matrix_path))
-    if len(records) != len(vectors):
-        raise KnowledgeError("manifest/matrix length mismatch")
+    records, matrix = _read_store(embedder, manifest_path, matrix_path)
+    store = GlobalChunkStore(embedder, matrix)
     store.chunks = [
-        KnowledgeChunk(r["doc_id"], r["chunk_index"], r["text"], r["token_count"], v)
-        for r, v in zip(records, vectors)
+        KnowledgeChunk(r["doc_id"], r["chunk_index"], r["text"], r["token_count"])
+        for r in records
     ]
     return store
 

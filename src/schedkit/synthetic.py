@@ -312,7 +312,7 @@ def cosine_matrix(
                 distinct.append(cell)
         if not distinct:
             raise EmptyColumnError(f"attribute {attribute!r} has no values to embed")
-        reps.append(embedder.embed(attribute + " " + " ".join(distinct)).array())
+        reps.append(embedder.embed(attribute + " " + " ".join(distinct)))
     k = len(labels)
     values = np.zeros((k, k))
     for i in range(k):

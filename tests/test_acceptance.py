@@ -30,7 +30,7 @@ from schedkit.cli import EXIT_OK, main
 from schedkit.context import SamplerConfig, first_order, sample_hierarchical, sample_sequential
 from schedkit.gateway import StopwordStripperGateway, register_mock
 from schedkit.graph import build_graph, degree_distribution, detect_cycles, maximal_hop_values
-from schedkit.knowledge import HashedNgramEmbedder, GlobalChunkStore, retrieve_global
+from schedkit.knowledge import HashedNgramEmbedder, GlobalChunkStore
 from schedkit.masked_eval import make_mask_tasks, run_eval
 from schedkit.schedule import DependencyLink, Schedule, canonical_row, validate
 from schedkit.synthetic import GeneratorParams, generate_schedule
@@ -149,16 +149,16 @@ def test_criterion_02_retrieval_oracle_equivalence():
             doc += 1
         for _ in range(100):
             query = " ".join(gen.choice(words) for _ in range(5))
-            q = emb.embed(query)
+            q = emb.embed(query).tolist()
             scored = sorted(
                 (
-                    (-sum(a * b for a, b in zip(q.values, c.embedding.values)), c.doc_id, c.chunk_index, c)
-                    for c in store.chunks
+                    (-sum(a * b for a, b in zip(q, row)), c.doc_id, c.chunk_index, c)
+                    for c, row in zip(store.chunks, store.matrix.tolist())
                 ),
                 key=lambda t: t[:3],
             )
-            assert retrieve_global(store, query, k=3) == [t[3] for t in scored[:3]]
-            assert retrieve_global(store, query, k=1) == [scored[0][3]]
+            assert store.retrieve(query, k=3) == [t[3] for t in scored[:3]]
+            assert store.retrieve(query, k=1) == [scored[0][3]]
 
     _report(2, "retrieval/oracle equivalence", 10.0, body)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 from pathlib import Path
 
 from schedkit.cli import (
@@ -364,7 +365,10 @@ def _eval_with_kb(tmp_path: Path, sched: Path, kb: Path) -> int:
 def test_run_eval_corrupt_matrix_is_a_data_error(tmp_path, capsys):
     sched, kb = _chain_kb(tmp_path)
     raw = (kb / "terms.mat").read_bytes()
-    for bad in (raw[: len(raw) - 6], b"NOPE" + raw[4:]):
+    # A well-formed file whose rows have dim 3, not the embedder's 256.
+    dim3 = raw[:4] + struct.pack("<II3f", 3, 1, 1.0, 0.0, 0.0)
+    nan_row = raw[:12] + struct.pack("<f", float("nan")) + raw[16:]
+    for bad in (raw[: len(raw) - 6], b"NOPE" + raw[4:], dim3, nan_row):
         (kb / "terms.mat").write_bytes(bad)
         assert _eval_with_kb(tmp_path, sched, kb) == EXIT_DATA
         err = capsys.readouterr().err
@@ -429,13 +433,36 @@ def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
     evaluate = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
-    polish = ["--out", str(tmp_path / "p"), "polish", "--instances", str(tmp_path / "e" / "instances.jsonl")]
+    instances = str(tmp_path / "e" / "instances.jsonl")
+    polish = ["--out", str(tmp_path / "p"), "polish", "--instances", instances]
+    prefs = [
+        "--out", str(tmp_path / "q"), "collect-prefs", "--schedule", str(sched),
+        "--instances", instances, "--synthesize-negatives",
+    ]
+    for argv in (evaluate, polish, prefs):
+        assert run(argv) == EXIT_OK
+    once = {d: tree_bytes(tmp_path / d) for d in ("e", "p", "q")}
+    assert once["q"]["prefs.jsonl"]
+    for argv in (evaluate, polish, prefs):
+        assert run(argv) == EXIT_OK
+    assert {d: tree_bytes(tmp_path / d) for d in ("e", "p", "q")} == once
+
+
+def test_named_prefs_db_accumulates(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    evaluate = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:wrong"]
     assert run(evaluate) == EXIT_OK
-    assert run(polish) == EXIT_OK
-    once = {d: tree_bytes(tmp_path / d) for d in ("e", "p")}
-    assert run(evaluate) == EXIT_OK
-    assert run(polish) == EXIT_OK
-    assert {d: tree_bytes(tmp_path / d) for d in ("e", "p")} == once
+    db = tmp_path / "db" / "prefs.jsonl"
+    prefs = [
+        "--out", str(tmp_path / "q"), "collect-prefs", "--schedule", str(sched),
+        "--instances", str(tmp_path / "e" / "instances.jsonl"), "--prefs-db", str(db),
+    ]
+    assert run(prefs) == EXIT_OK
+    once = db.read_text("utf-8").splitlines()
+    assert once
+    assert run(prefs) == EXIT_OK
+    assert db.read_text("utf-8").splitlines() == once + once
 
 
 def test_replay_into_own_directory(tmp_path, capsys):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import hashlib
-import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import schedkit.rng as prng
 from schedkit.knowledge import (
     DimensionMismatchError,
-    EmbeddingVector,
     EmptyDocumentError,
     EmptyStoreError,
     EmptyTextError,
@@ -20,13 +19,10 @@ from schedkit.knowledge import (
     KnowledgeError,
     LocalTermStore,
     chunk_document,
-    cosine_similarity,
     count_tokens,
     load_chunk_store,
     load_term_store,
     normalize_text,
-    retrieve_global,
-    retrieve_local,
     save_chunk_store,
     save_term_store,
 )
@@ -45,10 +41,10 @@ def random_text(gen: prng.Rng, n_words: int) -> str:
 
 def brute_force_top_k(store: GlobalChunkStore, query: str, k: int):
     """Oracle: pure-Python cosine scan with the documented tie-break."""
-    q = EMB.embed(query)
+    q = EMB.embed(query).tolist()
     scored = []
-    for chunk in store.chunks:
-        sim = sum(a * b for a, b in zip(q.values, chunk.embedding.values))
+    for chunk, row in zip(store.chunks, store.matrix.tolist()):
+        sim = sum(a * b for a, b in zip(q, row))
         scored.append((-sim, chunk.doc_id, chunk.chunk_index, chunk))
     scored.sort(key=lambda t: t[:3])
     return [t[3] for t in scored[:k]]
@@ -99,12 +95,12 @@ def test_chunk_round_trip_property(n_words, chunk_tokens):
 
 
 def test_embed_deterministic():
-    assert EMB.embed("pour the slab") == EMB.embed("pour the slab")
+    assert np.array_equal(EMB.embed("pour the slab"), EMB.embed("pour the slab"))
 
 
 def test_embed_unit_norm():
     for text in ("a", "concrete pour", "x " * 300):
-        assert EMB.embed(text).norm == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(EMB.embed(text)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_embed_rejects_empty():
@@ -130,10 +126,10 @@ def reference_embed(text: str, dim: int = 256) -> tuple[float, ...]:
     dim=st.sampled_from([1, 7, 256, 1000]),
 )
 def test_embed_equals_scalar_reference(text, dim):
-    assert HashedNgramEmbedder(dim).embed(text).values == reference_embed(text, dim)
+    assert tuple(HashedNgramEmbedder(dim).embed(text).tolist()) == reference_embed(text, dim)
 
 
-# sha256 of embed(text).values as little-endian float64, frozen so that a
+# sha256 of embed(text) as little-endian float64, frozen so that a
 # change to the embedding space cannot pass unnoticed.
 PINNED_EMBEDDINGS = [
     (256, "concrete pour slab", "48e5d043df015aac7be6c6c7b2e77a4b276bfd7b8e38baa8e7375413d22010dc"),
@@ -158,8 +154,8 @@ PINNED_EMBEDDINGS = [
 
 @pytest.mark.parametrize("dim,text,digest", PINNED_EMBEDDINGS)
 def test_embed_pinned_digests(dim, text, digest):
-    values = HashedNgramEmbedder(dim).embed(text).values
-    assert hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest() == digest
+    vec = HashedNgramEmbedder(dim).embed(text)
+    assert hashlib.sha256(np.asarray(vec, dtype="<f8").tobytes()).hexdigest() == digest
 
 
 def test_embed_similarity_fixture():
@@ -168,8 +164,8 @@ def test_embed_similarity_fixture():
     base = EMB.embed("concrete pour slab")
     near = EMB.embed("concrete pour slab curing")
     far = EMB.embed("electrical conduit rough-in")
-    sim_near = cosine_similarity(base, near)
-    sim_far = cosine_similarity(base, far)
+    sim_near = float(np.dot(base, near))
+    sim_far = float(np.dot(base, far))
     assert sim_near == pytest.approx(0.8622479818365827, abs=1e-9)
     assert sim_far == pytest.approx(0.039840953644479794, abs=1e-9)
     assert sim_near > sim_far
@@ -184,26 +180,7 @@ def test_count_tokens_collapses_whitespace():
 
 def test_cosine_self_is_one():
     v = EMB.embed("structural steel erection")
-    assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_orthogonal():
-    a = EmbeddingVector.from_array(np.array([1.0, 0.0]))
-    b = EmbeddingVector.from_array(np.array([0.0, 1.0]))
-    assert cosine_similarity(a, b) == 0.0
-
-
-def test_cosine_45_degrees():
-    a = EmbeddingVector.from_array(np.array([1.0, 1.0]) / math.sqrt(2))
-    b = EmbeddingVector.from_array(np.array([1.0, 0.0]))
-    assert cosine_similarity(a, b) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-
-
-def test_cosine_dimension_mismatch():
-    a = EmbeddingVector.from_array(np.array([1.0, 0.0]))
-    b = EmbeddingVector.from_array(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DimensionMismatchError):
-        cosine_similarity(a, b)
+    assert float(np.dot(v, v)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- local retrieval ------------------------------------------------------------
@@ -212,20 +189,20 @@ def test_cosine_dimension_mismatch():
 def test_retrieve_local_single_entry():
     store = LocalTermStore(EMB)
     store.add("WBS", "hierarchical decomposition of project scope")
-    assert retrieve_local(store, "anything at all").term == "WBS"
+    assert store.retrieve("anything at all").term == "WBS"
 
 
 def test_retrieve_local_definition_echo():
     store = LocalTermStore(EMB)
     store.add("WBS", "hierarchical decomposition of project scope")
     store.add("lag", "waiting period between dependent activities")
-    hit = retrieve_local(store, "waiting period between dependent activities")
+    hit = store.retrieve("waiting period between dependent activities")
     assert hit.term == "lag"
 
 
 def test_retrieve_local_empty_store():
     with pytest.raises(EmptyStoreError):
-        retrieve_local(LocalTermStore(EMB), "x")
+        LocalTermStore(EMB).retrieve("x")
 
 
 def test_retrieve_local_matches_argmax_scan():
@@ -235,14 +212,12 @@ def test_retrieve_local_matches_argmax_scan():
         store.add(f"term{i}", random_text(gen, 8))
     for _ in range(25):
         query = random_text(gen, 5)
-        got = retrieve_local(store, query)
-        q = EMB.embed(query)
+        got = store.retrieve(query)
+        q = EMB.embed(query).tolist()
+        rows = store.matrix.tolist()
         best = max(
             range(len(store.entries)),
-            key=lambda i: (
-                sum(a * b for a, b in zip(q.values, store.entries[i].embedding.values)),
-                -i,
-            ),
+            key=lambda i: (sum(a * b for a, b in zip(q, rows[i])), -i),
         )
         assert got is store.entries[best]
 
@@ -267,7 +242,7 @@ def build_store(n_chunks: int, seed: int = 4) -> GlobalChunkStore:
 def test_retrieve_global_k_clamps():
     store = GlobalChunkStore(EMB)
     store.add_document("d", "alpha beta gamma delta", 2)
-    got = retrieve_global(store, "alpha beta", k=3)
+    got = store.retrieve("alpha beta", k=3)
     assert len(got) == 2
 
 
@@ -276,7 +251,7 @@ def test_retrieve_global_k1_is_argmax():
     gen = prng.derive(77, "queries")
     for _ in range(10):
         query = random_text(gen, 4)
-        top1 = retrieve_global(store, query, k=1)
+        top1 = store.retrieve(query, k=1)
         assert top1 == brute_force_top_k(store, query, 1)
 
 
@@ -285,7 +260,7 @@ def test_retrieve_global_matches_scan_500_chunks():
     gen = prng.derive(5, "queries-500")
     for _ in range(100):
         query = random_text(gen, 5)
-        assert retrieve_global(store, query, k=3) == brute_force_top_k(store, query, 3)
+        assert store.retrieve(query, k=3) == brute_force_top_k(store, query, 3)
 
 
 def test_retrieve_global_tie_order_across_documents():
@@ -294,7 +269,7 @@ def test_retrieve_global_tie_order_across_documents():
     store.add_document("beta", "pour slab cure deck", 2)
     store.add_document("alpha", "pour slab cure deck", 2)
     store.add_document("gamma", "pour slab pour slab", 2)
-    got = [(c.doc_id, c.chunk_index) for c in retrieve_global(store, "pour slab", k=6)]
+    got = [(c.doc_id, c.chunk_index) for c in store.retrieve("pour slab", k=6)]
     assert got == [
         ("alpha", 0),
         ("beta", 0),
@@ -303,14 +278,14 @@ def test_retrieve_global_tie_order_across_documents():
         ("alpha", 1),
         ("beta", 1),
     ]
-    assert retrieve_global(store, "pour slab", k=6) == brute_force_top_k(store, "pour slab", 6)
+    assert store.retrieve("pour slab", k=6) == brute_force_top_k(store, "pour slab", 6)
 
 
 def test_retrieve_local_tie_goes_to_earliest_entry():
     store = LocalTermStore(EMB)
     store.add("later-sorted", "crane lift rigging")
     store.add("another", "crane lift rigging")
-    assert retrieve_local(store, "crane lift").term == "later-sorted"
+    assert store.retrieve("crane lift").term == "later-sorted"
 
 
 def test_retrieve_accepts_an_embedded_query():
@@ -328,7 +303,7 @@ def test_retrieve_accepts_an_embedded_query():
 
 def test_retrieve_global_empty_store():
     with pytest.raises(EmptyStoreError):
-        retrieve_global(GlobalChunkStore(EMB), "x")
+        GlobalChunkStore(EMB).retrieve("x")
 
 
 # --- persistence ---------------------------------------------------------------
@@ -341,8 +316,8 @@ def test_store_round_trip(tmp_path):
     save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
     loaded = load_term_store(EMB, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
     assert [e.term for e in loaded.entries] == ["WBS", "float"]
-    assert loaded.entries[0].embedding.norm == pytest.approx(1.0, abs=1e-9)
-    assert retrieve_local(loaded, "schedule slack").term == "float"
+    assert np.linalg.norm(loaded.matrix[0]) == pytest.approx(1.0, abs=1e-9)
+    assert loaded.retrieve("schedule slack").term == "float"
 
     glob = build_store(30)
     save_chunk_store(glob, tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
@@ -358,10 +333,39 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
     local.add("float", "schedule slack of an activity")
     save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
     raw = (tmp_path / "terms.mat").read_bytes()
-    for bad in (raw[:-1], raw + b"\0\0\0\0", raw[:10], b"XKEM" + raw[4:], b""):
+    nan_row = raw[:12] + struct.pack("<f", float("nan")) + raw[16:]
+    inf_row = raw[:12] + struct.pack("<f", float("inf")) + raw[16:]
+    zero_row = raw[:12] + bytes(4 * EMB.dim) + raw[12 + 4 * EMB.dim :]
+    for bad in (
+        raw[:-1],
+        raw + b"\0\0\0\0",
+        raw[:10],
+        b"XKEM" + raw[4:],
+        b"",
+        nan_row,
+        inf_row,
+        zero_row,
+    ):
         (tmp_path / "terms.mat").write_bytes(bad)
         with pytest.raises(KnowledgeError, match="terms.mat"):
             load_term_store(EMB, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+
+
+def test_load_checks_matrix_dim_against_embedder(tmp_path):
+    local = LocalTermStore(EMB)
+    local.add("WBS", "hierarchical decomposition of project scope")
+    save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+    save_chunk_store(build_store(5), tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
+    other = HashedNgramEmbedder(7)
+    with pytest.raises(DimensionMismatchError, match="terms.mat"):
+        load_term_store(other, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+    with pytest.raises(DimensionMismatchError, match="chunks.mat"):
+        load_chunk_store(other, tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
+    # An empty store is written as dim 0 with 0 rows and loads under any embedder.
+    save_chunk_store(GlobalChunkStore(EMB), tmp_path / "empty.jsonl", tmp_path / "empty.mat")
+    assert (tmp_path / "empty.mat").read_bytes() == b"SKEM" + struct.pack("<II", 0, 0)
+    empty = load_chunk_store(other, tmp_path / "empty.jsonl", tmp_path / "empty.mat")
+    assert empty.chunks == [] and empty.matrix.shape == (0, 7)
 
 
 def test_store_build_idempotent_byte_identical(tmp_path):
@@ -370,77 +374,3 @@ def test_store_build_idempotent_byte_identical(tmp_path):
         save_chunk_store(store, tmp_path / f"{run}.jsonl", tmp_path / f"{run}.mat")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     assert (tmp_path / "a.mat").read_bytes() == (tmp_path / "b.mat").read_bytes()
-
-
-# --- external embedder endpoint ---------------------------------------------------
-
-
-@pytest.fixture
-def embedding_server():
-    import json as _json
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class Handler(BaseHTTPRequestHandler):
-        fail_next = [False]
-
-        def do_POST(self):
-            body = _json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            if Handler.fail_next[0]:
-                Handler.fail_next[0] = False
-                self.send_response(503)
-                self.end_headers()
-                return
-            # Same-order vectors: a fixed direction per input length.
-            data = []
-            for text in body["input"]:
-                vec = [0.0, 0.0, 0.0]
-                vec[len(text) % 3] = 2.0  # deliberately non-normalized
-                data.append({"embedding": vec})
-            payload = _json.dumps({"data": data}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/embeddings", Handler
-    server.shutdown()
-
-
-def test_http_embedder_contract(embedding_server):
-    from schedkit.knowledge import HttpEmbedder
-
-    url, handler = embedding_server
-    emb = HttpEmbedder(url, model="stub-embed", dim=3)
-    vectors = emb.embed_batch(["ab", "abcd"])
-    assert [v.dim for v in vectors] == [3, 3]
-    for v in vectors:
-        assert v.norm == pytest.approx(1.0, abs=1e-9)
-    assert emb.embed("ab").values == vectors[0].values
-
-
-def test_http_embedder_error_passthrough(embedding_server):
-    from schedkit.gateway import GatewayError
-    from schedkit.knowledge import HttpEmbedder
-
-    url, handler = embedding_server
-    handler.fail_next[0] = True
-    emb = HttpEmbedder(url, model="stub-embed", dim=3)
-    with pytest.raises(GatewayError):
-        emb.embed_batch(["hello"])
-    with pytest.raises(EmptyTextError):
-        emb.embed_batch(["  "])
-
-
-def test_http_embedder_dimension_check(embedding_server):
-    from schedkit.knowledge import HttpEmbedder
-
-    url, _ = embedding_server
-    emb = HttpEmbedder(url, model="stub-embed", dim=7)
-    with pytest.raises(DimensionMismatchError):
-        emb.embed("ab")
