@@ -13,7 +13,9 @@ import configparser
 import hashlib
 import io
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -106,6 +108,22 @@ def write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
     )
+
+
+@contextmanager
+def _streamed(path: Path):
+    """A text file written line by line into a temporary sibling of
+    ``path`` and renamed into place when the block ends, so a killed stage
+    leaves no half-written artifact; the sibling is deleted if an exception
+    escapes."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sampler_config(cfg) -> context.SamplerConfig:
@@ -311,21 +329,20 @@ def cmd_sample_context(args, cfg) -> int:
         if args.targets
         else [a.activity_id for a in sched.activities]
     )
-    bundles = []
-    rendered = []
-    for target in targets:
-        bundle = context.combined_context(g, sched, target, sampler_cfg)
-        bundles.append(context.serialize_bundle(bundle))
-        rendered.append(context.render_context(bundle, sched))
-    (out / "bundles.jsonl").write_text("\n".join(bundles) + "\n", "utf-8")
-    (out / "contexts.txt").write_text("\n".join(rendered), "utf-8")
+    with _streamed(out / "bundles.jsonl") as bundles, _streamed(out / "contexts.txt") as texts:
+        for i, target in enumerate(targets):
+            bundle = context.combined_context(g, sched, target, sampler_cfg)
+            bundles.write(context.serialize_bundle(bundle) + "\n")
+            texts.write(("\n" if i else "") + context.render_context(bundle, sched))
+        if not targets:
+            bundles.write("\n")
     write_manifest(
         out,
         "sample-context",
         cfg,
         {"schedule": args.schedule, "targets": args.targets or "all"},
     )
-    print(f"sampled {len(bundles)} context bundle(s) at seed {sampler_cfg.rng_seed}")
+    print(f"sampled {len(targets)} context bundle(s) at seed {sampler_cfg.rng_seed}")
     return EXIT_OK
 
 
@@ -346,38 +363,37 @@ def cmd_run_eval(args, cfg) -> int:
             tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
 
         local, glob = _load_kb(args.kb)
+        # Each row's full context, built once: retrieved knowledge, if any,
+        # then the rendered context.
         contexts = _context_texts(sched, cfg)
-
-        def static_for(row_id: str) -> str:
-            if glob is None and local is None:
-                return ""
-            # Both stores share one embedder, so the query is embedded once.
-            query = (local or glob).embedder.embed(contexts[row_id])
-            parts = []
-            if local is not None:
-                entry = local.retrieve(query)
-                parts.append(f"{entry.term}: {entry.definition}")
-            if glob is not None:
-                for chunk in glob.retrieve(query, k=3):
-                    parts.append(chunk.text)
-            return "\n".join(parts)
+        if local is not None or glob is not None:
+            for row_id, text in contexts.items():
+                # Both stores share one embedder, so the query is embedded once.
+                query = (local or glob).embedder.embed(text)
+                parts = []
+                if local is not None:
+                    entry = local.retrieve(query)
+                    parts.append(f"{entry.term}: {entry.definition}")
+                if glob is not None:
+                    for chunk in glob.retrieve(query, k=3):
+                        parts.append(chunk.text)
+                static = "\n".join(parts)
+                if static:
+                    contexts[row_id] = static + "\n" + text
 
         rules_text = Path(args.rules).read_text("utf-8") if args.rules else ""
-        static_cache = {rid: static_for(rid) for rid in contexts}
-
-        instances = masked_eval.evaluate_tasks(
-            sched,
-            tasks,
-            gateway,
-            static_knowledge="",
-            rules=rules_text,
-            context_provider=lambda rid: static_cache[rid] + "\n" + contexts[rid]
-            if static_cache[rid]
-            else contexts[rid],
-            k=cfg.getint("eval", "k"),
-        )
-    report = masked_eval.build_report(sched, instances)
-    masked_eval.save_instances(out / "instances.jsonl", instances)
+        with _streamed(out / "instances.jsonl") as fh:
+            outcomes = masked_eval.evaluate_tasks(
+                sched,
+                tasks,
+                gateway,
+                static_knowledge="",
+                rules=rules_text,
+                context_provider=contexts.__getitem__,
+                k=cfg.getint("eval", "k"),
+                sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
+            )
+    report = masked_eval.build_report(sched, outcomes)
     (out / "report.json").write_text(report.to_json(), "utf-8")
     (out / "report.txt").write_text(report.render_table(), "utf-8")
     write_manifest(
@@ -387,7 +403,7 @@ def cmd_run_eval(args, cfg) -> int:
         {"schedule": args.schedule, "gateway": mode, "tasks": ",".join(kinds)},
     )
     print(report.render_table(), end="")
-    failures = sum(1 for i in instances if i.error is not None)
+    failures = sum(1 for o in outcomes if o.error is not None)
     if failures:
         print(f"warning: {failures} instance(s) failed at the gateway", file=sys.stderr)
         return EXIT_GATEWAY

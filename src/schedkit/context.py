@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import rng as prng
 from .graph import ScheduleGraph, UnknownNodeError
-from .schedule import Schedule
+from .schedule import Schedule, context_line
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -122,13 +122,6 @@ def combined_context(
     )
 
 
-def _row_line(row_text: dict[str, str], aid: str, role: str) -> str:
-    text = row_text.get(aid)
-    if text is None:
-        return f"  {aid} | ? | ? | ? | {role}"
-    return f"  {text} | {role}"
-
-
 def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
     """Deterministic text block consumed verbatim by prompt assembly.
 
@@ -152,9 +145,9 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             role = "predecessor"
         else:
             role = "successor"
-        lines.append(_row_line(row_text, aid, role))
+        lines.append(context_line(row_text.get(aid), aid, role))
     lines.append("HIERARCHICAL:")
-    lines.extend(_row_line(row_text, aid, "wbs") for aid in sorted(bundle.hierarchical))
+    lines.extend(map(index.wbs_lines.__getitem__, sorted(bundle.hierarchical)))
     lines.append("SEQUENTIAL:")
     rendered = []
     for path in bundle.sequential:

@@ -108,17 +108,32 @@ def exchange_hash(system_text: str, user_text: str) -> str:
 _HASHED_FIELDS = ("error", "response_text", "system_text", "user_text")
 
 
-def _json(value) -> str:
-    """``json.dumps(value)``; strings and None skip its per-call dispatch."""
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, sort_keys=True)``; strings and None skip the
+    encoder's per-call dispatch."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    return "null" if value is None else json.dumps(value)
+    return "null" if value is None else _SORTED_JSON.encode(value)
+
+
+def json_object(encoded: dict[str, str], keys=None) -> str:
+    """The JSON object of the already-encoded values in ``encoded`` under
+    ``keys`` (default: all, sorted), as ``json.dumps`` writes it, built in
+    one join so that a long value is copied once."""
+    parts: list[str] = []
+    for k in sorted(encoded) if keys is None else keys:
+        parts += (", " if parts else "{", encode_json(k), ": ", encoded[k])
+    parts.append("}" if parts else "{}")
+    return "".join(parts)
 
 
 def _content_hash(encoded: dict[str, str]) -> str:
     """sha256 of ``json.dumps`` of the hashed fields with sorted keys, built
     from each field's own JSON encoding in ``encoded``."""
-    basis = "{" + ", ".join(f'"{k}": {encoded[k]}' for k in _HASHED_FIELDS) + "}"
+    basis = json_object(encoded, _HASHED_FIELDS)
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 
 
@@ -126,34 +141,37 @@ class TranscriptLog:
     """Append-only exchange log with a single serialized writer.
 
     With a path, the log starts that file empty and keeps it open until
-    ``close``; each record is flushed as it is written. Each field value is
-    JSON-encoded once, for both the content hash and the line, which equals
-    ``json.dumps(record, sort_keys=True)``.
+    ``close``; each record is flushed as it is written, and none is kept in
+    memory (``records`` is None). Without one, ``records`` keeps them all.
+    Each field value is JSON-encoded once, for both the content hash and the
+    line, which equals ``json.dumps(record, sort_keys=True)``; ``encoded``
+    may supply encodings the caller already has, by field name.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.records: list[dict] = []
+        self.records: list[dict] | None = [] if path is None else None
         self._lock = threading.Lock()
         self._next_id = 0
         self._fh = open(self.path, "w", encoding="utf-8") if self.path is not None else None
 
-    def append(self, **fields) -> dict:
+    def append(self, encoded: dict[str, str] | None = None, **fields) -> dict:
         with self._lock:
             record = dict(fields)
             record["transcript_id"] = self._next_id
             self._next_id += 1
-            encoded = {k: _json(v) for k, v in record.items()}
+            given = encoded or {}
+            encoded = {
+                k: given[k] if k in given else encode_json(v) for k, v in record.items()
+            }
             digest = _content_hash(encoded)
             record["content_hash"] = digest
             encoded["content_hash"] = f'"{digest}"'
-            self.records.append(record)
+            if self.records is not None:
+                self.records.append(record)
             if self._fh is not None:
-                self._fh.write(
-                    "{"
-                    + ", ".join(f"{_json(k)}: {encoded[k]}" for k in sorted(encoded))
-                    + "}\n"
-                )
+                self._fh.write(json_object(encoded))
+                self._fh.write("\n")
                 self._fh.flush()
             return record
 
@@ -175,7 +193,7 @@ def load_transcript(path: Path) -> list[dict]:
             continue
         try:
             record = json.loads(line)
-            digest = _content_hash({k: _json(record[k]) for k in _HASHED_FIELDS})
+            digest = _content_hash({k: encode_json(record[k]) for k in _HASHED_FIELDS})
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise GatewayError(
                 f"{path}:{line_no}: malformed transcript line: {exc}"
@@ -203,8 +221,18 @@ class Gateway:
     def _respond(self, system_text: str, user_text: str) -> str:
         raise NotImplementedError
 
-    def complete(self, system_text: str, user_text: str) -> ChatExchange:
-        if not user_text.strip():
+    def complete(
+        self,
+        system_text: str,
+        user_text: str,
+        *,
+        prompt_tokens: int | None = None,
+        user_json: str | None = None,
+    ) -> ChatExchange:
+        """One exchange, recorded in the transcript. A caller that already
+        has the prompt's whitespace token count or ``user_text``'s JSON
+        encoding passes them, so neither is computed again."""
+        if not user_text or user_text.isspace():
             raise GatewayError("prompt is empty")
         with self._slots:
             started = time.monotonic()
@@ -219,13 +247,16 @@ class Gateway:
                 if self.deterministic_latency
                 else (time.monotonic() - started) * 1000.0
             )
+        if prompt_tokens is None:
+            prompt_tokens = len(system_text.split()) + len(user_text.split())
         record = self.transcript.append(
+            None if user_json is None else {"user_text": user_json},
             system_text=system_text,
             user_text=user_text,
             response_text=response,
             error=None if error is None else f"{type(error).__name__}: {error}",
             latency_ms=latency,
-            prompt_tokens=len(system_text.split()) + len(user_text.split()),
+            prompt_tokens=prompt_tokens,
             completion_tokens=len(response.split()) if response else 0,
         )
         if error is not None:

@@ -290,26 +290,38 @@ def _write_manifest(path: Path, records: list[dict]) -> None:
 
 
 def _read_store(
-    embedder, manifest_path: Path, matrix_path: Path
-) -> tuple[list[dict], np.ndarray]:
-    """The manifest records and the matrix of a saved store."""
-    records = [
-        json.loads(ln)
-        for ln in Path(manifest_path).read_text("utf-8").splitlines()
-        if ln.strip()
-    ]
+    embedder, manifest_path: Path, matrix_path: Path, make
+) -> tuple[list, np.ndarray]:
+    """The manifest items (``make`` applied to each record) and the matrix
+    of a saved store. A line that is not a JSON object with the fields
+    ``make`` reads raises ``KnowledgeError`` naming ``path:line``."""
+    try:
+        lines = Path(manifest_path).read_text("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise KnowledgeError(f"{manifest_path}: manifest is not UTF-8: {exc}") from None
+    items = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            items.append(make(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise KnowledgeError(
+                f"{manifest_path}:{line_no}: malformed manifest line: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
     matrix = _read_matrix(Path(matrix_path))
-    if len(records) != len(matrix):
+    if len(items) != len(matrix):
         raise KnowledgeError(
-            f"{matrix_path}: {len(matrix)} rows for {len(records)} manifest records"
+            f"{matrix_path}: {len(matrix)} rows for {len(items)} manifest records"
         )
-    if not records:
-        return records, np.empty((0, embedder.dim))
+    if not items:
+        return items, np.empty((0, embedder.dim))
     if matrix.shape[1] != embedder.dim:
         raise DimensionMismatchError(
             f"{matrix_path}: rows have dim {matrix.shape[1]}, the embedder's is {embedder.dim}"
         )
-    return records, matrix
+    return items, matrix
 
 
 def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Path) -> None:
@@ -320,9 +332,11 @@ def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Pat
 
 
 def load_term_store(embedder, manifest_path: Path, matrix_path: Path) -> LocalTermStore:
-    records, matrix = _read_store(embedder, manifest_path, matrix_path)
+    entries, matrix = _read_store(
+        embedder, manifest_path, matrix_path, lambda r: TermEntry(r["term"], r["definition"])
+    )
     store = LocalTermStore(embedder, matrix)
-    store.entries = [TermEntry(r["term"], r["definition"]) for r in records]
+    store.entries = entries
     return store
 
 
@@ -343,12 +357,14 @@ def save_chunk_store(store: GlobalChunkStore, manifest_path: Path, matrix_path: 
 
 
 def load_chunk_store(embedder, manifest_path: Path, matrix_path: Path) -> GlobalChunkStore:
-    records, matrix = _read_store(embedder, manifest_path, matrix_path)
+    chunks, matrix = _read_store(
+        embedder,
+        manifest_path,
+        matrix_path,
+        lambda r: KnowledgeChunk(r["doc_id"], r["chunk_index"], r["text"], r["token_count"]),
+    )
     store = GlobalChunkStore(embedder, matrix)
-    store.chunks = [
-        KnowledgeChunk(r["doc_id"], r["chunk_index"], r["text"], r["token_count"])
-        for r in records
-    ]
+    store.chunks = chunks
     return store
 
 

@@ -12,19 +12,23 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Callable, Iterable, TextIO
 
 from . import rng as prng
 from .gateway import (
     Gateway,
     GatewayError,
     MISSING_COLUMNS_LABEL,
+    encode_json,
+    json_object,
     wire_values,
 )
 from .knowledge import count_tokens
-from .prompt_forge import AP, DA, MVP, build_task_prompt
+from .prompt_forge import AP, DA, MVP, build_task_prompt, prompt_tokens, word_count
 from .schedule import (
     COL_AREA,
     COL_DISCIPLINE,
@@ -93,6 +97,9 @@ class EvalInstance:
     parse_ok: bool
     cells_correct: tuple[bool, ...]
     error: str | None = None
+    # The JSON encoding of ``prompt_user``, set while a streaming evaluation
+    # hands the instance to its sink, so ``save_instances`` reuses it.
+    prompt_user_json: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def all_correct(self) -> bool:
@@ -133,6 +140,15 @@ class EvalInstance:
             cells_correct=tuple(rec["cells_correct"]),
             error=rec["error"],
         )
+
+
+@dataclass(frozen=True)
+class EvalOutcome:
+    """The part of an instance that ``build_report`` reads."""
+
+    mask: MaskSpec
+    cells_correct: tuple[bool, ...]
+    error: str | None
 
 
 @dataclass
@@ -363,13 +379,29 @@ def evaluate_tasks(
     rules: str = "",
     context_provider=None,
     k: int = 2,
-) -> list[EvalInstance]:
+    sink: Callable[[EvalInstance], None] | None = None,
+) -> list[EvalInstance] | list[EvalOutcome]:
     """Fan prompts out to the gateway and score each completion.
 
     Gateway failures are captured per instance rather than raised, so a
     partial run still produces instances; results come back in task order
-    regardless of worker interleaving.
+    regardless of worker interleaving. With a ``sink``, each instance goes
+    to it in task order as soon as its exchange (and every earlier one) is
+    done, and only its ``EvalOutcome`` is returned, so no prompt text
+    outlives the sink call.
+
+    Each prompt is JSON-encoded once, for the transcript and the sink. Its
+    token count is added up from its pieces, and each distinct system text,
+    context and tail is counted once.
     """
+    counts: dict[str, int] = {}
+
+    def count(text: str) -> int:
+        # Racing workers at worst count one text twice, to the same result.
+        n = counts.get(text)
+        if n is None:
+            n = counts[text] = word_count(text)
+        return n
 
     def run_one(mask: MaskSpec) -> EvalInstance:
         row_text = render_masked_row(schedule, mask)
@@ -383,38 +415,49 @@ def evaluate_tasks(
             masked_columns=list(mask.masked_columns),
             top_k=k,
         )
-        try:
-            exchange = gateway.complete(prompt.system_text, prompt.user_text)
-        except GatewayError as exc:
-            return EvalInstance(
-                mask=mask,
-                prompt_system=prompt.system_text,
-                prompt_user=prompt.user_text,
-                response_text=None,
-                parse_ok=False,
-                cells_correct=tuple(False for _ in mask.masked_columns),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        completion = parse_values(
-            exchange.response_text, len(mask.masked_columns), k=k
-        )
-        return EvalInstance(
+        user_json = encode_json(prompt.user_text)
+        inst = EvalInstance(
             mask=mask,
             prompt_system=prompt.system_text,
             prompt_user=prompt.user_text,
-            response_text=exchange.response_text,
-            parse_ok=completion.parse_ok,
-            cells_correct=score_completion(mask, completion),
+            response_text=None,
+            parse_ok=False,
+            cells_correct=tuple(False for _ in mask.masked_columns),
+            prompt_user_json=user_json if sink else None,
         )
+        try:
+            exchange = gateway.complete(
+                prompt.system_text,
+                prompt.user_text,
+                prompt_tokens=prompt_tokens(prompt, count),
+                user_json=user_json,
+            )
+        except GatewayError as exc:
+            inst.error = f"{type(exc).__name__}: {exc}"
+            return inst
+        completion = parse_values(
+            exchange.response_text, len(mask.masked_columns), k=k
+        )
+        inst.response_text = exchange.response_text
+        inst.parse_ok = completion.parse_ok
+        inst.cells_correct = score_completion(mask, completion)
+        return inst
 
     workers = gateway.cfg.max_parallel
-    if workers <= 1:
-        return [run_one(m) for m in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, tasks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = map(run_one, tasks) if pool is None else pool.map(run_one, tasks)
+        if sink is None:
+            return list(results)
+        outcomes = []
+        for inst in results:
+            sink(inst)
+            outcomes.append(EvalOutcome(inst.mask, inst.cells_correct, inst.error))
+        return outcomes
 
 
-def build_report(schedule: Schedule, instances: list[EvalInstance]) -> ScoreReport:
+def build_report(
+    schedule: Schedule, instances: Iterable[EvalInstance | EvalOutcome]
+) -> ScoreReport:
     """Aggregate counts overall and per discipline/level/area group."""
     by_id = schedule.index.by_id
     report = ScoreReport()
@@ -607,10 +650,33 @@ def preference_store_load(path: Path) -> list[PreferenceRecord]:
     return records
 
 
-def save_instances(path: Path, instances: list[EvalInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def instance_line(inst: EvalInstance) -> str:
+    """``json.dumps(inst.to_dict(), sort_keys=True)``, built field by field
+    so that a prompt already encoded (``prompt_user_json``) is not encoded
+    again."""
+    fields = {
+        "cells_correct": encode_json(list(inst.cells_correct)),
+        "error": encode_json(inst.error),
+        "ground_truth": encode_json(dict(inst.mask.ground_truth)),
+        "masked_columns": encode_json(list(inst.mask.masked_columns)),
+        "parse_ok": encode_json(inst.parse_ok),
+        "prompt_system": encode_json(inst.prompt_system),
+        "prompt_user": inst.prompt_user_json or encode_json(inst.prompt_user),
+        "response_text": encode_json(inst.response_text),
+        "row_id": encode_json(inst.mask.row_id),
+        "task_kind": encode_json(inst.mask.task_kind),
+    }
+    return json_object(fields)
+
+
+def save_instances(dest: Path | TextIO, instances: Iterable[EvalInstance]) -> None:
+    """One ``instance_line`` per instance, to a path or to an open text file
+    that a streaming caller writes instance by instance."""
+    opened = open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path)) else None
+    with opened or nullcontext(dest) as fh:
         for inst in instances:
-            fh.write(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
+            fh.write(instance_line(inst))
+            fh.write("\n")
 
 
 def load_instances(path: Path) -> list[EvalInstance]:

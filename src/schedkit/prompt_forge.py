@@ -65,11 +65,16 @@ class MissingSectionError(PromptError):
 
 @dataclass(frozen=True)
 class TaskPrompt:
+    """One prompt pair. ``pieces`` are ``(head, context, tail)``: they join
+    to ``user_text``, and the context meets its neighbours at ``\n``, so
+    whitespace token counts add up across them (see ``prompt_tokens``)."""
+
     kind: str
     system_text: str
     user_text: str
     answer_format: str
     expected_values: int
+    pieces: tuple[str, str, str]
 
 
 _template_cache: dict[str, str] = {}
@@ -148,17 +153,29 @@ def build_task_prompt(
         if not masked_row_text.strip():
             raise MissingSectionError("polish payload is empty")
         user_text = f"{SECTION_RAW}\n{masked_row_text}\n"
-        return TaskPrompt(kind, system_text, user_text, "", 0)
+        return TaskPrompt(kind, system_text, user_text, "", 0, (user_text, "", ""))
 
     if not masked_row_text.strip():
         raise MissingSectionError("masked row text is empty")
     n_values = len(masked_columns) if masked_columns else DEFAULT_ARITY[kind]
     fmt = _answer_format(kind, n_values, top_k)
-    user_text = (
+    head = (
         f"{SECTION_ROW}\n{masked_row_text}\n\n"
         f"{SECTION_KNOWLEDGE}\n{static_knowledge_text}\n\n"
-        f"{SECTION_CONTEXT}\n{context_text}\n\n"
-        f"{SECTION_RULES}\n{rules_text}\n\n"
-        f"{fmt}\n"
+        f"{SECTION_CONTEXT}\n"
     )
-    return TaskPrompt(kind, system_text, user_text, fmt, n_values)
+    tail = f"\n\n{SECTION_RULES}\n{rules_text}\n\n{fmt}\n"
+    user_text = f"{head}{context_text}{tail}"
+    return TaskPrompt(kind, system_text, user_text, fmt, n_values, (head, context_text, tail))
+
+
+def word_count(text: str) -> int:
+    return len(text.split())
+
+
+def prompt_tokens(prompt: TaskPrompt, count=word_count) -> int:
+    """``word_count(system_text) + word_count(user_text)``, added up from the
+    pieces. ``count`` may memoise: every piece but the head (the masked row)
+    repeats across prompts."""
+    head, context_text, tail = prompt.pieces
+    return count(prompt.system_text) + word_count(head) + count(context_text) + count(tail)

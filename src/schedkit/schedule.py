@@ -143,6 +143,19 @@ class Schedule:
         return dict(self.index.by_id)
 
 
+def context_line(row_text: str | None, aid: str, role: str) -> str:
+    """One line of a rendered context: an activity's ``row_text`` and its
+    role, or ``?`` cells for an id outside the schedule (no row text)."""
+    if row_text is None:
+        return f"  {aid} | ? | ? | ? | {role}"
+    return f"  {row_text} | {role}"
+
+
+class _WbsLines(dict):
+    def __missing__(self, aid: str) -> str:
+        return context_line(None, aid, "wbs")
+
+
 class ScheduleIndex:
     """Lookups into one schedule, so no caller re-scans activities or links.
 
@@ -151,7 +164,9 @@ class ScheduleIndex:
     ``dependency_cells`` their serialized Predecessor/Successor Details.
     ``wbs_buckets`` maps (k, first k WBS segments) to the ids whose path
     starts with them, for every k up to each path's length. ``row_text``
-    holds each activity's ``id | name | start | finish`` context text.
+    holds each activity's ``id | name | start | finish`` context text, and
+    ``wbs_lines`` its rendered HIERARCHICAL line (an unknown id renders as
+    ``id | ? | ? | ? | wbs``).
     """
 
     def __init__(self, schedule: Schedule):
@@ -162,6 +177,9 @@ class ScheduleIndex:
             f" | {a.current_finish.isoformat()}"
             for aid, a in self.by_id.items()
         }
+        self.wbs_lines = _WbsLines(
+            (aid, context_line(text, aid, "wbs")) for aid, text in self.row_text.items()
+        )
         preds: dict[str, list[DependencyLink]] = {}
         succs: dict[str, list[DependencyLink]] = {}
         for link in schedule.links:

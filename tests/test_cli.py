@@ -476,3 +476,80 @@ def test_replay_into_own_directory(tmp_path, capsys):
     replayed = tree_bytes(out)
     for name in ("transcript.jsonl", "instances.jsonl", "report.json"):
         assert replayed[name] == recorded[name], name
+
+
+def test_run_eval_corrupt_manifest_is_a_data_error(tmp_path, capsys):
+    sched, kb = _chain_kb(tmp_path)
+    for name in ("terms.jsonl", "chunks.jsonl"):
+        path = kb / name
+        good = path.read_bytes()
+        for bad in (good[:20], b'{"term": "x"}\n', b'["not", "an", "object"]\n', b"\xff\xfe\n"):
+            path.write_bytes(bad)
+            assert _eval_with_kb(tmp_path, sched, kb) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and name in err
+            if bad != b"\xff\xfe\n":
+                assert f"{name}:1:" in err
+        path.write_bytes(good)
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+
+
+def test_failed_stage_leaves_no_partial_artifacts(tmp_path, monkeypatch, capsys):
+    from schedkit import context, masked_eval
+
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    evaluate = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    sample = ["--out", str(tmp_path / "c"), "sample-context", "--schedule", str(sched)]
+    for argv in (evaluate, sample):
+        assert run(argv) == EXIT_OK
+    before = {d: tree_bytes(tmp_path / d) for d in ("e", "c")}
+
+    def fail_on_second(fn):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("killed")
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for argv, module, name in ((evaluate, masked_eval, "parse_values"), (sample, context, "render_context")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fail_on_second(getattr(module, name)))
+            assert run(argv) == 4
+    after = {d: tree_bytes(tmp_path / d) for d in ("e", "c")}
+    # The streamed files are the previous run's, whole; no temporary is left.
+    for d, name in (("e", "instances.jsonl"), ("c", "bundles.jsonl"), ("c", "contexts.txt")):
+        assert after[d][name] == before[d][name]
+        assert not any(n.endswith(".tmp") for n in after[d])
+
+
+def test_sample_context_without_targets_writes_the_same_files(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["--out", str(tmp_path / "c"), "sample-context", "--schedule", str(sched), "--targets", ","]
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "c" / "bundles.jsonl").read_text("utf-8") == "\n"
+    assert (tmp_path / "c" / "contexts.txt").read_text("utf-8") == ""
+
+
+def test_run_eval_memory_stays_below_its_transcript(tmp_path, capsys):
+    """run-eval streams its prompts: the traced peak stays under the size of
+    the transcript it writes, which holds every prompt once."""
+    import tracemalloc
+
+    assert run(["--out", str(tmp_path / "g"), "generate", "--n", "300", "--seed", "1"]) == EXIT_OK
+    argv = [
+        "--out", str(tmp_path / "e"), "run-eval",
+        "--schedule", str(tmp_path / "g" / "schedule.csv"), "--gateway", "mock:echo",
+    ]
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "e" / "transcript.jsonl").stat().st_size

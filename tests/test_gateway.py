@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -169,9 +170,9 @@ def test_transcript_log_starts_its_file_empty(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("stale\n", "utf-8")
     with TranscriptLog(path) as log:
-        log.append(system_text="s", user_text="u", response_text="r", error=None)
+        record = log.append(system_text="s", user_text="u", response_text="r", error=None)
         # Each record is on disk before the log closes.
-        assert load_transcript(path) == log.records
+        assert load_transcript(path) == [record]
     assert [r["transcript_id"] for r in load_transcript(path)] == [0]
 
 
@@ -357,3 +358,29 @@ def test_http_malformed_body(stub_server, monkeypatch):
 
 def test_wire_values_format():
     assert wire_values(["a", "b"]) == "[Value]a[/Value],[Value]b[/Value]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXCHANGE)
+def test_transcript_reuses_a_given_encoding(fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, given_ = Path(tmp) / "plain.jsonl", Path(tmp) / "given.jsonl"
+        with TranscriptLog(plain) as a, TranscriptLog(given_) as b:
+            ra = a.append(**fields)
+            rb = b.append({"user_text": encode_basestring_ascii(fields["user_text"])}, **fields)
+        assert ra == rb
+        assert plain.read_bytes() == given_.read_bytes()
+        # A file-backed log keeps no records in memory.
+        assert a.records is None and b.records is None
+
+
+def test_complete_records_a_given_count_and_encoding():
+    g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}})
+    g.complete("sys", ROW_PROMPT)
+    g.complete(
+        "sys", ROW_PROMPT, prompt_tokens=7, user_json=encode_basestring_ascii(ROW_PROMPT)
+    )
+    first, second = g.transcript.records
+    assert first["prompt_tokens"] == len("sys".split()) + len(ROW_PROMPT.split())
+    assert second["prompt_tokens"] == 7
+    assert first["content_hash"] == second["content_hash"]

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
+from json.encoder import encode_basestring_ascii
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedkit.gateway import register_mock, wire_values
 from schedkit.masked_eval import (
     CorruptRecordError,
     EvalInstance,
+    EvalOutcome,
     GatewayEvalError,
     MaskSpec,
     PreferenceRecord,
@@ -17,6 +22,7 @@ from schedkit.masked_eval import (
     canonical_date,
     collect_preferences,
     evaluate_tasks,
+    instance_line,
     load_instances,
     make_mask_tasks,
     maskable_columns,
@@ -535,3 +541,79 @@ def test_instances_round_trip(tmp_path):
     )
     save_instances(tmp_path / "inst.jsonl", instances)
     assert load_instances(tmp_path / "inst.jsonl") == instances
+
+
+# Arbitrary Unicode with JSON's escape cases drawn often.
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f é😀\n\t')))
+INSTANCE = st.builds(
+    EvalInstance,
+    mask=st.builds(
+        MaskSpec,
+        row_id=TEXT,
+        task_kind=TEXT,
+        masked_columns=st.lists(TEXT, max_size=4).map(tuple),
+        ground_truth=st.dictionaries(TEXT, TEXT, max_size=4),
+    ),
+    prompt_system=TEXT,
+    prompt_user=TEXT,
+    response_text=st.none() | TEXT,
+    parse_ok=st.booleans(),
+    cells_correct=st.lists(st.booleans(), max_size=4).map(tuple),
+    error=st.none() | TEXT,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INSTANCE, st.booleans())
+def test_streamed_instance_line_is_exact(inst, pre_encoded):
+    if pre_encoded:
+        inst.prompt_user_json = encode_basestring_ascii(inst.prompt_user)
+    expected = json.dumps(inst.to_dict(), sort_keys=True)
+    assert instance_line(inst) == expected
+    buf = io.StringIO()
+    save_instances(buf, [inst])
+    assert buf.getvalue() == expected + "\n"
+
+
+def test_sink_streams_the_lines_save_instances_writes(tmp_path):
+    sched = rich_schedule(12)
+    tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
+    table = truth_table(sched)
+    del table["A03"]  # one row fails at the gateway
+    contexts = {a.activity_id: f"ctx {a.activity_id}\nline 2" for a in sched.activities}
+    kwargs = dict(static_knowledge="k", rules="r", context_provider=contexts.__getitem__)
+    instances = evaluate_tasks(sched, tasks, register_mock("EchoOracle", table), **kwargs)
+    save_instances(tmp_path / "list.jsonl", instances)
+
+    streamed = io.StringIO()
+    seen = []
+
+    def sink(inst):
+        assert inst.prompt_user_json == encode_basestring_ascii(inst.prompt_user)
+        seen.append(inst.mask)
+        save_instances(streamed, (inst,))
+
+    outcomes = evaluate_tasks(
+        sched, tasks, register_mock("EchoOracle", table), sink=sink, **kwargs
+    )
+    assert streamed.getvalue() == (tmp_path / "list.jsonl").read_text("utf-8")
+    assert seen == tasks
+    assert outcomes == [EvalOutcome(i.mask, i.cells_correct, i.error) for i in instances]
+    assert sum(o.error is not None for o in outcomes) == 3
+    assert build_report(sched, outcomes).to_json() == build_report(sched, instances).to_json()
+
+
+def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
+    sched = rich_schedule(6)
+    tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
+    gateway = register_mock("ConstantWrong")
+    evaluate_tasks(
+        sched, tasks, gateway, rules="rule one\nrule two",
+        context_provider=lambda rid: f"shared context\n{rid}",
+    )
+    records = gateway.transcript.records
+    assert len(records) == len(tasks)
+    for rec in records:
+        assert rec["prompt_tokens"] == len(rec["system_text"].split()) + len(
+            rec["user_text"].split()
+        )

@@ -4,6 +4,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedkit import prompt_forge as pf
 from schedkit.prompt_forge import (
@@ -130,3 +132,34 @@ def test_assembly_is_pure():
     a = build_task_prompt(MVP, "r", "k", "c", "x")
     b = build_task_prompt(MVP, "r", "k", "c", "x")
     assert a == b
+
+
+# Arbitrary Unicode, with whitespace of every kind str.split() knows drawn often.
+SPLIT_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0 　ab"))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([MVP, DA, AP, POLISH]),
+    row=SPLIT_TEXT.filter(lambda t: t.strip()),
+    knowledge=SPLIT_TEXT,
+    context=SPLIT_TEXT,
+    rules=SPLIT_TEXT,
+    columns=st.none() | st.lists(SPLIT_TEXT, min_size=1, max_size=4),
+    top_k=st.integers(1, 3),
+)
+def test_prompt_tokens_add_up_from_the_pieces(kind, row, knowledge, context, rules, columns, top_k):
+    p = build_task_prompt(
+        kind, row, knowledge, context, rules, masked_columns=columns, top_k=top_k
+    )
+    assert "".join(p.pieces) == p.user_text
+    whole = len(p.system_text.split()) + len(p.user_text.split())
+    assert pf.prompt_tokens(p) == whole
+    memo: dict[str, int] = {}
+
+    def memo_count(text: str) -> int:
+        return memo.setdefault(text, pf.word_count(text))
+
+    assert pf.prompt_tokens(p, memo_count) == pf.prompt_tokens(p, memo_count) == whole
