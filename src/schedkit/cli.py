@@ -28,7 +28,14 @@ from .gateway import (
     load_transcript,
     register_mock,
 )
-from .schedule import ScheduleError, parse_schedule, serialize_records, serialize_schedule, validate
+from .schedule import (
+    ScheduleError,
+    canonical_row,
+    parse_schedule,
+    serialize_records,
+    serialize_schedule,
+    validate,
+)
 from .synthetic import GeneratorParams, SyntheticError
 
 EXIT_OK = 0
@@ -168,8 +175,6 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
     if kind == "echo":
         if schedule is None:
             raise UsageError("mock:echo needs a schedule to answer from")
-        from .schedule import canonical_row
-
         data = {a.activity_id: canonical_row(schedule, a) for a in schedule.activities}
     elif kind.startswith("transcript="):
         data = load_transcript(kind.split("=", 1)[1])
@@ -309,31 +314,33 @@ def _load_kb(kb_dir: str | None):
     return local, glob
 
 
-def _context_texts(sched, cfg) -> dict[str, str]:
+def _rendered_contexts(sched, cfg, targets):
+    """Each target's sampled context bundle with its rendered text, lazily
+    and in order. The graph is built, and so the schedule validated, before
+    this returns."""
     g = graph.build_graph(sched)
     sampler_cfg = _sampler_config(cfg)
-    texts = {}
-    for act in sched.activities:
-        bundle = context.combined_context(g, sched, act.activity_id, sampler_cfg)
-        texts[act.activity_id] = context.render_context(bundle, sched)
-    return texts
+
+    def sample(target):
+        bundle = context.combined_context(g, sched, target, sampler_cfg)
+        return bundle, context.render_context(bundle, sched)
+
+    return map(sample, targets)
 
 
 def cmd_sample_context(args, cfg) -> int:
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
-    g = graph.build_graph(sched)
-    sampler_cfg = _sampler_config(cfg)
     targets = (
         [t.strip() for t in args.targets.split(",") if t.strip()]
         if args.targets
         else [a.activity_id for a in sched.activities]
     )
+    sampled = _rendered_contexts(sched, cfg, targets)
     with _streamed(out / "bundles.jsonl") as bundles, _streamed(out / "contexts.txt") as texts:
-        for i, target in enumerate(targets):
-            bundle = context.combined_context(g, sched, target, sampler_cfg)
+        for i, (bundle, text) in enumerate(sampled):
             bundles.write(context.serialize_bundle(bundle) + "\n")
-            texts.write(("\n" if i else "") + context.render_context(bundle, sched))
+            texts.write(("\n" if i else "") + text)
         if not targets:
             bundles.write("\n")
     write_manifest(
@@ -342,7 +349,8 @@ def cmd_sample_context(args, cfg) -> int:
         cfg,
         {"schedule": args.schedule, "targets": args.targets or "all"},
     )
-    print(f"sampled {len(targets)} context bundle(s) at seed {sampler_cfg.rng_seed}")
+    seed = cfg.getint("sampler", "rng_seed")
+    print(f"sampled {len(targets)} context bundle(s) at seed {seed}")
     return EXIT_OK
 
 
@@ -365,7 +373,12 @@ def cmd_run_eval(args, cfg) -> int:
         local, glob = _load_kb(args.kb)
         # Each row's full context, built once: retrieved knowledge, if any,
         # then the rendered context.
-        contexts = _context_texts(sched, cfg)
+        contexts = {
+            bundle.target: text
+            for bundle, text in _rendered_contexts(
+                sched, cfg, [a.activity_id for a in sched.activities]
+            )
+        }
         if local is not None or glob is not None:
             for row_id, text in contexts.items():
                 # Both stores share one embedder, so the query is embedded once.
@@ -383,17 +396,22 @@ def cmd_run_eval(args, cfg) -> int:
 
         rules_text = Path(args.rules).read_text("utf-8") if args.rules else ""
         with _streamed(out / "instances.jsonl") as fh:
-            outcomes = masked_eval.evaluate_tasks(
-                sched,
-                tasks,
-                gateway,
-                static_knowledge="",
-                rules=rules_text,
-                context_provider=contexts.__getitem__,
-                k=cfg.getint("eval", "k"),
-                sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
-            )
-    report = masked_eval.build_report(sched, outcomes)
+            # Caught inside the block, so the instances of a partial run
+            # are kept.
+            failure = None
+            try:
+                report = masked_eval.run_eval(
+                    sched,
+                    tasks,
+                    gateway,
+                    static_knowledge="",
+                    rules=rules_text,
+                    context_provider=contexts.__getitem__,
+                    k=cfg.getint("eval", "k"),
+                    sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
+                )
+            except masked_eval.GatewayEvalError as exc:
+                report, failure = exc.partial_report, exc
     (out / "report.json").write_text(report.to_json(), "utf-8")
     (out / "report.txt").write_text(report.render_table(), "utf-8")
     write_manifest(
@@ -403,9 +421,8 @@ def cmd_run_eval(args, cfg) -> int:
         {"schedule": args.schedule, "gateway": mode, "tasks": ",".join(kinds)},
     )
     print(report.render_table(), end="")
-    failures = sum(1 for o in outcomes if o.error is not None)
-    if failures:
-        print(f"warning: {failures} instance(s) failed at the gateway", file=sys.stderr)
+    if failure is not None:
+        print(f"warning: {failure}", file=sys.stderr)
         return EXIT_GATEWAY
     return EXIT_OK
 
@@ -491,19 +508,20 @@ def cmd_polish(args, cfg) -> int:
     mode = args.gateway or "mock:stopword"
     gateway = build_gateway(cfg, mode, out)
     stats = alignment.ContextLengthStats()
-    polished_lines = []
-    with gateway.transcript:
+    with gateway.transcript, _streamed(out / "polished.jsonl") as fh:
         for inst in instances:
             polished = alignment.polish_context(
                 gateway, inst.mask.task_kind, inst.prompt_user, stats
             )
-            polished_lines.append(
+            fh.write(
                 json.dumps(
                     {"row_id": inst.mask.row_id, "task_kind": inst.mask.task_kind, "polished": polished},
                     sort_keys=True,
                 )
+                + "\n"
             )
-    (out / "polished.jsonl").write_text("\n".join(polished_lines) + "\n", "utf-8")
+        if not instances:
+            fh.write("\n")
     (out / "ctx_stats.json").write_text(stats.to_json(), "utf-8")
     for kind in sorted(stats.raw_lengths):
         for which in ("raw", "polished"):
@@ -620,9 +638,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except masked_eval.GatewayEvalError as exc:
-        print(f"gateway error: {exc}", file=sys.stderr)
-        return EXIT_GATEWAY
     except GatewayError as exc:
         print(f"gateway error: {exc}", file=sys.stderr)
         return EXIT_GATEWAY

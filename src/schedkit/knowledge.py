@@ -55,7 +55,8 @@ def normalize_text(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    return normalize_text(text).split(" ") if normalize_text(text) else []
+    normalized = normalize_text(text)
+    return normalized.split(" ") if normalized else []
 
 
 def count_tokens(text: str) -> int:

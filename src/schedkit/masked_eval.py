@@ -40,7 +40,6 @@ from .schedule import (
     COL_STATUS,
     Schedule,
     canonical_row,
-    extra_columns,
 )
 
 MASK_SENTINEL = "[MASKED]"
@@ -71,6 +70,7 @@ class GatewayEvalError(EvalError):
     def __init__(self, partial_report: "ScoreReport", failures: int):
         super().__init__(f"{failures} instance(s) failed at the gateway")
         self.partial_report = partial_report
+        self.failures = failures
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class EvalInstance:
     parse_ok: bool
     cells_correct: tuple[bool, ...]
     error: str | None = None
-    # The JSON encoding of ``prompt_user``, set while a streaming evaluation
-    # hands the instance to its sink, so ``save_instances`` reuses it.
+    # The JSON encoding of ``prompt_user``, set by ``evaluate_tasks`` so
+    # that ``save_instances`` reuses it.
     prompt_user_json: str | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -380,15 +380,15 @@ def evaluate_tasks(
     context_provider=None,
     k: int = 2,
     sink: Callable[[EvalInstance], None] | None = None,
-) -> list[EvalInstance] | list[EvalOutcome]:
+) -> list[EvalOutcome]:
     """Fan prompts out to the gateway and score each completion.
 
     Gateway failures are captured per instance rather than raised, so a
-    partial run still produces instances; results come back in task order
-    regardless of worker interleaving. With a ``sink``, each instance goes
-    to it in task order as soon as its exchange (and every earlier one) is
-    done, and only its ``EvalOutcome`` is returned, so no prompt text
-    outlives the sink call.
+    partial run still produces instances. Each instance goes to ``sink``
+    (if any) in task order, regardless of worker interleaving, as soon as
+    its exchange and every earlier one are done. Only its ``EvalOutcome``
+    is returned, so no prompt text outlives the sink call; a caller that
+    wants the instances passes ``sink=instances.append``.
 
     Each prompt is JSON-encoded once, for the transcript and the sink. Its
     token count is added up from its pieces, and each distinct system text,
@@ -423,7 +423,7 @@ def evaluate_tasks(
             response_text=None,
             parse_ok=False,
             cells_correct=tuple(False for _ in mask.masked_columns),
-            prompt_user_json=user_json if sink else None,
+            prompt_user_json=user_json,
         )
         try:
             exchange = gateway.complete(
@@ -446,11 +446,10 @@ def evaluate_tasks(
     workers = gateway.cfg.max_parallel
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = map(run_one, tasks) if pool is None else pool.map(run_one, tasks)
-        if sink is None:
-            return list(results)
         outcomes = []
         for inst in results:
-            sink(inst)
+            if sink is not None:
+                sink(inst)
             outcomes.append(EvalOutcome(inst.mask, inst.cells_correct, inst.error))
         return outcomes
 
@@ -463,7 +462,7 @@ def build_report(
     report = ScoreReport()
     for dim in GROUP_DIMENSIONS:
         report.group_breakdowns[dim] = {}
-    for inst in sorted(instances, key=lambda i: (i.mask.task_kind, i.mask.row_id)):
+    for inst in instances:
         kind = inst.mask.task_kind
         report.per_task.setdefault(kind, TaskScore()).add(inst.cells_correct)
         if inst.error is not None:
@@ -482,13 +481,15 @@ def run_eval(
     schedule: Schedule,
     tasks: list[MaskSpec],
     gateway: Gateway,
-    **prompt_inputs,
+    **eval_inputs,
 ) -> ScoreReport:
-    """Evaluate all tasks and aggregate; gateway failures surface after the
-    fold with the partial report attached."""
-    instances = evaluate_tasks(schedule, tasks, gateway, **prompt_inputs)
-    report = build_report(schedule, instances)
-    failures = sum(1 for inst in instances if inst.error is not None)
+    """Evaluate all tasks and aggregate; ``eval_inputs`` (prompt inputs,
+    ``k`` and ``sink``) go to ``evaluate_tasks``. Gateway failures surface
+    after the fold, as a ``GatewayEvalError`` with the partial report
+    attached."""
+    outcomes = evaluate_tasks(schedule, tasks, gateway, **eval_inputs)
+    report = build_report(schedule, outcomes)
+    failures = sum(1 for o in outcomes if o.error is not None)
     if failures:
         raise GatewayEvalError(report, failures)
     return report

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from operator import attrgetter
 
 RELATIONS = ("FS", "SS", "FF", "SF")
 
@@ -166,34 +167,45 @@ class ScheduleIndex:
     starts with them, for every k up to each path's length. ``row_text``
     holds each activity's ``id | name | start | finish`` context text, and
     ``wbs_lines`` its rendered HIERARCHICAL line (an unknown id renders as
-    ``id | ? | ? | ? | wbs``).
+    ``id | ? | ? | ? | wbs``). ``by_id``, ``preds`` and ``succs`` are built
+    with the index; the other tables on first use.
     """
 
     def __init__(self, schedule: Schedule):
         self._schedule = schedule
         self.by_id = {a.activity_id: a for a in schedule.activities}
-        self.row_text = {
-            aid: f"{aid} | {a.name} | {a.current_start.isoformat()}"
-            f" | {a.current_finish.isoformat()}"
-            for aid, a in self.by_id.items()
-        }
-        self.wbs_lines = _WbsLines(
-            (aid, context_line(text, aid, "wbs")) for aid, text in self.row_text.items()
-        )
         preds: dict[str, list[DependencyLink]] = {}
         succs: dict[str, list[DependencyLink]] = {}
         for link in schedule.links:
             preds.setdefault(link.successor_id, []).append(link)
             succs.setdefault(link.predecessor_id, []).append(link)
         self.preds = {
-            aid: tuple(sorted(ls, key=lambda l: (l.predecessor_id, l.relation)))
+            aid: tuple(sorted(ls, key=attrgetter("predecessor_id", "relation")))
             for aid, ls in preds.items()
         }
         self.succs = {
-            aid: tuple(sorted(ls, key=lambda l: (l.successor_id, l.relation)))
+            aid: tuple(sorted(ls, key=attrgetter("successor_id", "relation")))
             for aid, ls in succs.items()
         }
-        self.dependency_cells = {
+        self._holders: dict[str, dict[str, set[str]]] = {}
+
+    @cached_property
+    def row_text(self) -> dict[str, str]:
+        return {
+            aid: f"{aid} | {a.name} | {a.current_start.isoformat()}"
+            f" | {a.current_finish.isoformat()}"
+            for aid, a in self.by_id.items()
+        }
+
+    @cached_property
+    def wbs_lines(self) -> _WbsLines:
+        return _WbsLines(
+            (aid, context_line(text, aid, "wbs")) for aid, text in self.row_text.items()
+        )
+
+    @cached_property
+    def dependency_cells(self) -> dict[str, tuple[str, str]]:
+        return {
             aid: (
                 ";".join(
                     format_dependency(l, endpoint=l.predecessor_id)
@@ -206,12 +218,14 @@ class ScheduleIndex:
             )
             for aid in self.preds.keys() | self.succs.keys()
         }
+
+    @cached_property
+    def wbs_buckets(self) -> dict[tuple[int, tuple[str, ...]], frozenset[str]]:
         buckets: dict[tuple[int, tuple[str, ...]], set[str]] = {}
-        for act in schedule.activities:
+        for act in self._schedule.activities:
             for k in range(len(act.wbs) + 1):
                 buckets.setdefault((k, act.wbs[:k]), set()).add(act.activity_id)
-        self.wbs_buckets = {key: frozenset(ids) for key, ids in buckets.items()}
-        self._holders: dict[str, dict[str, set[str]]] = {}
+        return {key: frozenset(ids) for key, ids in buckets.items()}
 
     def value_holders(self, column: str) -> dict[str, set[str]]:
         """Each serialized value of ``column`` mapped to the ids holding it

@@ -5,6 +5,8 @@ import os
 import struct
 from pathlib import Path
 
+import pytest
+
 from schedkit.cli import (
     EXIT_DATA,
     EXIT_GATEWAY,
@@ -178,6 +180,45 @@ def test_run_eval_gateway_failure_exit_code(tmp_path, capsys):
     assert code == EXIT_GATEWAY
     report = json.loads((tmp_path / "e" / "report.json").read_text("utf-8"))
     assert report["complete"] is False
+
+
+def test_run_eval_gateway_failure_keeps_instances_and_partial_report(tmp_path, capsys):
+    from schedkit.gateway import register_mock
+    from schedkit.masked_eval import GatewayEvalError, make_mask_tasks, run_eval
+    from schedkit.schedule import parse_schedule
+
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    (tmp_path / "empty.jsonl").write_text("", "utf-8")
+    argv = [
+        "--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched),
+        "--gateway", f"mock:transcript={tmp_path / 'empty.jsonl'}",
+    ]
+    assert run(argv) == EXIT_GATEWAY
+    assert "9 instance(s) failed at the gateway" in capsys.readouterr().err
+    lines = (tmp_path / "e" / "instances.jsonl").read_text("utf-8").splitlines()
+    assert len(lines) == 9
+    assert all(json.loads(line)["error"] for line in lines)
+
+    parsed = parse_schedule(CHAIN_CSV)
+    tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(parsed, kind)]
+    with pytest.raises(GatewayEvalError) as err:
+        run_eval(parsed, tasks, register_mock("ScriptedTranscript", []))
+    expected = err.value.partial_report.to_json()
+    assert (tmp_path / "e" / "report.json").read_text("utf-8") == expected
+
+
+def test_sample_context_rejects_an_invalid_schedule_without_targets(tmp_path, capsys):
+    sched = tmp_path / "bad.csv"
+    # Parses, but fails validation: B's Discipline cell is empty.
+    sched.write_text(
+        CHAIN_CSV.replace("B,Task B,Not Started,P.A,CSA.Struc.Steel,", "B,Task B,Not Started,P.A,,"),
+        "utf-8",
+    )
+    argv = ["--out", str(tmp_path / "c"), "sample-context", "--schedule", str(sched), "--targets", ","]
+    assert run(argv) == EXIT_DATA
+    assert "discipline is empty" in capsys.readouterr().err
+    assert not (tmp_path / "c" / "bundles.jsonl").exists()
 
 
 def test_full_pipeline_deterministic_trees(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedkit import rng as prng
 from schedkit.graph import (
@@ -17,7 +19,7 @@ from schedkit.graph import (
     render_histogram,
     topological_order,
 )
-from schedkit.schedule import DependencyLink, Schedule
+from schedkit.schedule import RELATIONS, DependencyLink, Schedule
 
 from conftest import make_activity
 
@@ -102,6 +104,64 @@ def test_mirror_invariant_on_random_graphs():
         for v, edges in g.in_edges.items():
             for u, rel, lag in edges:
                 assert (v, rel, lag) in g.out_edges[u]
+
+
+def ref_edges(schedule: Schedule):
+    """Out- and in-edges by scanning the links, each list sorted."""
+    out_edges = {a.activity_id: [] for a in schedule.activities}
+    in_edges = {a.activity_id: [] for a in schedule.activities}
+    for link in schedule.links:
+        out_edges[link.predecessor_id].append(
+            (link.successor_id, link.relation, link.lag_days)
+        )
+        in_edges[link.successor_id].append(
+            (link.predecessor_id, link.relation, link.lag_days)
+        )
+    return (
+        {k: tuple(sorted(v)) for k, v in out_edges.items()},
+        {k: tuple(sorted(v)) for k, v in in_edges.items()},
+    )
+
+
+@st.composite
+def valid_schedules(draw) -> Schedule:
+    """Schedules that pass validation, with links in any order, several
+    relations per pair and links in both directions between a pair."""
+    ids = draw(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=6, unique=True))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(
+        lambda p: p[0] != p[1]
+    )
+    links = draw(
+        st.lists(
+            st.builds(
+                lambda pair, rel, lag: DependencyLink(pair[0], pair[1], rel, lag),
+                pairs,
+                st.sampled_from(RELATIONS),
+                st.integers(-3, 3),
+            ),
+            max_size=20,
+            unique_by=lambda l: (l.predecessor_id, l.successor_id, l.relation),
+        )
+        if len(ids) > 1
+        else st.just([])
+    )
+    return Schedule(tuple(make_activity(i) for i in ids), tuple(links))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_schedules())
+def test_build_graph_edges_match_link_scan(sched):
+    g = build_graph(sched)
+    out_edges, in_edges = ref_edges(sched)
+    assert g.nodes == frozenset(out_edges)
+    assert g.out_edges == out_edges
+    assert g.in_edges == in_edges
+
+
+def test_build_graph_leaves_the_rendering_tables_unbuilt(chain):
+    graph_stats(build_graph(chain))
+    lazy = ("row_text", "wbs_lines", "dependency_cells", "wbs_buckets")
+    assert not set(lazy) & set(vars(chain.index))
 
 
 def test_unknown_node():

@@ -367,6 +367,7 @@ def test_gateway_failures_flag_partial_report():
     with pytest.raises(GatewayEvalError) as err:
         run_eval(sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", table))
     assert err.value.partial_report.complete is False
+    assert err.value.failures == 1
     # The surviving rows still scored.
     assert err.value.partial_report.per_task["AP"].cells_total == 12
 
@@ -380,12 +381,35 @@ def test_failed_instance_outside_schedule_flags_incomplete():
     assert report.per_task["AP"].cells_total == 1
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_build_report_ignores_instance_order(rand):
+    sched = rich_schedule(12)
+    table = truth_table(sched)
+    del table["A03"]
+    for rid in ("A01", "A07"):
+        table[rid] = dict(table[rid], Level="__WRONG__")
+    instances = []
+    evaluate_tasks(sched, all_tasks(sched), register_mock("EchoOracle", table), sink=instances.append)
+    stray = MaskSpec("GONE", "AP", ("Current Start",), {"Current Start": "2024-01-01"})
+    instances.append(EvalInstance(stray, "", "", None, False, (False,), error="GatewayError: down"))
+    shuffled = list(instances)
+    rand.shuffle(shuffled)
+    expected = build_report(sched, instances)
+    got = build_report(sched, shuffled)
+    assert got == expected
+    assert got.to_json() == expected.to_json()
+    assert got.render_table() == expected.render_table()
+
+
 def test_score_report_json_round_trip():
     sched = rich_schedule(6)
     table = truth_table(sched)
     del table["A03"]
-    instances = evaluate_tasks(
-        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", table)
+    instances = []
+    evaluate_tasks(
+        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", table),
+        sink=instances.append,
     )
     report = build_report(sched, instances)
     assert not report.complete
@@ -413,7 +437,8 @@ def test_wrong_completion_pairs_against_truth():
     table = truth_table(sched)
     table["A01"] = dict(table["A01"])
     table["A01"]["Current Start"] = "1999-01-01"
-    instances = evaluate_tasks(sched, tasks, register_mock("EchoOracle", table))
+    instances = []
+    evaluate_tasks(sched, tasks, register_mock("EchoOracle", table), sink=instances.append)
     records = collect_preferences(sched, instances)
     assert len(records) == 1
     rec = records[0]
@@ -426,16 +451,20 @@ def test_wrong_completion_pairs_against_truth():
 
 def test_correct_instances_emit_nothing_without_synthesis():
     sched = rich_schedule(5)
-    instances = evaluate_tasks(
-        sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", truth_table(sched))
+    instances = []
+    evaluate_tasks(
+        sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", truth_table(sched)),
+        sink=instances.append,
     )
     assert collect_preferences(sched, instances) == []
 
 
 def test_synthetic_negatives_flagged():
     sched = rich_schedule(5)
-    instances = evaluate_tasks(
-        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", truth_table(sched))
+    instances = []
+    evaluate_tasks(
+        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", truth_table(sched)),
+        sink=instances.append,
     )
     records = collect_preferences(sched, instances, synthesize_negatives=True)
     assert len(records) == 5
@@ -451,7 +480,11 @@ def test_forty_wrong_of_hundred_yields_forty_records():
     for rid in wrong_rows:
         table[rid] = dict(table[rid])
         table[rid]["Current Finish"] = "1999-12-31"
-    instances = evaluate_tasks(sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", table))
+    instances = []
+    evaluate_tasks(
+        sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", table),
+        sink=instances.append,
+    )
     records = collect_preferences(sched, instances)
     assert len(records) == 40
     assert {r.row_id for r in records} == wrong_rows
@@ -464,8 +497,10 @@ def test_every_chosen_reparses_correct():
     from schedkit.masked_eval import parse_values as pv, score_completion
 
     sched = rich_schedule(20)
-    instances = evaluate_tasks(
-        sched, make_mask_tasks(sched, "MVP"), register_mock("ConstantWrong")
+    instances = []
+    evaluate_tasks(
+        sched, make_mask_tasks(sched, "MVP"), register_mock("ConstantWrong"),
+        sink=instances.append,
     )
     for rec in collect_preferences(sched, instances):
         mask = next(
@@ -536,8 +571,10 @@ def test_preference_store_large_round_trip_hash(tmp_path):
 
 def test_instances_round_trip(tmp_path):
     sched = rich_schedule(4)
-    instances = evaluate_tasks(
-        sched, make_mask_tasks(sched, "DA"), register_mock("ConstantWrong")
+    instances = []
+    evaluate_tasks(
+        sched, make_mask_tasks(sched, "DA"), register_mock("ConstantWrong"),
+        sink=instances.append,
     )
     save_instances(tmp_path / "inst.jsonl", instances)
     assert load_instances(tmp_path / "inst.jsonl") == instances
@@ -575,32 +612,34 @@ def test_streamed_instance_line_is_exact(inst, pre_encoded):
     assert buf.getvalue() == expected + "\n"
 
 
-def test_sink_streams_the_lines_save_instances_writes(tmp_path):
+def test_sink_streams_the_lines_save_instances_writes():
     sched = rich_schedule(12)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
     table = truth_table(sched)
     del table["A03"]  # one row fails at the gateway
     contexts = {a.activity_id: f"ctx {a.activity_id}\nline 2" for a in sched.activities}
     kwargs = dict(static_knowledge="k", rules="r", context_provider=contexts.__getitem__)
-    instances = evaluate_tasks(sched, tasks, register_mock("EchoOracle", table), **kwargs)
-    save_instances(tmp_path / "list.jsonl", instances)
 
     streamed = io.StringIO()
-    seen = []
+    instances = []
 
     def sink(inst):
         assert inst.prompt_user_json == encode_basestring_ascii(inst.prompt_user)
-        seen.append(inst.mask)
+        instances.append(inst)
         save_instances(streamed, (inst,))
 
     outcomes = evaluate_tasks(
         sched, tasks, register_mock("EchoOracle", table), sink=sink, **kwargs
     )
-    assert streamed.getvalue() == (tmp_path / "list.jsonl").read_text("utf-8")
-    assert seen == tasks
+    assert streamed.getvalue() == "".join(
+        json.dumps(i.to_dict(), sort_keys=True) + "\n" for i in instances
+    )
+    assert [i.mask for i in instances] == tasks
     assert outcomes == [EvalOutcome(i.mask, i.cells_correct, i.error) for i in instances]
     assert sum(o.error is not None for o in outcomes) == 3
     assert build_report(sched, outcomes).to_json() == build_report(sched, instances).to_json()
+    # Without a sink the same outcomes come back.
+    assert evaluate_tasks(sched, tasks, register_mock("EchoOracle", table), **kwargs) == outcomes
 
 
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
