@@ -26,11 +26,11 @@ from .gateway import (
     HttpGateway,
     TranscriptLog,
     load_transcript,
+    read_utf8,
     register_mock,
 )
 from .schedule import (
     ScheduleError,
-    canonical_row,
     parse_schedule,
     serialize_records,
     serialize_schedule,
@@ -175,7 +175,7 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
     if kind == "echo":
         if schedule is None:
             raise UsageError("mock:echo needs a schedule to answer from")
-        data = {a.activity_id: canonical_row(schedule, a) for a in schedule.activities}
+        data = schedule.index.rows
     elif kind.startswith("transcript="):
         data = load_transcript(kind.split("=", 1)[1])
     elif mode != "http" and kind not in _MOCK_KINDS:
@@ -196,8 +196,7 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
 
 
 def _read_schedule(path: str):
-    text = Path(path).read_text("utf-8")
-    return parse_schedule(text, source_label=path)
+    return parse_schedule(read_utf8(path, ScheduleError), source_label=path)
 
 
 def _out_dir(args) -> Path:
@@ -394,7 +393,7 @@ def cmd_run_eval(args, cfg) -> int:
                 if static:
                     contexts[row_id] = static + "\n" + text
 
-        rules_text = Path(args.rules).read_text("utf-8") if args.rules else ""
+        rules_text = read_utf8(args.rules, prompt_forge.PromptError) if args.rules else ""
         with _streamed(out / "instances.jsonl") as fh:
             # Caught inside the block, so the instances of a partial run
             # are kept.
@@ -540,7 +539,12 @@ def cmd_polish(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     out = _out_dir(args)
-    report = masked_eval.ScoreReport.from_json(Path(args.report).read_text("utf-8"))
+    try:
+        report = masked_eval.ScoreReport.from_json(Path(args.report).read_text("utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise masked_eval.CorruptRecordError(
+            f"{args.report}: {type(exc).__name__}: {exc}"
+        ) from None
     table = report.render_table()
     (out / "report.txt").write_text(table, "utf-8")
     write_manifest(out, "report", cfg, {"report": args.report})

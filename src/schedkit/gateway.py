@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 import time
@@ -29,6 +30,7 @@ _ROW_ID_RE = re.compile(rf"^{ROW_ID_LABEL}:\s*(.+)$", re.MULTILINE)
 _MISSING_RE = re.compile(rf"^{MISSING_COLUMNS_LABEL}:\s*(.+)$", re.MULTILINE)
 
 _BACKOFF_BASE_SECONDS = 0.5
+API_KEY_ENV = "OPENAI_API_KEY"
 
 STOPWORDS = frozenset(
     "a an and are as at be by for from has have in is it its of on or that the "
@@ -75,7 +77,6 @@ class GatewayConfig:
     max_parallel: int = 1
     timeout_seconds: float = 60.0
     retry_limit: int = 3
-    api_key_env: str = "OPENAI_API_KEY"
 
     def __post_init__(self):
         if not 0 <= self.retry_limit <= 5:
@@ -128,6 +129,36 @@ def json_object(encoded: dict[str, str], keys=None) -> str:
         parts += (", " if parts else "{", encode_json(k), ": ", encoded[k])
     parts.append("}" if parts else "{}")
     return "".join(parts)
+
+
+def read_utf8(path: Path, error) -> str:
+    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming
+    the file."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def read_jsonl(path: Path, make, error) -> list:
+    """``make`` of each JSON object in the JSON-lines file ``path``, read
+    line by line; blank lines are skipped. A line that is not UTF-8, JSON or
+    an object, or that ``make`` rejects with ``ValueError``, ``KeyError`` or
+    ``TypeError``, raises ``error("<path>:<line>: <Type>: <detail>")``."""
+    items = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+                items.append(make(record))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise error(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
+    return items
 
 
 def _content_hash(encoded: dict[str, str]) -> str:
@@ -186,22 +217,16 @@ class TranscriptLog:
         self.close()
 
 
+def _checked_record(record: dict) -> dict:
+    digest = _content_hash({k: encode_json(record[k]) for k in _HASHED_FIELDS})
+    if digest != record.get("content_hash"):
+        raise ValueError("transcript content hash mismatch")
+    return record
+
+
 def load_transcript(path: Path) -> list[dict]:
-    records = []
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            digest = _content_hash({k: encode_json(record[k]) for k in _HASHED_FIELDS})
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise GatewayError(
-                f"{path}:{line_no}: malformed transcript line: {exc}"
-            ) from None
-        if digest != record.get("content_hash"):
-            raise GatewayError(f"{path}:{line_no}: transcript content hash mismatch")
-        records.append(record)
-    return records
+    """The saved records, each checked against its content hash."""
+    return read_jsonl(path, _checked_record, GatewayError)
 
 
 class Gateway:
@@ -298,7 +323,7 @@ class EchoOracleGateway(Gateway):
     """
 
     def __init__(self, answer_table: dict[str, dict[str, str]], **kw):
-        if not answer_table:
+        if answer_table is None:
             raise MissingMockDataError("EchoOracle needs an answer table")
         super().__init__(**kw)
         self.answer_table = answer_table
@@ -324,16 +349,17 @@ class ScriptedTranscriptGateway(Gateway):
     """Replays a saved transcript; responses match prompts by content.
 
     Each saved record is consumed once. A call whose prompt has no
-    remaining record raises TranscriptExhaustedError.
+    remaining record raises TranscriptExhaustedError. Only each record's
+    ``(response_text, error)`` is kept, under its prompt's hash.
     """
 
     def __init__(self, records: list[dict], **kw):
         super().__init__(**kw)
-        self._pending: dict[str, deque[dict]] = {}
+        self._pending: dict[str, deque[tuple[str | None, str | None]]] = {}
         self._pending_lock = threading.Lock()
         for rec in records:
             key = exchange_hash(rec["system_text"], rec["user_text"])
-            self._pending.setdefault(key, deque()).append(rec)
+            self._pending.setdefault(key, deque()).append((rec["response_text"], rec["error"]))
 
     def _respond(self, system_text: str, user_text: str) -> str:
         key = exchange_hash(system_text, user_text)
@@ -341,10 +367,10 @@ class ScriptedTranscriptGateway(Gateway):
             queue = self._pending.get(key)
             if not queue:
                 raise TranscriptExhaustedError("no scripted response left for this prompt")
-            rec = queue.popleft()
-        if rec["response_text"] is None:
-            raise GatewayError(rec["error"] or "scripted error")
-        return rec["response_text"]
+            response, error = queue.popleft()
+        if response is None:
+            raise GatewayError(error or "scripted error")
+        return response
 
 
 def _polish_payload(user_text: str) -> str:
@@ -387,11 +413,6 @@ class HttpGateway(Gateway):
             raise GatewayError("endpoint_url not configured")
         super().__init__(cfg, transcript)
 
-    def _api_key(self) -> str | None:
-        import os
-
-        return os.environ.get(self.cfg.api_key_env)
-
     def _respond(self, system_text: str, user_text: str) -> str:
         import requests
 
@@ -405,7 +426,7 @@ class HttpGateway(Gateway):
             "seed": self.cfg.request_seed,
         }
         headers = {"Content-Type": "application/json"}
-        key = self._api_key()
+        key = os.environ.get(API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gateway import read_jsonl, read_utf8
 from .rng import _FNV_PRIME, fnv1a64
 
 DEFAULT_DIM = 256
@@ -296,21 +297,7 @@ def _read_store(
     """The manifest items (``make`` applied to each record) and the matrix
     of a saved store. A line that is not a JSON object with the fields
     ``make`` reads raises ``KnowledgeError`` naming ``path:line``."""
-    try:
-        lines = Path(manifest_path).read_text("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise KnowledgeError(f"{manifest_path}: manifest is not UTF-8: {exc}") from None
-    items = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            items.append(make(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise KnowledgeError(
-                f"{manifest_path}:{line_no}: malformed manifest line: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
+    items = read_jsonl(manifest_path, make, KnowledgeError)
     matrix = _read_matrix(Path(matrix_path))
     if len(items) != len(matrix):
         raise KnowledgeError(
@@ -382,7 +369,7 @@ def build_stores_from_paths(
     """
     local = LocalTermStore(embedder)
     if terms_file is not None:
-        for line in Path(terms_file).read_text("utf-8").splitlines():
+        for line in read_utf8(terms_file, KnowledgeError).splitlines():
             if not line.strip():
                 continue
             term, _, definition = line.partition("\t")
@@ -392,5 +379,5 @@ def build_stores_from_paths(
     glob = GlobalChunkStore(embedder)
     if corpus_dir is not None:
         for path in sorted(Path(corpus_dir).glob("*.txt")):
-            glob.add_document(path.stem, path.read_text("utf-8"), chunk_tokens)
+            glob.add_document(path.stem, read_utf8(path, KnowledgeError), chunk_tokens)
     return local, glob

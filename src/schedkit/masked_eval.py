@@ -13,7 +13,7 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
@@ -25,6 +25,7 @@ from .gateway import (
     MISSING_COLUMNS_LABEL,
     encode_json,
     json_object,
+    read_jsonl,
     wire_values,
 )
 from .knowledge import count_tokens
@@ -59,9 +60,7 @@ class TooFewColumnsError(EvalError):
 
 
 class CorruptRecordError(EvalError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+    pass
 
 
 class GatewayEvalError(EvalError):
@@ -158,12 +157,11 @@ class TaskScore:
     rows_total: int = 0
     rows_correct: int = 0
 
-    def add(self, correct_flags, row_counts=True) -> None:
+    def add(self, correct_flags) -> None:
         self.cells_total += len(correct_flags)
         self.cells_correct += sum(bool(f) for f in correct_flags)
-        if row_counts:
-            self.rows_total += 1
-            self.rows_correct += int(bool(correct_flags) and all(correct_flags))
+        self.rows_total += 1
+        self.rows_correct += int(bool(correct_flags) and all(correct_flags))
 
     def accuracy(self, denominator: str = "cells") -> float:
         total = self.cells_total if denominator == "cells" else self.rows_total
@@ -265,9 +263,10 @@ def _maskable(row: dict[str, str]) -> list[str]:
 
 def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskSpec]:
     """One MaskSpec per activity; MVP column picks are seeded per row."""
+    rows = schedule.index.rows
     tasks = []
     for act in schedule.activities:
-        row = canonical_row(schedule, act)
+        row = rows[act.activity_id]
         if kind == MVP:
             pool = _maskable(row)
             if len(pool) < 3:
@@ -295,9 +294,8 @@ def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskS
 
 def render_masked_row(schedule: Schedule, mask: MaskSpec) -> str:
     """Row text with masked cells blanked and the masked list made explicit."""
-    row = canonical_row(schedule, schedule.index.by_id[mask.row_id])
     lines = []
-    for col, value in row.items():
+    for col, value in schedule.index.rows[mask.row_id].items():
         shown = MASK_SENTINEL if col in mask.masked_columns else value
         lines.append(f"{col}: {shown}")
     lines.append(f"{MISSING_COLUMNS_LABEL}: {', '.join(mask.masked_columns)}")
@@ -509,15 +507,19 @@ class PreferenceRecord:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "prompt_text": self.prompt_text,
-            "chosen_text": self.chosen_text,
-            "rejected_text": self.rejected_text,
-            "task_kind": self.task_kind,
-            "row_id": self.row_id,
-            "context_length_tokens": self.context_length_tokens,
-            "meta": self.meta,
-        }
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, rec: dict) -> "PreferenceRecord":
+        return cls(
+            prompt_text=rec["prompt_text"],
+            chosen_text=rec["chosen_text"],
+            rejected_text=rec["rejected_text"],
+            task_kind=rec["task_kind"],
+            row_id=rec["row_id"],
+            context_length_tokens=rec["context_length_tokens"],
+            meta=rec.get("meta", {}),
+        )
 
 
 def _truth_wire(mask: MaskSpec) -> str:
@@ -629,26 +631,7 @@ def preference_store_append(path: Path, record: PreferenceRecord) -> None:
 
 
 def preference_store_load(path: Path) -> list[PreferenceRecord]:
-    records = []
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            records.append(
-                PreferenceRecord(
-                    prompt_text=rec["prompt_text"],
-                    chosen_text=rec["chosen_text"],
-                    rejected_text=rec["rejected_text"],
-                    task_kind=rec["task_kind"],
-                    row_id=rec["row_id"],
-                    context_length_tokens=rec["context_length_tokens"],
-                    meta=rec.get("meta", {}),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CorruptRecordError(line_no, str(exc)) from None
-    return records
+    return read_jsonl(path, PreferenceRecord.from_dict, CorruptRecordError)
 
 
 def instance_line(inst: EvalInstance) -> str:
@@ -681,12 +664,4 @@ def save_instances(dest: Path | TextIO, instances: Iterable[EvalInstance]) -> No
 
 
 def load_instances(path: Path) -> list[EvalInstance]:
-    instances = []
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            instances.append(EvalInstance.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CorruptRecordError(line_no, str(exc)) from None
-    return instances
+    return read_jsonl(path, EvalInstance.from_dict, CorruptRecordError)

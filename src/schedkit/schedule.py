@@ -167,8 +167,9 @@ class ScheduleIndex:
     starts with them, for every k up to each path's length. ``row_text``
     holds each activity's ``id | name | start | finish`` context text, and
     ``wbs_lines`` its rendered HIERARCHICAL line (an unknown id renders as
-    ``id | ? | ? | ? | wbs``). ``by_id``, ``preds`` and ``succs`` are built
-    with the index; the other tables on first use.
+    ``id | ? | ? | ? | wbs``); ``rows`` its ``canonical_row``, the last
+    activity with an id winning as in ``by_id``. ``by_id``, ``preds`` and
+    ``succs`` are built with the index; the other tables on first use.
     """
 
     def __init__(self, schedule: Schedule):
@@ -188,6 +189,10 @@ class ScheduleIndex:
             for aid, ls in succs.items()
         }
         self._holders: dict[str, dict[str, set[str]]] = {}
+
+    @cached_property
+    def rows(self) -> dict[str, dict[str, str]]:
+        return {aid: canonical_row(self._schedule, a) for aid, a in self.by_id.items()}
 
     @cached_property
     def row_text(self) -> dict[str, str]:

@@ -467,7 +467,7 @@ def test_truncated_instances_is_a_data_error(tmp_path, capsys):
     ):
         assert run(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: line 2:")
+        assert err.startswith(f"data error: {instances}:2: JSONDecodeError:")
 
 
 def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
@@ -528,9 +528,7 @@ def test_run_eval_corrupt_manifest_is_a_data_error(tmp_path, capsys):
             path.write_bytes(bad)
             assert _eval_with_kb(tmp_path, sched, kb) == EXIT_DATA
             err = capsys.readouterr().err
-            assert err.startswith("data error:") and name in err
-            if bad != b"\xff\xfe\n":
-                assert f"{name}:1:" in err
+            assert err.startswith("data error:") and f"{name}:1:" in err
         path.write_bytes(good)
     assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
 
@@ -594,3 +592,84 @@ def test_run_eval_memory_stays_below_its_transcript(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < (tmp_path / "e" / "transcript.jsonl").stat().st_size
+
+
+def test_run_eval_builds_each_canonical_row_once(tmp_path, monkeypatch, capsys):
+    import sys
+
+    from schedkit import schedule
+
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    calls = []
+    original = schedule.canonical_row
+
+    def counting(*args):
+        calls.append(args[1].activity_id)
+        return original(*args)
+
+    # Wherever a schedkit module binds it, as the benchmark's tracer does.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "schedkit" and getattr(module, "canonical_row", None) is original:
+            monkeypatch.setattr(module, "canonical_row", counting)
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(argv) == EXIT_OK
+    assert sorted(calls) == ["A", "B", "C"]
+
+
+def test_header_only_schedule_gives_an_empty_report_in_every_mock(tmp_path, capsys):
+    sched = tmp_path / "empty.csv"
+    sched.write_text(CHAIN_CSV.splitlines(keepends=True)[0], "utf-8")
+    trees = {}
+    for mode in ("mock:echo", "mock:wrong"):
+        out = tmp_path / mode.split(":")[1]
+        argv = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway", mode]
+        assert run(argv) == EXIT_OK
+        trees[mode] = {k: v for k, v in tree_bytes(out).items() if k != "manifest.json"}
+    assert trees["mock:echo"] == trees["mock:wrong"]
+    assert json.loads(trees["mock:echo"]["report.json"])["per_task"] == {}
+
+
+def test_non_utf8_inputs_are_data_errors_naming_the_file(tmp_path, capsys):
+    good = tmp_path / "chain.csv"
+    good.write_text(CHAIN_CSV, "utf-8")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(CHAIN_CSV.encode().replace(b"Task B", b"Task \xff"))
+    bad_rules = tmp_path / "rules.txt"
+    bad_rules.write_bytes(b"rule one\n\xfe rule two\n")
+    bad_terms = tmp_path / "terms.tsv"
+    bad_terms.write_bytes(b"WBS\tscope \xff decomposition\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("steel erection", "utf-8")
+    (corpus / "b.txt").write_bytes(b"concrete \xc3 pour")
+    cases = [
+        (bad_csv, ["ingest", "--schedule", str(bad_csv)]),
+        (bad_csv, ["run-eval", "--schedule", str(bad_csv), "--gateway", "mock:echo"]),
+        (bad_rules, ["run-eval", "--schedule", str(good), "--gateway", "mock:echo", "--rules", str(bad_rules)]),
+        (bad_terms, ["build-kb", "--terms-file", str(bad_terms)]),
+        (corpus / "b.txt", ["build-kb", "--corpus-dir", str(corpus)]),
+    ]
+    for path, argv in cases:
+        assert run(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: UnicodeDecodeError: "), err
+
+
+def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(argv) == EXIT_OK
+    whole = (tmp_path / "e" / "report.json").read_bytes()
+    path = tmp_path / "report.json"
+    for bad, type_name in (
+        (whole[: len(whole) // 2], "JSONDecodeError"),
+        (b"{}", "KeyError"),
+        (b"[]", "TypeError"),
+        (b"\xff" + whole, "UnicodeDecodeError"),
+    ):
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert run(["--out", str(tmp_path / "r"), "report", "--report", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {type_name}: ")

@@ -64,7 +64,12 @@ def test_constant_wrong_matches_arity():
 
 def test_echo_oracle_requires_table():
     with pytest.raises(MissingMockDataError):
-        register_mock("EchoOracle", {})
+        register_mock("EchoOracle", None)
+    # An empty table (a schedule with no activities) is a table; it answers
+    # no row.
+    g = register_mock("EchoOracle", {})
+    with pytest.raises(MissingMockDataError):
+        g.complete("sys", ROW_PROMPT)
 
 
 def test_transcript_records_every_call(tmp_path):
@@ -106,6 +111,13 @@ def test_scripted_transcript_unknown_prompt():
     )
     with pytest.raises(TranscriptExhaustedError):
         g.complete("s", "different prompt")
+
+
+def test_scripted_transcript_keeps_no_record():
+    records = [{"system_text": "s", "user_text": "u", "response_text": "r", "error": None}]
+    replay = ScriptedTranscriptGateway(records)
+    records[0].clear()
+    assert replay.complete("s", "u").response_text == "r"
 
 
 def test_transcript_hash_tamper_detected(tmp_path):

@@ -540,7 +540,7 @@ def test_preference_store_corrupt_line(tmp_path):
     path.write_text(path.read_text("utf-8") + "{broken\n", "utf-8")
     with pytest.raises(CorruptRecordError) as err:
         preference_store_load(path)
-    assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}:2: JSONDecodeError:")
 
 
 def test_preference_store_large_round_trip_hash(tmp_path):

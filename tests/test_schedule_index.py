@@ -228,6 +228,9 @@ def test_canonical_row_matches_link_scan(sched):
     day = date(2024, 1, 1)
     stranger = Activity("Q", "Q", "Completed", ("P",), "", "", "", None, day, day)
     assert canonical_row(sched, stranger) == ref_canonical_row(sched, stranger)
+    # ``rows`` holds each id's row; the last activity with an id wins.
+    last = {a.activity_id: a for a in sched.activities}
+    assert sched.index.rows == {aid: ref_canonical_row(sched, a) for aid, a in last.items()}
 
 
 @settings(max_examples=100, deadline=None)
