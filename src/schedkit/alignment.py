@@ -356,7 +356,6 @@ def polish_context(
 ) -> str:
     """Send raw prompt sections through the polishing prompt; track lengths."""
     prompt = build_task_prompt(POLISH, raw_text)
-    exchange = gateway.complete(prompt.system_text, prompt.user_text)
-    polished = exchange.response_text or ""
+    polished = gateway.complete(prompt.system_text, prompt.user_text)
     stats.add(task_kind, count_tokens(raw_text), count_tokens(polished))
     return polished

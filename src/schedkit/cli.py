@@ -21,13 +21,13 @@ from pathlib import Path
 from . import __version__
 from . import alignment, context, graph, knowledge, masked_eval, prompt_forge, synthetic
 from .gateway import (
+    MOCKS,
     GatewayConfig,
     GatewayError,
     HttpGateway,
     TranscriptLog,
     load_transcript,
     read_utf8,
-    register_mock,
 )
 from .schedule import (
     ScheduleError,
@@ -83,13 +83,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Config(configparser.ConfigParser):
+    """A config whose ``getint`` and ``getfloat`` raise ``UsageError``
+    naming ``[section] key`` for a value that is not a number."""
+
+    def _get_conv(self, section, option, conv, **kwargs):
+        try:
+            return super()._get_conv(section, option, conv, **kwargs)
+        except ValueError as exc:
+            raise UsageError(f"[{section}] {option}: {exc}") from None
+
+
 def load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = _Config()
     cfg.read_dict(DEFAULT_CONFIG)
     if path:
         if not Path(path).is_file():
             raise UsageError(f"config file not found: {path}")
-        cfg.read(path)
+        try:
+            cfg.read_string(read_utf8(path, UsageError), source=path)
+        except configparser.Error as exc:
+            raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -134,62 +148,57 @@ def _streamed(path: Path):
 
 
 def _sampler_config(cfg) -> context.SamplerConfig:
-    return context.SamplerConfig(
-        max_sequential_hops=cfg.getint("sampler", "max_sequential_hops"),
-        max_wbs_levels=cfg.getint("sampler", "max_wbs_levels"),
-        paths_per_direction=cfg.getint("sampler", "paths_per_direction"),
-        rng_seed=cfg.getint("sampler", "rng_seed"),
-    )
+    try:
+        return context.SamplerConfig(
+            max_sequential_hops=cfg.getint("sampler", "max_sequential_hops"),
+            max_wbs_levels=cfg.getint("sampler", "max_wbs_levels"),
+            paths_per_direction=cfg.getint("sampler", "paths_per_direction"),
+            rng_seed=cfg.getint("sampler", "rng_seed"),
+        )
+    except ValueError as exc:
+        raise UsageError(f"[sampler] {exc}") from None
 
 
 def _gateway_config(cfg) -> GatewayConfig:
-    return GatewayConfig(
-        endpoint_url=cfg.get("gateway", "endpoint_url"),
-        model_name=cfg.get("gateway", "model_name"),
-        temperature=cfg.getfloat("gateway", "temperature"),
-        request_seed=cfg.getint("gateway", "request_seed"),
-        max_parallel=cfg.getint("gateway", "max_parallel"),
-        timeout_seconds=cfg.getfloat("gateway", "timeout_seconds"),
-        retry_limit=cfg.getint("gateway", "retry_limit"),
-    )
-
-
-_MOCK_KINDS = {
-    "echo": "EchoOracle",
-    "wrong": "ConstantWrong",
-    "stopword": "StopwordStripper",
-    "identity": "Identity",
-}
+    try:
+        return GatewayConfig(
+            endpoint_url=cfg.get("gateway", "endpoint_url"),
+            model_name=cfg.get("gateway", "model_name"),
+            temperature=cfg.getfloat("gateway", "temperature"),
+            request_seed=cfg.getint("gateway", "request_seed"),
+            max_parallel=cfg.getint("gateway", "max_parallel"),
+            timeout_seconds=cfg.getfloat("gateway", "timeout_seconds"),
+            retry_limit=cfg.getint("gateway", "retry_limit"),
+        )
+    except ValueError as exc:
+        raise UsageError(f"[gateway] {exc}") from None
 
 
 def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
-    """Gateway per config mode; mock:echo derives its table from the schedule.
+    """Gateway per config mode: ``http`` or ``mock:<key of gateway.MOCKS>``;
+    mock:echo derives its table from the schedule.
 
     The transcript log starts ``<out_dir>/transcript.jsonl`` empty, so it is
     opened only after the mode is checked and a replay source is read (the
     source may be that very file). The caller closes ``gateway.transcript``.
     """
     gw_cfg = _gateway_config(cfg)
-    kind = mode.split(":", 1)[1] if mode.startswith("mock:") else ""
-    data = None
+    kind, eq, path = mode.removeprefix("mock:").partition("=")
+    if mode != "http" and not (
+        mode.startswith("mock:") and kind in MOCKS and bool(eq) == (kind == "transcript")
+    ):
+        raise UsageError(f"unknown gateway mode {mode!r}")
+    data = ()
     if kind == "echo":
         if schedule is None:
             raise UsageError("mock:echo needs a schedule to answer from")
-        data = schedule.index.rows
-    elif kind.startswith("transcript="):
-        data = load_transcript(kind.split("=", 1)[1])
-    elif mode != "http" and kind not in _MOCK_KINDS:
-        raise UsageError(f"unknown gateway mode {mode!r}")
+        data = (schedule.index.rows,)
+    elif kind == "transcript":
+        data = (load_transcript(path),)
     transcript = TranscriptLog(out_dir / "transcript.jsonl")
     try:
-        if mode == "http":
-            return HttpGateway(gw_cfg, transcript)
-        return register_mock(
-            _MOCK_KINDS.get(kind, "ScriptedTranscript"),
-            data,
-            cfg=gw_cfg,
-            transcript=transcript,
-        )
+        make = HttpGateway if mode == "http" else MOCKS[kind]
+        return make(*data, cfg=gw_cfg, transcript=transcript)
     except BaseException:
         transcript.close()
         raise

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from .prompt_forge import word_count
+
 ROW_ID_LABEL = "Activity ID"
 MISSING_COLUMNS_LABEL = "Missing columns"
 
@@ -85,18 +87,6 @@ class GatewayConfig:
             raise ValueError("max_parallel must be in [1, 64]")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    system_text: str
-    user_text: str
-    response_text: str | None
-    latency_ms: float
-    prompt_tokens: int
-    completion_tokens: int
-    transcript_id: int
-    error: str | None = None
 
 
 def exchange_hash(system_text: str, user_text: str) -> str:
@@ -253,28 +243,33 @@ class Gateway:
         *,
         prompt_tokens: int | None = None,
         user_json: str | None = None,
-    ) -> ChatExchange:
-        """One exchange, recorded in the transcript. A caller that already
-        has the prompt's whitespace token count or ``user_text``'s JSON
-        encoding passes them, so neither is computed again."""
+    ) -> str:
+        """The response text of one exchange, recorded in the transcript;
+        a failed exchange is recorded, then its ``GatewayError`` raised. A
+        caller that already has the prompt's whitespace token count or
+        ``user_text``'s JSON encoding passes them, so neither is computed
+        again."""
         if not user_text or user_text.isspace():
             raise GatewayError("prompt is empty")
         with self._slots:
             started = time.monotonic()
-            error: GatewayError | None = None
-            response: str | None = None
+            response = error = None
             try:
                 response = self._respond(system_text, user_text)
+                if not isinstance(response, str):
+                    raise MalformedResponseError(
+                        f"response is {type(response).__name__}, not text"
+                    )
             except GatewayError as exc:
-                error = exc
+                response, error = None, exc
             latency = (
                 0.0
                 if self.deterministic_latency
                 else (time.monotonic() - started) * 1000.0
             )
         if prompt_tokens is None:
-            prompt_tokens = len(system_text.split()) + len(user_text.split())
-        record = self.transcript.append(
+            prompt_tokens = word_count(system_text) + word_count(user_text)
+        self.transcript.append(
             None if user_json is None else {"user_text": user_json},
             system_text=system_text,
             user_text=user_text,
@@ -282,19 +277,11 @@ class Gateway:
             error=None if error is None else f"{type(error).__name__}: {error}",
             latency_ms=latency,
             prompt_tokens=prompt_tokens,
-            completion_tokens=len(response.split()) if response else 0,
+            completion_tokens=word_count(response) if response else 0,
         )
         if error is not None:
             raise error
-        return ChatExchange(
-            system_text=system_text,
-            user_text=user_text,
-            response_text=response,
-            latency_ms=latency,
-            prompt_tokens=record["prompt_tokens"],
-            completion_tokens=record["completion_tokens"],
-            transcript_id=record["transcript_id"],
-        )
+        return response
 
 
 def _parse_row_id(user_text: str) -> str:
@@ -464,25 +451,11 @@ class HttpGateway(Gateway):
         )
 
 
-def register_mock(
-    kind: str,
-    data=None,
-    *,
-    cfg: GatewayConfig | None = None,
-    transcript: TranscriptLog | None = None,
-) -> Gateway:
-    """Build a mock gateway satisfying the complete() contract."""
-    if kind == "EchoOracle":
-        return EchoOracleGateway(data, cfg=cfg, transcript=transcript)
-    if kind == "ConstantWrong":
-        return ConstantWrongGateway(cfg=cfg, transcript=transcript)
-    if kind == "ScriptedTranscript":
-        if data is None:
-            raise MissingMockDataError("ScriptedTranscript requires records or a path")
-        records = load_transcript(data) if isinstance(data, (str, Path)) else data
-        return ScriptedTranscriptGateway(records, cfg=cfg, transcript=transcript)
-    if kind == "StopwordStripper":
-        return StopwordStripperGateway(cfg=cfg, transcript=transcript)
-    if kind == "Identity":
-        return IdentityGateway(cfg=cfg, transcript=transcript)
-    raise MissingMockDataError(f"unknown mock kind {kind!r}")
+# The ``mock:<mode>`` gateways by mode; ``transcript`` takes ``=PATH``.
+MOCKS = {
+    "echo": EchoOracleGateway,
+    "wrong": ConstantWrongGateway,
+    "transcript": ScriptedTranscriptGateway,
+    "stopword": StopwordStripperGateway,
+    "identity": IdentityGateway,
+}

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .gateway import read_jsonl, read_utf8
+from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
 
 DEFAULT_DIM = 256
@@ -61,7 +62,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def count_tokens(text: str) -> int:
-    return len(tokenize(text))
+    """``len(tokenize(text))``: NFC normalization never joins or splits a
+    whitespace run, so the count skips it."""
+    return word_count(text)
 
 
 _PRIME = np.uint64(_FNV_PRIME)

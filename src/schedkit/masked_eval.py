@@ -218,15 +218,20 @@ class ScoreReport:
                 rec["rows_correct"],
             )
 
+        def items(value) -> Iterable:
+            if not isinstance(value, dict):
+                raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+            return value.items()
+
         payload = json.loads(text)
         return cls(
-            per_task={k: score(v) for k, v in payload["per_task"].items()},
+            per_task={k: score(v) for k, v in items(payload["per_task"])},
             group_breakdowns={
                 dim: {
-                    group: {k: score(v) for k, v in kinds.items()}
-                    for group, kinds in groups.items()
+                    group: {k: score(v) for k, v in items(kinds)}
+                    for group, kinds in items(groups)
                 }
-                for dim, groups in payload["group_breakdowns"].items()
+                for dim, groups in items(payload["group_breakdowns"])
             },
             complete=payload["complete"],
         )
@@ -424,7 +429,7 @@ def evaluate_tasks(
             prompt_user_json=user_json,
         )
         try:
-            exchange = gateway.complete(
+            response = gateway.complete(
                 prompt.system_text,
                 prompt.user_text,
                 prompt_tokens=prompt_tokens(prompt, count),
@@ -433,10 +438,8 @@ def evaluate_tasks(
         except GatewayError as exc:
             inst.error = f"{type(exc).__name__}: {exc}"
             return inst
-        completion = parse_values(
-            exchange.response_text, len(mask.masked_columns), k=k
-        )
-        inst.response_text = exchange.response_text
+        completion = parse_values(response, len(mask.masked_columns), k=k)
+        inst.response_text = response
         inst.parse_ok = completion.parse_ok
         inst.cells_correct = score_completion(mask, completion)
         return inst

@@ -28,7 +28,11 @@ from schedkit.alignment import (
 )
 from schedkit.cli import EXIT_OK, main
 from schedkit.context import SamplerConfig, first_order, sample_hierarchical, sample_sequential
-from schedkit.gateway import StopwordStripperGateway, register_mock
+from schedkit.gateway import (
+    ConstantWrongGateway,
+    EchoOracleGateway,
+    StopwordStripperGateway,
+)
 from schedkit.graph import build_graph, degree_distribution, detect_cycles, maximal_hop_values
 from schedkit.knowledge import HashedNgramEmbedder, GlobalChunkStore
 from schedkit.masked_eval import make_mask_tasks, run_eval
@@ -217,10 +221,10 @@ def test_criterion_05_masked_environment_calibration():
             + make_mask_tasks(sched, "DA")
             + make_mask_tasks(sched, "AP")
         )
-        echo = run_eval(sched, tasks, register_mock("EchoOracle", truth))
+        echo = run_eval(sched, tasks, EchoOracleGateway(truth))
         for kind in ("MVP", "DA", "AP"):
             assert echo.accuracy(kind) == 100.0
-        wrong = run_eval(sched, tasks, register_mock("ConstantWrong"))
+        wrong = run_eval(sched, tasks, ConstantWrongGateway())
         for kind in ("MVP", "DA", "AP"):
             assert wrong.accuracy(kind) == 0.0
         # Planted half-correct: corrupt one of AP's two cells on every row.
@@ -228,7 +232,7 @@ def test_criterion_05_masked_environment_calibration():
         for rid in half_table:
             half_table[rid]["Current Start"] = "1900-01-01"
         half = run_eval(
-            sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", half_table)
+            sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(half_table)
         )
         assert half.accuracy("AP") == 50.0
         # Group-weighted decomposition reproduces the overall figure.

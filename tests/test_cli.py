@@ -183,7 +183,7 @@ def test_run_eval_gateway_failure_exit_code(tmp_path, capsys):
 
 
 def test_run_eval_gateway_failure_keeps_instances_and_partial_report(tmp_path, capsys):
-    from schedkit.gateway import register_mock
+    from schedkit.gateway import ScriptedTranscriptGateway
     from schedkit.masked_eval import GatewayEvalError, make_mask_tasks, run_eval
     from schedkit.schedule import parse_schedule
 
@@ -203,7 +203,7 @@ def test_run_eval_gateway_failure_keeps_instances_and_partial_report(tmp_path, c
     parsed = parse_schedule(CHAIN_CSV)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(parsed, kind)]
     with pytest.raises(GatewayEvalError) as err:
-        run_eval(parsed, tasks, register_mock("ScriptedTranscript", []))
+        run_eval(parsed, tasks, ScriptedTranscriptGateway([]))
     expected = err.value.partial_report.to_json()
     assert (tmp_path / "e" / "report.json").read_text("utf-8") == expected
 
@@ -458,6 +458,28 @@ def test_run_eval_truncated_transcript_is_a_gateway_error(tmp_path, capsys):
     assert err.startswith("gateway error:") and f"{transcript}:2:" in err
 
 
+def test_replayed_response_that_is_not_text_is_a_gateway_error(tmp_path, capsys):
+    from schedkit.gateway import TranscriptLog, load_transcript
+
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["run-eval", "--schedule", str(sched), "--gateway"]
+    assert run(["--out", str(tmp_path / "e"), *argv, "mock:echo"]) == EXIT_OK
+    # Record 0 answers 5, under a content hash that matches it.
+    transcript = tmp_path / "e" / "transcript.jsonl"
+    records = load_transcript(transcript)
+    records[0]["response_text"] = 5
+    with TranscriptLog(transcript) as log:
+        for r in records:
+            log.append(**{k: v for k, v in r.items() if k not in ("transcript_id", "content_hash")})
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "r"), *argv, f"mock:transcript={transcript}"]) == EXIT_GATEWAY
+    assert "1 instance(s) failed at the gateway" in capsys.readouterr().err
+    replayed = load_transcript(tmp_path / "r" / "transcript.jsonl")
+    assert replayed[0]["response_text"] is None
+    assert replayed[0]["error"] == "MalformedResponseError: response is int, not text"
+
+
 def test_truncated_instances_is_a_data_error(tmp_path, capsys):
     instances = str(_truncated_eval(tmp_path, "instances.jsonl"))
     capsys.readouterr()
@@ -667,9 +689,60 @@ def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
         (whole[: len(whole) // 2], "JSONDecodeError"),
         (b"{}", "KeyError"),
         (b"[]", "TypeError"),
+        (b'{"complete": true, "per_task": [], "group_breakdowns": {}}', "TypeError"),
+        (b'{"complete": true, "per_task": {}, "group_breakdowns": 1}', "TypeError"),
+        (b'{"complete": true, "per_task": {}, "group_breakdowns": {"Level": []}}', "TypeError"),
         (b"\xff" + whole, "UnicodeDecodeError"),
     ):
         path.write_bytes(bad)
         capsys.readouterr()
         assert run(["--out", str(tmp_path / "r"), "report", "--report", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {path}: {type_name}: ")
+
+
+def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    ini = tmp_path / "run.ini"
+    eval_argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    cases = [
+        (b"[gateway]\nmode = mock:\xff\n", ["generate", "--n", "3"], f"{ini}: UnicodeDecodeError: "),
+        (b"mode = mock:echo\n", ["generate", "--n", "3"], "File contains no section headers"),
+        (b"[eval]\nk = x\n", eval_argv, "[eval] k: invalid literal"),
+        (b"[gateway]\nmax_parallel = two\n", eval_argv, "[gateway] max_parallel: invalid literal"),
+        # Rejected by GatewayConfig before any worker thread starts.
+        (b"[gateway]\nmax_parallel = 100\n", eval_argv, "[gateway] max_parallel must be in [1, 64]"),
+        (
+            b"[sampler]\nmax_sequential_hops = 99\n",
+            ["sample-context", "--schedule", str(sched)],
+            "[sampler] max_sequential_hops capped at 16",
+        ),
+    ]
+    for raw, argv, message in cases:
+        ini.write_bytes(raw)
+        assert run(["--config", str(ini), "--out", str(tmp_path / "o"), *argv]) == EXIT_USAGE, raw
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err, (raw, err)
+
+
+def test_gateway_modes_outside_mocks_are_usage_errors(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    assert run(["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched)]) == EXIT_OK
+    eval_argv = ["run-eval", "--schedule", str(sched), "--gateway"]
+    cases = [
+        ([*eval_argv, "mock:bogus"], EXIT_USAGE, "usage error: unknown gateway mode 'mock:bogus'"),
+        ([*eval_argv, "mock:transcript"], EXIT_USAGE, "usage error: unknown gateway mode 'mock:transcript'"),
+        ([*eval_argv, "mock:echo=x"], EXIT_USAGE, "usage error: unknown gateway mode 'mock:echo=x'"),
+        ([*eval_argv, "echo"], EXIT_USAGE, "usage error: unknown gateway mode 'echo'"),
+        ([*eval_argv, "http"], EXIT_GATEWAY, "gateway error: endpoint_url not configured"),
+        (
+            ["polish", "--instances", str(tmp_path / "e" / "instances.jsonl"), "--gateway", "mock:echo"],
+            EXIT_USAGE,
+            "usage error: mock:echo needs a schedule to answer from",
+        ),
+    ]
+    capsys.readouterr()
+    for argv, code, message in cases:
+        assert run(["--out", str(tmp_path / "o"), *argv]) == code, argv
+        assert capsys.readouterr().err == message + "\n"

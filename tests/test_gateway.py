@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from schedkit import gateway as gw
 from schedkit.gateway import (
-    ChatExchange,
     ConstantWrongGateway,
     EchoOracleGateway,
     Gateway,
@@ -33,7 +32,6 @@ from schedkit.gateway import (
     TranscriptExhaustedError,
     TranscriptLog,
     load_transcript,
-    register_mock,
     wire_values,
 )
 
@@ -50,24 +48,22 @@ none
 
 
 def test_echo_oracle_answers_ground_truth():
-    g = register_mock("EchoOracle", {"A100": {"Level": "SF", "Area": "6E"}})
-    exchange = g.complete("sys", ROW_PROMPT)
-    assert exchange.response_text == "[Value]SF[/Value],[Value]6E[/Value]"
-    assert exchange.error is None
+    g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}})
+    assert g.complete("sys", ROW_PROMPT) == "[Value]SF[/Value],[Value]6E[/Value]"
+    assert g.transcript.records[-1]["error"] is None
 
 
 def test_constant_wrong_matches_arity():
-    g = register_mock("ConstantWrong")
-    exchange = g.complete("sys", ROW_PROMPT)
-    assert exchange.response_text == "[Value]__WRONG__[/Value],[Value]__WRONG__[/Value]"
+    g = ConstantWrongGateway()
+    assert g.complete("sys", ROW_PROMPT) == "[Value]__WRONG__[/Value],[Value]__WRONG__[/Value]"
 
 
 def test_echo_oracle_requires_table():
     with pytest.raises(MissingMockDataError):
-        register_mock("EchoOracle", None)
+        EchoOracleGateway(None)
     # An empty table (a schedule with no activities) is a table; it answers
     # no row.
-    g = register_mock("EchoOracle", {})
+    g = EchoOracleGateway({})
     with pytest.raises(MissingMockDataError):
         g.complete("sys", ROW_PROMPT)
 
@@ -89,11 +85,11 @@ def test_transcript_records_every_call(tmp_path):
 def test_scripted_transcript_replays_and_exhausts(tmp_path):
     with TranscriptLog(tmp_path / "live.jsonl") as log:
         live = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
-        responses = [live.complete("sys", ROW_PROMPT).response_text for _ in range(3)]
+        responses = [live.complete("sys", ROW_PROMPT) for _ in range(3)]
 
-    replay = register_mock("ScriptedTranscript", tmp_path / "live.jsonl")
+    replay = ScriptedTranscriptGateway(load_transcript(tmp_path / "live.jsonl"))
     for expected in responses:
-        assert replay.complete("sys", ROW_PROMPT).response_text == expected
+        assert replay.complete("sys", ROW_PROMPT) == expected
     with pytest.raises(TranscriptExhaustedError):
         replay.complete("sys", ROW_PROMPT)
 
@@ -117,7 +113,7 @@ def test_scripted_transcript_keeps_no_record():
     records = [{"system_text": "s", "user_text": "u", "response_text": "r", "error": None}]
     replay = ScriptedTranscriptGateway(records)
     records[0].clear()
-    assert replay.complete("s", "u").response_text == "r"
+    assert replay.complete("s", "u") == "r"
 
 
 def test_transcript_hash_tamper_detected(tmp_path):
@@ -200,7 +196,7 @@ def test_scripted_replay_of_repeated_prompts_in_parallel():
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             answers = list(
-                pool.map(lambda p: replay.complete("s", p).response_text, prompts, timeout=60)
+                pool.map(lambda p: replay.complete("s", p), prompts, timeout=60)
             )
     finally:
         sys.setswitchinterval(interval)
@@ -214,13 +210,9 @@ def test_scripted_replay_of_repeated_prompts_in_parallel():
 
 def test_polish_mocks():
     strip = StopwordStripperGateway()
-    out = strip.complete("sys", "RAW OUTPUT:\nthe slab is poured on the deck")
-    assert out.response_text == "slab poured deck"
+    assert strip.complete("sys", "RAW OUTPUT:\nthe slab is poured on the deck") == "slab poured deck"
     ident = IdentityGateway()
-    assert (
-        ident.complete("sys", "RAW OUTPUT:\nthe slab is poured").response_text
-        == "the slab is poured"
-    )
+    assert ident.complete("sys", "RAW OUTPUT:\nthe slab is poured") == "the slab is poured"
 
 
 def test_empty_prompt_rejected():
@@ -279,9 +271,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).calls.append(body)
         behavior = type(self).behaviors.pop(0) if type(self).behaviors else "ok"
-        if behavior == "ok":
+        contents = {"ok": "stub says hi", "null": None, "parts": [{"type": "text", "text": "hi"}]}
+        if behavior in contents:
             reply = {
-                "choices": [{"message": {"content": "stub says hi"}}],
+                "choices": [{"message": {"content": contents[behavior]}}],
                 "usage": {"prompt_tokens": 3, "completion_tokens": 3},
             }
             payload = json.dumps(reply).encode()
@@ -326,9 +319,8 @@ def _http_cfg(url, retry_limit=2):
 def test_http_success_and_seed_forwarded(stub_server, monkeypatch):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     g = HttpGateway(_http_cfg(stub_server))
-    exchange = g.complete("sys text", "user text")
-    assert exchange.response_text == "stub says hi"
-    assert exchange.error is None
+    assert g.complete("sys text", "user text") == "stub says hi"
+    assert g.transcript.records[-1]["error"] is None
     assert _StubHandler.calls[0]["seed"] == 12345
     assert _StubHandler.calls[0]["messages"][0]["role"] == "system"
 
@@ -337,7 +329,7 @@ def test_http_retries_transient_then_succeeds(stub_server, monkeypatch):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     _StubHandler.behaviors = ["500", "500", "ok"]
     g = HttpGateway(_http_cfg(stub_server))
-    assert g.complete("s", "u").response_text == "stub says hi"
+    assert g.complete("s", "u") == "stub says hi"
     assert len(_StubHandler.calls) == 3
 
 
@@ -366,6 +358,21 @@ def test_http_malformed_body(stub_server, monkeypatch):
     g = HttpGateway(_http_cfg(stub_server))
     with pytest.raises(MalformedResponseError):
         g.complete("s", "u")
+
+
+@pytest.mark.parametrize("behavior", ["null", "parts"])
+def test_http_content_that_is_not_text_is_a_recorded_gateway_error(
+    stub_server, monkeypatch, behavior
+):
+    monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
+    _StubHandler.behaviors = [behavior]
+    g = HttpGateway(_http_cfg(stub_server))
+    with pytest.raises(MalformedResponseError):
+        g.complete("s", "u")
+    record = g.transcript.records[-1]
+    assert record["response_text"] is None
+    assert record["error"].startswith("MalformedResponseError: response is ")
+    assert len(_StubHandler.calls) == 1
 
 
 def test_wire_values_format():

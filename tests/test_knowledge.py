@@ -25,6 +25,7 @@ from schedkit.knowledge import (
     normalize_text,
     save_chunk_store,
     save_term_store,
+    tokenize,
 )
 
 EMB = HashedNgramEmbedder()
@@ -173,6 +174,17 @@ def test_embed_similarity_fixture():
 
 def test_count_tokens_collapses_whitespace():
     assert count_tokens("  a\t b \n c ") == 3
+
+
+# Every whitespace code point, and combining marks that might join one.
+_SPACES = [chr(i) for i in range(0x3001) if chr(i).isspace()]
+_MARKS = ["\u0300", "\u0301", "\u0308", "\u0338", "\u20d2", "\u3099"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_SPACES + _MARKS + ["x"]))))
+def test_count_tokens_counts_the_tokens_of_the_normalized_text(text):
+    assert count_tokens(text) == len(tokenize(text))
 
 
 # --- cosine -------------------------------------------------------------------

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedkit.gateway import register_mock, wire_values
+from schedkit.gateway import (
+    ConstantWrongGateway,
+    EchoOracleGateway,
+    ScriptedTranscriptGateway,
+    load_transcript,
+    wire_values,
+)
 from schedkit.masked_eval import (
     CorruptRecordError,
     EvalInstance,
@@ -290,7 +296,7 @@ def all_tasks(sched):
 
 def test_echo_oracle_scores_100():
     sched = rich_schedule(12)
-    gateway = register_mock("EchoOracle", truth_table(sched))
+    gateway = EchoOracleGateway(truth_table(sched))
     report = run_eval(sched, all_tasks(sched), gateway)
     for kind in ("MVP", "DA", "AP"):
         assert report.accuracy(kind) == 100.0
@@ -299,7 +305,7 @@ def test_echo_oracle_scores_100():
 
 def test_constant_wrong_scores_0():
     sched = rich_schedule(12)
-    report = run_eval(sched, all_tasks(sched), register_mock("ConstantWrong"))
+    report = run_eval(sched, all_tasks(sched), ConstantWrongGateway())
     for kind in ("MVP", "DA", "AP"):
         assert report.accuracy(kind) == 0.0
 
@@ -311,7 +317,7 @@ def test_half_correct_mock_scores_exactly_50():
     for rid in table:
         table[rid] = dict(table[rid])
         table[rid]["Current Start"] = "1999-01-01"
-    report = run_eval(sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", table))
+    report = run_eval(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table))
     assert report.accuracy("AP") == 50.0
 
 
@@ -322,7 +328,7 @@ def test_group_weighted_averages_reproduce_overall():
         if i % 3 == 0:
             table[rid] = dict(table[rid])
             table[rid]["Level"] = "__WRONG__"
-    report = run_eval(sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", table))
+    report = run_eval(sched, make_mask_tasks(sched, "DA"), EchoOracleGateway(table))
     overall = report.per_task["DA"]
     for dim, groups in report.group_breakdowns.items():
         weighted = sum(
@@ -336,8 +342,8 @@ def test_group_weighted_averages_reproduce_overall():
 
 def test_report_serialization_deterministic():
     sched = rich_schedule(8)
-    gateway_a = register_mock("EchoOracle", truth_table(sched))
-    gateway_b = register_mock("EchoOracle", truth_table(sched))
+    gateway_a = EchoOracleGateway(truth_table(sched))
+    gateway_b = EchoOracleGateway(truth_table(sched))
     a = run_eval(sched, all_tasks(sched), gateway_a).to_json()
     b = run_eval(sched, all_tasks(sched), gateway_b).to_json()
     assert a == b
@@ -352,10 +358,10 @@ def test_record_then_replay_reproduces_report(tmp_path):
     table["A04"]["Level"] = "__OFF__"
     tasks = make_mask_tasks(sched, "DA")
     with TranscriptLog(tmp_path / "live.jsonl") as log:
-        live = register_mock("EchoOracle", table, transcript=log)
+        live = EchoOracleGateway(table, transcript=log)
         live_report = run_eval(sched, tasks, live).to_json()
 
-    replay = register_mock("ScriptedTranscript", tmp_path / "live.jsonl")
+    replay = ScriptedTranscriptGateway(load_transcript(tmp_path / "live.jsonl"))
     replay_report = run_eval(sched, tasks, replay).to_json()
     assert replay_report == live_report
 
@@ -365,7 +371,7 @@ def test_gateway_failures_flag_partial_report():
     table = truth_table(sched)
     del table["A03"]  # EchoOracle errors on the missing row
     with pytest.raises(GatewayEvalError) as err:
-        run_eval(sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", table))
+        run_eval(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table))
     assert err.value.partial_report.complete is False
     assert err.value.failures == 1
     # The surviving rows still scored.
@@ -390,7 +396,7 @@ def test_build_report_ignores_instance_order(rand):
     for rid in ("A01", "A07"):
         table[rid] = dict(table[rid], Level="__WRONG__")
     instances = []
-    evaluate_tasks(sched, all_tasks(sched), register_mock("EchoOracle", table), sink=instances.append)
+    evaluate_tasks(sched, all_tasks(sched), EchoOracleGateway(table), sink=instances.append)
     stray = MaskSpec("GONE", "AP", ("Current Start",), {"Current Start": "2024-01-01"})
     instances.append(EvalInstance(stray, "", "", None, False, (False,), error="GatewayError: down"))
     shuffled = list(instances)
@@ -408,7 +414,7 @@ def test_score_report_json_round_trip():
     del table["A03"]
     instances = []
     evaluate_tasks(
-        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", table),
+        sched, make_mask_tasks(sched, "DA"), EchoOracleGateway(table),
         sink=instances.append,
     )
     report = build_report(sched, instances)
@@ -420,7 +426,7 @@ def test_score_report_json_round_trip():
 
 def test_render_table_one_decimal():
     sched = rich_schedule(6)
-    report = run_eval(sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", truth_table(sched)))
+    report = run_eval(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(truth_table(sched)))
     table = report.render_table()
     assert "overall | 100.0" in table
     assert "discipline=CSA.Struc.Steel" in table
@@ -438,7 +444,7 @@ def test_wrong_completion_pairs_against_truth():
     table["A01"] = dict(table["A01"])
     table["A01"]["Current Start"] = "1999-01-01"
     instances = []
-    evaluate_tasks(sched, tasks, register_mock("EchoOracle", table), sink=instances.append)
+    evaluate_tasks(sched, tasks, EchoOracleGateway(table), sink=instances.append)
     records = collect_preferences(sched, instances)
     assert len(records) == 1
     rec = records[0]
@@ -453,7 +459,7 @@ def test_correct_instances_emit_nothing_without_synthesis():
     sched = rich_schedule(5)
     instances = []
     evaluate_tasks(
-        sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", truth_table(sched)),
+        sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(truth_table(sched)),
         sink=instances.append,
     )
     assert collect_preferences(sched, instances) == []
@@ -463,7 +469,7 @@ def test_synthetic_negatives_flagged():
     sched = rich_schedule(5)
     instances = []
     evaluate_tasks(
-        sched, make_mask_tasks(sched, "DA"), register_mock("EchoOracle", truth_table(sched)),
+        sched, make_mask_tasks(sched, "DA"), EchoOracleGateway(truth_table(sched)),
         sink=instances.append,
     )
     records = collect_preferences(sched, instances, synthesize_negatives=True)
@@ -482,7 +488,7 @@ def test_forty_wrong_of_hundred_yields_forty_records():
         table[rid]["Current Finish"] = "1999-12-31"
     instances = []
     evaluate_tasks(
-        sched, make_mask_tasks(sched, "AP"), register_mock("EchoOracle", table),
+        sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table),
         sink=instances.append,
     )
     records = collect_preferences(sched, instances)
@@ -499,7 +505,7 @@ def test_every_chosen_reparses_correct():
     sched = rich_schedule(20)
     instances = []
     evaluate_tasks(
-        sched, make_mask_tasks(sched, "MVP"), register_mock("ConstantWrong"),
+        sched, make_mask_tasks(sched, "MVP"), ConstantWrongGateway(),
         sink=instances.append,
     )
     for rec in collect_preferences(sched, instances):
@@ -573,7 +579,7 @@ def test_instances_round_trip(tmp_path):
     sched = rich_schedule(4)
     instances = []
     evaluate_tasks(
-        sched, make_mask_tasks(sched, "DA"), register_mock("ConstantWrong"),
+        sched, make_mask_tasks(sched, "DA"), ConstantWrongGateway(),
         sink=instances.append,
     )
     save_instances(tmp_path / "inst.jsonl", instances)
@@ -629,7 +635,7 @@ def test_sink_streams_the_lines_save_instances_writes():
         save_instances(streamed, (inst,))
 
     outcomes = evaluate_tasks(
-        sched, tasks, register_mock("EchoOracle", table), sink=sink, **kwargs
+        sched, tasks, EchoOracleGateway(table), sink=sink, **kwargs
     )
     assert streamed.getvalue() == "".join(
         json.dumps(i.to_dict(), sort_keys=True) + "\n" for i in instances
@@ -639,13 +645,13 @@ def test_sink_streams_the_lines_save_instances_writes():
     assert sum(o.error is not None for o in outcomes) == 3
     assert build_report(sched, outcomes).to_json() == build_report(sched, instances).to_json()
     # Without a sink the same outcomes come back.
-    assert evaluate_tasks(sched, tasks, register_mock("EchoOracle", table), **kwargs) == outcomes
+    assert evaluate_tasks(sched, tasks, EchoOracleGateway(table), **kwargs) == outcomes
 
 
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
     sched = rich_schedule(6)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
-    gateway = register_mock("ConstantWrong")
+    gateway = ConstantWrongGateway()
     evaluate_tasks(
         sched, tasks, gateway, rules="rule one\nrule two",
         context_provider=lambda rid: f"shared context\n{rid}",
