@@ -187,11 +187,11 @@ class PreferenceScorer:
             fh.write(struct.pack(f"<{self.dim}d", *self.weights))
 
     @classmethod
-    def load(cls, path: Path, embedder=None) -> "PreferenceScorer":
+    def load(cls, path: Path) -> "PreferenceScorer":
         raw = Path(path).read_bytes()
         dim, bias = struct.unpack_from("<Id", raw, 0)
         weights = np.asarray(struct.unpack_from(f"<{dim}d", raw, 12), dtype=np.float64)
-        return cls(embedder or HashedNgramEmbedder(dim), weights, bias)
+        return cls(HashedNgramEmbedder(dim), weights, bias)
 
 
 def _training_matrix(records: list[PreferenceRecord], scorer: PreferenceScorer):
@@ -217,7 +217,6 @@ def train_scorer(
     *,
     epochs_sft: int = 10,
     cr_term=zero_cr,
-    embedder=None,
 ) -> PreferenceScorer:
     """Two-phase full-batch gradient descent, deterministic under seed.
 
@@ -227,7 +226,7 @@ def train_scorer(
     """
     if len(records) < 2:
         raise DegenerateDataError("need at least 2 preference records")
-    scorer = PreferenceScorer(embedder)
+    scorer = PreferenceScorer()
     gen = prng.derive(seed, "scorer-init")
     scorer.weights = np.asarray(
         [(gen.uniform() * 2.0 - 1.0) * 0.01 for _ in range(scorer.dim)]

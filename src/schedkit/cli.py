@@ -255,13 +255,12 @@ def cmd_analyze_graph(args, cfg) -> int:
     sched = _read_schedule(args.schedule)
     g = graph.build_graph(sched)
     cycles = graph.detect_cycles(g)
-    deg = graph.degree_distribution(g)
     lines = [f"nodes={len(g.nodes)}", f"edges={g.edge_count()}", f"cycles={len(cycles)}"]
     if cycles:
         (out / "cycles.json").write_text(
             json.dumps([list(c) for c in cycles], indent=2) + "\n", "utf-8"
         )
-        stats = deg
+        stats = graph.degree_distribution(g)
     else:
         stats = graph.graph_stats(g)
         (out / "maxhop_hist.txt").write_text(
@@ -363,6 +362,9 @@ def cmd_sample_context(args, cfg) -> int:
 
 
 def cmd_run_eval(args, cfg) -> int:
+    k = cfg.getint("eval", "k")
+    if k < 1:
+        raise UsageError(f"[eval] k: must be >= 1, got {k}")
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     mode = args.gateway or cfg.get("gateway", "mode")
@@ -415,7 +417,7 @@ def cmd_run_eval(args, cfg) -> int:
                     static_knowledge="",
                     rules=rules_text,
                     context_provider=contexts.__getitem__,
-                    k=cfg.getint("eval", "k"),
+                    k=k,
                     sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
                 )
             except masked_eval.GatewayEvalError as exc:

@@ -55,10 +55,7 @@ def first_order(graph: ScheduleGraph, target: str) -> frozenset[str]:
 
 
 def sample_sequential(
-    graph: ScheduleGraph,
-    target: str,
-    cfg: SamplerConfig,
-    gen: prng.Rng | None = None,
+    graph: ScheduleGraph, target: str, cfg: SamplerConfig
 ) -> frozenset[SequentialPath]:
     """Random simple walks from the target, both directions, deduplicated.
 
@@ -68,8 +65,7 @@ def sample_sequential(
     """
     if target not in graph.nodes:
         raise UnknownNodeError(target)
-    if gen is None:
-        gen = prng.derive(cfg.rng_seed, "sequential", target)
+    gen = prng.derive(cfg.rng_seed, "sequential", target)
     paths: set[SequentialPath] = set()
     for direction in (FORWARD, BACKWARD):
         step = graph.successors if direction == FORWARD else graph.predecessors
@@ -106,18 +102,14 @@ def sample_hierarchical(
 
 
 def combined_context(
-    graph: ScheduleGraph,
-    schedule: Schedule,
-    target: str,
-    cfg: SamplerConfig,
-    gen: prng.Rng | None = None,
+    graph: ScheduleGraph, schedule: Schedule, target: str, cfg: SamplerConfig
 ) -> ContextBundle:
     """The three extractors, computed independently, under one bundle."""
     return ContextBundle(
         target=target,
         first_order=first_order(graph, target),
         hierarchical=sample_hierarchical(schedule, target, cfg),
-        sequential=sample_sequential(graph, target, cfg, gen),
+        sequential=sample_sequential(graph, target, cfg),
         sampled_at_seed=cfg.rng_seed,
     )
 

@@ -8,10 +8,12 @@ any reachable dependent; a flag widens it to both directions.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .schedule import Schedule, validate
+from .schedule import DependencyLink, Schedule, validate
 
 
 class GraphError(Exception):
@@ -41,24 +43,27 @@ class UnknownNodeError(GraphError):
 
 @dataclass(frozen=True)
 class ScheduleGraph:
+    """A validated view of ``schedule.index``: ``succs``/``preds`` are the
+    index's links of each id, in its order (by other endpoint, relation)."""
+
     nodes: frozenset[str]
-    out_edges: dict[str, tuple[tuple[str, str, int], ...]]
-    in_edges: dict[str, tuple[tuple[str, str, int], ...]]
+    succs: dict[str, tuple[DependencyLink, ...]]
+    preds: dict[str, tuple[DependencyLink, ...]]
 
     def successors(self, node: str) -> list[str]:
         self._check(node)
-        return [v for v, _, _ in self.out_edges[node]]
+        return [l.successor_id for l in self.succs.get(node, ())]
 
     def predecessors(self, node: str) -> list[str]:
         self._check(node)
-        return [u for u, _, _ in self.in_edges[node]]
+        return [l.predecessor_id for l in self.preds.get(node, ())]
 
     def degree(self, node: str) -> int:
         self._check(node)
-        return len(self.out_edges[node]) + len(self.in_edges[node])
+        return len(self.succs.get(node, ())) + len(self.preds.get(node, ()))
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.out_edges.values())
+        return sum(map(len, self.succs.values()))
 
     def _check(self, node: str) -> None:
         if node not in self.nodes:
@@ -76,30 +81,12 @@ class GraphStats:
 
 
 def build_graph(schedule: Schedule) -> ScheduleGraph:
-    """The graph of a valid schedule; edges come sorted by (other endpoint,
-    relation, lag). The index orders each id's links by (other endpoint,
-    relation), and a valid schedule repeats no (pred, succ, relation), so
-    that order is the sorted one."""
+    """The graph of a valid schedule, sharing the links of its index."""
     report = validate(schedule)
     if not report.ok():
         raise InvalidScheduleError(report.violations)
     index = schedule.index
-    # tuple([...]) rather than tuple(<generator>): half the time at n=2000.
-    return ScheduleGraph(
-        nodes=frozenset(index.by_id),
-        out_edges={
-            aid: tuple(
-                [(l.successor_id, l.relation, l.lag_days) for l in index.succs.get(aid, ())]
-            )
-            for aid in index.by_id
-        },
-        in_edges={
-            aid: tuple(
-                [(l.predecessor_id, l.relation, l.lag_days) for l in index.preds.get(aid, ())]
-            )
-            for aid in index.by_id
-        },
-    )
+    return ScheduleGraph(frozenset(index.by_id), index.succs, index.preds)
 
 
 def _normalize_cycle(cycle: list[str]) -> tuple[str, ...]:
@@ -131,48 +118,41 @@ def _tarjan_sccs(graph: ScheduleGraph) -> list[list[str]]:
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = [0]
     sccs: list[list[str]] = []
+
+    def enter(node: str) -> tuple[str, Iterator[str]]:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(graph.successors(node))
 
     # Iterative Tarjan; recursion would overflow on long chains.
     for root in sorted(graph.nodes):
         if root in index:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work = [enter(root)]
         while work:
-            node, edge_i = work[-1]
-            if edge_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            succs = graph.out_edges[node]
-            while edge_i < len(succs):
-                nxt = succs[edge_i][0]
-                edge_i += 1
+            node, succs = work[-1]
+            for nxt in succs:
                 if nxt not in index:
-                    work[-1] = (node, edge_i)
-                    work.append((nxt, 0))
-                    advanced = True
+                    work.append(enter(nxt))
                     break
                 if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        comp.append(member)
+                        if member == node:
+                            break
+                    sccs.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return sccs
 
 
@@ -185,7 +165,7 @@ def _shortest_cycle_through(
     seen = {start}
     while queue:
         node = queue.popleft()
-        for succ, _, _ in graph.out_edges[node]:
+        for succ in graph.successors(node):
             if succ == start:
                 path = [node]
                 while node != start:
@@ -200,23 +180,22 @@ def _shortest_cycle_through(
 
 
 def topological_order(graph: ScheduleGraph) -> list[str]:
-    """Kahn's algorithm with an id-ordered frontier, so ties are stable."""
-    cycles = detect_cycles(graph)
-    if cycles:
-        raise CyclicGraphError(cycles)
-    import heapq
-
-    indeg = {node: len(graph.in_edges[node]) for node in graph.nodes}
+    """Kahn's algorithm with an id-ordered frontier, so ties are stable.
+    Nodes it cannot reach lie on or behind a cycle; ``detect_cycles`` names
+    the cycles."""
+    indeg = {node: len(graph.predecessors(node)) for node in graph.nodes}
     frontier = [node for node, d in indeg.items() if d == 0]
     heapq.heapify(frontier)
     order: list[str] = []
     while frontier:
         node = heapq.heappop(frontier)
         order.append(node)
-        for succ, _, _ in graph.out_edges[node]:
+        for succ in graph.successors(node):
             indeg[succ] -= 1
             if indeg[succ] == 0:
                 heapq.heappush(frontier, succ)
+    if len(order) < len(graph.nodes):
+        raise CyclicGraphError(detect_cycles(graph))
     return order
 
 
@@ -246,13 +225,13 @@ def maximal_hop_values(
     order = topological_order(graph)
     down: dict[str, int] = {node: 0 for node in graph.nodes}
     for node in reversed(order):
-        for succ, _, _ in graph.out_edges[node]:
+        for succ in graph.successors(node):
             down[node] = max(down[node], 1 + down[succ])
     if direction == "down":
         return down
     up: dict[str, int] = {node: 0 for node in graph.nodes}
     for node in order:
-        for pred, _, _ in graph.in_edges[node]:
+        for pred in graph.predecessors(node):
             up[node] = max(up[node], 1 + up[pred])
     return {node: max(down[node], up[node]) for node in graph.nodes}
 

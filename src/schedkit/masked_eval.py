@@ -13,7 +13,7 @@ import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
@@ -40,7 +40,6 @@ from .schedule import (
     COL_START,
     COL_STATUS,
     Schedule,
-    canonical_row,
 )
 
 MASK_SENTINEL = "[MASKED]"
@@ -210,13 +209,14 @@ class ScoreReport:
         """Inverse of ``to_json``: the counts come back, accuracies are
         recomputed from them."""
 
+        def count(rec: dict, name: str) -> int:
+            value = rec[name]
+            if type(value) is not int:  # bool is an int, but not a JSON integer
+                raise TypeError(f"{name}: expected a JSON integer, got {value!r}")
+            return value
+
         def score(rec: dict) -> TaskScore:
-            return TaskScore(
-                rec["cells_total"],
-                rec["cells_correct"],
-                rec["rows_total"],
-                rec["rows_correct"],
-            )
+            return TaskScore(*(count(rec, f.name) for f in fields(TaskScore)))
 
         def items(value) -> Iterable:
             if not isinstance(value, dict):
@@ -254,13 +254,10 @@ class ScoreReport:
         return "\n".join(lines) + "\n"
 
 
-def maskable_columns(schedule: Schedule, activity) -> list[str]:
-    """Columns eligible for MVP masking: everything except the identity
-    columns (id, name) and columns whose serialized value is empty."""
-    return _maskable(canonical_row(schedule, activity))
-
-
-def _maskable(row: dict[str, str]) -> list[str]:
+def maskable_columns(row: dict[str, str]) -> list[str]:
+    """Columns of a canonical row eligible for MVP masking: everything except
+    the identity columns (id, name) and columns whose serialized value is
+    empty."""
     return [
         col for col, value in row.items() if col not in (COL_ID, COL_NAME) and value != ""
     ]
@@ -273,7 +270,7 @@ def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskS
     for act in schedule.activities:
         row = rows[act.activity_id]
         if kind == MVP:
-            pool = _maskable(row)
+            pool = maskable_columns(row)
             if len(pool) < 3:
                 raise TooFewColumnsError(
                     f"row {act.activity_id!r} has only {len(pool)} maskable column(s)"
@@ -415,7 +412,7 @@ def evaluate_tasks(
             static_knowledge,
             context_text,
             rules,
-            masked_columns=list(mask.masked_columns),
+            masked_columns=mask.masked_columns,
             top_k=k,
         )
         user_json = encode_json(prompt.user_text)
@@ -565,17 +562,11 @@ def collect_preferences(
     meta. Fully correct groups only pair up when negative synthesis is on.
     """
     groups: dict[tuple[str, str], list[EvalInstance]] = {}
-    order: list[tuple[str, str]] = []
     for inst in instances:
-        key = (inst.mask.row_id, inst.mask.task_kind)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(inst)
+        groups.setdefault((inst.mask.row_id, inst.mask.task_kind), []).append(inst)
 
     records = []
-    for key in order:
-        group = groups[key]
+    for group in groups.values():
         chosen = _truth_wire(group[0].mask)
         wrong = [
             inst
@@ -585,42 +576,32 @@ def collect_preferences(
             and not inst.all_correct
         ]
         if wrong:
-            first = wrong[0]
-            if first.response_text == chosen:
+            source, rejected = wrong[0], wrong[0].response_text
+            if rejected == chosen:
                 continue
             meta: dict = {}
             if len(wrong) > 1:
                 meta["extra_rejected"] = [w.response_text for w in wrong[1:]]
-            records.append(
-                PreferenceRecord(
-                    prompt_text=first.prompt_user,
-                    chosen_text=chosen,
-                    rejected_text=first.response_text,
-                    task_kind=first.mask.task_kind,
-                    row_id=first.mask.row_id,
-                    context_length_tokens=count_tokens(first.prompt_user),
-                    meta=meta,
-                )
-            )
         elif synthesize_negatives:
-            correct = [inst for inst in group if inst.all_correct]
-            if not correct:
-                continue
-            synth = _synthesize_rejection(schedule, correct[0].mask, seed)
+            source = next((inst for inst in group if inst.all_correct), None)
+            synth = None if source is None else _synthesize_rejection(schedule, source.mask, seed)
             if synth is None:
                 continue
             rejected, corrupted_col = synth
-            records.append(
-                PreferenceRecord(
-                    prompt_text=correct[0].prompt_user,
-                    chosen_text=chosen,
-                    rejected_text=rejected,
-                    task_kind=correct[0].mask.task_kind,
-                    row_id=correct[0].mask.row_id,
-                    context_length_tokens=count_tokens(correct[0].prompt_user),
-                    meta={"synthetic_negative": True, "corrupted_column": corrupted_col},
-                )
+            meta = {"synthetic_negative": True, "corrupted_column": corrupted_col}
+        else:
+            continue
+        records.append(
+            PreferenceRecord(
+                prompt_text=source.prompt_user,
+                chosen_text=chosen,
+                rejected_text=rejected,
+                task_kind=source.mask.task_kind,
+                row_id=source.mask.row_id,
+                context_length_tokens=count_tokens(source.prompt_user),
+                meta=meta,
             )
+        )
     return records
 
 
@@ -656,14 +637,12 @@ def instance_line(inst: EvalInstance) -> str:
     return json_object(fields)
 
 
-def save_instances(dest: Path | TextIO, instances: Iterable[EvalInstance]) -> None:
-    """One ``instance_line`` per instance, to a path or to an open text file
-    that a streaming caller writes instance by instance."""
-    opened = open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path)) else None
-    with opened or nullcontext(dest) as fh:
-        for inst in instances:
-            fh.write(instance_line(inst))
-            fh.write("\n")
+def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
+    """One ``instance_line`` per instance, to an open text file that a
+    streaming caller writes instance by instance."""
+    for inst in instances:
+        fh.write(instance_line(inst))
+        fh.write("\n")
 
 
 def load_instances(path: Path) -> list[EvalInstance]:

@@ -8,6 +8,7 @@ every prompt is byte-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +37,6 @@ _TASK_FILES = {
     AP: "task_ap.txt",
     POLISH: "task_polish.txt",
 }
-
-# Masked-cell counts the answer format demands, by task kind.
-DEFAULT_ARITY = {MVP: 3, DA: 4, AP: 2}
 
 SECTION_ROW = "ROW:"
 SECTION_KNOWLEDGE = "STATIC KNOWLEDGE:"
@@ -69,11 +67,8 @@ class TaskPrompt:
     to ``user_text``, and the context meets its neighbours at ``\n``, so
     whitespace token counts add up across them (see ``prompt_tokens``)."""
 
-    kind: str
     system_text: str
     user_text: str
-    answer_format: str
-    expected_values: int
     pieces: tuple[str, str, str]
 
 
@@ -117,7 +112,7 @@ def build_rule_prompt(category: str, context_text: str) -> str:
     return f"{category_template(category)}\n\n{SECTION_CONTEXT}\n{context_text}\n"
 
 
-def _answer_format(kind: str, n_values: int, top_k: int) -> str:
+def _answer_format(n_values: int, top_k: int) -> str:
     base = (
         f"Return exactly {n_values} value(s) as a comma-separated list, each "
         f"enclosed within [Value] and [/Value] tags, in the same order as the "
@@ -138,13 +133,14 @@ def build_task_prompt(
     context_text: str = "",
     rules_text: str = "",
     *,
-    masked_columns: list[str] | None = None,
+    masked_columns: Sequence[str] = (),
     top_k: int = 2,
 ) -> TaskPrompt:
     """Assemble the system/user pair for one task instance.
 
-    MVP/DA/AP user text carries the four fixed sections in order; Polish
-    instead wraps the payload to refine under RAW OUTPUT.
+    MVP/DA/AP user text carries the four fixed sections in order and asks
+    for one value per masked column; Polish instead wraps the payload to
+    refine under RAW OUTPUT.
     """
     if kind not in TASK_KINDS:
         raise UnknownTaskError(kind)
@@ -153,12 +149,13 @@ def build_task_prompt(
         if not masked_row_text.strip():
             raise MissingSectionError("polish payload is empty")
         user_text = f"{SECTION_RAW}\n{masked_row_text}\n"
-        return TaskPrompt(kind, system_text, user_text, "", 0, (user_text, "", ""))
+        return TaskPrompt(system_text, user_text, (user_text, "", ""))
 
     if not masked_row_text.strip():
         raise MissingSectionError("masked row text is empty")
-    n_values = len(masked_columns) if masked_columns else DEFAULT_ARITY[kind]
-    fmt = _answer_format(kind, n_values, top_k)
+    if not masked_columns:
+        raise MissingSectionError("no masked columns to ask for")
+    fmt = _answer_format(len(masked_columns), top_k)
     head = (
         f"{SECTION_ROW}\n{masked_row_text}\n\n"
         f"{SECTION_KNOWLEDGE}\n{static_knowledge_text}\n\n"
@@ -166,7 +163,7 @@ def build_task_prompt(
     )
     tail = f"\n\n{SECTION_RULES}\n{rules_text}\n\n{fmt}\n"
     user_text = f"{head}{context_text}{tail}"
-    return TaskPrompt(kind, system_text, user_text, fmt, n_values, (head, context_text, tail))
+    return TaskPrompt(system_text, user_text, (head, context_text, tail))
 
 
 def word_count(text: str) -> int:

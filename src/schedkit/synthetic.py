@@ -289,17 +289,13 @@ def pearson_matrix(schedule: Schedule, attributes=DEFAULT_ANALYSIS_ATTRIBUTES) -
     return AttributeMatrix(labels, values, "pearson", constant)
 
 
-def cosine_matrix(
-    schedule: Schedule,
-    attributes=DEFAULT_ANALYSIS_ATTRIBUTES,
-    embedder=None,
-) -> AttributeMatrix:
+def cosine_matrix(schedule: Schedule, attributes=DEFAULT_ANALYSIS_ATTRIBUTES) -> AttributeMatrix:
     """Pairwise cosine similarity of attribute summary embeddings.
 
     Each attribute is represented by its column name followed by its
     distinct values in first-appearance order.
     """
-    embedder = embedder or HashedNgramEmbedder()
+    embedder = HashedNgramEmbedder()
     labels = tuple(attributes)
     reps = []
     for attribute in labels:

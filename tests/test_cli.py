@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -121,6 +122,53 @@ def test_analyze_graph_chain_fixture(tmp_path, capsys):
     assert "degree mean 1.333" in printed
     assert "maxhop mean 1.000" in printed
     assert (tmp_path / "g" / "degree_hist.txt").read_text("utf-8") == "1\t2\n2\t1\n"
+
+
+CYCLIC_CSV = """Activity ID,Activity Name,Activity Status,WBS,Discipline,Level,Area,Zone,Current Start,Current Finish,Predecessor Details,Successor Details
+A,Task A,Not Started,P.A,CSA.Struc.Steel,SF,6E,,2024-01-01,2024-01-08,C:FS,B:FS
+B,Task B,Not Started,P.A,CSA.Struc.Steel,SF,6E,,2024-01-08,2024-01-15,A:FS,C:FS;D:SS
+C,Task C,Not Started,P.B,MEP.Proc.HP,UL,9E,,2024-01-15,2024-01-22,B:FS,A:FS
+D,Task D,Not Started,P.B,MEP.Proc.HP,UL,9E,,2024-01-15,2024-01-22,B:SS;E:FS,E:FS
+E,Task E,Not Started,P.B,MEP.Proc.HP,UL,9E,,2024-01-15,2024-01-22,D:FS,D:FS
+F,Task F,Not Started,P.B,MEP.Proc.HP,UL,9E,,2024-01-15,2024-01-22,,
+"""
+
+# sha256 of analyze-graph's files for a generated n=300 schedule and for
+# CYCLIC_CSV, so any change to how the graph walks the schedule index that
+# moves a histogram, a statistic or a named cycle shows here.
+GRAPH_DIGESTS_N300 = {
+    "degree_hist.txt": "932f1903f86614631dd53f52bb403b55696d5ec6b8e977c39257b0532ac4005f",
+    "maxhop_hist.txt": "a24342bda0880c887114ff967dc35b111d4080665303aeb23ff1a20d8deede5c",
+    "graph_stats.txt": "9b85023e4089bdc17938850d3620da9e3f5c9107502e9ac971854d5ee9d28bf6",
+}
+GRAPH_DIGESTS_CYCLIC = {
+    "cycles.json": "a6f1697d9400115c99bba3483aca8cb4a74226495b20acd9214bd5ce4a8b3516",
+    "degree_hist.txt": "04a15e86120d4aa3e244ca6ecccb87a8ce13a70b781afe6e748e283703819c50",
+    "graph_stats.txt": "3574c928c3f00b964335f051223858bcfd8172bf99c0bbf07d0e367a4dd9eb9f",
+}
+
+
+def _digests(out: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_analyze_graph_outputs_are_pinned(tmp_path, capsys):
+    assert run(["--out", str(tmp_path / "gen"), "generate", "--n", "300", "--seed", "1"]) == EXIT_OK
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    assert run(["--out", str(tmp_path / "g"), "analyze-graph", "--schedule", sched]) == EXIT_OK
+    assert _digests(tmp_path / "g", GRAPH_DIGESTS_N300) == GRAPH_DIGESTS_N300
+    assert not (tmp_path / "g" / "cycles.json").exists()
+
+    cyclic = tmp_path / "cyclic.csv"
+    cyclic.write_text(CYCLIC_CSV, "utf-8")
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "c"), "analyze-graph", "--schedule", str(cyclic)]) == EXIT_OK
+    assert _digests(tmp_path / "c", GRAPH_DIGESTS_CYCLIC) == GRAPH_DIGESTS_CYCLIC
+    assert not (tmp_path / "c" / "maxhop_hist.txt").exists()
+    assert capsys.readouterr().out == (
+        "nodes=6\nedges=6\ncycles=2\n"
+        "degree mean 2.000 max 3; maxhop skipped (cycles present)\n"
+    )
 
 
 def test_ingest_round_trip(tmp_path, capsys):
@@ -685,6 +733,12 @@ def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
     assert run(argv) == EXIT_OK
     whole = (tmp_path / "e" / "report.json").read_bytes()
     path = tmp_path / "report.json"
+
+    def with_cells_total(count) -> bytes:
+        payload = json.loads(whole)
+        payload["per_task"]["MVP"]["cells_total"] = count
+        return json.dumps(payload).encode()
+
     for bad, type_name in (
         (whole[: len(whole) // 2], "JSONDecodeError"),
         (b"{}", "KeyError"),
@@ -693,6 +747,7 @@ def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
         (b'{"complete": true, "per_task": {}, "group_breakdowns": 1}', "TypeError"),
         (b'{"complete": true, "per_task": {}, "group_breakdowns": {"Level": []}}', "TypeError"),
         (b"\xff" + whole, "UnicodeDecodeError"),
+        *((with_cells_total(count), "TypeError") for count in ("a", None, 1.5, True)),
     ):
         path.write_bytes(bad)
         capsys.readouterr()
@@ -709,6 +764,8 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
         (b"[gateway]\nmode = mock:\xff\n", ["generate", "--n", "3"], f"{ini}: UnicodeDecodeError: "),
         (b"mode = mock:echo\n", ["generate", "--n", "3"], "File contains no section headers"),
         (b"[eval]\nk = x\n", eval_argv, "[eval] k: invalid literal"),
+        (b"[eval]\nk = 0\n", eval_argv, "[eval] k: must be >= 1, got 0"),
+        (b"[eval]\nk = -3\n", eval_argv, "[eval] k: must be >= 1, got -3"),
         (b"[gateway]\nmax_parallel = two\n", eval_argv, "[gateway] max_parallel: invalid literal"),
         # Rejected by GatewayConfig before any worker thread starts.
         (b"[gateway]\nmax_parallel = 100\n", eval_argv, "[gateway] max_parallel must be in [1, 64]"),

@@ -305,6 +305,8 @@ def stub_server():
     _StubHandler.calls = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def _http_cfg(url, retry_limit=2):

@@ -98,12 +98,17 @@ def test_mirror_invariant_on_random_graphs():
     for seed in range(5):
         ids, pairs = random_dag(seed, 25)
         g = graph_of(ids, pairs)
-        for u, edges in g.out_edges.items():
-            for v, rel, lag in edges:
-                assert (u, rel, lag) in g.in_edges[v]
-        for v, edges in g.in_edges.items():
-            for u, rel, lag in edges:
-                assert (v, rel, lag) in g.out_edges[u]
+        for u, links in g.succs.items():
+            for link in links:
+                assert link.predecessor_id == u
+                assert link in g.preds[link.successor_id]
+        for v, links in g.preds.items():
+            for link in links:
+                assert link.successor_id == v
+                assert link in g.succs[link.predecessor_id]
+        for node in ids:
+            for v in g.successors(node):
+                assert node in g.predecessors(v)
 
 
 def ref_edges(schedule: Schedule):
@@ -154,8 +159,15 @@ def test_build_graph_edges_match_link_scan(sched):
     g = build_graph(sched)
     out_edges, in_edges = ref_edges(sched)
     assert g.nodes == frozenset(out_edges)
-    assert g.out_edges == out_edges
-    assert g.in_edges == in_edges
+    assert g.succs is sched.index.succs and g.preds is sched.index.preds
+    for node in g.nodes:
+        succs = g.succs.get(node, ())
+        preds = g.preds.get(node, ())
+        assert tuple((l.successor_id, l.relation, l.lag_days) for l in succs) == out_edges[node]
+        assert tuple((l.predecessor_id, l.relation, l.lag_days) for l in preds) == in_edges[node]
+        assert g.successors(node) == [v for v, _, _ in out_edges[node]]
+        assert g.predecessors(node) == [u for u, _, _ in in_edges[node]]
+        assert g.degree(node) == len(out_edges[node]) + len(in_edges[node])
 
 
 def test_build_graph_leaves_the_rendering_tables_unbuilt(chain):
@@ -249,6 +261,14 @@ def test_maxhop_both_directions_flag():
     g = graph_of(["A", "B", "C"], [("A", "B"), ("B", "C")])
     both = maximal_hop_values(g, direction="both")
     assert both == {"A": 2, "B": 1, "C": 2}
+
+
+def test_topological_order_names_the_cycles_detect_cycles_finds():
+    pairs = [("C", "A"), ("A", "B"), ("B", "C"), ("B", "D"), ("D", "E"), ("E", "D")]
+    g = graph_of(["A", "B", "C", "D", "E", "F"], pairs)
+    with pytest.raises(CyclicGraphError) as err:
+        topological_order(g)
+    assert err.value.cycles == detect_cycles(g) == [("A", "B", "C"), ("D", "E")]
 
 
 def test_maxhop_rejects_cycles():

@@ -84,7 +84,8 @@ def write_transcript(path: Path, texts: list[str]) -> list[Path]:
 
 def write_instances(path: Path, texts: list[str]) -> list[Path]:
     mask = MaskSpec("A", "AP", ("Current Start",), {"Current Start": "2024-01-01"})
-    save_instances(path, [EvalInstance(mask, "sys", t, "r", True, (True,)) for t in texts])
+    with open(path, "w", encoding="utf-8") as fh:
+        save_instances(fh, [EvalInstance(mask, "sys", t, "r", True, (True,)) for t in texts])
     return [path]
 
 

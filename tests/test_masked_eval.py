@@ -125,7 +125,7 @@ class _OracleRng:
 def test_mvp_forced_when_exactly_three_columns():
     acts = (make_activity("A1"),)  # status, wbs, discipline, level, area, 2 dates
     sched = Schedule(acts, ())
-    pool = maskable_columns(sched, acts[0])
+    pool = maskable_columns(sched.index.rows["A1"])
     assert len(pool) == 7  # sanity for this fixture
     tasks = make_mask_tasks(sched, "MVP")
     assert len(tasks[0].masked_columns) == 3
@@ -147,7 +147,7 @@ def test_mvp_exactly_three_columns_forced():
         extra_attributes={},
     )
     sched = Schedule((bare,), ())
-    pool = maskable_columns(sched, bare)
+    pool = maskable_columns(sched.index.rows["A1"])
     assert sorted(pool) == ["Current Finish", "Current Start", "WBS"]
     for seed in (1, 42, 99):
         task = make_mask_tasks(sched, "MVP", seed=seed)[0]
@@ -197,8 +197,7 @@ def test_mvp_masks_match_independent_prng_oracle():
     sched = rich_schedule(100)
     tasks = make_mask_tasks(sched, "MVP", seed=42)
     for task in tasks:
-        act = sched.by_id()[task.row_id]
-        pool = maskable_columns(sched, act)
+        pool = maskable_columns(sched.index.rows[task.row_id])
         expected = _OracleRng(42, "mask", task.row_id).sample3(pool)
         assert task.masked_columns == expected
 
@@ -582,7 +581,8 @@ def test_instances_round_trip(tmp_path):
         sched, make_mask_tasks(sched, "DA"), ConstantWrongGateway(),
         sink=instances.append,
     )
-    save_instances(tmp_path / "inst.jsonl", instances)
+    with open(tmp_path / "inst.jsonl", "w", encoding="utf-8") as fh:
+        save_instances(fh, instances)
     assert load_instances(tmp_path / "inst.jsonl") == instances
 
 

@@ -84,53 +84,62 @@ def test_rule_prompt_unknown_category():
 
 
 def test_mvp_prompt_has_all_four_headers_once():
-    p = build_task_prompt(MVP, "row text", "knowledge", "context", "rules")
+    p = build_task_prompt(
+        MVP, "row text", "knowledge", "context", "rules", masked_columns=["Level", "Area", "Zone"]
+    )
     for header in ("ROW:", "STATIC KNOWLEDGE:", "CONTEXT:", "RULES:"):
         assert p.user_text.count(header) == 1
-    assert p.expected_values == 3
+    assert "exactly 3 value(s)" in p.user_text
     assert "exactly three values" in p.system_text
 
 
 def test_ap_prompt_mentions_date_columns():
-    p = build_task_prompt(AP, "row", "k", "c", "r")
+    p = build_task_prompt(
+        AP, "row", "k", "c", "r", masked_columns=["Current Start", "Current Finish"]
+    )
     joined = p.system_text + p.user_text
     assert "'Current Start'" in joined
     assert "'Current Finish'" in joined
-    assert p.expected_values == 2
+    assert "exactly 2 value(s)" in p.user_text
 
 
 def test_da_prompt_mentions_dependency_columns():
-    p = build_task_prompt(DA, "row", "k", "c", "r")
+    columns = ["Discipline", "Area", "Predecessor Details", "Successor Details"]
+    p = build_task_prompt(DA, "row", "k", "c", "r", masked_columns=columns)
     assert "'Predecessor Details'" in p.system_text
     assert "'Successor Details'" in p.system_text
-    assert p.expected_values == 4
+    assert "exactly 4 value(s)" in p.user_text
 
 
 def test_polish_prompt_lists_three_primary_tasks():
     p = build_task_prompt(POLISH, "raw completion to refine")
     for bullet in ("Missing Value Prediction", "Dependency Analysis", "Schedule Automation"):
         assert bullet in p.system_text
-    assert p.user_text.startswith("RAW OUTPUT:\n")
-    assert p.answer_format == ""
+    assert p.user_text == "RAW OUTPUT:\nraw completion to refine\n"
 
 
 def test_missing_row_raises():
-    with pytest.raises(MissingSectionError):
-        build_task_prompt(MVP, "   ", "k", "c", "r")
+    with pytest.raises(MissingSectionError, match="masked row"):
+        build_task_prompt(MVP, "   ", "k", "c", "r", masked_columns=["Level"])
+
+
+def test_missing_masked_columns_raise():
+    with pytest.raises(MissingSectionError, match="masked columns"):
+        build_task_prompt(MVP, "row", "k", "c", "r")
 
 
 def test_answer_format_demands_exact_arity_and_top2():
     p = build_task_prompt(DA, "row", masked_columns=["Level", "Area"])
-    assert p.expected_values == 2
-    assert "exactly 2 value(s)" in p.answer_format
-    assert "'|'" in p.answer_format
+    assert "exactly 2 value(s)" in p.user_text
+    assert "'|'" in p.user_text
     single = build_task_prompt(DA, "row", masked_columns=["Level"], top_k=1)
-    assert "|" not in single.answer_format
+    assert "exactly 1 value(s)" in single.user_text
+    assert "|" not in single.user_text
 
 
 def test_assembly_is_pure():
-    a = build_task_prompt(MVP, "r", "k", "c", "x")
-    b = build_task_prompt(MVP, "r", "k", "c", "x")
+    a = build_task_prompt(MVP, "r", "k", "c", "x", masked_columns=["Level"])
+    b = build_task_prompt(MVP, "r", "k", "c", "x", masked_columns=["Level"])
     assert a == b
 
 
@@ -147,7 +156,7 @@ SPLIT_TEXT = st.text(
     knowledge=SPLIT_TEXT,
     context=SPLIT_TEXT,
     rules=SPLIT_TEXT,
-    columns=st.none() | st.lists(SPLIT_TEXT, min_size=1, max_size=4),
+    columns=st.lists(SPLIT_TEXT, min_size=1, max_size=4),
     top_k=st.integers(1, 3),
 )
 def test_prompt_tokens_add_up_from_the_pieces(kind, row, knowledge, context, rules, columns, top_k):
