@@ -17,13 +17,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from schedkit.attributes import cosine_matrix, pearson_matrix  # noqa: E402
 from schedkit.graph import build_graph, graph_stats, render_histogram  # noqa: E402
-from schedkit.synthetic import (  # noqa: E402
-    GeneratorParams,
-    cosine_matrix,
-    generate_schedule,
-    pearson_matrix,
-)
+from schedkit.synthetic import GeneratorParams, generate_schedule  # noqa: E402
 
 
 def main() -> None:

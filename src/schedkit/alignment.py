@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DataError
 from . import rng as prng
 from .knowledge import HashedNgramEmbedder, count_tokens
 from .masked_eval import PreferenceRecord
@@ -26,7 +27,7 @@ from .prompt_forge import POLISH, build_task_prompt
 _EPS = 1e-12
 
 
-class AlignmentError(Exception):
+class AlignmentError(DataError):
     pass
 
 

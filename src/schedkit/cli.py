@@ -13,13 +13,17 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import __version__
-from . import alignment, context, graph, knowledge, masked_eval, prompt_forge, synthetic
+from . import DataError, __version__
+# ``knowledge`` and ``alignment`` load numpy, so only the commands that use
+# them import them (build-kb, run-eval --kb, train-scorer, polish): every
+# other stage starts without numpy.
+from . import context, graph, masked_eval, prompt_forge, synthetic
 from .gateway import (
     MOCKS,
     GatewayConfig,
@@ -36,7 +40,7 @@ from .schedule import (
     serialize_schedule,
     validate,
 )
-from .synthetic import GeneratorParams, SyntheticError
+from .synthetic import GeneratorParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,6 +161,20 @@ def _sampler_config(cfg) -> context.SamplerConfig:
         )
     except ValueError as exc:
         raise UsageError(f"[sampler] {exc}") from None
+
+
+def _loss_config(cfg) -> dict:
+    """The ``[loss]`` values by key: finite and >= 0, with at least one
+    epoch in all."""
+    loss = {key: cfg.getint("loss", key) for key in ("epochs", "epochs_sft")}
+    for key in ("learning_rate", "alpha", "beta"):
+        loss[key] = cfg.getfloat("loss", key)
+    for key, value in loss.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise UsageError(f"[loss] {key}: must be finite and >= 0, got {value}")
+    if loss["epochs"] + loss["epochs_sft"] == 0:
+        raise UsageError("[loss] epochs: epochs and epochs_sft are both 0, so nothing trains")
+    return loss
 
 
 def _gateway_config(cfg) -> GatewayConfig:
@@ -284,6 +302,8 @@ def cmd_analyze_graph(args, cfg) -> int:
 
 
 def cmd_build_kb(args, cfg) -> int:
+    from . import knowledge
+
     out = _out_dir(args)
     embedder = knowledge.HashedNgramEmbedder()
     local, glob = knowledge.build_stores_from_paths(
@@ -307,6 +327,8 @@ def cmd_build_kb(args, cfg) -> int:
 def _load_kb(kb_dir: str | None):
     if not kb_dir:
         return None, None
+    from . import knowledge
+
     kb = Path(kb_dir)
     embedder = knowledge.HashedNgramEmbedder()
     local = glob = None
@@ -468,18 +490,18 @@ def cmd_collect_prefs(args, cfg) -> int:
 
 
 def cmd_train_scorer(args, cfg) -> int:
+    loss = _loss_config(cfg)
+    from . import alignment
+
     out = _out_dir(args)
     records = masked_eval.preference_store_load(args.prefs_db)
-    weights = alignment.LossWeights(
-        alpha=cfg.getfloat("loss", "alpha"), beta=cfg.getfloat("loss", "beta")
-    )
     scorer = alignment.train_scorer(
         records,
-        weights=weights,
-        epochs=cfg.getint("loss", "epochs"),
-        learning_rate=cfg.getfloat("loss", "learning_rate"),
+        weights=alignment.LossWeights(alpha=loss["alpha"], beta=loss["beta"]),
+        epochs=loss["epochs"],
+        learning_rate=loss["learning_rate"],
         seed=cfg.getint("eval", "seed"),
-        epochs_sft=cfg.getint("loss", "epochs_sft"),
+        epochs_sft=loss["epochs_sft"],
     )
     scorer.save(out / "scorer.bin")
     log_lines = [
@@ -513,6 +535,8 @@ def cmd_train_scorer(args, cfg) -> int:
 
 
 def cmd_polish(args, cfg) -> int:
+    from . import alignment
+
     out = _out_dir(args)
     instances = masked_eval.load_instances(args.instances)
     mode = args.gateway or "mock:stopword"
@@ -632,18 +656,6 @@ COMMANDS = {
     "report": cmd_report,
 }
 
-_DATA_ERRORS = (
-    ScheduleError,
-    knowledge.KnowledgeError,
-    masked_eval.EvalError,
-    SyntheticError,
-    graph.GraphError,
-    prompt_forge.PromptError,
-    alignment.AlignmentError,
-    FileNotFoundError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -656,7 +668,7 @@ def main(argv=None) -> int:
     except GatewayError as exc:
         print(f"gateway error: {exc}", file=sys.stderr)
         return EXIT_GATEWAY
-    except _DATA_ERRORS as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - last-resort mapping

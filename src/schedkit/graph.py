@@ -13,10 +13,11 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from . import DataError
 from .schedule import DependencyLink, Schedule, validate
 
 
-class GraphError(Exception):
+class GraphError(DataError):
     pass
 
 

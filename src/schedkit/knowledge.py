@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DataError
 from .gateway import read_jsonl, read_utf8
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
@@ -31,7 +32,7 @@ DEFAULT_DIM = 256
 DEFAULT_CHUNK_TOKENS = 500
 
 
-class KnowledgeError(Exception):
+class KnowledgeError(DataError):
     pass
 
 

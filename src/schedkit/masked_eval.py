@@ -18,6 +18,7 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
+from . import DataError
 from . import rng as prng
 from .gateway import (
     Gateway,
@@ -28,7 +29,6 @@ from .gateway import (
     read_jsonl,
     wire_values,
 )
-from .knowledge import count_tokens
 from .prompt_forge import AP, DA, MVP, build_task_prompt, prompt_tokens, word_count
 from .schedule import (
     COL_AREA,
@@ -50,7 +50,7 @@ GROUP_DIMENSIONS = ("discipline", "level", "area")
 _VALUE_RE = re.compile(r"\[Value\](.*?)\[/Value\]", re.DOTALL)
 
 
-class EvalError(Exception):
+class EvalError(DataError):
     pass
 
 
@@ -207,16 +207,22 @@ class ScoreReport:
     @classmethod
     def from_json(cls, text: str) -> "ScoreReport":
         """Inverse of ``to_json``: the counts come back, accuracies are
-        recomputed from them."""
+        recomputed from them. Counts no run can produce (negative, or more
+        correct than total) and a non-boolean ``complete`` are rejected."""
 
         def count(rec: dict, name: str) -> int:
             value = rec[name]
             if type(value) is not int:  # bool is an int, but not a JSON integer
                 raise TypeError(f"{name}: expected a JSON integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name}: expected a count >= 0, got {value}")
             return value
 
         def score(rec: dict) -> TaskScore:
-            return TaskScore(*(count(rec, f.name) for f in fields(TaskScore)))
+            s = TaskScore(*(count(rec, f.name) for f in fields(TaskScore)))
+            if s.cells_correct > s.cells_total or s.rows_correct > s.rows_total:
+                raise ValueError(f"more correct than total: {s}")
+            return s
 
         def items(value) -> Iterable:
             if not isinstance(value, dict):
@@ -224,6 +230,9 @@ class ScoreReport:
             return value.items()
 
         payload = json.loads(text)
+        complete = payload["complete"]
+        if type(complete) is not bool:
+            raise TypeError(f"complete: expected a JSON boolean, got {complete!r}")
         return cls(
             per_task={k: score(v) for k, v in items(payload["per_task"])},
             group_breakdowns={
@@ -233,7 +242,7 @@ class ScoreReport:
                 }
                 for dim, groups in items(payload["group_breakdowns"])
             },
-            complete=payload["complete"],
+            complete=complete,
         )
 
     def render_table(self) -> str:
@@ -598,7 +607,7 @@ def collect_preferences(
                 rejected_text=rejected,
                 task_kind=source.mask.task_kind,
                 row_id=source.mask.row_id,
-                context_length_tokens=count_tokens(source.prompt_user),
+                context_length_tokens=word_count(source.prompt_user),
                 meta=meta,
             )
         )

@@ -12,6 +12,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import DataError
+
 _PROMPT_DIR = Path(__file__).parent / "prompts"
 
 RULE_CATEGORIES = {
@@ -45,7 +47,7 @@ SECTION_RULES = "RULES:"
 SECTION_RAW = "RAW OUTPUT:"
 
 
-class PromptError(Exception):
+class PromptError(DataError):
     pass
 
 

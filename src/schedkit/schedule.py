@@ -21,6 +21,8 @@ from datetime import date
 from functools import cached_property
 from operator import attrgetter
 
+from . import DataError
+
 RELATIONS = ("FS", "SS", "FF", "SF")
 
 COL_ID = "Activity ID"
@@ -68,7 +70,7 @@ MANDATORY_COLUMNS = (
 CANONICAL_STATUSES = ("Not Started", "In Progress", "Completed")
 
 
-class ScheduleError(Exception):
+class ScheduleError(DataError):
     """Base class for ingestion failures."""
 
 

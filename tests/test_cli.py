@@ -734,9 +734,10 @@ def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
     whole = (tmp_path / "e" / "report.json").read_bytes()
     path = tmp_path / "report.json"
 
-    def with_cells_total(count) -> bytes:
+    def edited(complete=True, **counts) -> bytes:
         payload = json.loads(whole)
-        payload["per_task"]["MVP"]["cells_total"] = count
+        payload["complete"] = complete
+        payload["per_task"]["MVP"].update(counts)
         return json.dumps(payload).encode()
 
     for bad, type_name in (
@@ -747,19 +748,42 @@ def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
         (b'{"complete": true, "per_task": {}, "group_breakdowns": 1}', "TypeError"),
         (b'{"complete": true, "per_task": {}, "group_breakdowns": {"Level": []}}', "TypeError"),
         (b"\xff" + whole, "UnicodeDecodeError"),
-        *((with_cells_total(count), "TypeError") for count in ("a", None, 1.5, True)),
+        *((edited(cells_total=count), "TypeError") for count in ("a", None, 1.5, True)),
+        # Counts no run can produce. The first is a hand-written file that
+        # once rendered "overall | 500.0" and exited 0.
+        (edited("no", cells_total=2, cells_correct=10, rows_total=-1), "TypeError: complete"),
+        (edited(None), "TypeError: complete"),
+        (edited(cells_total=2, cells_correct=10), "ValueError: more correct than total"),
+        (edited(rows_total=1, rows_correct=2), "ValueError: more correct than total"),
+        (edited(rows_total=-1), "ValueError: rows_total"),
     ):
         path.write_bytes(bad)
         capsys.readouterr()
         assert run(["--out", str(tmp_path / "r"), "report", "--report", str(path)]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith(f"data error: {path}: {type_name}: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {path}: {type_name}: "), captured.err
 
+
+def test_loss_values_at_their_bounds_still_train(tmp_path, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    out = str(tmp_path / "o")
+    assert run(["--out", out, "run-eval", "--schedule", str(sched), "--gateway", "mock:wrong"]) == EXIT_OK
+    argv = ["--out", out, "collect-prefs", "--schedule", str(sched), "--instances", f"{out}/instances.jsonl"]
+    assert run(argv) == EXIT_OK
+    ini = tmp_path / "run.ini"
+    train = ["--config", str(ini), "--out", str(tmp_path / "s"), "train-scorer", "--prefs-db", f"{out}/prefs.jsonl"]
+    for raw in (b"learning_rate = 0\n", b"epochs = 0\n", b"epochs_sft = 0\nalpha = 0\nbeta = 0\n"):
+        ini.write_bytes(b"[loss]\n" + raw)
+        assert run(train) == EXIT_OK, raw
 
 def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys):
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
     ini = tmp_path / "run.ini"
     eval_argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    train_argv = ["train-scorer", "--prefs-db", str(tmp_path / "missing.jsonl")]
     cases = [
         (b"[gateway]\nmode = mock:\xff\n", ["generate", "--n", "3"], f"{ini}: UnicodeDecodeError: "),
         (b"mode = mock:echo\n", ["generate", "--n", "3"], "File contains no section headers"),
@@ -774,6 +798,15 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
             ["sample-context", "--schedule", str(sched)],
             "[sampler] max_sequential_hops capped at 16",
         ),
+        # Checked before the preference database is read. The first values
+        # once exited 0 with nothing trained.
+        (b"[loss]\nepochs = -4\nepochs_sft = -2\nlearning_rate = -1\n", train_argv, "[loss] epochs: must be finite and >= 0, got -4"),
+        (b"[loss]\nepochs_sft = -2\n", train_argv, "[loss] epochs_sft: must be finite and >= 0, got -2"),
+        (b"[loss]\nepochs = 0\nepochs_sft = 0\n", train_argv, "[loss] epochs: epochs and epochs_sft are both 0"),
+        (b"[loss]\nlearning_rate = -1\n", train_argv, "[loss] learning_rate: must be finite and >= 0, got -1.0"),
+        (b"[loss]\nlearning_rate = inf\n", train_argv, "[loss] learning_rate: must be finite and >= 0, got inf"),
+        (b"[loss]\nalpha = -0.5\n", train_argv, "[loss] alpha: must be finite and >= 0, got -0.5"),
+        (b"[loss]\nbeta = nan\n", train_argv, "[loss] beta: must be finite and >= 0, got nan"),
     ]
     for raw, argv, message in cases:
         ini.write_bytes(raw)

@@ -9,17 +9,15 @@ from schedkit.schedule import (
     serialize_schedule,
     validate,
 )
-from schedkit.synthetic import (
+from schedkit.attributes import (
     AttributeMatrix,
     EmptyColumnError,
-    GeneratorParams,
-    InfeasibleParamsError,
     TooFewRowsError,
     cosine_matrix,
-    generate_schedule,
     pearson,
     pearson_matrix,
 )
+from schedkit.synthetic import GeneratorParams, InfeasibleParamsError, generate_schedule
 
 from conftest import make_activity
 
