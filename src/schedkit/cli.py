@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import io
 import json
@@ -343,16 +344,16 @@ def _load_kb(kb_dir: str | None):
     return local, glob
 
 
-def _rendered_contexts(sched, cfg, targets):
-    """Each target's sampled context bundle with its rendered text, lazily
-    and in order. The graph is built, and so the schedule validated, before
-    this returns."""
+def _sampled_contexts(sched, cfg, targets, render):
+    """Each target's sampled context bundle with ``render(bundle, sched)``,
+    lazily and in order. The graph is built, and so the schedule validated,
+    before this returns."""
     g = graph.build_graph(sched)
     sampler_cfg = _sampler_config(cfg)
 
     def sample(target):
         bundle = context.combined_context(g, sched, target, sampler_cfg)
-        return bundle, context.render_context(bundle, sched)
+        return bundle, render(bundle, sched)
 
     return map(sample, targets)
 
@@ -365,7 +366,7 @@ def cmd_sample_context(args, cfg) -> int:
         if args.targets
         else [a.activity_id for a in sched.activities]
     )
-    sampled = _rendered_contexts(sched, cfg, targets)
+    sampled = _sampled_contexts(sched, cfg, targets, context.render_context)
     with _streamed(out / "bundles.jsonl") as bundles, _streamed(out / "contexts.txt") as texts:
         for i, (bundle, text) in enumerate(sampled):
             bundles.write(context.serialize_bundle(bundle) + "\n")
@@ -403,18 +404,18 @@ def cmd_run_eval(args, cfg) -> int:
             tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
 
         local, glob = _load_kb(args.kb)
-        # Each row's full context, built once: retrieved knowledge, if any,
-        # then the rendered context.
+        # Each row's context as its pieces, not as text: rows of one WBS
+        # bucket share its HIERARCHICAL block. Retrieved knowledge, if any,
+        # leads the head.
+        ids = [a.activity_id for a in sched.activities]
         contexts = {
-            bundle.target: text
-            for bundle, text in _rendered_contexts(
-                sched, cfg, [a.activity_id for a in sched.activities]
-            )
+            bundle.target: pieces
+            for bundle, pieces in _sampled_contexts(sched, cfg, ids, context.context_pieces)
         }
         if local is not None or glob is not None:
-            for row_id, text in contexts.items():
+            for row_id, pieces in contexts.items():
                 # Both stores share one embedder, so the query is embedded once.
-                query = (local or glob).embedder.embed(text)
+                query = (local or glob).embedder.embed(pieces.text())
                 parts = []
                 if local is not None:
                     entry = local.retrieve(query)
@@ -424,7 +425,7 @@ def cmd_run_eval(args, cfg) -> int:
                         parts.append(chunk.text)
                 static = "\n".join(parts)
                 if static:
-                    contexts[row_id] = static + "\n" + text
+                    contexts[row_id] = dataclasses.replace(pieces, head=f"{static}\n{pieces.head}")
 
         rules_text = read_utf8(args.rules, prompt_forge.PromptError) if args.rules else ""
         with _streamed(out / "instances.jsonl") as fh:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import rng as prng
 from .graph import ScheduleGraph, UnknownNodeError
-from .schedule import Schedule, context_line
+from .prompt_forge import word_count
+from .schedule import LineBlock, Schedule, context_line
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -114,8 +116,75 @@ def combined_context(
     )
 
 
-def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
-    """Deterministic text block consumed verbatim by prompt assembly.
+@dataclass(frozen=True)
+class ContextPieces:
+    """A rendered context in three pieces: the target's ``head`` (TARGET,
+    SEED, FIRST-ORDER and the ``HIERARCHICAL:`` label), a HIERARCHICAL
+    ``block`` less the line at span ``cut`` (one of ``block.spans``, or
+    ``NO_CUT``), and the SEQUENTIAL ``tail``. The block is usually one that
+    the target's whole WBS bucket shares, so its text, JSON escape and token
+    count are each computed once. The pieces meet at ``\n``, so token
+    counts add up across them."""
+
+    head: str
+    block: LineBlock
+    cut: tuple[int, int, int, int, int]
+    tail: str
+
+    @classmethod
+    def plain(cls, text: str) -> ContextPieces:
+        """A context given as text, all of it head."""
+        return cls(text, LineBlock(()), NO_CUT, "")
+
+    def text(self) -> str:
+        start, end, _, _, _ = self.cut
+        block = self.block.text
+        return "".join((self.head, block[:start], block[end:], self.tail))
+
+    def escaped(self) -> tuple[str, str, str, str]:
+        """The JSON escape of ``text()``, without quotes, in four parts."""
+        _, _, start, end, _ = self.cut
+        block = self.block.escaped
+        return (
+            encode_basestring_ascii(self.head)[1:-1],
+            block[:start],
+            block[end:],
+            encode_basestring_ascii(self.tail)[1:-1],
+        )
+
+    def tokens(self, count=word_count) -> int:
+        """``word_count(text())``; ``count`` counts the head and the tail and
+        may memoise them, as the prompts of one row share them."""
+        block = self.block.tokens - self.cut[4]
+        return count(self.head) + block + count(self.tail)
+
+
+NO_CUT = (0, 0, 0, 0, 0)
+
+
+def _hierarchical_block(schedule: Schedule, bundle: ContextBundle):
+    """The shared block of the target's WBS bucket and the span of the
+    target's own line in it, when the bundle's HIERARCHICAL set is that
+    bucket less the target, as ``sample_hierarchical`` draws it; otherwise a
+    block of its own, rendered from the sorted set, and ``NO_CUT``."""
+    index = schedule.index
+    target, hierarchical = bundle.target, bundle.hierarchical
+    act = index.by_id.get(target)
+    if act is not None and target not in hierarchical:
+        # Buckets shrink as k grows; the first match keys a set's block.
+        for k in range(len(act.wbs) + 1):
+            key = k, act.wbs[:k]
+            bucket = index.wbs_buckets[key]
+            if len(bucket) == len(hierarchical) + 1 and hierarchical <= bucket:
+                block = index.wbs_block(key)
+                return block, block.spans[target]
+    lines = index.wbs_lines
+    return LineBlock((aid, lines[aid]) for aid in sorted(hierarchical)), NO_CUT
+
+
+def context_pieces(bundle: ContextBundle, schedule: Schedule) -> ContextPieces:
+    """The deterministic context text that prompt assembly consumes
+    verbatim, as its pieces.
 
     Sequential paths print in edge direction, so backward walks read
     predecessor-first and end at the target.
@@ -139,14 +208,18 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             role = "successor"
         lines.append(context_line(row_text.get(aid), aid, role))
     lines.append("HIERARCHICAL:")
-    lines.extend(map(index.wbs_lines.__getitem__, sorted(bundle.hierarchical)))
-    lines.append("SEQUENTIAL:")
     rendered = []
     for path in bundle.sequential:
         nodes = path.nodes if path.direction == FORWARD else tuple(reversed(path.nodes))
         rendered.append("  " + " -> ".join(nodes))
-    lines.extend(sorted(rendered))
-    return "\n".join(lines) + "\n"
+    tail = ["SEQUENTIAL:", *sorted(rendered)]
+    block, cut = _hierarchical_block(schedule, bundle)
+    return ContextPieces("\n".join(lines) + "\n", block, cut, "\n".join(tail) + "\n")
+
+
+def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
+    """The text of ``context_pieces``."""
+    return context_pieces(bundle, schedule).text()
 
 
 def serialize_bundle(bundle: ContextBundle) -> str:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, TextIO
 
 from . import DataError
 from . import rng as prng
+from .context import ContextPieces
 from .gateway import (
     Gateway,
     GatewayError,
@@ -399,9 +400,13 @@ def evaluate_tasks(
     is returned, so no prompt text outlives the sink call; a caller that
     wants the instances passes ``sink=instances.append``.
 
-    Each prompt is JSON-encoded once, for the transcript and the sink. Its
-    token count is added up from its pieces, and each distinct system text,
-    context and tail is counted once.
+    ``context_provider`` maps a row id to its context, as text or as
+    ``ContextPieces``. A prompt's JSON encoding (for the transcript and the
+    sink) and its token count are put together from its pieces: the masked
+    row and the tail are encoded here, the context's parts come as its
+    pieces hold them, so a HIERARCHICAL block that a WBS bucket shares is
+    escaped and counted once per run, not once per prompt. Each distinct
+    system text, tail and context head and tail is counted once.
     """
     counts: dict[str, int] = {}
 
@@ -414,7 +419,10 @@ def evaluate_tasks(
 
     def run_one(mask: MaskSpec) -> EvalInstance:
         row_text = render_masked_row(schedule, mask)
-        context_text = context_provider(mask.row_id) if context_provider else ""
+        pieces = context_provider(mask.row_id) if context_provider else ""
+        if isinstance(pieces, str):
+            pieces = ContextPieces.plain(pieces)
+        context_text = pieces.text()
         prompt = build_task_prompt(
             mask.task_kind,
             row_text,
@@ -424,7 +432,12 @@ def evaluate_tasks(
             masked_columns=mask.masked_columns,
             top_k=k,
         )
-        user_json = encode_json(prompt.user_text)
+        head, middle, tail = prompt.pieces
+        if middle is not context_text:  # a Polish prompt leaves the context out
+            pieces = ContextPieces.plain(middle)
+        user_json = "".join(
+            (encode_json(head)[:-1], *pieces.escaped(), encode_json(tail)[1:])
+        )
         inst = EvalInstance(
             mask=mask,
             prompt_system=prompt.system_text,
@@ -438,7 +451,7 @@ def evaluate_tasks(
             response = gateway.complete(
                 prompt.system_text,
                 prompt.user_text,
-                prompt_tokens=prompt_tokens(prompt, count),
+                prompt_tokens=prompt_tokens(prompt, count, pieces.tokens(count)),
                 user_json=user_json,
             )
         except GatewayError as exc:

@@ -172,9 +172,14 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def prompt_tokens(prompt: TaskPrompt, count=word_count) -> int:
+def prompt_tokens(
+    prompt: TaskPrompt, count=word_count, context_tokens: int | None = None
+) -> int:
     """``word_count(system_text) + word_count(user_text)``, added up from the
-    pieces. ``count`` may memoise: every piece but the head (the masked row)
-    repeats across prompts."""
+    pieces. ``count`` may memoise: the system text and the tail repeat
+    across prompts. A caller that knows the context's count passes it as
+    ``context_tokens``."""
     head, context_text, tail = prompt.pieces
-    return count(prompt.system_text) + word_count(head) + count(context_text) + count(tail)
+    if context_tokens is None:
+        context_tokens = count(context_text)
+    return count(prompt.system_text) + word_count(head) + context_tokens + count(tail)

@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from typing import Iterable
 
 from . import DataError
 
@@ -159,6 +161,35 @@ class _WbsLines(dict):
         return context_line(None, aid, "wbs")
 
 
+class LineBlock:
+    """Lines joined once, each ended by ``\n``, with the JSON escape of the
+    text (``json.dumps`` less its quotes) and its whitespace-token count.
+    ``spans`` maps each line's key to its ``(start, end, escaped start,
+    escaped end, tokens)``, so one line can be left out of the text, the
+    escape and the count without rendering the others again."""
+
+    __slots__ = ("text", "escaped", "tokens", "spans")
+
+    def __init__(self, lines: Iterable[tuple[str, str]]):
+        texts, escapes = [], []
+        self.spans: dict[str, tuple[int, int, int, int, int]] = {}
+        end = escaped_end = self.tokens = 0
+        for key, line in lines:
+            line += "\n"
+            escaped = encode_basestring_ascii(line)[1:-1]
+            tokens = len(line.split())
+            self.spans[key] = (
+                end, end + len(line), escaped_end, escaped_end + len(escaped), tokens
+            )
+            texts.append(line)
+            escapes.append(escaped)
+            end += len(line)
+            escaped_end += len(escaped)
+            self.tokens += tokens
+        self.text = "".join(texts)
+        self.escaped = "".join(escapes)
+
+
 class ScheduleIndex:
     """Lookups into one schedule, so no caller re-scans activities or links.
 
@@ -191,6 +222,7 @@ class ScheduleIndex:
             for aid, ls in succs.items()
         }
         self._holders: dict[str, dict[str, set[str]]] = {}
+        self._blocks: dict[tuple[int, tuple[str, ...]], LineBlock] = {}
 
     @cached_property
     def rows(self) -> dict[str, dict[str, str]]:
@@ -234,15 +266,28 @@ class ScheduleIndex:
                 buckets.setdefault((k, act.wbs[:k]), set()).add(act.activity_id)
         return {key: frozenset(ids) for key, ids in buckets.items()}
 
+    def wbs_block(self, key: tuple[int, tuple[str, ...]]) -> LineBlock:
+        """The ``wbs_lines`` of bucket ``key`` of ``wbs_buckets``, sorted by
+        id, as one ``LineBlock`` keyed by id. Built once per bucket."""
+        block = self._blocks.get(key)
+        if block is None:
+            lines = self.wbs_lines
+            ids = sorted(self.wbs_buckets[key])
+            block = self._blocks[key] = LineBlock((aid, lines[aid]) for aid in ids)
+        return block
+
     def value_holders(self, column: str) -> dict[str, set[str]]:
         """Each serialized value of ``column`` mapped to the ids holding it
         (an activity without the column holds ""). Built once per column."""
         holders = self._holders.get(column)
         if holders is None:
             holders = {}
+            rows = self.rows
             for act in self._schedule.activities:
-                value = canonical_row(self._schedule, act).get(column, "")
-                holders.setdefault(value, set()).add(act.activity_id)
+                aid = act.activity_id
+                # ``rows`` holds only the last activity of a repeated id.
+                row = rows[aid] if self.by_id[aid] is act else canonical_row(self._schedule, act)
+                holders.setdefault(row.get(column, ""), set()).add(aid)
             self._holders[column] = holders
         return holders
 

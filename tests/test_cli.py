@@ -171,6 +171,57 @@ def test_analyze_graph_outputs_are_pinned(tmp_path, capsys):
     )
 
 
+# sha256 of the prompt-bearing files for `generate --n 300 --seed 1`: the
+# sampled contexts, and `run-eval --gateway mock:echo` without and with a
+# knowledge base built from PROMPT_CORPUS, so any change to how contexts or
+# prompts are rendered, escaped or counted that moves a byte shows here.
+PROMPT_DIGESTS_N300 = {
+    "ctx/bundles.jsonl": "8686208cd65398655ee6a09f5c2046277a165f8160a694a5a6a1427f44c96e89",
+    "ctx/contexts.txt": "e0e0257dd8f9ce676da890fac2b27f631e2878d99f9dd6cbba9e69222c9e408b",
+    "eval/transcript.jsonl": "43d9cd98f94a8201edc47680649d4330b215b60733ed00c0dc76323a5f967cb7",
+    "eval/instances.jsonl": "113e8448d875fe08fab84832956c465d561e0a49544359d1c6b1df5224edca41",
+    "eval/report.json": "ba7933490e9722eb230c5e43a2561fee9664b9d6179587d861a190cc8abb9538",
+    "kbeval/transcript.jsonl": "60ab2a80a3ed699ca26b56e18c63da6f718619684aa13ca8b58ce2db495595a4",
+    "kbeval/instances.jsonl": "e62b2a6de693287afad1e4bb04dface6ee219b150e1249253c16565568a27163",
+    "kbeval/report.json": "ba7933490e9722eb230c5e43a2561fee9664b9d6179587d861a190cc8abb9538",
+}
+PROMPT_CORPUS = {
+    "manual.txt": (
+        "Concrete pour slab curing and finishing for decks. "
+        "Steel erection, bolting \"torque\" sequence for frames; MEP rough-in "
+        "after the slab cures. Commissioning closes each area.\n"
+    )
+    * 40,
+    "notes.txt": "Piping hydrotest precedes insulation. Handover café review.\n" * 25,
+}
+PROMPT_TERMS = (
+    "WBS\thierarchical decomposition of project scope\n"
+    "FS\tfinish-to-start: the successor starts after the predecessor finishes\n"
+    "Lag\tdays between linked activities\n"
+)
+
+
+def test_prompt_artifacts_are_pinned(tmp_path, capsys):
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in PROMPT_CORPUS.items():
+        (corpus / name).write_text(text, "utf-8")
+    terms = tmp_path / "terms.tsv"
+    terms.write_text(PROMPT_TERMS, "utf-8")
+    evaluate = ["run-eval", "--schedule", sched, "--gateway", "mock:echo"]
+    runs = (
+        ["--out", str(tmp_path / "gen"), "generate", "--n", "300", "--seed", "1"],
+        ["--out", str(tmp_path / "ctx"), "sample-context", "--schedule", sched],
+        ["--out", str(tmp_path / "eval"), *evaluate],
+        ["--out", str(tmp_path / "kb"), "build-kb", "--corpus-dir", str(corpus), "--terms-file", str(terms)],
+        ["--out", str(tmp_path / "kbeval"), *evaluate, "--kb", str(tmp_path / "kb")],
+    )
+    for argv in runs:
+        assert run(argv) == EXIT_OK
+    assert _digests(tmp_path, PROMPT_DIGESTS_N300) == PROMPT_DIGESTS_N300
+
+
 def test_ingest_round_trip(tmp_path, capsys):
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
@@ -664,13 +715,34 @@ def test_run_eval_memory_stays_below_its_transcript(tmp_path, capsys):
     assert peak < (tmp_path / "e" / "transcript.jsonl").stat().st_size
 
 
-def test_run_eval_builds_each_canonical_row_once(tmp_path, monkeypatch, capsys):
+def test_run_eval_memory_stays_below_its_contexts(tmp_path, capsys):
+    """run-eval keeps each row's context as pieces that share their WBS
+    bucket's block: at n=1200 its traced peak stays under the summed length
+    of the contexts it renders, which holding them as text would exceed."""
+    import tracemalloc
+
+    assert run(["--out", str(tmp_path / "g"), "generate", "--n", "1200", "--seed", "1"]) == EXIT_OK
+    sched = str(tmp_path / "g" / "schedule.csv")
+    assert run(["--out", str(tmp_path / "c"), "sample-context", "--schedule", sched]) == EXIT_OK
+    # contexts.txt is the contexts joined by one blank line each.
+    contexts = len((tmp_path / "c" / "contexts.txt").read_text("utf-8")) - (1200 - 1)
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", sched, "--gateway", "mock:echo"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < contexts
+
+
+def _count_canonical_rows(monkeypatch) -> list[str]:
+    """The id of every ``canonical_row`` call from here on, wherever a
+    schedkit module binds the function, as the benchmark's tracer does."""
     import sys
 
     from schedkit import schedule
 
-    sched = tmp_path / "chain.csv"
-    sched.write_text(CHAIN_CSV, "utf-8")
     calls = []
     original = schedule.canonical_row
 
@@ -678,12 +750,33 @@ def test_run_eval_builds_each_canonical_row_once(tmp_path, monkeypatch, capsys):
         calls.append(args[1].activity_id)
         return original(*args)
 
-    # Wherever a schedkit module binds it, as the benchmark's tracer does.
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "schedkit" and getattr(module, "canonical_row", None) is original:
             monkeypatch.setattr(module, "canonical_row", counting)
+    return calls
+
+
+def test_run_eval_builds_each_canonical_row_once(tmp_path, monkeypatch, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    calls = _count_canonical_rows(monkeypatch)
     argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
     assert run(argv) == EXIT_OK
+    assert sorted(calls) == ["A", "B", "C"]
+
+
+def test_collect_prefs_builds_each_canonical_row_once(tmp_path, monkeypatch, capsys):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(argv) == EXIT_OK
+    calls = _count_canonical_rows(monkeypatch)
+    argv = [
+        "--out", str(tmp_path / "p"), "collect-prefs", "--schedule", str(sched),
+        "--instances", str(tmp_path / "e" / "instances.jsonl"), "--synthesize-negatives",
+    ]
+    assert run(argv) == EXIT_OK
+    assert "collected 9 preference pair(s)" in capsys.readouterr().out
     assert sorted(calls) == ["A", "B", "C"]
 
 

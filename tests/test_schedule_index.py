@@ -3,12 +3,16 @@
 The reference functions below are the per-call scans over ``schedule.links``
 and ``schedule.activities`` that ``canonical_row``, ``sample_hierarchical``,
 ``render_context`` and ``_synthesize_rejection`` used before the index; the
-index-backed versions must return exactly what they return.
+index-backed versions must return exactly what they return. The rendered
+context's pieces, which share each WBS bucket's block, and the prompts
+built from them must also escape and count as their joined text does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 from datetime import date, timedelta
 
 from hypothesis import given, settings
@@ -21,11 +25,12 @@ from schedkit.context import (
     ContextBundle,
     SamplerConfig,
     SequentialPath,
+    context_pieces,
     render_context,
     sample_hierarchical,
 )
-from schedkit.gateway import wire_values
-from schedkit.masked_eval import MaskSpec, _synthesize_rejection
+from schedkit.gateway import ConstantWrongGateway, wire_values
+from schedkit.masked_eval import MaskSpec, _synthesize_rejection, evaluate_tasks
 from schedkit.schedule import (
     CANONICAL_COLUMNS,
     COL_AREA,
@@ -172,6 +177,10 @@ def ref_synthesize_rejection(schedule: Schedule, mask: MaskSpec, seed: int):
 IDS = ("A", "B", "C", "D", "E", "F", "Q")
 EXTRA_KEYS = ("Phase", "Crew", "Zone Note")
 SMALL = st.sampled_from(("", "x", "y", "z"))
+# Characters that JSON escapes (quote, backslash, control), that the ASCII
+# encoding spells as one or two \u escapes, and U+2028, which str.splitlines
+# breaks at but str.split does not.
+ODD_NAME = 'Pour "A" \\ caf\u00e9 \U0001f600\u2028\x1f'
 
 
 @st.composite
@@ -179,7 +188,7 @@ def activities(draw, aid: str) -> Activity:
     start = date(2024, 1, 1) + timedelta(days=draw(st.integers(0, 3)))
     return Activity(
         activity_id=aid,
-        name=draw(st.sampled_from(("Pour", "Erect", "Pour slab"))),
+        name=draw(st.sampled_from(("Pour", "Erect", "Pour slab", ODD_NAME))),
         status=draw(st.sampled_from(("Not Started", "In Progress", "Completed"))),
         wbs=tuple(draw(st.lists(st.sampled_from(("P", "A", "B")), min_size=1, max_size=4))),
         discipline=draw(st.sampled_from(("CSA.Struc.Steel", "MEP.Proc.HP", ""))),
@@ -241,23 +250,70 @@ def test_sample_hierarchical_matches_activity_scan(sched, levels, data):
     assert sample_hierarchical(sched, target, cfg) == ref_sample_hierarchical(sched, target, cfg)
 
 
-@settings(max_examples=100, deadline=None)
-@given(schedules(), st.data())
-def test_render_context_matches_link_scan(sched, data):
+def draw_bundle(sched: Schedule, data) -> ContextBundle:
+    """A bundle over ``sched``'s ids and strangers, whose HIERARCHICAL set is
+    often the one ``sample_hierarchical`` draws (a WBS bucket less the
+    target) and otherwise any set."""
     ids = st.sampled_from(IDS)
     path = st.builds(
         SequentialPath,
         st.sampled_from(("forward", "backward")),
         st.lists(ids, min_size=2, max_size=4).map(tuple),
     )
-    bundle = ContextBundle(
-        target=data.draw(ids),
+    target = data.draw(ids)
+    hierarchical = st.frozensets(ids)
+    if target in sched.index.by_id:
+        cfg = st.builds(SamplerConfig, max_wbs_levels=st.integers(0, 4))
+        sampled = cfg.map(lambda c: sample_hierarchical(sched, target, c))
+        hierarchical = sampled | hierarchical
+    return ContextBundle(
+        target=target,
         first_order=data.draw(st.frozensets(ids)),
-        hierarchical=data.draw(st.frozensets(ids)),
+        hierarchical=data.draw(hierarchical),
         sequential=data.draw(st.frozensets(path, max_size=3)),
         sampled_at_seed=data.draw(st.integers(0, 99)),
     )
-    assert render_context(bundle, sched) == ref_render_context(bundle, sched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.data())
+def test_render_context_matches_link_scan(sched, data):
+    bundle = draw_bundle(sched, data)
+    expected = ref_render_context(bundle, sched)
+    assert render_context(bundle, sched) == expected
+    pieces = context_pieces(bundle, sched)
+    assert all(p.endswith("\n") for p in (pieces.head, pieces.block.text, pieces.tail) if p)
+    assert "".join(pieces.escaped()) == json.dumps(expected)[1:-1]
+    assert pieces.tokens() == len(expected.split())
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules(), st.data())
+def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
+    """Every task kind's prompt, put together from its context's pieces,
+    has the JSON encoding and token count of its whole text."""
+    pieces = context_pieces(draw_bundle(sched, data), sched)
+    if data.draw(st.booleans()):  # as run-eval --kb leads the head
+        pieces = dataclasses.replace(pieces, head=f"{ODD_NAME} knowledge\n{pieces.head}")
+    row_id = data.draw(st.sampled_from(sorted(sched.index.by_id)))
+    columns = (COL_STATUS, COL_START, "Phase")
+    tasks = [
+        MaskSpec(row_id, kind, columns, dict.fromkeys(columns, "x"))
+        for kind in ("MVP", "DA", "AP", "Polish")
+    ]
+    gateway = ConstantWrongGateway()
+    instances = []
+    evaluate_tasks(
+        sched, tasks, gateway, static_knowledge=ODD_NAME, rules=f"rule {ODD_NAME}",
+        context_provider=lambda rid: pieces, sink=instances.append,
+    )
+    assert [i.mask for i in instances] == tasks
+    for inst, rec in zip(instances, gateway.transcript.records):
+        if inst.mask.task_kind != "Polish":
+            assert pieces.text() in inst.prompt_user
+        assert inst.prompt_user_json == json.dumps(inst.prompt_user)
+        assert rec["user_text"] == inst.prompt_user
+        assert rec["prompt_tokens"] == len(inst.prompt_system.split()) + len(inst.prompt_user.split())
 
 
 @settings(max_examples=150, deadline=None)
