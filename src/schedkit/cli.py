@@ -198,8 +198,9 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
     mock:echo derives its table from the schedule.
 
     The transcript log starts ``<out_dir>/transcript.jsonl`` empty, so it is
-    opened only after the mode is checked and a replay source is read (the
-    source may be that very file). The caller closes ``gateway.transcript``.
+    opened only after the gateway is built, which reads a replay source to
+    its end (the source may be that very file). The caller closes
+    ``gateway.transcript``.
     """
     gw_cfg = _gateway_config(cfg)
     kind, eq, path = mode.removeprefix("mock:").partition("=")
@@ -214,13 +215,10 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
         data = (schedule.index.rows,)
     elif kind == "transcript":
         data = (load_transcript(path),)
-    transcript = TranscriptLog(out_dir / "transcript.jsonl")
-    try:
-        make = HttpGateway if mode == "http" else MOCKS[kind]
-        return make(*data, cfg=gw_cfg, transcript=transcript)
-    except BaseException:
-        transcript.close()
-        raise
+    make = HttpGateway if mode == "http" else MOCKS[kind]
+    gateway = make(*data, cfg=gw_cfg)
+    gateway.transcript = TranscriptLog(out_dir / "transcript.jsonl")
+    return gateway
 
 
 def _read_schedule(path: str):
@@ -463,12 +461,14 @@ def cmd_run_eval(args, cfg) -> int:
 def cmd_collect_prefs(args, cfg) -> int:
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
-    instances = masked_eval.load_instances(args.instances)
+    # Reads the whole file first, so a bad line fails before the database
+    # is touched; the records are then made as their lines are read again.
     records = masked_eval.collect_preferences(
         sched,
-        instances,
+        masked_eval.load_instances(args.instances),
         synthesize_negatives=args.synthesize_negatives,
         seed=cfg.getint("eval", "seed"),
+        reread=lambda positions: masked_eval.load_instances(args.instances, positions),
     )
     if args.prefs_db:
         db_path = Path(args.prefs_db)
@@ -478,15 +478,14 @@ def cmd_collect_prefs(args, cfg) -> int:
         # same --out starts it empty; a named --prefs-db accumulates.
         db_path = out / "prefs.jsonl"
         db_path.unlink(missing_ok=True)
-    for rec in records:
-        masked_eval.preference_store_append(db_path, rec)
+    count = masked_eval.preference_store_append(db_path, records)
     write_manifest(
         out,
         "collect-prefs",
         cfg,
         {"schedule": args.schedule, "instances": args.instances},
     )
-    print(f"collected {len(records)} preference pair(s) -> {db_path}")
+    print(f"collected {count} preference pair(s) -> {db_path}")
     return EXIT_OK
 
 
@@ -539,12 +538,11 @@ def cmd_polish(args, cfg) -> int:
     from . import alignment
 
     out = _out_dir(args)
-    instances = masked_eval.load_instances(args.instances)
     mode = args.gateway or "mock:stopword"
     gateway = build_gateway(cfg, mode, out)
     stats = alignment.ContextLengthStats()
     with gateway.transcript, _streamed(out / "polished.jsonl") as fh:
-        for inst in instances:
+        for inst in masked_eval.load_instances(args.instances):
             polished = alignment.polish_context(
                 gateway, inst.mask.task_kind, inst.prompt_user, stats
             )
@@ -555,7 +553,7 @@ def cmd_polish(args, cfg) -> int:
                 )
                 + "\n"
             )
-        if not instances:
+        if not stats.raw_lengths:  # no instances
             fh.write("\n")
     (out / "ctx_stats.json").write_text(stats.to_json(), "utf-8")
     for kind in sorted(stats.raw_lengths):

@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .prompt_forge import word_count
 
@@ -110,15 +111,20 @@ def encode_json(value) -> str:
     return "null" if value is None else _SORTED_JSON.encode(value)
 
 
-def json_object(encoded: dict[str, str], keys=None) -> str:
-    """The JSON object of the already-encoded values in ``encoded`` under
-    ``keys`` (default: all, sorted), as ``json.dumps`` writes it, built in
-    one join so that a long value is copied once."""
+def _object_parts(encoded: dict[str, str], keys=None) -> list[str]:
+    """The pieces of the JSON object of the already-encoded values in
+    ``encoded`` under ``keys`` (default: all, sorted), as ``json.dumps``
+    writes it; each value is one piece, so a long value is never copied."""
     parts: list[str] = []
     for k in sorted(encoded) if keys is None else keys:
         parts += (", " if parts else "{", encode_json(k), ": ", encoded[k])
     parts.append("}" if parts else "{}")
-    return "".join(parts)
+    return parts
+
+
+def json_object(encoded: dict[str, str], keys=None) -> str:
+    """``_object_parts`` joined, so that a long value is copied once."""
+    return "".join(_object_parts(encoded, keys))
 
 
 def read_utf8(path: Path, error) -> str:
@@ -130,32 +136,40 @@ def read_utf8(path: Path, error) -> str:
         raise error(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
-def read_jsonl(path: Path, make, error) -> list:
+def read_jsonl(path: Path, make, error, only=None) -> Iterator:
     """``make`` of each JSON object in the JSON-lines file ``path``, read
-    line by line; blank lines are skipped. A line that is not UTF-8, JSON or
-    an object, or that ``make`` rejects with ``ValueError``, ``KeyError`` or
-    ``TypeError``, raises ``error("<path>:<line>: <Type>: <detail>")``."""
-    items = []
+    and yielded one line at a time; blank lines are skipped. With ``only``,
+    a set of positions (from 0, blank lines not counted), the other lines
+    are not parsed and only those items are yielded. A line that is not
+    UTF-8, JSON or an object, or that ``make`` rejects with ``ValueError``,
+    ``KeyError`` or ``TypeError``, raises
+    ``error("<path>:<line>: <Type>: <detail>")``."""
+    position = -1
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
+                position += 1
+                if only is not None and position not in only:
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-                items.append(make(record))
+                item = make(record)
             except (ValueError, KeyError, TypeError) as exc:
                 raise error(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
-    return items
+            yield item
 
 
 def _content_hash(encoded: dict[str, str]) -> str:
-    """sha256 of ``json.dumps`` of the hashed fields with sorted keys, built
-    from each field's own JSON encoding in ``encoded``."""
-    basis = json_object(encoded, _HASHED_FIELDS)
-    return hashlib.sha256(basis.encode("utf-8")).hexdigest()
+    """sha256 of ``json.dumps`` of the hashed fields with sorted keys, fed
+    piece by piece from each field's own JSON encoding in ``encoded``."""
+    digest = hashlib.sha256()
+    for part in _object_parts(encoded, _HASHED_FIELDS):
+        digest.update(part.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class TranscriptLog:
@@ -191,7 +205,7 @@ class TranscriptLog:
             if self.records is not None:
                 self.records.append(record)
             if self._fh is not None:
-                self._fh.write(json_object(encoded))
+                self._fh.writelines(_object_parts(encoded))
                 self._fh.write("\n")
                 self._fh.flush()
             return record
@@ -214,8 +228,9 @@ def _checked_record(record: dict) -> dict:
     return record
 
 
-def load_transcript(path: Path) -> list[dict]:
-    """The saved records, each checked against its content hash."""
+def load_transcript(path: Path) -> Iterator[dict]:
+    """The saved records, each checked against its content hash as it is
+    read."""
     return read_jsonl(path, _checked_record, GatewayError)
 
 
@@ -336,11 +351,12 @@ class ScriptedTranscriptGateway(Gateway):
     """Replays a saved transcript; responses match prompts by content.
 
     Each saved record is consumed once. A call whose prompt has no
-    remaining record raises TranscriptExhaustedError. Only each record's
+    remaining record raises TranscriptExhaustedError. ``records`` is read
+    to its end here, one record at a time, and only each record's
     ``(response_text, error)`` is kept, under its prompt's hash.
     """
 
-    def __init__(self, records: list[dict], **kw):
+    def __init__(self, records: Iterable[dict], **kw):
         super().__init__(**kw)
         self._pending: dict[str, deque[tuple[str | None, str | None]]] = {}
         self._pending_lock = threading.Lock()

@@ -301,7 +301,7 @@ def _read_store(
     """The manifest items (``make`` applied to each record) and the matrix
     of a saved store. A line that is not a JSON object with the fields
     ``make`` reads raises ``KnowledgeError`` naming ``path:line``."""
-    items = read_jsonl(manifest_path, make, KnowledgeError)
+    items = list(read_jsonl(manifest_path, make, KnowledgeError))
     matrix = _read_matrix(Path(matrix_path))
     if len(items) != len(matrix):
         raise KnowledgeError(

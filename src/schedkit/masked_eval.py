@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import DataError
 from . import rng as prng
@@ -570,74 +570,129 @@ def _synthesize_rejection(
     return None
 
 
+@dataclass(slots=True)
+class _PreferenceGroup:
+    """What one ``(row_id, task_kind)`` group's record needs, kept while
+    its instances are read: the chosen text (the first mask's truth), the
+    positions of the first wrong and first fully correct instance, and the
+    wrong response texts in order."""
+
+    chosen: str
+    wrong_at: int | None = None
+    correct_at: int | None = None
+    wrong: list[str] = field(default_factory=list)
+
+
 def collect_preferences(
     schedule: Schedule,
-    instances: list[EvalInstance],
+    instances: Iterable[EvalInstance],
     *,
     synthesize_negatives: bool = False,
     seed: int = 42,
-) -> list[PreferenceRecord]:
+    reread: Callable[[set[int]], Iterable[EvalInstance]] | None = None,
+) -> Iterator[PreferenceRecord]:
     """Pair ground-truth completions against observed (or synthetic) rejects.
 
     Instances sharing (row, kind) contribute a single record: the first
     incorrect completion becomes the rejection, later ones ride along in
     meta. Fully correct groups only pair up when negative synthesis is on.
+    Records come in the order their groups first appear.
+
+    Two passes keep no prompt text beyond its record. The first, in this
+    call, reads every instance and keeps only what each group's record
+    needs, so a bad instance raises before any record is made. The second,
+    in the returned iterator, reads again only each record's source
+    instance: ``reread(positions)`` yields the instances at those positions
+    (from 0), in order; without it ``instances`` is indexed. A record whose
+    source comes after that of a later group is held back until its turn.
     """
-    groups: dict[tuple[str, str], list[EvalInstance]] = {}
-    for inst in instances:
-        groups.setdefault((inst.mask.row_id, inst.mask.task_kind), []).append(inst)
+    groups: dict[tuple[str, str], _PreferenceGroup] = {}
+    for pos, inst in enumerate(instances):
+        key = (inst.mask.row_id, inst.mask.task_kind)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _PreferenceGroup(_truth_wire(inst.mask))
+        if inst.error is None and inst.response_text is not None and not inst.all_correct:
+            group.wrong.append(inst.response_text)
+            if group.wrong_at is None:
+                group.wrong_at = pos
+        elif inst.all_correct and group.correct_at is None:
+            group.correct_at = pos
 
-    records = []
+    # Each record's group, in first-appearance order, by its source's position.
+    sources: dict[int, _PreferenceGroup] = {}
     for group in groups.values():
-        chosen = _truth_wire(group[0].mask)
-        wrong = [
-            inst
-            for inst in group
-            if inst.error is None
-            and inst.response_text is not None
-            and not inst.all_correct
-        ]
-        if wrong:
-            source, rejected = wrong[0], wrong[0].response_text
-            if rejected == chosen:
-                continue
-            meta: dict = {}
-            if len(wrong) > 1:
-                meta["extra_rejected"] = [w.response_text for w in wrong[1:]]
-        elif synthesize_negatives:
-            source = next((inst for inst in group if inst.all_correct), None)
-            synth = None if source is None else _synthesize_rejection(schedule, source.mask, seed)
-            if synth is None:
-                continue
-            rejected, corrupted_col = synth
-            meta = {"synthetic_negative": True, "corrupted_column": corrupted_col}
-        else:
-            continue
-        records.append(
-            PreferenceRecord(
-                prompt_text=source.prompt_user,
-                chosen_text=chosen,
-                rejected_text=rejected,
-                task_kind=source.mask.task_kind,
-                row_id=source.mask.row_id,
-                context_length_tokens=word_count(source.prompt_user),
-                meta=meta,
-            )
-        )
-    return records
+        if group.wrong:
+            if group.wrong[0] != group.chosen:
+                sources[group.wrong_at] = group
+        elif synthesize_negatives and group.correct_at is not None:
+            sources[group.correct_at] = group
+    if reread is None:
+        reread = lambda positions: (instances[i] for i in sorted(positions))
+    return _paired(schedule, sources, reread(set(sources)), seed)
 
 
-def preference_store_append(path: Path, record: PreferenceRecord) -> None:
-    """One JSON line per record; the single write keeps appends atomic."""
-    if record.chosen_text == record.rejected_text:
-        raise EvalError("chosen and rejected completions are identical")
-    line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line)
+def _paired(schedule, sources, read, seed) -> Iterator[PreferenceRecord]:
+    """Each source's record as ``read`` yields the sources in file order,
+    held back until every earlier group's record is out."""
+    turns = list(sources)  # source positions, in group order
+    held: dict[int, PreferenceRecord | None] = {}
+    turn = 0
+    for pos, source in zip(sorted(sources), read):
+        held[pos] = _preference_record(schedule, sources[pos], source, seed)
+        while turn < len(turns) and turns[turn] in held:
+            record = held.pop(turns[turn])
+            turn += 1
+            if record is not None:
+                yield record
+
+
+def _preference_record(
+    schedule: Schedule, group: _PreferenceGroup, source: EvalInstance, seed: int
+) -> PreferenceRecord | None:
+    """The group's record from its source instance; None when no rejection
+    can be synthesized."""
+    if group.wrong:
+        rejected = group.wrong[0]
+        meta: dict = {"extra_rejected": group.wrong[1:]} if len(group.wrong) > 1 else {}
+    else:
+        synth = _synthesize_rejection(schedule, source.mask, seed)
+        if synth is None:
+            return None
+        rejected, corrupted_col = synth
+        meta = {"synthetic_negative": True, "corrupted_column": corrupted_col}
+    return PreferenceRecord(
+        prompt_text=source.prompt_user,
+        chosen_text=group.chosen,
+        rejected_text=rejected,
+        task_kind=source.mask.task_kind,
+        row_id=source.mask.row_id,
+        context_length_tokens=word_count(source.prompt_user),
+        meta=meta,
+    )
+
+
+def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> int:
+    """Append one JSON line per record, each as the records yield it, through
+    one file handle opened at the first record; the number appended."""
+    count = 0
+    fh = None
+    try:
+        for record in records:
+            if record.chosen_text == record.rejected_text:
+                raise EvalError("chosen and rejected completions are identical")
+            if fh is None:
+                fh = open(path, "a", encoding="utf-8")
+            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            count += 1
+    finally:
+        if fh is not None:
+            fh.close()
+    return count
 
 
 def preference_store_load(path: Path) -> list[PreferenceRecord]:
-    return read_jsonl(path, PreferenceRecord.from_dict, CorruptRecordError)
+    return list(read_jsonl(path, PreferenceRecord.from_dict, CorruptRecordError))
 
 
 def instance_line(inst: EvalInstance) -> str:
@@ -667,5 +722,7 @@ def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
         fh.write("\n")
 
 
-def load_instances(path: Path) -> list[EvalInstance]:
-    return read_jsonl(path, EvalInstance.from_dict, CorruptRecordError)
+def load_instances(path: Path, only: set[int] | None = None) -> Iterator[EvalInstance]:
+    """The saved instances, read one line at a time; with ``only``, just
+    those at these positions (``gateway.read_jsonl``)."""
+    return read_jsonl(path, EvalInstance.from_dict, CorruptRecordError, only)

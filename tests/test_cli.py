@@ -566,7 +566,7 @@ def test_replayed_response_that_is_not_text_is_a_gateway_error(tmp_path, capsys)
     assert run(["--out", str(tmp_path / "e"), *argv, "mock:echo"]) == EXIT_OK
     # Record 0 answers 5, under a content hash that matches it.
     transcript = tmp_path / "e" / "transcript.jsonl"
-    records = load_transcript(transcript)
+    records = list(load_transcript(transcript))
     records[0]["response_text"] = 5
     with TranscriptLog(transcript) as log:
         for r in records:
@@ -574,21 +574,43 @@ def test_replayed_response_that_is_not_text_is_a_gateway_error(tmp_path, capsys)
     capsys.readouterr()
     assert run(["--out", str(tmp_path / "r"), *argv, f"mock:transcript={transcript}"]) == EXIT_GATEWAY
     assert "1 instance(s) failed at the gateway" in capsys.readouterr().err
-    replayed = load_transcript(tmp_path / "r" / "transcript.jsonl")
+    replayed = list(load_transcript(tmp_path / "r" / "transcript.jsonl"))
     assert replayed[0]["response_text"] is None
     assert replayed[0]["error"] == "MalformedResponseError: response is int, not text"
 
 
 def test_truncated_instances_is_a_data_error(tmp_path, capsys):
-    instances = str(_truncated_eval(tmp_path, "instances.jsonl"))
-    capsys.readouterr()
-    for argv in (
-        ["collect-prefs", "--schedule", str(tmp_path / "chain.csv"), "--instances", instances],
-        ["polish", "--instances", instances],
-    ):
-        assert run(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith(f"data error: {instances}:2: JSONDecodeError:")
+    """An instances file cut inside line 2 or inside its last line fails
+    collect-prefs and polish with exit 2 naming ``path:line``. collect-prefs
+    reads the whole file before it touches a database, so the default and a
+    named ``--prefs-db`` keep their earlier contents. polish keeps its
+    earlier ``polished.jsonl`` whole, and its transcript shows the exchanges
+    it made before the bad line."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:wrong"]
+    assert run(["--out", str(tmp_path / "e"), *argv]) == EXIT_OK
+    instances = tmp_path / "e" / "instances.jsonl"
+    lines = instances.read_bytes().splitlines(keepends=True)
+    db = tmp_path / "db" / "prefs.jsonl"
+    prefs = ["--out", str(tmp_path / "q"), "collect-prefs", "--schedule", str(sched), "--instances", str(instances)]
+    stages = (prefs, [*prefs, "--prefs-db", str(db)], ["--out", str(tmp_path / "p"), "polish", "--instances", str(instances)])
+    for argv in stages:
+        assert run(argv) == EXIT_OK
+    before = {d: tree_bytes(tmp_path / d) for d in ("q", "db", "p")}
+    assert before["q"]["prefs.jsonl"] and before["db"]["prefs.jsonl"]
+    for line_no in (2, len(lines)):
+        instances.write_bytes(b"".join(lines[: line_no - 1]) + lines[line_no - 1][:40])
+        capsys.readouterr()
+        for argv in stages:
+            assert run(argv) == EXIT_DATA, (line_no, argv)
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {instances}:{line_no}: JSONDecodeError:"), err
+        after = {d: tree_bytes(tmp_path / d) for d in ("q", "db", "p")}
+        made = [json.loads(line) for line in after["p"].pop("transcript.jsonl").splitlines()]
+        assert [r["error"] for r in made] == [None] * (line_no - 1)
+        before["p"].pop("transcript.jsonl", None)
+        assert after == before, line_no
 
 
 def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
@@ -608,6 +630,71 @@ def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
     for argv in (evaluate, polish, prefs):
         assert run(argv) == EXIT_OK
     assert {d: tree_bytes(tmp_path / d) for d in ("e", "p", "q")} == once
+
+
+def _prefs_order_digests(root: Path) -> dict[str, str | None]:
+    """sha256 of ``prefs.jsonl`` (None: no file) from collect-prefs, with and
+    without ``--synthesize-negatives``, over three instance files of
+    ``generate --n 40 --seed 5``, and of ``polished.jsonl`` for the empty
+    one. ``wrong`` is ``run-eval --tasks MVP,DA,MVP`` under ``mock:wrong``,
+    so each MVP group has two wrong instances. ``shuffled`` holds a
+    ``mock:echo`` run and a ``mock:wrong --tasks MVP`` run, lines shuffled
+    (seed 7) with blank lines between some: an MVP group whose correct line
+    comes first takes its wrong line, further on, as its source."""
+    import random
+
+    sched = str(root / "g" / "schedule.csv")
+    assert run(["--out", str(root / "g"), "generate", "--n", "40", "--seed", "5"]) == EXIT_OK
+    evaluate = ["run-eval", "--schedule", sched, "--gateway"]
+    for out, argv in (
+        ("wrong", [*evaluate, "mock:wrong", "--tasks", "MVP,DA,MVP"]),
+        ("echo", [*evaluate, "mock:echo"]),
+        ("wrong_mvp", [*evaluate, "mock:wrong", "--tasks", "MVP"]),
+    ):
+        assert run(["--out", str(root / out), *argv]) == EXIT_OK
+    lines = [
+        line
+        for out in ("echo", "wrong_mvp")
+        for line in (root / out / "instances.jsonl").read_bytes().splitlines(keepends=True)
+    ]
+    random.Random(7).shuffle(lines)
+    for i in range(0, len(lines), 25):
+        lines[i] = b"\n" + lines[i]
+    files = {
+        "wrong": root / "wrong" / "instances.jsonl",
+        "shuffled": root / "shuffled.jsonl",
+        "empty": root / "empty.jsonl",
+    }
+    files["shuffled"].write_bytes(b"".join(lines))
+    files["empty"].write_bytes(b"")
+    digests = {}
+    for name, path in files.items():
+        for flags in ((), ("--synthesize-negatives",)):
+            out = root / f"q_{name}{''.join(flags)}"
+            argv = ["--out", str(out), "collect-prefs", "--schedule", sched, "--instances", str(path), *flags]
+            assert run(argv) == EXIT_OK
+            db = out / "prefs.jsonl"
+            digests[out.name] = hashlib.sha256(db.read_bytes()).hexdigest() if db.exists() else None
+    assert run(["--out", str(root / "p"), "polish", "--instances", str(files["empty"])]) == EXIT_OK
+    digests["polished_empty"] = _digests(root / "p", ["polished.jsonl"])["polished.jsonl"]
+    return digests
+
+
+# _prefs_order_digests, recorded when collect-prefs kept every instance in
+# memory and wrote its records in one pass.
+PREFS_ORDER_DIGESTS = {
+    "q_wrong": "9a52097bb4fd758900dc9f5d52b6642d1d35f218e3d5db107232e9b27e81cc27",
+    "q_wrong--synthesize-negatives": "9a52097bb4fd758900dc9f5d52b6642d1d35f218e3d5db107232e9b27e81cc27",
+    "q_shuffled": "acfea0a07da9e2eab6f71e3b3e1287b2912c686d864f8b647151a9ddfdc5bed9",
+    "q_shuffled--synthesize-negatives": "bfcc2edd6b77ef6746296b8eff6c1abd0fe8d859a1ae8ccfd5f19a0f5245ecbc",
+    "q_empty": None,
+    "q_empty--synthesize-negatives": None,
+    "polished_empty": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+}
+
+
+def test_prefs_order_is_pinned(tmp_path, capsys):
+    assert _prefs_order_digests(tmp_path) == PREFS_ORDER_DIGESTS
 
 
 def test_named_prefs_db_accumulates(tmp_path, capsys):
@@ -696,22 +783,28 @@ def test_sample_context_without_targets_writes_the_same_files(tmp_path, capsys):
     assert (tmp_path / "c" / "contexts.txt").read_text("utf-8") == ""
 
 
-def test_run_eval_memory_stays_below_its_transcript(tmp_path, capsys):
-    """run-eval streams its prompts: the traced peak stays under the size of
-    the transcript it writes, which holds every prompt once."""
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of one CLI run, which must succeed."""
     import tracemalloc
 
-    assert run(["--out", str(tmp_path / "g"), "generate", "--n", "300", "--seed", "1"]) == EXIT_OK
-    argv = [
-        "--out", str(tmp_path / "e"), "run-eval",
-        "--schedule", str(tmp_path / "g" / "schedule.csv"), "--gateway", "mock:echo",
-    ]
     tracemalloc.start()
     try:
         assert run(argv) == EXIT_OK
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_run_eval_memory_stays_below_its_transcript(tmp_path, capsys):
+    """run-eval streams its prompts: the traced peak stays under the size of
+    the transcript it writes, which holds every prompt once."""
+    assert run(["--out", str(tmp_path / "g"), "generate", "--n", "300", "--seed", "1"]) == EXIT_OK
+    argv = [
+        "--out", str(tmp_path / "e"), "run-eval",
+        "--schedule", str(tmp_path / "g" / "schedule.csv"), "--gateway", "mock:echo",
+    ]
+    peak = _traced_peak(argv)
     assert peak < (tmp_path / "e" / "transcript.jsonl").stat().st_size
 
 
@@ -719,21 +812,64 @@ def test_run_eval_memory_stays_below_its_contexts(tmp_path, capsys):
     """run-eval keeps each row's context as pieces that share their WBS
     bucket's block: at n=1200 its traced peak stays under the summed length
     of the contexts it renders, which holding them as text would exceed."""
-    import tracemalloc
-
     assert run(["--out", str(tmp_path / "g"), "generate", "--n", "1200", "--seed", "1"]) == EXIT_OK
     sched = str(tmp_path / "g" / "schedule.csv")
     assert run(["--out", str(tmp_path / "c"), "sample-context", "--schedule", sched]) == EXIT_OK
     # contexts.txt is the contexts joined by one blank line each.
     contexts = len((tmp_path / "c" / "contexts.txt").read_text("utf-8")) - (1200 - 1)
     argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", sched, "--gateway", "mock:echo"]
-    tracemalloc.start()
-    try:
-        assert run(argv) == EXIT_OK
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < contexts
+    assert _traced_peak(argv) < contexts
+
+
+def _echo_run(root: Path, n: int, *tasks: str) -> tuple[str, Path]:
+    """``run-eval --gateway mock:echo`` over ``generate --n n --seed 1``:
+    the schedule path and the run directory."""
+    sched = str(root / f"g{n}" / "schedule.csv")
+    assert run(["--out", str(root / f"g{n}"), "generate", "--n", str(n), "--seed", "1"]) == EXIT_OK
+    argv = ["--out", str(root / f"e{n}"), "run-eval", "--schedule", sched, "--gateway", "mock:echo", *tasks]
+    assert run(argv) == EXIT_OK
+    return sched, root / f"e{n}"
+
+
+def test_replay_memory_stays_below_its_source(tmp_path, capsys):
+    """A replay reads its source transcript one record at a time and keeps
+    only each response: at n=300 its traced peak stays under the size of the
+    source, which holding the records would exceed."""
+    sched, recorded = _echo_run(tmp_path, 300)
+    source = recorded / "transcript.jsonl"
+    argv = [
+        "--out", str(tmp_path / "r"), "run-eval", "--schedule", sched,
+        "--gateway", f"mock:transcript={source}",
+    ]
+    assert _traced_peak(argv) < source.stat().st_size
+    assert (tmp_path / "r" / "transcript.jsonl").read_bytes() == source.read_bytes()
+
+
+# How much the traced peaks of collect-prefs and polish may grow from n=300
+# to n=1200 (AP only), while their instance files grow from 1.4 to 14.8 MB.
+# The schedule and collect-prefs's few hundred bytes per (row, task) group
+# grow with n: by 3.3 MB (collect-prefs) and 0.2 MB (polish) on Python 3.11;
+# holding every instance grew them by 17.6 and 14.2 MB.
+PEAK_GROWTH_MARGIN = 6_000_000
+
+
+def test_collect_prefs_and_polish_memory_does_not_grow_with_instances(tmp_path, capsys):
+    """collect-prefs and polish hold one instance at a time, so their traced
+    peaks at n=1200 stay within a fixed margin of those at n=300."""
+    from schedkit import alignment  # noqa: F401  (numpy, loaded before tracing)
+
+    peaks = {}
+    for n in (300, 1200):
+        sched, recorded = _echo_run(tmp_path, n, "--tasks", "AP")
+        instances = str(recorded / "instances.jsonl")
+        prefs = [
+            "--out", str(tmp_path / f"q{n}"), "collect-prefs", "--schedule", sched,
+            "--instances", instances, "--synthesize-negatives",
+        ]
+        polish = ["--out", str(tmp_path / f"p{n}"), "polish", "--instances", instances]
+        peaks[n] = (_traced_peak(prefs), _traced_peak(polish))
+    for small, large in zip(peaks[300], peaks[1200]):
+        assert large < small + PEAK_GROWTH_MARGIN, peaks
 
 
 def _count_canonical_rows(monkeypatch) -> list[str]:

@@ -74,7 +74,7 @@ def test_transcript_records_every_call(tmp_path):
         g.complete("sys", ROW_PROMPT)
         with pytest.raises(MissingMockDataError):
             g.complete("sys", ROW_PROMPT.replace("A100", "A999"))
-    records = load_transcript(tmp_path / "t.jsonl")
+    records = list(load_transcript(tmp_path / "t.jsonl"))
     assert len(records) == 2
     assert records[0]["error"] is None
     assert records[1]["error"] is not None
@@ -124,7 +124,7 @@ def test_transcript_hash_tamper_detected(tmp_path):
     text = (tmp_path / "t.jsonl").read_text("utf-8").replace("SF", "RF")
     (tmp_path / "t.jsonl").write_text(text, "utf-8")
     with pytest.raises(gw.GatewayError):
-        load_transcript(tmp_path / "t.jsonl")
+        list(load_transcript(tmp_path / "t.jsonl"))
 
 
 def ref_content_hash(record: dict) -> str:
@@ -180,7 +180,7 @@ def test_transcript_log_starts_its_file_empty(tmp_path):
     with TranscriptLog(path) as log:
         record = log.append(system_text="s", user_text="u", response_text="r", error=None)
         # Each record is on disk before the log closes.
-        assert load_transcript(path) == [record]
+        assert list(load_transcript(path)) == [record]
     assert [r["transcript_id"] for r in load_transcript(path)] == [0]
 
 

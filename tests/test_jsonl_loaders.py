@@ -90,8 +90,9 @@ def write_instances(path: Path, texts: list[str]) -> list[Path]:
 
 
 def write_preferences(path: Path, texts: list[str]) -> list[Path]:
-    for i, text in enumerate(texts):
-        preference_store_append(path, PreferenceRecord(text, "c", "r", "AP", f"A{i}", 1))
+    preference_store_append(
+        path, (PreferenceRecord(text, "c", "r", "AP", f"A{i}", 1) for i, text in enumerate(texts))
+    )
     return [path]
 
 
@@ -118,10 +119,15 @@ def _kb_loader(load, items: str):
     )
 
 
+def _listed(load):
+    """The loaded items as a list, from a loader that yields them."""
+    return lambda path: list(load(path))
+
+
 # name -> (writer, loader, error type, a field the loader requires)
 LOADERS = {
-    "transcript": (write_transcript, load_transcript, GatewayError, "user_text"),
-    "instances": (write_instances, load_instances, CorruptRecordError, "prompt_user"),
+    "transcript": (write_transcript, _listed(load_transcript), GatewayError, "user_text"),
+    "instances": (write_instances, _listed(load_instances), CorruptRecordError, "prompt_user"),
     "preferences": (write_preferences, preference_store_load, CorruptRecordError, "rejected_text"),
     "terms": (write_terms, _kb_loader(load_term_store, "entries"), KnowledgeError, "definition"),
     "chunks": (write_chunks, _kb_loader(load_chunk_store, "chunks"), KnowledgeError, "text"),

@@ -444,7 +444,7 @@ def test_wrong_completion_pairs_against_truth():
     table["A01"]["Current Start"] = "1999-01-01"
     instances = []
     evaluate_tasks(sched, tasks, EchoOracleGateway(table), sink=instances.append)
-    records = collect_preferences(sched, instances)
+    records = list(collect_preferences(sched, instances))
     assert len(records) == 1
     rec = records[0]
     assert rec.row_id == "A01"
@@ -461,7 +461,7 @@ def test_correct_instances_emit_nothing_without_synthesis():
         sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(truth_table(sched)),
         sink=instances.append,
     )
-    assert collect_preferences(sched, instances) == []
+    assert list(collect_preferences(sched, instances)) == []
 
 
 def test_synthetic_negatives_flagged():
@@ -471,7 +471,7 @@ def test_synthetic_negatives_flagged():
         sched, make_mask_tasks(sched, "DA"), EchoOracleGateway(truth_table(sched)),
         sink=instances.append,
     )
-    records = collect_preferences(sched, instances, synthesize_negatives=True)
+    records = list(collect_preferences(sched, instances, synthesize_negatives=True))
     assert len(records) == 5
     for rec in records:
         assert rec.meta["synthetic_negative"] is True
@@ -490,7 +490,7 @@ def test_forty_wrong_of_hundred_yields_forty_records():
         sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table),
         sink=instances.append,
     )
-    records = collect_preferences(sched, instances)
+    records = list(collect_preferences(sched, instances))
     assert len(records) == 40
     assert {r.row_id for r in records} == wrong_rows
     # Count audit against the score report.
@@ -527,8 +527,7 @@ def test_preference_store_round_trip(tmp_path):
         PreferenceRecord(f"prompt {i}", "[Value]a[/Value]", "[Value]b[/Value]", "AP", f"A{i}", 10 + i)
         for i in range(3)
     ]
-    for r in recs:
-        preference_store_append(path, r)
+    assert preference_store_append(path, recs) == 3
     assert preference_store_load(path) == recs
 
 
@@ -541,7 +540,7 @@ def test_preference_store_empty_file(tmp_path):
 def test_preference_store_corrupt_line(tmp_path):
     path = tmp_path / "prefs.jsonl"
     rec = PreferenceRecord("p", "c", "r", "AP", "A1", 5)
-    preference_store_append(path, rec)
+    preference_store_append(path, [rec])
     path.write_text(path.read_text("utf-8") + "{broken\n", "utf-8")
     with pytest.raises(CorruptRecordError) as err:
         preference_store_load(path)
@@ -552,19 +551,17 @@ def test_preference_store_large_round_trip_hash(tmp_path):
     import hashlib
 
     path = tmp_path / "prefs.jsonl"
-    for i in range(10_000):
-        preference_store_append(
-            path,
-            PreferenceRecord(f"p{i}", f"c{i}", f"r{i}", "MVP", f"A{i}", i % 97),
-        )
+    preference_store_append(
+        path,
+        (PreferenceRecord(f"p{i}", f"c{i}", f"r{i}", "MVP", f"A{i}", i % 97) for i in range(10_000)),
+    )
     loaded = preference_store_load(path)
     assert len(loaded) == 10_000
     digest_in = hashlib.sha256(
         "".join(json.dumps(r.to_dict(), sort_keys=True) for r in loaded).encode()
     ).hexdigest()
     rewritten = tmp_path / "rewrite.jsonl"
-    for r in loaded:
-        preference_store_append(rewritten, r)
+    preference_store_append(rewritten, loaded)
     digest_out = hashlib.sha256(
         "".join(
             json.dumps(r.to_dict(), sort_keys=True)
@@ -583,7 +580,7 @@ def test_instances_round_trip(tmp_path):
     )
     with open(tmp_path / "inst.jsonl", "w", encoding="utf-8") as fh:
         save_instances(fh, instances)
-    assert load_instances(tmp_path / "inst.jsonl") == instances
+    assert list(load_instances(tmp_path / "inst.jsonl")) == instances
 
 
 # Arbitrary Unicode with JSON's escape cases drawn often.
