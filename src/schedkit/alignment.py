@@ -15,14 +15,17 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import DataError
+from . import DataError, streamed
 from . import rng as prng
 from .knowledge import HashedNgramEmbedder, count_tokens
-from .masked_eval import PreferenceRecord
 from .prompt_forge import POLISH, build_task_prompt
+
+if TYPE_CHECKING:  # only type hints name it
+    from .masked_eval import PreferenceRecord
 
 _EPS = 1e-12
 
@@ -183,7 +186,7 @@ class PreferenceScorer:
         return float(_sigmoid(np.array([z]))[0])
 
     def save(self, path: Path) -> None:
-        with open(path, "wb") as fh:
+        with streamed(path, "wb") as fh:
             fh.write(struct.pack("<Id", self.dim, self.bias))
             fh.write(struct.pack(f"<{self.dim}d", *self.weights))
 

@@ -15,33 +15,13 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
-from . import DataError, __version__
-# ``knowledge`` and ``alignment`` load numpy, so only the commands that use
-# them import them (build-kb, run-eval --kb, train-scorer, polish): every
-# other stage starts without numpy.
-from . import context, graph, masked_eval, prompt_forge, synthetic
-from .gateway import (
-    MOCKS,
-    GatewayConfig,
-    GatewayError,
-    HttpGateway,
-    TranscriptLog,
-    load_transcript,
-    read_utf8,
-)
-from .schedule import (
-    ScheduleError,
-    parse_schedule,
-    serialize_records,
-    serialize_schedule,
-    validate,
-)
-from .synthetic import GeneratorParams
+# Only the package root here: each command imports the modules it runs, so
+# no stage compiles and loads the others' (``knowledge`` and ``alignment``
+# load numpy, so only build-kb, run-eval --kb, train-scorer and polish do).
+from . import DataError, GatewayError, __version__, read_utf8, streamed, write_artifact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,30 +111,14 @@ def write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
         },
         "inputs": inputs,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    write_artifact(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-@contextmanager
-def _streamed(path: Path):
-    """A text file written line by line into a temporary sibling of
-    ``path`` and renamed into place when the block ends, so a killed stage
-    leaves no half-written artifact; the sibling is deleted if an exception
-    escapes."""
-    tmp = path.with_name(path.name + ".tmp")
+def _sampler_config(cfg):
+    from .context import SamplerConfig
+
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _sampler_config(cfg) -> context.SamplerConfig:
-    try:
-        return context.SamplerConfig(
+        return SamplerConfig(
             max_sequential_hops=cfg.getint("sampler", "max_sequential_hops"),
             max_wbs_levels=cfg.getint("sampler", "max_wbs_levels"),
             paths_per_direction=cfg.getint("sampler", "paths_per_direction"),
@@ -178,7 +142,9 @@ def _loss_config(cfg) -> dict:
     return loss
 
 
-def _gateway_config(cfg) -> GatewayConfig:
+def _gateway_config(cfg):
+    from .gateway import GatewayConfig
+
     try:
         return GatewayConfig(
             endpoint_url=cfg.get("gateway", "endpoint_url"),
@@ -202,6 +168,8 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
     its end (the source may be that very file). The caller closes
     ``gateway.transcript``.
     """
+    from .gateway import MOCKS, HttpGateway, TranscriptLog, load_transcript
+
     gw_cfg = _gateway_config(cfg)
     kind, eq, path = mode.removeprefix("mock:").partition("=")
     if mode != "http" and not (
@@ -222,6 +190,8 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
 
 
 def _read_schedule(path: str):
+    from .schedule import ScheduleError, parse_schedule
+
     return parse_schedule(read_utf8(path, ScheduleError), source_label=path)
 
 
@@ -235,29 +205,31 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args, cfg) -> int:
+    from . import synthetic
+    from .schedule import serialize_records, serialize_schedule
+
     out = _out_dir(args)
     n = args.n if args.n is not None else cfg.getint("generate", "n")
     seed = args.seed if args.seed is not None else cfg.getint("generate", "seed")
-    sched = synthetic.generate_schedule(GeneratorParams(n_activities=n, seed=seed))
-    (out / "schedule.csv").write_text(serialize_schedule(sched), "utf-8")
-    (out / "schedule.jsonl").write_text(serialize_records(sched), "utf-8")
+    sched = synthetic.generate_schedule(synthetic.GeneratorParams(n_activities=n, seed=seed))
+    write_artifact(out / "schedule.csv", serialize_schedule(sched))
+    write_artifact(out / "schedule.jsonl", serialize_records(sched))
     write_manifest(out, "generate", cfg, {"n": n, "seed": seed})
     print(f"generated {n} activities, {len(sched.links)} links -> {out / 'schedule.csv'}")
     return EXIT_OK
 
 
 def cmd_ingest(args, cfg) -> int:
+    from .schedule import serialize_records, serialize_schedule, validate
+
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     report = validate(sched)
-    (out / "schedule.csv").write_text(serialize_schedule(sched), "utf-8")
-    (out / "schedule.jsonl").write_text(serialize_records(sched), "utf-8")
-    (out / "validation.json").write_text(
-        json.dumps(
-            [v.__dict__ for v in report.violations], sort_keys=True, indent=2
-        )
-        + "\n",
-        "utf-8",
+    write_artifact(out / "schedule.csv", serialize_schedule(sched))
+    write_artifact(out / "schedule.jsonl", serialize_records(sched))
+    write_artifact(
+        out / "validation.json",
+        json.dumps([v.__dict__ for v in report.violations], sort_keys=True, indent=2) + "\n",
     )
     write_manifest(out, "ingest", cfg, {"schedule": args.schedule})
     print(
@@ -268,25 +240,21 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_analyze_graph(args, cfg) -> int:
+    from . import graph
+
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     g = graph.build_graph(sched)
     cycles = graph.detect_cycles(g)
     lines = [f"nodes={len(g.nodes)}", f"edges={g.edge_count()}", f"cycles={len(cycles)}"]
     if cycles:
-        (out / "cycles.json").write_text(
-            json.dumps([list(c) for c in cycles], indent=2) + "\n", "utf-8"
-        )
+        write_artifact(out / "cycles.json", json.dumps([list(c) for c in cycles], indent=2) + "\n")
         stats = graph.degree_distribution(g)
     else:
         stats = graph.graph_stats(g)
-        (out / "maxhop_hist.txt").write_text(
-            graph.render_histogram(stats.maxhop_histogram), "utf-8"
-        )
-    (out / "degree_hist.txt").write_text(
-        graph.render_histogram(stats.degree_histogram), "utf-8"
-    )
-    (out / "graph_stats.txt").write_text(graph.render_stats_report(stats), "utf-8")
+        write_artifact(out / "maxhop_hist.txt", graph.render_histogram(stats.maxhop_histogram))
+    write_artifact(out / "degree_hist.txt", graph.render_histogram(stats.degree_histogram))
+    write_artifact(out / "graph_stats.txt", graph.render_stats_report(stats))
     write_manifest(out, "analyze-graph", cfg, {"schedule": args.schedule})
     print("\n".join(lines))
     print(
@@ -346,6 +314,8 @@ def _sampled_contexts(sched, cfg, targets, render):
     """Each target's sampled context bundle with ``render(bundle, sched)``,
     lazily and in order. The graph is built, and so the schedule validated,
     before this returns."""
+    from . import context, graph
+
     g = graph.build_graph(sched)
     sampler_cfg = _sampler_config(cfg)
 
@@ -357,6 +327,8 @@ def _sampled_contexts(sched, cfg, targets, render):
 
 
 def cmd_sample_context(args, cfg) -> int:
+    from . import context
+
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     targets = (
@@ -365,9 +337,9 @@ def cmd_sample_context(args, cfg) -> int:
         else [a.activity_id for a in sched.activities]
     )
     sampled = _sampled_contexts(sched, cfg, targets, context.render_context)
-    with _streamed(out / "bundles.jsonl") as bundles, _streamed(out / "contexts.txt") as texts:
+    with streamed(out / "bundles.jsonl") as bundles, streamed(out / "contexts.txt") as texts:
         for i, (bundle, text) in enumerate(sampled):
-            bundles.write(context.serialize_bundle(bundle) + "\n")
+            bundles.write(context.serialize_bundle(bundle, sched) + "\n")
             texts.write(("\n" if i else "") + text)
         if not targets:
             bundles.write("\n")
@@ -383,6 +355,9 @@ def cmd_sample_context(args, cfg) -> int:
 
 
 def cmd_run_eval(args, cfg) -> int:
+    from . import context, masked_eval
+    from .prompt_forge import PromptError
+
     k = cfg.getint("eval", "k")
     if k < 1:
         raise UsageError(f"[eval] k: must be >= 1, got {k}")
@@ -403,8 +378,8 @@ def cmd_run_eval(args, cfg) -> int:
 
         local, glob = _load_kb(args.kb)
         # Each row's context as its pieces, not as text: rows of one WBS
-        # bucket share its HIERARCHICAL block. Retrieved knowledge, if any,
-        # leads the head.
+        # bucket share its HIERARCHICAL block, and rows that retrieve the
+        # same texts share them. Retrieved knowledge, if any, leads.
         ids = [a.activity_id for a in sched.activities]
         contexts = {
             bundle.target: pieces
@@ -421,12 +396,11 @@ def cmd_run_eval(args, cfg) -> int:
                 if glob is not None:
                     for chunk in glob.retrieve(query, k=3):
                         parts.append(chunk.text)
-                static = "\n".join(parts)
-                if static:
-                    contexts[row_id] = dataclasses.replace(pieces, head=f"{static}\n{pieces.head}")
+                if "\n".join(parts):
+                    contexts[row_id] = dataclasses.replace(pieces, knowledge=tuple(parts))
 
-        rules_text = read_utf8(args.rules, prompt_forge.PromptError) if args.rules else ""
-        with _streamed(out / "instances.jsonl") as fh:
+        rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
+        with streamed(out / "instances.jsonl") as fh:
             # Caught inside the block, so the instances of a partial run
             # are kept.
             failure = None
@@ -443,8 +417,8 @@ def cmd_run_eval(args, cfg) -> int:
                 )
             except masked_eval.GatewayEvalError as exc:
                 report, failure = exc.partial_report, exc
-    (out / "report.json").write_text(report.to_json(), "utf-8")
-    (out / "report.txt").write_text(report.render_table(), "utf-8")
+    write_artifact(out / "report.json", report.to_json())
+    write_artifact(out / "report.txt", report.render_table())
     write_manifest(
         out,
         "run-eval",
@@ -459,6 +433,8 @@ def cmd_run_eval(args, cfg) -> int:
 
 
 def cmd_collect_prefs(args, cfg) -> int:
+    from . import masked_eval
+
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     # Reads the whole file first, so a bad line fails before the database
@@ -491,7 +467,7 @@ def cmd_collect_prefs(args, cfg) -> int:
 
 def cmd_train_scorer(args, cfg) -> int:
     loss = _loss_config(cfg)
-    from . import alignment
+    from . import alignment, masked_eval
 
     out = _out_dir(args)
     records = masked_eval.preference_store_load(args.prefs_db)
@@ -511,9 +487,10 @@ def cmd_train_scorer(args, cfg) -> int:
         )
         for i, bd in enumerate(scorer.training_log)
     ]
-    (out / "training_log.jsonl").write_text("\n".join(log_lines) + "\n", "utf-8")
+    write_artifact(out / "training_log.jsonl", "\n".join(log_lines) + "\n")
     accuracy = alignment.ranking_accuracy(scorer, records, scorer.training_features)
-    (out / "scorer_summary.json").write_text(
+    write_artifact(
+        out / "scorer_summary.json",
         json.dumps(
             {
                 "records": len(records),
@@ -524,7 +501,6 @@ def cmd_train_scorer(args, cfg) -> int:
             indent=2,
         )
         + "\n",
-        "utf-8",
     )
     write_manifest(out, "train-scorer", cfg, {"prefs_db": args.prefs_db})
     print(
@@ -535,13 +511,13 @@ def cmd_train_scorer(args, cfg) -> int:
 
 
 def cmd_polish(args, cfg) -> int:
-    from . import alignment
+    from . import alignment, graph, masked_eval
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
     gateway = build_gateway(cfg, mode, out)
     stats = alignment.ContextLengthStats()
-    with gateway.transcript, _streamed(out / "polished.jsonl") as fh:
+    with gateway.transcript, streamed(out / "polished.jsonl") as fh:
         for inst in masked_eval.load_instances(args.instances):
             polished = alignment.polish_context(
                 gateway, inst.mask.task_kind, inst.prompt_user, stats
@@ -555,13 +531,11 @@ def cmd_polish(args, cfg) -> int:
             )
         if not stats.raw_lengths:  # no instances
             fh.write("\n")
-    (out / "ctx_stats.json").write_text(stats.to_json(), "utf-8")
+    write_artifact(out / "ctx_stats.json", stats.to_json())
     for kind in sorted(stats.raw_lengths):
         for which in ("raw", "polished"):
             hist = stats.histogram(kind, which)
-            (out / f"ctxlen_{kind}_{which}.txt").write_text(
-                graph.render_histogram(hist), "utf-8"
-            )
+            write_artifact(out / f"ctxlen_{kind}_{which}.txt", graph.render_histogram(hist))
     write_manifest(out, "polish", cfg, {"instances": args.instances, "gateway": mode})
     for kind in sorted(stats.raw_lengths):
         print(
@@ -572,15 +546,15 @@ def cmd_polish(args, cfg) -> int:
 
 
 def cmd_report(args, cfg) -> int:
+    from .report import ScoreReport
+
     out = _out_dir(args)
     try:
-        report = masked_eval.ScoreReport.from_json(Path(args.report).read_text("utf-8"))
+        report = ScoreReport.from_json(Path(args.report).read_text("utf-8"))
     except (ValueError, KeyError, TypeError) as exc:
-        raise masked_eval.CorruptRecordError(
-            f"{args.report}: {type(exc).__name__}: {exc}"
-        ) from None
+        raise DataError(f"{args.report}: {type(exc).__name__}: {exc}") from None
     table = report.render_table()
-    (out / "report.txt").write_text(table, "utf-8")
+    write_artifact(out / "report.txt", table)
     write_manifest(out, "report", cfg, {"report": args.report})
     print(table, end="")
     return EXIT_OK

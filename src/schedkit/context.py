@@ -116,20 +116,28 @@ def combined_context(
     )
 
 
+def json_escape(text: str) -> str:
+    """``json.dumps(text)`` without its quotes."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
 @dataclass(frozen=True)
 class ContextPieces:
-    """A rendered context in three pieces: the target's ``head`` (TARGET,
-    SEED, FIRST-ORDER and the ``HIERARCHICAL:`` label), a HIERARCHICAL
-    ``block`` less the line at span ``cut`` (one of ``block.spans``, or
-    ``NO_CUT``), and the SEQUENTIAL ``tail``. The block is usually one that
-    the target's whole WBS bucket shares, so its text, JSON escape and token
-    count are each computed once. The pieces meet at ``\n``, so token
-    counts add up across them."""
+    """A rendered context in pieces: the texts retrieved for the target, if
+    any (``knowledge``, each followed by ``\n``), the target's ``head``
+    (TARGET, SEED, FIRST-ORDER and the ``HIERARCHICAL:`` label), a
+    HIERARCHICAL ``block`` less the line at span ``cut`` (one of
+    ``block.spans``, or ``NO_CUT``), and the SEQUENTIAL ``tail``. The block
+    is usually one that the target's whole WBS bucket shares, so its text,
+    JSON escape and token count are each computed once; likewise rows share
+    the texts they retrieve. The pieces meet at ``\n``, so token counts add
+    up across them."""
 
     head: str
     block: LineBlock
     cut: tuple[int, int, int, int, int]
     tail: str
+    knowledge: tuple[str, ...] = ()
 
     @classmethod
     def plain(cls, text: str) -> ContextPieces:
@@ -139,34 +147,32 @@ class ContextPieces:
     def text(self) -> str:
         start, end, _, _, _ = self.cut
         block = self.block.text
-        return "".join((self.head, block[:start], block[end:], self.tail))
+        lead = [piece for part in self.knowledge for piece in (part, "\n")]
+        return "".join((*lead, self.head, block[:start], block[end:], self.tail))
 
-    def escaped(self) -> tuple[str, str, str, str]:
-        """The JSON escape of ``text()``, without quotes, in four parts."""
+    def escaped(self, escape=json_escape) -> tuple[str, ...]:
+        """``json_escape(text())`` in parts; ``escape`` escapes each
+        knowledge text and may memoise them, as rows share them."""
         _, _, start, end, _ = self.cut
         block = self.block.escaped
-        return (
-            encode_basestring_ascii(self.head)[1:-1],
-            block[:start],
-            block[end:],
-            encode_basestring_ascii(self.tail)[1:-1],
-        )
+        lead = [piece for part in self.knowledge for piece in (escape(part), "\\n")]
+        return (*lead, json_escape(self.head), block[:start], block[end:], json_escape(self.tail))
 
     def tokens(self, count=word_count) -> int:
-        """``word_count(text())``; ``count`` counts the head and the tail and
-        may memoise them, as the prompts of one row share them."""
+        """``word_count(text())``; ``count`` counts the knowledge, the head
+        and the tail and may memoise them, as rows and the prompts of one
+        row share them."""
         block = self.block.tokens - self.cut[4]
-        return count(self.head) + block + count(self.tail)
+        return sum(map(count, self.knowledge)) + count(self.head) + block + count(self.tail)
 
 
 NO_CUT = (0, 0, 0, 0, 0)
 
 
-def _hierarchical_block(schedule: Schedule, bundle: ContextBundle):
-    """The shared block of the target's WBS bucket and the span of the
-    target's own line in it, when the bundle's HIERARCHICAL set is that
-    bucket less the target, as ``sample_hierarchical`` draws it; otherwise a
-    block of its own, rendered from the sorted set, and ``NO_CUT``."""
+def _bucket_key(schedule: Schedule, bundle: ContextBundle):
+    """The key of the target's WBS bucket in ``wbs_buckets`` when the
+    bundle's HIERARCHICAL set is that bucket less the target, as
+    ``sample_hierarchical`` draws it; otherwise None."""
     index = schedule.index
     target, hierarchical = bundle.target, bundle.hierarchical
     act = index.by_id.get(target)
@@ -176,10 +182,21 @@ def _hierarchical_block(schedule: Schedule, bundle: ContextBundle):
             key = k, act.wbs[:k]
             bucket = index.wbs_buckets[key]
             if len(bucket) == len(hierarchical) + 1 and hierarchical <= bucket:
-                block = index.wbs_block(key)
-                return block, block.spans[target]
+                return key
+    return None
+
+
+def _hierarchical_block(schedule: Schedule, bundle: ContextBundle):
+    """The shared block of the target's WBS bucket (``_bucket_key``) and the
+    span of the target's own line in it; for any other HIERARCHICAL set, a
+    block of its own, rendered from the sorted set, and ``NO_CUT``."""
+    index = schedule.index
+    key = _bucket_key(schedule, bundle)
+    if key is not None:
+        block = index.wbs_block(key)
+        return block, block.spans[bundle.target]
     lines = index.wbs_lines
-    return LineBlock((aid, lines[aid]) for aid in sorted(hierarchical)), NO_CUT
+    return LineBlock((aid, lines[aid]) for aid in sorted(bundle.hierarchical)), NO_CUT
 
 
 def context_pieces(bundle: ContextBundle, schedule: Schedule) -> ContextPieces:
@@ -222,19 +239,34 @@ def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
     return context_pieces(bundle, schedule).text()
 
 
-def serialize_bundle(bundle: ContextBundle) -> str:
-    """One JSON line per bundle, stable field and element order."""
-    rec = {
-        "target": bundle.target,
-        "first_order": sorted(bundle.first_order),
-        "hierarchical": sorted(bundle.hierarchical),
-        "sequential": [
-            {"direction": p.direction, "nodes": list(p.nodes)}
-            for p in sorted(bundle.sequential)
-        ],
-        "sampled_at_seed": bundle.sampled_at_seed,
-    }
-    return json.dumps(rec, sort_keys=True)
+def _json_ids(ids) -> str:
+    """``json.dumps`` of a list of ids."""
+    return "[" + ", ".join(map(encode_basestring_ascii, ids)) + "]"
+
+
+def serialize_bundle(bundle: ContextBundle, schedule: Schedule) -> str:
+    """One JSON line per bundle, stable field and element order:
+    ``json.dumps`` of its fields with sorted keys and sorted elements. A
+    HIERARCHICAL set that is the target's WBS bucket less the target
+    (``_bucket_key``) is cut from the bucket's encoded ids, which are built
+    once per bucket; any other set is encoded from its sorted ids."""
+    key = _bucket_key(schedule, bundle)
+    if key is None:
+        hierarchical = _json_ids(sorted(bundle.hierarchical))
+    else:
+        hierarchical = schedule.index.wbs_ids(key).without(bundle.target)
+    # Tuples sort as the dataclass's fields do, without its Python ``__lt__``.
+    sequential = ", ".join(
+        f'{{"direction": {encode_basestring_ascii(direction)}, "nodes": {_json_ids(nodes)}}}'
+        for direction, nodes in sorted((p.direction, p.nodes) for p in bundle.sequential)
+    )
+    return (
+        f'{{"first_order": {_json_ids(sorted(bundle.first_order))}, '
+        f'"hierarchical": {hierarchical}, '
+        f'"sampled_at_seed": {json.dumps(bundle.sampled_at_seed)}, '
+        f'"sequential": [{sequential}], '
+        f'"target": {encode_basestring_ascii(bundle.target)}}}'
+    )
 
 
 def load_bundle(line: str) -> ContextBundle:

@@ -20,10 +20,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import GatewayError
 from .prompt_forge import word_count
 
 ROW_ID_LABEL = "Activity ID"
@@ -39,10 +41,6 @@ STOPWORDS = frozenset(
     "a an and are as at be by for from has have in is it its of on or that the "
     "this to was were will with".split()
 )
-
-
-class GatewayError(Exception):
-    pass
 
 
 class GatewayTimeoutError(GatewayError):
@@ -100,40 +98,48 @@ def exchange_hash(system_text: str, user_text: str) -> str:
 _HASHED_FIELDS = ("error", "response_text", "system_text", "user_text")
 
 
-_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+# ``json.dumps(value, sort_keys=True)``'s C encoder, built once rather than
+# on every call. It keeps no circular-reference markers, which a reused
+# encoder would share between calls: a value that contains itself recurses
+# until ``RecursionError`` instead of raising ``ValueError``.
+_SORTED_JSON = c_make_encoder(
+    None,
+    json.JSONEncoder().default,
+    encode_basestring_ascii,
+    None,
+    ": ",
+    ", ",
+    True,
+    False,
+    True,
+)
 
 
 def encode_json(value) -> str:
     """``json.dumps(value, sort_keys=True)``; strings and None skip the
-    encoder's per-call dispatch."""
+    encoder."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    return "null" if value is None else _SORTED_JSON.encode(value)
+    return "null" if value is None else "".join(_SORTED_JSON(value, 0))
 
 
-def _object_parts(encoded: dict[str, str], keys=None) -> list[str]:
+@lru_cache(maxsize=256)
+def _key_part(key: str, first: bool) -> str:
+    """What ``json.dumps`` writes before the value of ``key``: the object's
+    opening brace or the item separator, the encoded key and ``": "``. Field
+    names are few, so each is encoded once."""
+    return ("{" if first else ", ") + encode_basestring_ascii(key) + ": "
+
+
+def object_parts(encoded: dict[str, str], keys=None) -> list[str]:
     """The pieces of the JSON object of the already-encoded values in
     ``encoded`` under ``keys`` (default: all, sorted), as ``json.dumps``
     writes it; each value is one piece, so a long value is never copied."""
     parts: list[str] = []
     for k in sorted(encoded) if keys is None else keys:
-        parts += (", " if parts else "{", encode_json(k), ": ", encoded[k])
+        parts += (_key_part(k, not parts), encoded[k])
     parts.append("}" if parts else "{}")
     return parts
-
-
-def json_object(encoded: dict[str, str], keys=None) -> str:
-    """``_object_parts`` joined, so that a long value is copied once."""
-    return "".join(_object_parts(encoded, keys))
-
-
-def read_utf8(path: Path, error) -> str:
-    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming
-    the file."""
-    try:
-        return Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def read_jsonl(path: Path, make, error, only=None) -> Iterator:
@@ -167,7 +173,7 @@ def _content_hash(encoded: dict[str, str]) -> str:
     """sha256 of ``json.dumps`` of the hashed fields with sorted keys, fed
     piece by piece from each field's own JSON encoding in ``encoded``."""
     digest = hashlib.sha256()
-    for part in _object_parts(encoded, _HASHED_FIELDS):
+    for part in object_parts(encoded, _HASHED_FIELDS):
         digest.update(part.encode("utf-8"))
     return digest.hexdigest()
 
@@ -205,7 +211,7 @@ class TranscriptLog:
             if self.records is not None:
                 self.records.append(record)
             if self._fh is not None:
-                self._fh.writelines(_object_parts(encoded))
+                self._fh.writelines(object_parts(encoded))
                 self._fh.write("\n")
                 self._fh.flush()
             return record

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError
-from .gateway import read_jsonl, read_utf8
+from . import DataError, read_utf8, streamed, write_artifact
+from .gateway import read_jsonl
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
 
@@ -259,7 +259,7 @@ _MAGIC = b"SKEM"
 
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
     count, dim = matrix.shape
-    with open(path, "wb") as fh:
+    with streamed(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", dim if count else 0, count))
         fh.write(matrix.astype("<f4").tobytes())
@@ -292,7 +292,7 @@ def _read_matrix(path: Path) -> np.ndarray:
 
 def _write_manifest(path: Path, records: list[dict]) -> None:
     lines = [json.dumps(r, sort_keys=True) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    write_artifact(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _read_store(

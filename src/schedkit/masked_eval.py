@@ -11,26 +11,24 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from . import DataError
+from . import DataError, GatewayError
 from . import rng as prng
-from .context import ContextPieces
 from .gateway import (
     Gateway,
-    GatewayError,
     MISSING_COLUMNS_LABEL,
     encode_json,
-    json_object,
+    object_parts,
     read_jsonl,
     wire_values,
 )
 from .prompt_forge import AP, DA, MVP, build_task_prompt, prompt_tokens, word_count
+from .report import ScoreReport, TaskScore
 from .schedule import (
     COL_AREA,
     COL_DISCIPLINE,
@@ -148,120 +146,6 @@ class EvalOutcome:
     mask: MaskSpec
     cells_correct: tuple[bool, ...]
     error: str | None
-
-
-@dataclass
-class TaskScore:
-    cells_total: int = 0
-    cells_correct: int = 0
-    rows_total: int = 0
-    rows_correct: int = 0
-
-    def add(self, correct_flags) -> None:
-        self.cells_total += len(correct_flags)
-        self.cells_correct += sum(bool(f) for f in correct_flags)
-        self.rows_total += 1
-        self.rows_correct += int(bool(correct_flags) and all(correct_flags))
-
-    def accuracy(self, denominator: str = "cells") -> float:
-        total = self.cells_total if denominator == "cells" else self.rows_total
-        hit = self.cells_correct if denominator == "cells" else self.rows_correct
-        return 100.0 * hit / total if total else 0.0
-
-
-@dataclass
-class ScoreReport:
-    per_task: dict[str, TaskScore] = field(default_factory=dict)
-    group_breakdowns: dict[str, dict[str, dict[str, TaskScore]]] = field(
-        default_factory=dict
-    )
-    complete: bool = True
-
-    def accuracy(self, kind: str, denominator: str = "cells") -> float:
-        score = self.per_task.get(kind)
-        return score.accuracy(denominator) if score else 0.0
-
-    def to_json(self) -> str:
-        def score_dict(s: TaskScore) -> dict:
-            return {
-                "cells_total": s.cells_total,
-                "cells_correct": s.cells_correct,
-                "rows_total": s.rows_total,
-                "rows_correct": s.rows_correct,
-                "accuracy_cells": s.accuracy("cells"),
-                "accuracy_rows": s.accuracy("rows"),
-            }
-
-        payload = {
-            "complete": self.complete,
-            "per_task": {k: score_dict(v) for k, v in self.per_task.items()},
-            "group_breakdowns": {
-                dim: {
-                    group: {k: score_dict(v) for k, v in kinds.items()}
-                    for group, kinds in groups.items()
-                }
-                for dim, groups in self.group_breakdowns.items()
-            },
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScoreReport":
-        """Inverse of ``to_json``: the counts come back, accuracies are
-        recomputed from them. Counts no run can produce (negative, or more
-        correct than total) and a non-boolean ``complete`` are rejected."""
-
-        def count(rec: dict, name: str) -> int:
-            value = rec[name]
-            if type(value) is not int:  # bool is an int, but not a JSON integer
-                raise TypeError(f"{name}: expected a JSON integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name}: expected a count >= 0, got {value}")
-            return value
-
-        def score(rec: dict) -> TaskScore:
-            s = TaskScore(*(count(rec, f.name) for f in fields(TaskScore)))
-            if s.cells_correct > s.cells_total or s.rows_correct > s.rows_total:
-                raise ValueError(f"more correct than total: {s}")
-            return s
-
-        def items(value) -> Iterable:
-            if not isinstance(value, dict):
-                raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-            return value.items()
-
-        payload = json.loads(text)
-        complete = payload["complete"]
-        if type(complete) is not bool:
-            raise TypeError(f"complete: expected a JSON boolean, got {complete!r}")
-        return cls(
-            per_task={k: score(v) for k, v in items(payload["per_task"])},
-            group_breakdowns={
-                dim: {
-                    group: {k: score(v) for k, v in items(kinds)}
-                    for group, kinds in items(groups)
-                }
-                for dim, groups in items(payload["group_breakdowns"])
-            },
-            complete=complete,
-        )
-
-    def render_table(self) -> str:
-        """Human summary: one accuracy row overall plus per-group rows."""
-        kinds = sorted(self.per_task)
-        lines = ["Group | " + " | ".join(f"{k} (%)" for k in kinds)]
-        lines.append(
-            "overall | "
-            + " | ".join(f"{self.per_task[k].accuracy():.1f}" for k in kinds)
-        )
-        for dim in sorted(self.group_breakdowns):
-            for group in sorted(self.group_breakdowns[dim]):
-                cells = self.group_breakdowns[dim][group]
-                row = [f"{dim}={group}"]
-                for k in kinds:
-                    row.append(f"{cells[k].accuracy():.1f}" if k in cells else "-")
-                lines.append(" | ".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def maskable_columns(row: dict[str, str]) -> list[str]:
@@ -406,16 +290,14 @@ def evaluate_tasks(
     row and the tail are encoded here, the context's parts come as its
     pieces hold them, so a HIERARCHICAL block that a WBS bucket shares is
     escaped and counted once per run, not once per prompt. Each distinct
-    system text, tail and context head and tail is counted once.
+    system text, tail and context head and tail is counted once, and each
+    distinct retrieved text (``ContextPieces.knowledge``) counted and
+    escaped once.
     """
-    counts: dict[str, int] = {}
+    from .context import ContextPieces, json_escape
 
-    def count(text: str) -> int:
-        # Racing workers at worst count one text twice, to the same result.
-        n = counts.get(text)
-        if n is None:
-            n = counts[text] = word_count(text)
-        return n
+    count = lru_cache(maxsize=None)(word_count)
+    escape = lru_cache(maxsize=None)(json_escape)
 
     def run_one(mask: MaskSpec) -> EvalInstance:
         row_text = render_masked_row(schedule, mask)
@@ -436,7 +318,7 @@ def evaluate_tasks(
         if middle is not context_text:  # a Polish prompt leaves the context out
             pieces = ContextPieces.plain(middle)
         user_json = "".join(
-            (encode_json(head)[:-1], *pieces.escaped(), encode_json(tail)[1:])
+            (encode_json(head)[:-1], *pieces.escaped(escape), encode_json(tail)[1:])
         )
         inst = EvalInstance(
             mask=mask,
@@ -463,15 +345,21 @@ def evaluate_tasks(
         inst.cells_correct = score_completion(mask, completion)
         return inst
 
-    workers = gateway.cfg.max_parallel
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = map(run_one, tasks) if pool is None else pool.map(run_one, tasks)
+    def fold(results: Iterable[EvalInstance]) -> list[EvalOutcome]:
         outcomes = []
         for inst in results:
             if sink is not None:
                 sink(inst)
             outcomes.append(EvalOutcome(inst.mask, inst.cells_correct, inst.error))
         return outcomes
+
+    workers = gateway.cfg.max_parallel
+    if workers == 1:
+        return fold(map(run_one, tasks))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return fold(pool.map(run_one, tasks))
 
 
 def build_report(
@@ -695,10 +583,9 @@ def preference_store_load(path: Path) -> list[PreferenceRecord]:
     return list(read_jsonl(path, PreferenceRecord.from_dict, CorruptRecordError))
 
 
-def instance_line(inst: EvalInstance) -> str:
-    """``json.dumps(inst.to_dict(), sort_keys=True)``, built field by field
-    so that a prompt already encoded (``prompt_user_json``) is not encoded
-    again."""
+def _instance_parts(inst: EvalInstance) -> list[str]:
+    """The pieces of ``instance_line``, built field by field so that a
+    prompt already encoded (``prompt_user_json``) is not encoded again."""
     fields = {
         "cells_correct": encode_json(list(inst.cells_correct)),
         "error": encode_json(inst.error),
@@ -711,14 +598,20 @@ def instance_line(inst: EvalInstance) -> str:
         "row_id": encode_json(inst.mask.row_id),
         "task_kind": encode_json(inst.mask.task_kind),
     }
-    return json_object(fields)
+    return object_parts(fields)
+
+
+def instance_line(inst: EvalInstance) -> str:
+    """``json.dumps(inst.to_dict(), sort_keys=True)``."""
+    return "".join(_instance_parts(inst))
 
 
 def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
     """One ``instance_line`` per instance, to an open text file that a
-    streaming caller writes instance by instance."""
+    streaming caller writes instance by instance; each line is written in
+    its pieces, so a long prompt is not copied into it."""
     for inst in instances:
-        fh.write(instance_line(inst))
+        fh.writelines(_instance_parts(inst))
         fh.write("\n")
 
 

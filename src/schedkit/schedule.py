@@ -190,6 +190,32 @@ class LineBlock:
         self.escaped = "".join(escapes)
 
 
+class IdList:
+    """Ids as one JSON list, ``json.dumps(ids)``, in ``text``. ``spans`` maps
+    each id to the span of its entry and one ``", "`` beside it (none when it
+    is alone), so the list less any one id is two slices of the text."""
+
+    __slots__ = ("text", "spans")
+
+    def __init__(self, ids: list[str]):
+        entries = [encode_basestring_ascii(aid) for aid in ids]
+        self.text = "[" + ", ".join(entries) + "]"
+        self.spans: dict[str, tuple[int, int]] = {}
+        start = 1
+        for i, (aid, entry) in enumerate(zip(ids, entries)):
+            end = start + len(entry)
+            if i + 1 < len(ids):  # the entry and the ", " after it
+                self.spans[aid] = (start, end + 2)
+            else:  # the last: the ", " before it, if any, and the entry
+                self.spans[aid] = (start - 2 if i else start, end)
+            start = end + 2
+
+    def without(self, aid: str) -> str:
+        """``json.dumps`` of the ids less ``aid``."""
+        start, end = self.spans[aid]
+        return self.text[:start] + self.text[end:]
+
+
 class ScheduleIndex:
     """Lookups into one schedule, so no caller re-scans activities or links.
 
@@ -223,6 +249,7 @@ class ScheduleIndex:
         }
         self._holders: dict[str, dict[str, set[str]]] = {}
         self._blocks: dict[tuple[int, tuple[str, ...]], LineBlock] = {}
+        self._id_lists: dict[tuple[int, tuple[str, ...]], IdList] = {}
 
     @cached_property
     def rows(self) -> dict[str, dict[str, str]]:
@@ -275,6 +302,14 @@ class ScheduleIndex:
             ids = sorted(self.wbs_buckets[key])
             block = self._blocks[key] = LineBlock((aid, lines[aid]) for aid in ids)
         return block
+
+    def wbs_ids(self, key: tuple[int, tuple[str, ...]]) -> IdList:
+        """The ids of bucket ``key`` of ``wbs_buckets``, sorted, as one
+        ``IdList``. Built once per bucket."""
+        ids = self._id_lists.get(key)
+        if ids is None:
+            ids = self._id_lists[key] = IdList(sorted(self.wbs_buckets[key]))
+        return ids
 
     def value_holders(self, column: str) -> dict[str, set[str]]:
         """Each serialized value of ``column`` mapped to the ids holding it

@@ -613,6 +613,38 @@ def test_truncated_instances_is_a_data_error(tmp_path, capsys):
         assert after == before, line_no
 
 
+def _every_stage(root: Path, seed: int) -> list[tuple[str, list[str]]]:
+    """Every command as ``(output directory under root, arguments)``, in an
+    order in which each reads what the ones before it wrote. Writes the
+    corpus and term file that ``build-kb`` reads under root; they, like the
+    generated schedule, depend on ``seed``."""
+    (root / "corpus").mkdir(parents=True)
+    (root / "corpus" / "doc.txt").write_text(
+        f"steel erection bolting sequence {seed} for frames and decks", "utf-8"
+    )
+    (root / "terms.tsv").write_text(f"WBS\tdecomposition of scope {seed}\n", "utf-8")
+    sched = str(root / "gen" / "schedule.csv")
+    instances = str(root / "eval" / "instances.jsonl")
+    return [
+        ("gen", ["generate", "--n", "30", "--seed", str(seed)]),
+        ("ingest", ["ingest", "--schedule", sched]),
+        ("graph", ["analyze-graph", "--schedule", sched]),
+        ("kb", ["build-kb", "--corpus-dir", str(root / "corpus"), "--terms-file", str(root / "terms.tsv")]),
+        ("ctx", ["sample-context", "--schedule", sched]),
+        ("eval", ["run-eval", "--schedule", sched, "--gateway", "mock:wrong", "--kb", str(root / "kb")]),
+        ("prefs", ["collect-prefs", "--schedule", sched, "--instances", instances, "--synthesize-negatives"]),
+        ("scorer", ["train-scorer", "--prefs-db", str(root / "prefs" / "prefs.jsonl")]),
+        ("polish", ["polish", "--instances", instances]),
+        ("report", ["report", "--report", str(root / "eval" / "report.json")]),
+    ]
+
+
+# Files a command appends to as it goes rather than writes whole: the
+# exchange log, whose records are flushed one by one, and the preference
+# database, which a named --prefs-db accumulates.
+APPEND_LOGS = {"transcript.jsonl", "prefs.jsonl"}
+
+
 def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
@@ -623,13 +655,73 @@ def test_rerun_into_same_out_gives_same_tree(tmp_path, capsys):
         "--out", str(tmp_path / "q"), "collect-prefs", "--schedule", str(sched),
         "--instances", instances, "--synthesize-negatives",
     ]
-    for argv in (evaluate, polish, prefs):
+    stages = [evaluate, polish, prefs] + [
+        ["--out", str(tmp_path / "all" / out), *args] for out, args in _every_stage(tmp_path / "all", 3)
+    ]
+    for argv in stages:
         assert run(argv) == EXIT_OK
-    once = {d: tree_bytes(tmp_path / d) for d in ("e", "p", "q")}
-    assert once["q"]["prefs.jsonl"]
-    for argv in (evaluate, polish, prefs):
+    once = tree_bytes(tmp_path)
+    assert once["q/prefs.jsonl"] and once["all/scorer/scorer.bin"]
+    for argv in stages:
         assert run(argv) == EXIT_OK
-    assert {d: tree_bytes(tmp_path / d) for d in ("e", "p", "q")} == once
+    assert tree_bytes(tmp_path) == once
+
+
+def test_every_whole_file_artifact_is_renamed_into_place(tmp_path, monkeypatch, capsys):
+    """Each command writes each of its files but the append logs through
+    ``schedkit.streamed``: written whole to a temporary sibling, then
+    renamed into place."""
+    renamed: list[Path] = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        renamed.append(Path(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    for out, args in _every_stage(tmp_path, 3):
+        renamed.clear()
+        assert run(["--out", str(tmp_path / out), *args]) == EXIT_OK
+        written = {p for p in (tmp_path / out).iterdir() if p.name not in APPEND_LOGS}
+        assert sorted(renamed) == sorted(written), out
+
+
+def test_an_exception_in_streamed_keeps_the_previous_file(tmp_path):
+    from schedkit import streamed
+
+    for mode, old, new in (("w", "old é\n", "new"), ("wb", b"\x00old", b"new")):
+        path = tmp_path / f"artifact.{mode}"
+        with streamed(path, mode) as fh:
+            fh.write(old)
+        with pytest.raises(RuntimeError):
+            with streamed(path, mode) as fh:
+                fh.write(new)
+                raise RuntimeError("killed")
+        assert (path.read_bytes() if mode == "wb" else path.read_text("utf-8")) == old
+        assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp") == []
+
+
+def test_a_refused_rename_keeps_the_previous_report(tmp_path, monkeypatch, capsys):
+    """run-eval's report.json, once whole, stays whole when writing the next
+    one fails; the stage exits 4 and leaves no temporary file."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(argv) == EXIT_OK
+    before = tree_bytes(tmp_path / "e")
+    replace = os.replace
+
+    def refuse_report(src, dst):
+        if Path(dst).name == "report.json":
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_report)
+    assert run([*argv[:-1], "mock:wrong"]) == 4
+    after = tree_bytes(tmp_path / "e")
+    assert after["report.json"] == before["report.json"]
+    assert after["instances.jsonl"] != before["instances.jsonl"]
+    assert not any(name.endswith(".tmp") for name in after)
 
 
 def _prefs_order_digests(root: Path) -> dict[str, str | None]:

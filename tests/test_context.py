@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import pytest
@@ -241,8 +242,8 @@ def test_combined_seed_determinism_bit_identical():
     sched = sched_with_links(ids, pairs)
     g = build_graph(sched)
     cfg = SamplerConfig(rng_seed=42)
-    a = serialize_bundle(combined_context(g, sched, ids[3], cfg))
-    b = serialize_bundle(combined_context(g, sched, ids[3], cfg))
+    a = serialize_bundle(combined_context(g, sched, ids[3], cfg), sched)
+    b = serialize_bundle(combined_context(g, sched, ids[3], cfg), sched)
     assert a == b
     assert load_bundle(a) == combined_context(g, sched, ids[3], cfg)
 
@@ -303,3 +304,84 @@ def test_render_injective_up_to_bundle_equality(b1, b2):
     t1 = render_context(b1, _render_sched)
     t2 = render_context(b2, _render_sched)
     assert (t1 == t2) == (b1 == b2)
+
+
+def reference_bundle_line(bundle: ContextBundle) -> str:
+    """``serialize_bundle`` as it was written before bucket ids were shared."""
+    rec = {
+        "target": bundle.target,
+        "first_order": sorted(bundle.first_order),
+        "hierarchical": sorted(bundle.hierarchical),
+        "sequential": [
+            {"direction": p.direction, "nodes": list(p.nodes)}
+            for p in sorted(bundle.sequential)
+        ],
+        "sampled_at_seed": bundle.sampled_at_seed,
+    }
+    return json.dumps(rec, sort_keys=True)
+
+
+# Ids with JSON's escape cases: quote, backslash, non-ASCII, astral, U+2028.
+_escaping_ids = st.text(st.sampled_from('"\\é😀\u2028a1.'), min_size=1, max_size=4)
+
+
+@st.composite
+def bucketed_schedules(draw):
+    """A schedule of uniquely named activities under three-segment WBS
+    paths. The paths draw from few segments, so buckets hold several ids
+    (each then first, last or inside its bucket's sorted ids) or one."""
+    ids = draw(st.lists(_escaping_ids, min_size=1, max_size=12, unique=True))
+    segment = st.sampled_from(["X", "Y"])
+    acts = tuple(
+        make_activity(aid, wbs=("P", draw(segment), draw(segment))) for aid in ids
+    )
+    return Schedule(activities=acts, links=(), source_label="escaping")
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucketed_schedules(), st.integers(0, 3), st.data())
+def test_bundle_line_equals_json_dumps(sched, levels, data):
+    """Every target's line, whether its HIERARCHICAL set is cut from the
+    bucket's shared ids or encoded on its own, is ``json.dumps`` of the
+    bundle. Mutations that fail it: taking the last id's span without the
+    ``", "`` before it, cutting one character short or long, or joining the
+    ids with ``","``."""
+    cfg = SamplerConfig(max_wbs_levels=levels, rng_seed=data.draw(st.integers(-5, 10**12)))
+    ids = [a.activity_id for a in sched.activities]
+    path_nodes = st.lists(st.sampled_from(ids), min_size=2, max_size=4).map(tuple)
+    for target in ids:
+        drawn_paths = data.draw(
+            st.sets(st.builds(SequentialPath, st.sampled_from([FORWARD, BACKWARD]), path_nodes), max_size=3)
+        )
+        bucket = sample_hierarchical(sched, target, cfg)
+        # The bucket as sampled, then hand-built sets that match no bucket.
+        others = data.draw(st.sets(st.sampled_from(ids)))
+        for hierarchical in (bucket, frozenset(others), bucket | {target}):
+            bundle = ContextBundle(
+                target,
+                frozenset(data.draw(st.sets(st.sampled_from(ids)))),
+                hierarchical,
+                frozenset(drawn_paths),
+                cfg.rng_seed,
+            )
+            assert serialize_bundle(bundle, sched) == reference_bundle_line(bundle)
+            assert load_bundle(serialize_bundle(bundle, sched)) == bundle
+
+
+def test_bundle_line_cuts_each_position_of_a_bucket():
+    """The target first, inside, last and alone in its bucket's sorted ids."""
+    acts = tuple(make_activity(aid, wbs=("P", "X")) for aid in ('"a', "b\\", "c\u2028")) + (
+        make_activity("é😀", wbs=("P", "Y")),
+    )
+    sched = Schedule(activities=acts, links=(), source_label="positions")
+    cfg = SamplerConfig(max_wbs_levels=0)
+    lines = {}
+    for act in acts:
+        bundle = ContextBundle(
+            act.activity_id, frozenset(), sample_hierarchical(sched, act.activity_id, cfg), frozenset(), 1
+        )
+        lines[act.activity_id] = serialize_bundle(bundle, sched)
+        assert lines[act.activity_id] == reference_bundle_line(bundle)
+    assert '"hierarchical": ["b\\\\", "c\\u2028"]' in lines['"a']
+    assert '"hierarchical": ["\\"a", "b\\\\"]' in lines["c\u2028"]
+    assert '"hierarchical": []' in lines["é😀"]

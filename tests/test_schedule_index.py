@@ -295,6 +295,9 @@ def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
     pieces = context_pieces(draw_bundle(sched, data), sched)
     if data.draw(st.booleans()):  # as run-eval --kb leads the head
         pieces = dataclasses.replace(pieces, head=f"{ODD_NAME} knowledge\n{pieces.head}")
+    if data.draw(st.booleans()):  # as run-eval --kb leads the context
+        knowledge = data.draw(st.lists(st.sampled_from([f"{ODD_NAME} term: its definition", "", "chunk\n"])))
+        pieces = dataclasses.replace(pieces, knowledge=tuple(knowledge))
     row_id = data.draw(st.sampled_from(sorted(sched.index.by_id)))
     columns = (COL_STATUS, COL_START, "Phase")
     tasks = [
