@@ -1,9 +1,10 @@
 """Alignment losses, a trainable preference scorer, and polish statistics.
 
 The loss calculus is a supervised cross-entropy term, a binary
-cross-entropy preference term, and a pluggable context-rule term combined
-as ``total = sft + alpha * cr + beta * pa``. A logistic scorer over the
-shared embedding features exercises the full two-phase schedule (SFT
+cross-entropy preference term, and a context-rule term combined as
+``total = sft + alpha * cr + beta * pa``. No stage labels which rules apply
+to a record, so the scorer trains with ``cr`` = 0. A logistic scorer over
+the shared embedding features exercises the full two-phase schedule (SFT
 epochs, then total-loss epochs) at desk scale with exact gradients.
 """
 
@@ -129,33 +130,6 @@ def sft_loss_and_gradient(
     return value, X.T @ dz, float(np.sum(dz))
 
 
-def zero_cr(probs, labels, metas) -> tuple[float, np.ndarray]:
-    """Default context-rule term: constant zero, zero gradient."""
-    return 0.0, np.zeros(len(probs))
-
-
-def rule_label_cr(probs, labels, metas) -> tuple[float, np.ndarray]:
-    """BCE against a rule-applicability flag carried in record meta.
-
-    Examples without the flag contribute nothing; with no flagged example
-    the term is zero.
-    """
-    flagged = [
-        (i, int(bool(meta["rule_applicable"])))
-        for i, meta in enumerate(metas)
-        if meta is not None and "rule_applicable" in meta
-    ]
-    dz = np.zeros(len(probs))
-    if not flagged:
-        return 0.0, dz
-    total = 0.0
-    for i, target in flagged:
-        p = min(max(probs[i], _EPS), 1.0 - _EPS)
-        total += -(target * math.log(p) + (1 - target) * math.log(1.0 - p))
-        dz[i] = (probs[i] - target) / len(flagged)
-    return total / len(flagged), dz
-
-
 class PreferenceScorer:
     """Logistic scorer over embed(prompt + completion) features."""
 
@@ -200,16 +174,10 @@ class PreferenceScorer:
 
 def _training_matrix(records: list[PreferenceRecord], scorer: PreferenceScorer):
     rows = []
-    labels = []
-    metas = []
     for rec in records:
         rows.append(scorer.features(rec.prompt_text, rec.chosen_text))
-        labels.append(1.0)
-        metas.append(rec.meta)
         rows.append(scorer.features(rec.prompt_text, rec.rejected_text))
-        labels.append(0.0)
-        metas.append(rec.meta)
-    return np.stack(rows), np.asarray(labels), metas
+    return np.stack(rows), np.asarray([1.0, 0.0] * len(records))
 
 
 def train_scorer(
@@ -220,13 +188,13 @@ def train_scorer(
     seed: int = 42,
     *,
     epochs_sft: int = 10,
-    cr_term=zero_cr,
 ) -> PreferenceScorer:
     """Two-phase full-batch gradient descent, deterministic under seed.
 
     Phase one minimizes the supervised term on chosen completions; phase
     two minimizes the combined total with the preference term over all
-    examples. Each epoch logs the pre-update loss breakdown.
+    examples. Each epoch logs the pre-update loss breakdown, whose
+    context-rule term is 0.
     """
     if len(records) < 2:
         raise DegenerateDataError("need at least 2 preference records")
@@ -236,17 +204,14 @@ def train_scorer(
         [(gen.uniform() * 2.0 - 1.0) * 0.01 for _ in range(scorer.dim)]
     )
     scorer.bias = (gen.uniform() * 2.0 - 1.0) * 0.01
-    X, y, metas = _training_matrix(records, scorer)
+    X, y = _training_matrix(records, scorer)
     scorer.training_features = X
     if len(set(y.tolist())) < 2:
         raise DegenerateDataError("both labels must be represented")
 
     def breakdown() -> LossBreakdown:
         p = _sigmoid(X @ scorer.weights + scorer.bias)
-        sft = loss_sft(list(p), list(y))
-        cr, _ = cr_term(p, y, metas)
-        pa = loss_pa(list(p), list(y))
-        return loss_total(sft, cr, pa, weights)
+        return loss_total(loss_sft(list(p), list(y)), 0.0, loss_pa(list(p), list(y)), weights)
 
     for _ in range(epochs_sft):
         scorer.training_log.append(breakdown())
@@ -258,13 +223,9 @@ def train_scorer(
     for _ in range(epochs):
         scorer.training_log.append(breakdown())
         _, gw_s, gb_s = sft_loss_and_gradient(X, y, scorer.weights, scorer.bias)
-        p = _sigmoid(X @ scorer.weights + scorer.bias)
-        _, dz_cr = cr_term(p, y, metas)
         _, gw_p, gb_p = pa_loss_and_gradient(X, y, scorer.weights, scorer.bias)
-        gw = gw_s + weights.alpha * (X.T @ dz_cr) + weights.beta * gw_p
-        gb = gb_s + weights.alpha * float(np.sum(dz_cr)) + weights.beta * gb_p
-        scorer.weights = scorer.weights - learning_rate * gw
-        scorer.bias -= learning_rate * gb
+        scorer.weights = scorer.weights - learning_rate * (gw_s + weights.beta * gw_p)
+        scorer.bias -= learning_rate * (gb_s + weights.beta * gb_p)
     scorer.training_log.append(breakdown())
     return scorer
 

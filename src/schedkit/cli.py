@@ -48,7 +48,6 @@ DEFAULT_CONFIG = {
     },
     "eval": {"tasks": "MVP,DA,AP", "k": "2", "seed": "42"},
     "loss": {
-        "alpha": "0.5",
         "beta": "1.0",
         "epochs": "10",
         "epochs_sft": "10",
@@ -118,11 +117,9 @@ def _sampler_config(cfg):
     from .context import SamplerConfig
 
     try:
+        # The [sampler] keys are SamplerConfig's fields.
         return SamplerConfig(
-            max_sequential_hops=cfg.getint("sampler", "max_sequential_hops"),
-            max_wbs_levels=cfg.getint("sampler", "max_wbs_levels"),
-            paths_per_direction=cfg.getint("sampler", "paths_per_direction"),
-            rng_seed=cfg.getint("sampler", "rng_seed"),
+            **{key: cfg.getint("sampler", key) for key in DEFAULT_CONFIG["sampler"]}
         )
     except ValueError as exc:
         raise UsageError(f"[sampler] {exc}") from None
@@ -132,7 +129,7 @@ def _loss_config(cfg) -> dict:
     """The ``[loss]`` values by key: finite and >= 0, with at least one
     epoch in all."""
     loss = {key: cfg.getint("loss", key) for key in ("epochs", "epochs_sft")}
-    for key in ("learning_rate", "alpha", "beta"):
+    for key in ("learning_rate", "beta"):
         loss[key] = cfg.getfloat("loss", key)
     for key, value in loss.items():
         if not (math.isfinite(value) and value >= 0):
@@ -363,60 +360,60 @@ def cmd_run_eval(args, cfg) -> int:
         raise UsageError(f"[eval] k: must be >= 1, got {k}")
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
+    # Every input is read and checked before the gateway starts the
+    # transcript empty, so a rejected run leaves the previous one whole.
+    kinds = [
+        kind.strip().upper()
+        for kind in (args.tasks or cfg.get("eval", "tasks")).split(",")
+        if kind.strip()
+    ]
+    seed = cfg.getint("eval", "seed")
+    tasks = []
+    for kind in kinds:
+        tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
+    rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
+    local, glob = _load_kb(args.kb)
+    # Each row's context as its pieces, not as text: rows of one WBS
+    # bucket share its HIERARCHICAL block, and rows that retrieve the
+    # same texts share them. Retrieved knowledge, if any, leads.
+    ids = [a.activity_id for a in sched.activities]
+    contexts = {
+        bundle.target: pieces
+        for bundle, pieces in _sampled_contexts(sched, cfg, ids, context.context_pieces)
+    }
+    if local is not None or glob is not None:
+        for row_id, pieces in contexts.items():
+            # Both stores share one embedder, so the query is embedded once.
+            query = (local or glob).embedder.embed(pieces.text())
+            parts = []
+            if local is not None:
+                entry = local.retrieve(query)
+                parts.append(f"{entry.term}: {entry.definition}")
+            if glob is not None:
+                for chunk in glob.retrieve(query, k=3):
+                    parts.append(chunk.text)
+            if "\n".join(parts):
+                contexts[row_id] = dataclasses.replace(pieces, knowledge=tuple(parts))
+
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, out, schedule=sched)
-    with gateway.transcript:
-        kinds = [
-            k.strip().upper() if k.strip().upper() != "POLISH" else "Polish"
-            for k in (args.tasks or cfg.get("eval", "tasks")).split(",")
-            if k.strip()
-        ]
-        seed = cfg.getint("eval", "seed")
-        tasks = []
-        for kind in kinds:
-            tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
-
-        local, glob = _load_kb(args.kb)
-        # Each row's context as its pieces, not as text: rows of one WBS
-        # bucket share its HIERARCHICAL block, and rows that retrieve the
-        # same texts share them. Retrieved knowledge, if any, leads.
-        ids = [a.activity_id for a in sched.activities]
-        contexts = {
-            bundle.target: pieces
-            for bundle, pieces in _sampled_contexts(sched, cfg, ids, context.context_pieces)
-        }
-        if local is not None or glob is not None:
-            for row_id, pieces in contexts.items():
-                # Both stores share one embedder, so the query is embedded once.
-                query = (local or glob).embedder.embed(pieces.text())
-                parts = []
-                if local is not None:
-                    entry = local.retrieve(query)
-                    parts.append(f"{entry.term}: {entry.definition}")
-                if glob is not None:
-                    for chunk in glob.retrieve(query, k=3):
-                        parts.append(chunk.text)
-                if "\n".join(parts):
-                    contexts[row_id] = dataclasses.replace(pieces, knowledge=tuple(parts))
-
-        rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
-        with streamed(out / "instances.jsonl") as fh:
-            # Caught inside the block, so the instances of a partial run
-            # are kept.
-            failure = None
-            try:
-                report = masked_eval.run_eval(
-                    sched,
-                    tasks,
-                    gateway,
-                    static_knowledge="",
-                    rules=rules_text,
-                    context_provider=contexts.__getitem__,
-                    k=k,
-                    sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
-                )
-            except masked_eval.GatewayEvalError as exc:
-                report, failure = exc.partial_report, exc
+    with gateway.transcript, streamed(out / "instances.jsonl") as fh:
+        # Caught inside the block, so the instances of a partial run are
+        # kept.
+        failure = None
+        try:
+            report = masked_eval.run_eval(
+                sched,
+                tasks,
+                gateway,
+                static_knowledge="",
+                rules=rules_text,
+                context_provider=contexts.__getitem__,
+                k=k,
+                sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
+            )
+        except masked_eval.GatewayEvalError as exc:
+            report, failure = exc.partial_report, exc
     write_artifact(out / "report.json", report.to_json())
     write_artifact(out / "report.txt", report.render_table())
     write_manifest(
@@ -473,7 +470,7 @@ def cmd_train_scorer(args, cfg) -> int:
     records = masked_eval.preference_store_load(args.prefs_db)
     scorer = alignment.train_scorer(
         records,
-        weights=alignment.LossWeights(alpha=loss["alpha"], beta=loss["beta"]),
+        weights=alignment.LossWeights(beta=loss["beta"]),
         epochs=loss["epochs"],
         learning_rate=loss["learning_rate"],
         seed=cfg.getint("eval", "seed"),

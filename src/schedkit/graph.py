@@ -3,7 +3,7 @@
 Nodes are activity ids; one directed edge per dependency link, predecessor
 to successor. Degree here is total degree (in + out). "Maximal hop" for a
 node is the longest directed path, in edges, from that node downstream to
-any reachable dependent; a flag widens it to both directions.
+any reachable dependent.
 """
 
 from __future__ import annotations
@@ -215,32 +215,18 @@ def degree_distribution(graph: ScheduleGraph) -> GraphStats:
     return GraphStats(degree_histogram=hist, degree_mean=mean, degree_max=peak)
 
 
-def maximal_hop_values(
-    graph: ScheduleGraph, *, direction: str = "down"
-) -> dict[str, int]:
-    """Longest directed path length from each node.
-
-    direction="down" follows successors only (dependents); "both" takes the
-    max of the downstream and upstream longest paths.
-    """
-    order = topological_order(graph)
+def maximal_hop_values(graph: ScheduleGraph) -> dict[str, int]:
+    """Longest directed path length from each node, following successors
+    (dependents) only."""
     down: dict[str, int] = {node: 0 for node in graph.nodes}
-    for node in reversed(order):
+    for node in reversed(topological_order(graph)):
         for succ in graph.successors(node):
             down[node] = max(down[node], 1 + down[succ])
-    if direction == "down":
-        return down
-    up: dict[str, int] = {node: 0 for node in graph.nodes}
-    for node in order:
-        for pred in graph.predecessors(node):
-            up[node] = max(up[node], 1 + up[pred])
-    return {node: max(down[node], up[node]) for node in graph.nodes}
+    return down
 
 
-def maximal_hop_distribution(
-    graph: ScheduleGraph, *, direction: str = "down"
-) -> GraphStats:
-    hist, mean, peak = _summary(maximal_hop_values(graph, direction=direction))
+def maximal_hop_distribution(graph: ScheduleGraph) -> GraphStats:
+    hist, mean, peak = _summary(maximal_hop_values(graph))
     return GraphStats(maxhop_histogram=hist, maxhop_mean=mean, maxhop_max=peak)
 
 

@@ -70,6 +70,26 @@ class GatewayEvalError(EvalError):
         self.failures = failures
 
 
+def _typed(rec: dict, key: str, kind: type, *, optional: bool = False):
+    """``rec[key]`` if it is a ``kind`` (a bool is no int), or None when
+    ``optional``; otherwise ``TypeError`` naming the key."""
+    value = rec[key]
+    if (value is None and optional) or (
+        isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    ):
+        return value
+    raise TypeError(f"{key} is {type(value).__name__}, not {kind.__name__}")
+
+
+def _typed_items(rec: dict, key: str, kind: type) -> tuple:
+    """The items of the list ``rec[key]``, each checked to be a ``kind``."""
+    items = tuple(_typed(rec, key, list))
+    for item in items:
+        if not isinstance(item, kind):
+            raise TypeError(f"{key} holds a {type(item).__name__}, not {kind.__name__}")
+    return items
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     row_id: str
@@ -123,19 +143,24 @@ class EvalInstance:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "EvalInstance":
+        """The instance a ``to_dict`` line holds; ``TypeError`` for a field
+        of the wrong type, ``ValueError`` for a masked column that
+        ``ground_truth`` lacks."""
+        masked = _typed_items(rec, "masked_columns", str)
+        truth = _typed(rec, "ground_truth", dict)
+        for column in masked:
+            if not isinstance(truth.get(column), str):
+                raise ValueError(f"ground_truth has no text for masked column {column!r}")
         return cls(
             mask=MaskSpec(
-                rec["row_id"],
-                rec["task_kind"],
-                tuple(rec["masked_columns"]),
-                dict(rec["ground_truth"]),
+                _typed(rec, "row_id", str), _typed(rec, "task_kind", str), masked, truth
             ),
-            prompt_system=rec["prompt_system"],
-            prompt_user=rec["prompt_user"],
-            response_text=rec["response_text"],
-            parse_ok=rec["parse_ok"],
-            cells_correct=tuple(rec["cells_correct"]),
-            error=rec["error"],
+            prompt_system=_typed(rec, "prompt_system", str),
+            prompt_user=_typed(rec, "prompt_user", str),
+            response_text=_typed(rec, "response_text", str, optional=True),
+            parse_ok=_typed(rec, "parse_ok", bool),
+            cells_correct=_typed_items(rec, "cells_correct", bool),
+            error=_typed(rec, "error", str, optional=True),
         )
 
 
@@ -421,14 +446,13 @@ class PreferenceRecord:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "PreferenceRecord":
+        """The record a ``to_dict`` line holds; ``TypeError`` for a field of
+        the wrong type."""
+        texts = ("prompt_text", "chosen_text", "rejected_text", "task_kind", "row_id")
         return cls(
-            prompt_text=rec["prompt_text"],
-            chosen_text=rec["chosen_text"],
-            rejected_text=rec["rejected_text"],
-            task_kind=rec["task_kind"],
-            row_id=rec["row_id"],
-            context_length_tokens=rec["context_length_tokens"],
-            meta=rec.get("meta", {}),
+            **{key: _typed(rec, key, str) for key in texts},
+            context_length_tokens=_typed(rec, "context_length_tokens", int),
+            meta=_typed(rec, "meta", dict) if "meta" in rec else {},
         )
 
 

@@ -381,19 +381,14 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if header_line.count("\t") > header_line.count(",") else ","
 
 
-def parse_schedule(
-    raw: str,
-    format_spec: dict[str, str] | None = None,
-    *,
-    source_label: str = "",
-) -> Schedule:
+def parse_schedule(raw: str, *, source_label: str = "") -> Schedule:
     """Parse character-separated tabular text into a Schedule.
 
-    ``format_spec`` maps canonical column names to the header names used in
-    the file; unmapped canonical names are looked up under their own name.
-    Unknown columns land in ``extra_attributes``. Raises on the first
-    structural defect (missing column, malformed date or dependency cell,
-    duplicate id, dangling reference).
+    Columns are found by their canonical header (``CANONICAL_COLUMNS``); the
+    first column under each name counts. Other columns land in
+    ``extra_attributes``. Raises on the first structural defect (missing
+    column, malformed date or dependency cell, duplicate id, dangling
+    reference).
     """
     text = raw.lstrip("﻿")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -404,23 +399,17 @@ def parse_schedule(
     rows = list(reader)
     header = [h.strip() for h in rows[0]]
 
-    spec = dict(format_spec or {})
-    actual_to_canonical: dict[str, str] = {}
-    for canonical in CANONICAL_COLUMNS:
-        actual_to_canonical[spec.get(canonical, canonical)] = canonical
-
     col_index: dict[str, int] = {}
     extra_headers: list[tuple[str, int]] = []
     for idx, name in enumerate(header):
-        canonical = actual_to_canonical.get(name)
-        if canonical is not None and canonical not in col_index:
-            col_index[canonical] = idx
+        if name in CANONICAL_COLUMNS and name not in col_index:
+            col_index[name] = idx
         else:
             extra_headers.append((name, idx))
 
     for col in MANDATORY_COLUMNS:
         if col not in col_index:
-            raise MissingColumnError(spec.get(col, col))
+            raise MissingColumnError(col)
 
     # Each row as stripped cells, padded to the header, read by both passes.
     width = len(header)

@@ -21,9 +21,7 @@ from schedkit.alignment import (
     pa_loss_and_gradient,
     polish_context,
     ranking_accuracy,
-    rule_label_cr,
     train_scorer,
-    zero_cr,
 )
 from schedkit.gateway import IdentityGateway, StopwordStripperGateway
 from schedkit.masked_eval import PreferenceRecord
@@ -231,32 +229,13 @@ def test_training_log_breakdown_identity():
     w = LossWeights(alpha=0.5, beta=1.0)
     scorer = train_scorer(records, weights=w, epochs=5, learning_rate=0.5)
     for bd in scorer.training_log:
+        assert bd.l_cr == 0.0
         assert bd.l_total == bd.l_sft + w.alpha * bd.l_cr + w.beta * bd.l_pa
 
 
 def test_degenerate_data_rejected():
     with pytest.raises(DegenerateDataError):
         train_scorer(separable_records(1), epochs=1)
-
-
-def test_rule_label_cr_plugin():
-    records = separable_records(6)
-    flagged = [
-        PreferenceRecord(
-            r.prompt_text,
-            r.chosen_text,
-            r.rejected_text,
-            r.task_kind,
-            r.row_id,
-            r.context_length_tokens,
-            meta={"rule_applicable": 1},
-        )
-        for r in records
-    ]
-    scorer = train_scorer(flagged, epochs=10, learning_rate=0.5, cr_term=rule_label_cr)
-    assert any(bd.l_cr > 0 for bd in scorer.training_log)
-    plain = train_scorer(flagged, epochs=10, learning_rate=0.5, cr_term=zero_cr)
-    assert all(bd.l_cr == 0.0 for bd in plain.training_log)
 
 
 def test_scorer_save_load_round_trip(tmp_path):

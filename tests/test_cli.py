@@ -1095,7 +1095,7 @@ def test_loss_values_at_their_bounds_still_train(tmp_path, capsys):
     assert run(argv) == EXIT_OK
     ini = tmp_path / "run.ini"
     train = ["--config", str(ini), "--out", str(tmp_path / "s"), "train-scorer", "--prefs-db", f"{out}/prefs.jsonl"]
-    for raw in (b"learning_rate = 0\n", b"epochs = 0\n", b"epochs_sft = 0\nalpha = 0\nbeta = 0\n"):
+    for raw in (b"learning_rate = 0\n", b"epochs = 0\n", b"epochs_sft = 0\nbeta = 0\n"):
         ini.write_bytes(b"[loss]\n" + raw)
         assert run(train) == EXIT_OK, raw
 
@@ -1126,7 +1126,6 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
         (b"[loss]\nepochs = 0\nepochs_sft = 0\n", train_argv, "[loss] epochs: epochs and epochs_sft are both 0"),
         (b"[loss]\nlearning_rate = -1\n", train_argv, "[loss] learning_rate: must be finite and >= 0, got -1.0"),
         (b"[loss]\nlearning_rate = inf\n", train_argv, "[loss] learning_rate: must be finite and >= 0, got inf"),
-        (b"[loss]\nalpha = -0.5\n", train_argv, "[loss] alpha: must be finite and >= 0, got -0.5"),
         (b"[loss]\nbeta = nan\n", train_argv, "[loss] beta: must be finite and >= 0, got nan"),
     ]
     for raw, argv, message in cases:
@@ -1157,3 +1156,63 @@ def test_gateway_modes_outside_mocks_are_usage_errors(tmp_path, capsys):
     for argv, code, message in cases:
         assert run(["--out", str(tmp_path / "o"), *argv]) == code, argv
         assert capsys.readouterr().err == message + "\n"
+
+
+def test_rejected_run_eval_inputs_keep_the_previous_run(tmp_path, capsys):
+    """A task kind, rules file or knowledge base that run-eval rejects exits
+    2 before the transcript is started, so the earlier run's files stay as
+    they were. ``Polish`` is no evaluation task, whatever its case."""
+    sched, kb = _chain_kb(tmp_path)
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+    out = tmp_path / "e"
+    before = tree_bytes(out)
+    assert before["transcript.jsonl"] and before["instances.jsonl"]
+    (kb / "terms.jsonl").write_bytes(b'{"term": "x"}\n')
+    evaluate = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    cases = [
+        ([*evaluate, "--tasks", "MVP,XX"], "unknown task kind 'XX'"),
+        ([*evaluate, "--tasks", "polish"], "unknown task kind 'POLISH'"),
+        ([*evaluate, "--rules", str(tmp_path / "missing.txt")], "missing.txt"),
+        ([*evaluate, "--kb", str(kb)], f"{kb / 'terms.jsonl'}:1:"),
+    ]
+    capsys.readouterr()
+    for argv, named in cases:
+        assert run(argv) == EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err, err
+        assert tree_bytes(out) == before, argv
+
+
+# sha256 of train-scorer's files on the pairs that `collect-prefs
+# --synthesize-negatives` harvests from `run-eval --gateway mock:wrong` on
+# `generate --n 100 --seed 42`, so any change to the features, the two
+# training phases or the loss log that moves a byte shows here.
+SCORER_DIGESTS_N100 = {
+    "scorer.bin": "f94ec2213f706907f429f8162064b56c56071077879bda93f2078f01df1995cb",
+    "training_log.jsonl": "ecb7b1bbb0f26b9dc331892078e1814f160f2cf477befd81a8f854302bc4d21c",
+    "scorer_summary.json": "cb008efe2cab6f3fa0cf2691cec85d00ba849eb9546f8c7669f4eb47f1d9e554",
+}
+
+
+def test_scorer_artifacts_are_pinned(tmp_path, capsys):
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    prefs = str(tmp_path / "prefs" / "prefs.jsonl")
+    runs = (
+        ["--out", str(tmp_path / "gen"), "generate", "--n", "100", "--seed", "42"],
+        ["--out", str(tmp_path / "eval"), "run-eval", "--schedule", sched, "--gateway", "mock:wrong"],
+        [
+            "--out", str(tmp_path / "prefs"), "collect-prefs", "--schedule", sched,
+            "--instances", str(tmp_path / "eval" / "instances.jsonl"), "--synthesize-negatives",
+        ],
+        ["--out", str(tmp_path / "s"), "train-scorer", "--prefs-db", prefs],
+    )
+    for argv in runs:
+        assert run(argv) == EXIT_OK
+    assert _digests(tmp_path / "s", SCORER_DIGESTS_N100) == SCORER_DIGESTS_N100
+    # [loss] has no alpha key: the context-rule term is 0, so a config that
+    # still sets alpha trains the same scorer.
+    ini = tmp_path / "alpha.ini"
+    ini.write_text("[loss]\nalpha = 7\n", "utf-8")
+    argv = ["--config", str(ini), "--out", str(tmp_path / "a"), "train-scorer", "--prefs-db", prefs]
+    assert run(argv) == EXIT_OK
+    assert _digests(tmp_path / "a", SCORER_DIGESTS_N100) == SCORER_DIGESTS_N100

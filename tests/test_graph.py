@@ -257,12 +257,6 @@ def test_maxhop_matches_exhaustive_enumeration():
             )
 
 
-def test_maxhop_both_directions_flag():
-    g = graph_of(["A", "B", "C"], [("A", "B"), ("B", "C")])
-    both = maximal_hop_values(g, direction="both")
-    assert both == {"A": 2, "B": 1, "C": 2}
-
-
 def test_topological_order_names_the_cycles_detect_cycles_finds():
     pairs = [("C", "A"), ("A", "B"), ("B", "C"), ("B", "D"), ("D", "E"), ("E", "D")]
     g = graph_of(["A", "B", "C", "D", "E", "F"], pairs)

@@ -257,3 +257,50 @@ def test_cli_exit_code_for_a_bad_line(tmp_path, capsys, how):
         path.write_bytes(good)
         assert main([*out, *argv]) == EXIT_OK, argv
         capsys.readouterr()
+
+
+def _drop_first_masked_truth(record: dict) -> None:
+    del record["ground_truth"][record["masked_columns"][0]]
+
+
+# A field of the wrong type on line 2: (file, change to the line's record,
+# how the message after ``path:2: `` starts).
+MISTYPED = {
+    "prompt_user-int": ("instances", lambda r: r.update(prompt_user=5), "TypeError: prompt_user is int"),
+    "response_text-int": ("instances", lambda r: r.update(response_text=5), "TypeError: response_text is int"),
+    "ground_truth-short": (
+        "instances",
+        _drop_first_masked_truth,
+        "ValueError: ground_truth has no text for masked column",
+    ),
+    "prompt_text-int": ("prefs", lambda r: r.update(prompt_text=5), "TypeError: prompt_text is int"),
+    "chosen_text-null": ("prefs", lambda r: r.update(chosen_text=None), "TypeError: chosen_text is NoneType"),
+    "tokens-text": (
+        "prefs",
+        lambda r: r.update(context_length_tokens="8"),
+        "TypeError: context_length_tokens is str",
+    ),
+    "meta-list": ("prefs", lambda r: r.update(meta=[]), "TypeError: meta is list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_cli_exit_code_for_a_mistyped_field(tmp_path, capsys, case):
+    """Every command that reads an instances or preference file rejects a
+    line whose fields have the wrong types with exit 2, not 4."""
+    files = _artifacts(tmp_path, capsys)
+    which, change, detail = MISTYPED[case]
+    path = files[which]
+    instances = ["--instances", str(files["instances"])]
+    readers = {
+        "instances": [["collect-prefs", "--schedule", str(files["schedule"]), *instances], ["polish", *instances]],
+        "prefs": [["train-scorer", "--prefs-db", str(files["prefs"])]],
+    }[which]
+    lines = path.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    change(record)
+    lines[1] = json.dumps(record, sort_keys=True).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    for argv in readers:
+        assert main(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA, argv
+        assert capsys.readouterr().err.startswith(f"data error: {path}:2: {detail}"), argv

@@ -99,13 +99,6 @@ def test_dangling_reference_raises():
         parse_schedule("\n".join([HEADER, row("A1", pred="ZZZ")]))
 
 
-def test_format_spec_maps_headers():
-    header = HEADER.replace("Activity ID", "Task Code")
-    text = "\n".join([header, row("A1")])
-    sched = parse_schedule(text, format_spec={"Activity ID": "Task Code"})
-    assert sched.activities[0].activity_id == "A1"
-
-
 def test_tab_separated_autodetect():
     text = "\n".join(ln.replace(",", "\t") for ln in [HEADER, row("A1")])
     sched = parse_schedule(text)
