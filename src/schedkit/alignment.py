@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -22,8 +22,9 @@ import numpy as np
 
 from . import DataError, streamed
 from . import rng as prng
+from .gateway import TranscriptLog, timed_complete
 from .knowledge import HashedNgramEmbedder, count_tokens
-from .prompt_forge import POLISH, build_task_prompt
+from .prompt_forge import POLISH, SECTION_RAW, build_task_prompt, word_count
 
 if TYPE_CHECKING:  # only type hints name it
     from .masked_eval import PreferenceRecord
@@ -263,12 +264,10 @@ class ContextLengthStats:
     def __init__(self):
         self.raw_lengths: dict[str, list[int]] = {}
         self.polished_lengths: dict[str, list[int]] = {}
-        self._lock = threading.Lock()
 
     def add(self, kind: str, raw_tokens: int, polished_tokens: int) -> None:
-        with self._lock:
-            self.raw_lengths.setdefault(kind, []).append(raw_tokens)
-            self.polished_lengths.setdefault(kind, []).append(polished_tokens)
+        self.raw_lengths.setdefault(kind, []).append(raw_tokens)
+        self.polished_lengths.setdefault(kind, []).append(polished_tokens)
 
     def _samples(self, kind: str, which: str) -> list[int]:
         table = self.raw_lengths if which == "raw" else self.polished_lengths
@@ -295,31 +294,43 @@ class ContextLengthStats:
 
     def to_json(self) -> str:
         payload = {
-            "raw": {
-                k: {
-                    "samples": v,
-                    "mean": self.mean(k, "raw"),
-                    "median": self.median(k, "raw"),
-                }
-                for k, v in sorted(self.raw_lengths.items())
-            },
-            "polished": {
-                k: {
-                    "samples": v,
-                    "mean": self.mean(k, "polished"),
-                    "median": self.median(k, "polished"),
-                }
-                for k, v in sorted(self.polished_lengths.items())
-            },
+            which: {
+                k: {"samples": v, "mean": self.mean(k, which), "median": self.median(k, which)}
+                for k, v in sorted(table.items())
+            }
+            for which, table in (("raw", self.raw_lengths), ("polished", self.polished_lengths))
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# The polishing prompt's system text and RAW OUTPUT header, counted once.
+_count_once = lru_cache(maxsize=2)(word_count)
+
+
 def polish_context(
-    gateway, task_kind: str, raw_text: str, stats: ContextLengthStats
+    gateway,
+    task_kind: str,
+    raw_text: str,
+    stats: ContextLengthStats,
+    transcript: TranscriptLog | None = None,
 ) -> str:
-    """Send raw prompt sections through the polishing prompt; track lengths."""
+    """Send raw prompt sections through the polishing prompt; track lengths.
+
+    The exchange goes to ``transcript`` (if any), a failed one before its
+    ``GatewayError`` is raised. Its token counts reuse the two that
+    ``stats`` takes, since newlines part the raw text from the header."""
     prompt = build_task_prompt(POLISH, raw_text)
-    polished = gateway.complete(prompt.system_text, prompt.user_text)
-    stats.add(task_kind, count_tokens(raw_text), count_tokens(polished))
+    polished, error, latency = timed_complete(gateway, prompt.system_text, prompt.user_text)
+    raw_tokens = count_tokens(raw_text)
+    polished_tokens = 0 if polished is None else count_tokens(polished)
+    if transcript is not None:
+        transcript.append(
+            system_text=prompt.system_text, user_text=prompt.user_text, response_text=polished,
+            error=None if error is None else f"{type(error).__name__}: {error}",
+            latency_ms=latency, completion_tokens=polished_tokens,
+            prompt_tokens=_count_once(prompt.system_text) + _count_once(SECTION_RAW) + raw_tokens,
+        )
+    if error is not None:
+        raise error
+    stats.add(task_kind, raw_tokens, polished_tokens)
     return polished

@@ -156,16 +156,14 @@ def _gateway_config(cfg):
         raise UsageError(f"[gateway] {exc}") from None
 
 
-def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
+def build_gateway(cfg, mode: str, schedule=None):
     """Gateway per config mode: ``http`` or ``mock:<key of gateway.MOCKS>``;
     mock:echo derives its table from the schedule.
 
-    The transcript log starts ``<out_dir>/transcript.jsonl`` empty, so it is
-    opened only after the gateway is built, which reads a replay source to
-    its end (the source may be that very file). The caller closes
-    ``gateway.transcript``.
+    A replay source is read to its end here, so the caller may start its
+    own transcript at that very path once this returns.
     """
-    from .gateway import MOCKS, HttpGateway, TranscriptLog, load_transcript
+    from .gateway import MOCKS, HttpGateway, load_transcript
 
     gw_cfg = _gateway_config(cfg)
     kind, eq, path = mode.removeprefix("mock:").partition("=")
@@ -181,9 +179,7 @@ def build_gateway(cfg, mode: str, out_dir: Path, schedule=None):
     elif kind == "transcript":
         data = (load_transcript(path),)
     make = HttpGateway if mode == "http" else MOCKS[kind]
-    gateway = make(*data, cfg=gw_cfg)
-    gateway.transcript = TranscriptLog(out_dir / "transcript.jsonl")
-    return gateway
+    return make(*data, cfg=gw_cfg)
 
 
 def _read_schedule(path: str):
@@ -353,6 +349,7 @@ def cmd_sample_context(args, cfg) -> int:
 
 def cmd_run_eval(args, cfg) -> int:
     from . import context, masked_eval
+    from .gateway import TranscriptLog
     from .prompt_forge import PromptError
 
     k = cfg.getint("eval", "k")
@@ -360,8 +357,8 @@ def cmd_run_eval(args, cfg) -> int:
         raise UsageError(f"[eval] k: must be >= 1, got {k}")
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
-    # Every input is read and checked before the gateway starts the
-    # transcript empty, so a rejected run leaves the previous one whole.
+    # Every input is read and checked before the transcript is started
+    # empty, so a rejected run leaves the previous one whole.
     kinds = [
         kind.strip().upper()
         for kind in (args.tasks or cfg.get("eval", "tasks")).split(",")
@@ -396,8 +393,8 @@ def cmd_run_eval(args, cfg) -> int:
                 contexts[row_id] = dataclasses.replace(pieces, knowledge=tuple(parts))
 
     mode = args.gateway or cfg.get("gateway", "mode")
-    gateway = build_gateway(cfg, mode, out, schedule=sched)
-    with gateway.transcript, streamed(out / "instances.jsonl") as fh:
+    gateway = build_gateway(cfg, mode, schedule=sched)
+    with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "instances.jsonl") as fh:
         # Caught inside the block, so the instances of a partial run are
         # kept.
         failure = None
@@ -406,6 +403,7 @@ def cmd_run_eval(args, cfg) -> int:
                 sched,
                 tasks,
                 gateway,
+                transcript=log,
                 static_knowledge="",
                 rules=rules_text,
                 context_provider=contexts.__getitem__,
@@ -434,11 +432,12 @@ def cmd_collect_prefs(args, cfg) -> int:
 
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
-    # Reads the whole file first, so a bad line fails before the database
-    # is touched; the records are then made as their lines are read again.
+    # Reads the whole file first, so a bad line, or one whose row is no
+    # activity of the schedule, fails before the database is touched; the
+    # records are then made as their lines are read again.
     records = masked_eval.collect_preferences(
         sched,
-        masked_eval.load_instances(args.instances),
+        masked_eval.load_instances(args.instances, rows=sched.index.by_id),
         synthesize_negatives=args.synthesize_negatives,
         seed=cfg.getint("eval", "seed"),
         reread=lambda positions: masked_eval.load_instances(args.instances, positions),
@@ -509,15 +508,16 @@ def cmd_train_scorer(args, cfg) -> int:
 
 def cmd_polish(args, cfg) -> int:
     from . import alignment, graph, masked_eval
+    from .gateway import TranscriptLog
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
-    gateway = build_gateway(cfg, mode, out)
+    gateway = build_gateway(cfg, mode)
     stats = alignment.ContextLengthStats()
-    with gateway.transcript, streamed(out / "polished.jsonl") as fh:
+    with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "polished.jsonl") as fh:
         for inst in masked_eval.load_instances(args.instances):
             polished = alignment.polish_context(
-                gateway, inst.mask.task_kind, inst.prompt_user, stats
+                gateway, inst.mask.task_kind, inst.prompt_user, stats, log
             )
             fh.write(
                 json.dumps(

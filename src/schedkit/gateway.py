@@ -1,9 +1,12 @@
 """Chat-completion access plus deterministic mock gateways.
 
-This is the only nondeterministic boundary in the package. Every call,
-successful or not, appends exactly one record to the transcript log, so a
-saved transcript can replay a run bit-for-bit without network access. A
-counting semaphore caps in-flight requests at ``max_parallel``.
+This is the only nondeterministic boundary in the package.
+``Gateway.complete`` returns one exchange's response text or raises its
+``GatewayError``, and records nothing. Its callers write every exchange,
+successful or not, to a ``TranscriptLog`` in their own task order, so a
+saved transcript can replay a run bit-for-bit without network access and is
+the same file at any ``max_parallel``. A counting semaphore caps in-flight
+requests at ``max_parallel``.
 
 The oracle mocks answer masked-row prompts; they locate the row id and the
 masked column list via the labels below, which the masked-row renderer
@@ -26,7 +29,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import GatewayError
-from .prompt_forge import word_count
 
 ROW_ID_LABEL = "Activity ID"
 MISSING_COLUMNS_LABEL = "Missing columns"
@@ -179,46 +181,37 @@ def _content_hash(encoded: dict[str, str]) -> str:
 
 
 class TranscriptLog:
-    """Append-only exchange log with a single serialized writer.
+    """Append-only exchange log for one writer, in the order it appends.
 
-    With a path, the log starts that file empty and keeps it open until
-    ``close``; each record is flushed as it is written, and none is kept in
-    memory (``records`` is None). Without one, ``records`` keeps them all.
-    Each field value is JSON-encoded once, for both the content hash and the
-    line, which equals ``json.dumps(record, sort_keys=True)``; ``encoded``
-    may supply encodings the caller already has, by field name.
+    It starts ``path`` empty and keeps it open until ``close``; each record
+    is flushed as it is written, and none is kept in memory.
+    ``transcript_id`` counts the appends from 0, so a caller that appends in
+    task order numbers each exchange by its task's position. Each field
+    value is JSON-encoded once, for both the content hash and the line,
+    which equals ``json.dumps(record, sort_keys=True)``; ``encoded`` may
+    supply encodings the caller already has, by field name.
     """
 
-    def __init__(self, path: Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self.records: list[dict] | None = [] if path is None else None
-        self._lock = threading.Lock()
+    def __init__(self, path: Path):
+        self._fh = open(path, "w", encoding="utf-8")
         self._next_id = 0
-        self._fh = open(self.path, "w", encoding="utf-8") if self.path is not None else None
 
     def append(self, encoded: dict[str, str] | None = None, **fields) -> dict:
-        with self._lock:
-            record = dict(fields)
-            record["transcript_id"] = self._next_id
-            self._next_id += 1
-            given = encoded or {}
-            encoded = {
-                k: given[k] if k in given else encode_json(v) for k, v in record.items()
-            }
-            digest = _content_hash(encoded)
-            record["content_hash"] = digest
-            encoded["content_hash"] = f'"{digest}"'
-            if self.records is not None:
-                self.records.append(record)
-            if self._fh is not None:
-                self._fh.writelines(object_parts(encoded))
-                self._fh.write("\n")
-                self._fh.flush()
-            return record
+        record = dict(fields)
+        record["transcript_id"] = self._next_id
+        self._next_id += 1
+        given = encoded or {}
+        encoded = {k: given[k] if k in given else encode_json(v) for k, v in record.items()}
+        digest = _content_hash(encoded)
+        record["content_hash"] = digest
+        encoded["content_hash"] = f'"{digest}"'
+        self._fh.writelines(object_parts(encoded))
+        self._fh.write("\n")
+        self._fh.flush()
+        return record
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        self._fh.close()
 
     def __enter__(self) -> TranscriptLog:
         return self
@@ -241,68 +234,42 @@ def load_transcript(path: Path) -> Iterator[dict]:
 
 
 class Gateway:
-    """Base class: concurrency gating, transcript recording, error capture."""
+    """Base class: concurrency gating and the prompt and response checks."""
 
     deterministic_latency = True
 
-    def __init__(
-        self,
-        cfg: GatewayConfig | None = None,
-        transcript: TranscriptLog | None = None,
-    ):
+    def __init__(self, cfg: GatewayConfig | None = None):
         self.cfg = cfg or GatewayConfig()
-        self.transcript = transcript or TranscriptLog()
         self._slots = threading.BoundedSemaphore(self.cfg.max_parallel)
 
     def _respond(self, system_text: str, user_text: str) -> str:
         raise NotImplementedError
 
-    def complete(
-        self,
-        system_text: str,
-        user_text: str,
-        *,
-        prompt_tokens: int | None = None,
-        user_json: str | None = None,
-    ) -> str:
-        """The response text of one exchange, recorded in the transcript;
-        a failed exchange is recorded, then its ``GatewayError`` raised. A
-        caller that already has the prompt's whitespace token count or
-        ``user_text``'s JSON encoding passes them, so neither is computed
-        again."""
+    def complete(self, system_text: str, user_text: str) -> str:
+        """The response text of one exchange, or its ``GatewayError``."""
         if not user_text or user_text.isspace():
             raise GatewayError("prompt is empty")
         with self._slots:
-            started = time.monotonic()
-            response = error = None
-            try:
-                response = self._respond(system_text, user_text)
-                if not isinstance(response, str):
-                    raise MalformedResponseError(
-                        f"response is {type(response).__name__}, not text"
-                    )
-            except GatewayError as exc:
-                response, error = None, exc
-            latency = (
-                0.0
-                if self.deterministic_latency
-                else (time.monotonic() - started) * 1000.0
-            )
-        if prompt_tokens is None:
-            prompt_tokens = word_count(system_text) + word_count(user_text)
-        self.transcript.append(
-            None if user_json is None else {"user_text": user_json},
-            system_text=system_text,
-            user_text=user_text,
-            response_text=response,
-            error=None if error is None else f"{type(error).__name__}: {error}",
-            latency_ms=latency,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=word_count(response) if response else 0,
-        )
-        if error is not None:
-            raise error
+            response = self._respond(system_text, user_text)
+        if not isinstance(response, str):
+            raise MalformedResponseError(f"response is {type(response).__name__}, not text")
         return response
+
+
+def timed_complete(
+    gateway: Gateway, system_text: str, user_text: str
+) -> tuple[str | None, GatewayError | None, float]:
+    """``gateway.complete``'s ``(response, None, latency_ms)``, or ``(None,
+    error, latency_ms)`` for its ``GatewayError``; the latency is 0.0 unless
+    the class sets ``deterministic_latency = False``."""
+    started = time.monotonic()
+    try:
+        response, error = gateway.complete(system_text, user_text), None
+    except GatewayError as exc:
+        response, error = None, exc
+    if gateway.deterministic_latency:
+        return response, error, 0.0
+    return response, error, (time.monotonic() - started) * 1000.0
 
 
 def _parse_row_id(user_text: str) -> str:
@@ -417,10 +384,10 @@ class HttpGateway(Gateway):
 
     deterministic_latency = False
 
-    def __init__(self, cfg: GatewayConfig, transcript: TranscriptLog | None = None):
+    def __init__(self, cfg: GatewayConfig):
         if not cfg.endpoint_url:
             raise GatewayError("endpoint_url not configured")
-        super().__init__(cfg, transcript)
+        super().__init__(cfg)
 
     def _respond(self, system_text: str, user_text: str) -> str:
         import requests

@@ -17,14 +17,16 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from . import DataError, GatewayError
+from . import DataError
 from . import rng as prng
 from .gateway import (
     Gateway,
     MISSING_COLUMNS_LABEL,
+    TranscriptLog,
     encode_json,
     object_parts,
     read_jsonl,
+    timed_complete,
     wire_values,
 )
 from .prompt_forge import AP, DA, MVP, build_task_prompt, prompt_tokens, word_count
@@ -115,7 +117,7 @@ class EvalInstance:
     cells_correct: tuple[bool, ...]
     error: str | None = None
     # The JSON encoding of ``prompt_user``, set by ``evaluate_tasks`` so
-    # that ``save_instances`` reuses it.
+    # that its transcript record and ``save_instances`` reuse it.
     prompt_user_json: str | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -294,6 +296,7 @@ def evaluate_tasks(
     tasks: list[MaskSpec],
     gateway: Gateway,
     *,
+    transcript: TranscriptLog | None = None,
     static_knowledge: str = "",
     rules: str = "",
     context_provider=None,
@@ -303,11 +306,12 @@ def evaluate_tasks(
     """Fan prompts out to the gateway and score each completion.
 
     Gateway failures are captured per instance rather than raised, so a
-    partial run still produces instances. Each instance goes to ``sink``
-    (if any) in task order, regardless of worker interleaving, as soon as
-    its exchange and every earlier one are done. Only its ``EvalOutcome``
-    is returned, so no prompt text outlives the sink call; a caller that
-    wants the instances passes ``sink=instances.append``.
+    partial run still produces instances. The workers build, send and
+    score; the fold alone writes, in task order whatever the interleaving:
+    each exchange, failed ones included, to ``transcript`` (if any), then
+    its instance to ``sink`` (if any). Only its ``EvalOutcome`` is
+    returned, so no prompt text outlives the sink call; a caller that wants
+    the instances passes ``sink=instances.append``.
 
     ``context_provider`` maps a row id to its context, as text or as
     ``ContextPieces``. A prompt's JSON encoding (for the transcript and the
@@ -324,7 +328,7 @@ def evaluate_tasks(
     count = lru_cache(maxsize=None)(word_count)
     escape = lru_cache(maxsize=None)(json_escape)
 
-    def run_one(mask: MaskSpec) -> EvalInstance:
+    def run_one(mask: MaskSpec) -> tuple[EvalInstance, dict | None]:
         row_text = render_masked_row(schedule, mask)
         pieces = context_provider(mask.row_id) if context_provider else ""
         if isinstance(pieces, str):
@@ -345,34 +349,38 @@ def evaluate_tasks(
         user_json = "".join(
             (encode_json(head)[:-1], *pieces.escaped(escape), encode_json(tail)[1:])
         )
+        response, error, latency = timed_complete(gateway, prompt.system_text, prompt.user_text)
         inst = EvalInstance(
             mask=mask,
             prompt_system=prompt.system_text,
             prompt_user=prompt.user_text,
-            response_text=None,
+            response_text=response,
             parse_ok=False,
             cells_correct=tuple(False for _ in mask.masked_columns),
+            error=None if error is None else f"{type(error).__name__}: {error}",
             prompt_user_json=user_json,
         )
-        try:
-            response = gateway.complete(
-                prompt.system_text,
-                prompt.user_text,
-                prompt_tokens=prompt_tokens(prompt, count, pieces.tokens(count)),
-                user_json=user_json,
-            )
-        except GatewayError as exc:
-            inst.error = f"{type(exc).__name__}: {exc}"
-            return inst
-        completion = parse_values(response, len(mask.masked_columns), k=k)
-        inst.response_text = response
-        inst.parse_ok = completion.parse_ok
-        inst.cells_correct = score_completion(mask, completion)
-        return inst
+        if response is not None:
+            completion = parse_values(response, len(mask.masked_columns), k=k)
+            inst.parse_ok = completion.parse_ok
+            inst.cells_correct = score_completion(mask, completion)
+        if transcript is None:
+            return inst, None
+        return inst, dict(
+            latency_ms=latency,
+            prompt_tokens=prompt_tokens(prompt, count, pieces.tokens(count)),
+            completion_tokens=word_count(response) if response else 0,
+        )
 
-    def fold(results: Iterable[EvalInstance]) -> list[EvalOutcome]:
+    def fold(results: Iterable[tuple[EvalInstance, dict | None]]) -> list[EvalOutcome]:
         outcomes = []
-        for inst in results:
+        for inst, exchange in results:
+            if transcript is not None:
+                transcript.append(
+                    {"user_text": inst.prompt_user_json}, system_text=inst.prompt_system,
+                    user_text=inst.prompt_user, response_text=inst.response_text,
+                    error=inst.error, **exchange,
+                )
             if sink is not None:
                 sink(inst)
             outcomes.append(EvalOutcome(inst.mask, inst.cells_correct, inst.error))
@@ -416,10 +424,10 @@ def run_eval(
     gateway: Gateway,
     **eval_inputs,
 ) -> ScoreReport:
-    """Evaluate all tasks and aggregate; ``eval_inputs`` (prompt inputs,
-    ``k`` and ``sink``) go to ``evaluate_tasks``. Gateway failures surface
-    after the fold, as a ``GatewayEvalError`` with the partial report
-    attached."""
+    """Evaluate all tasks and aggregate; ``eval_inputs`` (``transcript``,
+    prompt inputs, ``k`` and ``sink``) go to ``evaluate_tasks``. Gateway
+    failures surface after the fold, as a ``GatewayEvalError`` with the
+    partial report attached."""
     outcomes = evaluate_tasks(schedule, tasks, gateway, **eval_inputs)
     report = build_report(schedule, outcomes)
     failures = sum(1 for o in outcomes if o.error is not None)
@@ -639,7 +647,15 @@ def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
         fh.write("\n")
 
 
-def load_instances(path: Path, only: set[int] | None = None) -> Iterator[EvalInstance]:
+def load_instances(path: Path, only: set[int] | None = None, rows=None) -> Iterator[EvalInstance]:
     """The saved instances, read one line at a time; with ``only``, just
-    those at these positions (``gateway.read_jsonl``)."""
-    return read_jsonl(path, EvalInstance.from_dict, CorruptRecordError, only)
+    those at these positions (``gateway.read_jsonl``). With ``rows``, a
+    line whose ``row_id`` is not among them is rejected too."""
+
+    def make(rec: dict) -> EvalInstance:
+        inst = EvalInstance.from_dict(rec)
+        if rows is not None and inst.mask.row_id not in rows:
+            raise ValueError(f"row_id {inst.mask.row_id!r} is no activity of the schedule")
+        return inst
+
+    return read_jsonl(path, make, CorruptRecordError, only)

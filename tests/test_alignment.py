@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,14 @@ from schedkit.alignment import (
     ranking_accuracy,
     train_scorer,
 )
-from schedkit.gateway import IdentityGateway, StopwordStripperGateway
+from schedkit.gateway import (
+    ConstantWrongGateway,
+    IdentityGateway,
+    MalformedResponseError,
+    StopwordStripperGateway,
+    TranscriptLog,
+    load_transcript,
+)
 from schedkit.masked_eval import PreferenceRecord
 
 # --- loss fixtures (hand-computed) ---------------------------------------------
@@ -277,6 +286,51 @@ def test_identity_polish_keeps_distribution():
         raw = f"section body {i} with content words"
         polish_context(gateway, "DA", raw, stats)
     assert stats.raw_lengths["DA"] == stats.polished_lengths["DA"]
+
+
+# Text with every kind of whitespace that ``str.split`` splits at drawn often.
+POLISH_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\u2028\u3000a")),
+    min_size=1,
+).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(POLISH_TEXT, min_size=1, max_size=3))
+def test_polish_record_counts_equal_whole_prompt_split(raws):
+    """``polish_context`` writes each exchange's token counts from the raw
+    and polished counts that ``stats`` takes; they equal the counts of the
+    whole prompt and response."""
+    stats = ContextLengthStats()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        with TranscriptLog(path) as log:
+            polished = [
+                polish_context(StopwordStripperGateway(), "DA", raw, stats, log) for raw in raws
+            ]
+        records = list(load_transcript(path))
+    assert [r["response_text"] for r in records] == polished
+    for rec in records:
+        prompt = rec["system_text"].split() + rec["user_text"].split()
+        assert rec["prompt_tokens"] == len(prompt)
+        assert rec["completion_tokens"] == len(rec["response_text"].split())
+    assert stats.raw_lengths["DA"] == [len(raw.split()) for raw in raws]
+
+
+def test_failed_polish_is_recorded_before_it_raises(tmp_path):
+    stats = ContextLengthStats()
+    with TranscriptLog(tmp_path / "t.jsonl") as log:
+        polish_context(IdentityGateway(), "DA", "the slab", stats, log)
+        # The polishing prompt names no missing columns.
+        with pytest.raises(MalformedResponseError):
+            polish_context(ConstantWrongGateway(), "DA", "the deck", stats, log)
+    ok, failed = load_transcript(tmp_path / "t.jsonl")
+    assert ok["error"] is None and ok["response_text"] == "the slab\n"
+    assert failed["response_text"] is None and failed["completion_tokens"] == 0
+    assert failed["error"].startswith("MalformedResponseError: ")
+    assert failed["transcript_id"] == 1
+    # The failed exchange adds no length sample.
+    assert stats.raw_lengths["DA"] == [2]
 
 
 def test_stats_match_recount_oracle():

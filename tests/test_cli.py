@@ -613,6 +613,78 @@ def test_truncated_instances_is_a_data_error(tmp_path, capsys):
         assert after == before, line_no
 
 
+def test_collect_prefs_rejects_a_row_the_schedule_lacks(tmp_path, capsys):
+    """An instance whose ``row_id`` is no activity of ``--schedule`` exits 2
+    naming ``path:line`` and the row, in the first pass, so neither the
+    default database nor a named ``--prefs-db`` is touched."""
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    assert run(["--out", str(tmp_path / "gen"), "generate", "--n", "12", "--seed", "3"]) == EXIT_OK
+    evaluate = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", sched, "--gateway", "mock:echo"]
+    assert run(evaluate) == EXIT_OK
+    instances = tmp_path / "e" / "instances.jsonl"
+    prefs = [
+        "--out", str(tmp_path / "q"), "collect-prefs", "--schedule", sched,
+        "--instances", str(instances), "--synthesize-negatives",
+    ]
+    stages = (prefs, [*prefs, "--prefs-db", str(tmp_path / "db" / "prefs.jsonl")])
+    for argv in stages:
+        assert run(argv) == EXIT_OK
+    before = {d: tree_bytes(tmp_path / d) for d in ("q", "db")}
+    assert before["q"]["prefs.jsonl"] and before["db"]["prefs.jsonl"]
+    lines = instances.read_text("utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["row_id"] = "ZZZ"
+    lines[1] = json.dumps(record, sort_keys=True) + "\n"
+    instances.write_text("".join(lines), "utf-8")
+    capsys.readouterr()
+    for argv in stages:
+        assert run(argv) == EXIT_DATA, argv
+        assert capsys.readouterr().err == (
+            f"data error: {instances}:2: ValueError: row_id 'ZZZ' is no activity of the schedule\n"
+        )
+    assert {d: tree_bytes(tmp_path / d) for d in ("q", "db")} == before
+
+
+def test_max_parallel_gives_the_same_trees(tmp_path, capsys):
+    """run-eval through mock:echo, a run-eval that fails every exchange
+    (exit 3, partial report) and polish write the same files at
+    ``[gateway] max_parallel`` 1 and 4; only each ``manifest.json``, whose
+    config hash names the setting, differs. A tiny thread switch interval
+    makes the pool's workers interleave."""
+    import sys
+
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    assert run(["--out", str(tmp_path / "gen"), "generate", "--n", "60", "--seed", "3"]) == EXIT_OK
+    (tmp_path / "empty.jsonl").write_text("", "utf-8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4):
+            config = tmp_path / f"parallel{workers}.ini"
+            config.write_text(f"[gateway]\nmax_parallel = {workers}\n", "utf-8")
+            out = tmp_path / str(workers)
+            stages = [
+                ("echo", ["run-eval", "--schedule", sched, "--gateway", "mock:echo"], EXIT_OK),
+                (
+                    "failed",
+                    ["run-eval", "--schedule", sched, "--gateway", f"mock:transcript={tmp_path / 'empty.jsonl'}"],
+                    EXIT_GATEWAY,
+                ),
+                ("polish", ["polish", "--instances", str(out / "echo" / "instances.jsonl")], EXIT_OK),
+            ]
+            for name, argv, code in stages:
+                assert run(["--config", str(config), "--out", str(out / name), *argv]) == code, name
+    finally:
+        sys.setswitchinterval(interval)
+    one, four = tree_bytes(tmp_path / "1"), tree_bytes(tmp_path / "4")
+    for name in ("echo", "failed", "polish"):
+        manifest = f"{name}/manifest.json"
+        assert one.pop(manifest) != four.pop(manifest)
+    assert one["failed/transcript.jsonl"] and one["polish/transcript.jsonl"]
+    assert sorted(one) == sorted(four)
+    assert [name for name in one if one[name] != four[name]] == []
+
+
 def _every_stage(root: Path, seed: int) -> list[tuple[str, list[str]]]:
     """Every command as ``(output directory under root, arguments)``, in an
     order in which each reads what the ones before it wrote. Writes the

@@ -32,8 +32,11 @@ from schedkit.gateway import (
     TranscriptExhaustedError,
     TranscriptLog,
     load_transcript,
+    timed_complete,
     wire_values,
 )
+from schedkit.masked_eval import evaluate_tasks, make_mask_tasks
+from schedkit.synthetic import GeneratorParams, generate_schedule
 
 ROW_PROMPT = """ROW:
 Activity ID: A100
@@ -50,7 +53,6 @@ none
 def test_echo_oracle_answers_ground_truth():
     g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}})
     assert g.complete("sys", ROW_PROMPT) == "[Value]SF[/Value],[Value]6E[/Value]"
-    assert g.transcript.records[-1]["error"] is None
 
 
 def test_constant_wrong_matches_arity():
@@ -69,23 +71,34 @@ def test_echo_oracle_requires_table():
 
 
 def test_transcript_records_every_call(tmp_path):
+    """``evaluate_tasks`` writes one record per exchange, failed ones too,
+    numbered by the task's position."""
+    sched = generate_schedule(GeneratorParams(n_activities=6, seed=1))
+    table = dict(sched.index.rows)
+    failing = sched.activities[1].activity_id
+    del table[failing]
+    tasks = make_mask_tasks(sched, "DA")
     with TranscriptLog(tmp_path / "t.jsonl") as log:
-        g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
-        g.complete("sys", ROW_PROMPT)
-        with pytest.raises(MissingMockDataError):
-            g.complete("sys", ROW_PROMPT.replace("A100", "A999"))
+        evaluate_tasks(sched, tasks, EchoOracleGateway(table), transcript=log)
     records = list(load_transcript(tmp_path / "t.jsonl"))
-    assert len(records) == 2
-    assert records[0]["error"] is None
-    assert records[1]["error"] is not None
+    assert [r["transcript_id"] for r in records] == list(range(len(tasks)))
+    assert [r["error"] is not None for r in records] == [t.row_id == failing for t in tasks]
     assert records[1]["response_text"] is None
-    assert [r["transcript_id"] for r in records] == [0, 1]
+    assert records[1]["error"] == f"MissingMockDataError: no answers for row {failing!r}"
+    assert records[0]["response_text"].startswith("[Value]")
+    assert {r["latency_ms"] for r in records} == {0.0}
+
+
+def _record(log: TranscriptLog, gateway: Gateway, system_text: str, user_text: str) -> str:
+    response = gateway.complete(system_text, user_text)
+    log.append(system_text=system_text, user_text=user_text, response_text=response, error=None)
+    return response
 
 
 def test_scripted_transcript_replays_and_exhausts(tmp_path):
+    live = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}})
     with TranscriptLog(tmp_path / "live.jsonl") as log:
-        live = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}, transcript=log)
-        responses = [live.complete("sys", ROW_PROMPT) for _ in range(3)]
+        responses = [_record(log, live, "sys", ROW_PROMPT) for _ in range(3)]
 
     replay = ScriptedTranscriptGateway(load_transcript(tmp_path / "live.jsonl"))
     for expected in responses:
@@ -118,9 +131,7 @@ def test_scripted_transcript_keeps_no_record():
 
 def test_transcript_hash_tamper_detected(tmp_path):
     with TranscriptLog(tmp_path / "t.jsonl") as log:
-        EchoOracleGateway(
-            {"A100": {"Level": "SF", "Area": "6E"}}, transcript=log
-        ).complete("sys", ROW_PROMPT)
+        _record(log, EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}}), "sys", ROW_PROMPT)
     text = (tmp_path / "t.jsonl").read_text("utf-8").replace("SF", "RF")
     (tmp_path / "t.jsonl").write_text(text, "utf-8")
     with pytest.raises(gw.GatewayError):
@@ -267,15 +278,17 @@ class SlowCountingGateway(Gateway):
 def test_bounded_concurrency():
     cfg = GatewayConfig(max_parallel=3)
     g = SlowCountingGateway(cfg=cfg)
+    answers = []
     threads = [
-        threading.Thread(target=g.complete, args=("s", f"prompt {i}")) for i in range(12)
+        threading.Thread(target=lambda i=i: answers.append(g.complete("s", f"prompt {i}")))
+        for i in range(12)
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     assert g.peak <= 3
-    assert len(g.transcript.records) == 12
+    assert answers == ["ok"] * 12
 
 
 def test_config_limits():
@@ -349,7 +362,6 @@ def test_http_success_and_seed_forwarded(stub_server, monkeypatch):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     g = HttpGateway(_http_cfg(stub_server))
     assert g.complete("sys text", "user text") == "stub says hi"
-    assert g.transcript.records[-1]["error"] is None
     assert _StubHandler.calls[0]["seed"] == 12345
     assert _StubHandler.calls[0]["messages"][0]["role"] == "system"
 
@@ -366,9 +378,11 @@ def test_http_retries_exhausted(stub_server, monkeypatch):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     _StubHandler.behaviors = ["500", "500", "500"]
     g = HttpGateway(_http_cfg(stub_server, retry_limit=2))
-    with pytest.raises(RetriesExhaustedError):
-        g.complete("s", "u")
-    assert g.transcript.records[-1]["error"].startswith("RetriesExhaustedError")
+    response, error, latency_ms = timed_complete(g, "s", "u")
+    assert response is None and isinstance(error, RetriesExhaustedError)
+    assert str(error).startswith("gave up after 3 attempts: HTTP 500")
+    # An HTTP exchange's latency is measured, not the mocks' 0.0.
+    assert latency_ms > 0.0
 
 
 def test_http_client_error_no_retry(stub_server, monkeypatch):
@@ -396,11 +410,9 @@ def test_http_content_that_is_not_text_is_a_recorded_gateway_error(
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     _StubHandler.behaviors = [behavior]
     g = HttpGateway(_http_cfg(stub_server))
-    with pytest.raises(MalformedResponseError):
-        g.complete("s", "u")
-    record = g.transcript.records[-1]
-    assert record["response_text"] is None
-    assert record["error"].startswith("MalformedResponseError: response is ")
+    response, error, _ = timed_complete(g, "s", "u")
+    assert response is None and isinstance(error, MalformedResponseError)
+    assert str(error).startswith("response is ")
     assert len(_StubHandler.calls) == 1
 
 
@@ -418,17 +430,3 @@ def test_transcript_reuses_a_given_encoding(fields):
             rb = b.append({"user_text": encode_basestring_ascii(fields["user_text"])}, **fields)
         assert ra == rb
         assert plain.read_bytes() == given_.read_bytes()
-        # A file-backed log keeps no records in memory.
-        assert a.records is None and b.records is None
-
-
-def test_complete_records_a_given_count_and_encoding():
-    g = EchoOracleGateway({"A100": {"Level": "SF", "Area": "6E"}})
-    g.complete("sys", ROW_PROMPT)
-    g.complete(
-        "sys", ROW_PROMPT, prompt_tokens=7, user_json=encode_basestring_ascii(ROW_PROMPT)
-    )
-    first, second = g.transcript.records
-    assert first["prompt_tokens"] == len("sys".split()) + len(ROW_PROMPT.split())
-    assert second["prompt_tokens"] == 7
-    assert first["content_hash"] == second["content_hash"]

@@ -357,8 +357,7 @@ def test_record_then_replay_reproduces_report(tmp_path):
     table["A04"]["Level"] = "__OFF__"
     tasks = make_mask_tasks(sched, "DA")
     with TranscriptLog(tmp_path / "live.jsonl") as log:
-        live = EchoOracleGateway(table, transcript=log)
-        live_report = run_eval(sched, tasks, live).to_json()
+        live_report = run_eval(sched, tasks, EchoOracleGateway(table), transcript=log).to_json()
 
     replay = ScriptedTranscriptGateway(load_transcript(tmp_path / "live.jsonl"))
     replay_report = run_eval(sched, tasks, replay).to_json()
@@ -648,12 +647,14 @@ def test_sink_streams_the_lines_save_instances_writes():
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
     sched = rich_schedule(6)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
-    gateway = ConstantWrongGateway()
-    evaluate_tasks(
-        sched, tasks, gateway, rules="rule one\nrule two",
-        context_provider=lambda rid: f"shared context\n{rid}",
-    )
-    records = gateway.transcript.records
+    from schedkit.gateway import TranscriptLog
+
+    with TranscriptLog(tmp_path / "t.jsonl") as log:
+        evaluate_tasks(
+            sched, tasks, ConstantWrongGateway(), transcript=log, rules="rule one\nrule two",
+            context_provider=lambda rid: f"shared context\n{rid}",
+        )
+    records = list(load_transcript(tmp_path / "t.jsonl"))
     assert len(records) == len(tasks)
     for rec in records:
         assert rec["prompt_tokens"] == len(rec["system_text"].split()) + len(

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from schedkit.context import (
     render_context,
     sample_hierarchical,
 )
-from schedkit.gateway import ConstantWrongGateway, wire_values
+from schedkit.gateway import ConstantWrongGateway, TranscriptLog, load_transcript, wire_values
 from schedkit.masked_eval import MaskSpec, _synthesize_rejection, evaluate_tasks
 from schedkit.schedule import (
     CANONICAL_COLUMNS,
@@ -304,14 +306,17 @@ def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
         MaskSpec(row_id, kind, columns, dict.fromkeys(columns, "x"))
         for kind in ("MVP", "DA", "AP", "Polish")
     ]
-    gateway = ConstantWrongGateway()
     instances = []
-    evaluate_tasks(
-        sched, tasks, gateway, static_knowledge=ODD_NAME, rules=f"rule {ODD_NAME}",
-        context_provider=lambda rid: pieces, sink=instances.append,
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        with TranscriptLog(Path(tmp) / "t.jsonl") as log:
+            evaluate_tasks(
+                sched, tasks, ConstantWrongGateway(), transcript=log, static_knowledge=ODD_NAME,
+                rules=f"rule {ODD_NAME}", context_provider=lambda rid: pieces, sink=instances.append,
+            )
+        records = list(load_transcript(Path(tmp) / "t.jsonl"))
     assert [i.mask for i in instances] == tasks
-    for inst, rec in zip(instances, gateway.transcript.records):
+    assert len(records) == len(tasks)
+    for inst, rec in zip(instances, records):
         if inst.mask.task_kind != "Polish":
             assert pieces.text() in inst.prompt_user
         assert inst.prompt_user_json == json.dumps(inst.prompt_user)
