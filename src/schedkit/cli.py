@@ -508,7 +508,7 @@ def cmd_train_scorer(args, cfg) -> int:
 
 def cmd_polish(args, cfg) -> int:
     from . import alignment, graph, masked_eval
-    from .gateway import TranscriptLog
+    from .gateway import TranscriptLog, encode_json
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
@@ -519,13 +519,9 @@ def cmd_polish(args, cfg) -> int:
             polished = alignment.polish_context(
                 gateway, inst.mask.task_kind, inst.prompt_user, stats, log
             )
-            fh.write(
-                json.dumps(
-                    {"row_id": inst.mask.row_id, "task_kind": inst.mask.task_kind, "polished": polished},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            mask = inst.mask
+            record = {"row_id": mask.row_id, "task_kind": mask.task_kind, "polished": polished}
+            fh.write(encode_json(record) + "\n")
         if not stats.raw_lengths:  # no instances
             fh.write("\n")
     write_artifact(out / "ctx_stats.json", stats.to_json())

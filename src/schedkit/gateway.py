@@ -21,6 +21,7 @@ import os
 import re
 import threading
 import time
+import typing
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -96,10 +97,6 @@ def exchange_hash(system_text: str, user_text: str) -> str:
     ).hexdigest()
 
 
-# The fields ``content_hash`` covers, in sorted order.
-_HASHED_FIELDS = ("error", "response_text", "system_text", "user_text")
-
-
 # ``json.dumps(value, sort_keys=True)``'s C encoder, built once rather than
 # on every call. It keeps no circular-reference markers, which a reused
 # encoder would share between calls: a value that contains itself recurses
@@ -133,24 +130,78 @@ def _key_part(key: str, first: bool) -> str:
     return ("{" if first else ", ") + encode_basestring_ascii(key) + ": "
 
 
-def object_parts(encoded: dict[str, str], keys=None) -> list[str]:
+def object_parts(encoded: dict[str, str]) -> list[str]:
     """The pieces of the JSON object of the already-encoded values in
-    ``encoded`` under ``keys`` (default: all, sorted), as ``json.dumps``
-    writes it; each value is one piece, so a long value is never copied."""
+    ``encoded``, with sorted keys, as ``json.dumps`` writes it; each value
+    is one piece, so a long value is never copied."""
     parts: list[str] = []
-    for k in sorted(encoded) if keys is None else keys:
+    for k in sorted(encoded):
         parts += (_key_part(k, not parts), encoded[k])
     parts.append("}" if parts else "{}")
     return parts
 
 
-def read_jsonl(path: Path, make, error, only=None) -> Iterator:
-    """``make`` of each JSON object in the JSON-lines file ``path``, read
-    and yielded one line at a time; blank lines are skipped. With ``only``,
-    a set of positions (from 0, blank lines not counted), the other lines
-    are not parsed and only those items are yielded. A line that is not
-    UTF-8, JSON or an object, or that ``make`` rejects with ``ValueError``,
-    ``KeyError`` or ``TypeError``, raises
+# A field table lists the fields of one kind of JSON-lines record as
+# ``(name, type, nullable)``. The type is ``str``, ``int``, ``float`` (any
+# JSON number), ``bool``, ``dict`` or ``(list, item type)``; a nullable
+# field may also be null. One encoder writes every such record and one
+# decoder reads it back.
+
+
+def dataclass_fields(cls) -> tuple:
+    """The field table of a flat dataclass: each field's name and annotated
+    type, none nullable."""
+    return tuple((name, kind, False) for name, kind in typing.get_type_hints(cls).items())
+
+
+def encode_fields(fields, get, encoded=None) -> dict[str, str]:
+    """The JSON encoding of ``get(name)``, the value of each field ``name``
+    in the table ``fields``, by name; ``encoded`` supplies encodings the
+    caller already has, and a None there is none. ``object_parts`` of the
+    result is the record's line, ``json.dumps(..., sort_keys=True)``. A
+    dataclass record is read through ``partial(getattr, record)``, not
+    ``vars``, which would give each record a ``__dict__`` for its life."""
+    given = encoded or {}
+    return {name: given.get(name) or encode_json(get(name)) for name, _, _ in fields}
+
+
+def _is(value, kind: type) -> bool:
+    """Whether a parsed JSON value has the table type ``kind``; a bool is
+    no number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def decode_fields(fields, record: dict) -> dict:
+    """The value in the parsed JSON object ``record`` of each field in the
+    table ``fields``, by name: ``KeyError`` for a missing field,
+    ``TypeError`` naming one of the wrong type. A list's items are checked
+    too and come back as a tuple."""
+    values = {}
+    for name, kind, nullable in fields:
+        value = record[name]
+        kind, each = kind if isinstance(kind, tuple) else (kind, None)
+        if not ((value is None and nullable) or _is(value, kind)):
+            raise TypeError(f"{name} is {type(value).__name__}, not {kind.__name__}")
+        if each is not None:
+            value = tuple(value)
+            for item in value:
+                if not _is(item, each):
+                    raise TypeError(f"{name} holds a {type(item).__name__}, not {each.__name__}")
+        values[name] = value
+    return values
+
+
+def read_jsonl(path: Path, fields, make, error, only=None) -> Iterator:
+    """``make(**values)`` of each JSON object in the JSON-lines file
+    ``path``, its ``values`` read by ``decode_fields`` with the table
+    ``fields``, read and yielded one line at a time; blank lines are
+    skipped. With ``only``, a set of positions (from 0, blank lines not
+    counted), the other lines are not parsed and only those items are
+    yielded. A line that is not UTF-8, JSON or an object, that lacks a field
+    or has one of the wrong type, or that ``make`` rejects with
+    ``ValueError``, ``KeyError`` or ``TypeError``, raises
     ``error("<path>:<line>: <Type>: <detail>")``."""
     position = -1
     with open(path, "rb") as fh:
@@ -165,17 +216,34 @@ def read_jsonl(path: Path, make, error, only=None) -> Iterator:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-                item = make(record)
+                item = make(**decode_fields(fields, record))
             except (ValueError, KeyError, TypeError) as exc:
                 raise error(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
             yield item
 
 
-def _content_hash(encoded: dict[str, str]) -> str:
-    """sha256 of ``json.dumps`` of the hashed fields with sorted keys, fed
-    piece by piece from each field's own JSON encoding in ``encoded``."""
+# A transcript line's fields: the exchange, which ``content_hash`` covers,
+# then the rest.
+_EXCHANGE_FIELDS = (
+    ("error", str, True),
+    ("response_text", str, True),
+    ("system_text", str, False),
+    ("user_text", str, False),
+)
+TRANSCRIPT_FIELDS = _EXCHANGE_FIELDS + (
+    ("completion_tokens", int, False),
+    ("content_hash", str, False),
+    ("latency_ms", float, False),
+    ("prompt_tokens", int, False),
+    ("transcript_id", int, False),
+)
+
+
+def _content_hash(hashed: dict[str, str]) -> str:
+    """sha256 of ``json.dumps`` of the exchange's fields with sorted keys,
+    fed piece by piece from their encodings in ``hashed``."""
     digest = hashlib.sha256()
-    for part in object_parts(encoded, _HASHED_FIELDS):
+    for part in object_parts(hashed):
         digest.update(part.encode("utf-8"))
     return digest.hexdigest()
 
@@ -186,10 +254,12 @@ class TranscriptLog:
     It starts ``path`` empty and keeps it open until ``close``; each record
     is flushed as it is written, and none is kept in memory.
     ``transcript_id`` counts the appends from 0, so a caller that appends in
-    task order numbers each exchange by its task's position. Each field
-    value is JSON-encoded once, for both the content hash and the line,
-    which equals ``json.dumps(record, sort_keys=True)``; ``encoded`` may
-    supply encodings the caller already has, by field name.
+    task order numbers each exchange by its task's position. ``append``
+    takes the fields of ``TRANSCRIPT_FIELDS`` but ``content_hash`` and
+    ``transcript_id``, which it adds. Each value
+    is JSON-encoded once, for both the content hash and the line, which
+    equals ``json.dumps(record, sort_keys=True)``; ``encoded`` may supply
+    encodings of the exchange's fields that the caller already has.
     """
 
     def __init__(self, path: Path):
@@ -197,15 +267,12 @@ class TranscriptLog:
         self._next_id = 0
 
     def append(self, encoded: dict[str, str] | None = None, **fields) -> dict:
-        record = dict(fields)
-        record["transcript_id"] = self._next_id
+        record = {**fields, "transcript_id": self._next_id}
         self._next_id += 1
-        given = encoded or {}
-        encoded = {k: given[k] if k in given else encode_json(v) for k, v in record.items()}
-        digest = _content_hash(encoded)
-        record["content_hash"] = digest
-        encoded["content_hash"] = f'"{digest}"'
-        self._fh.writelines(object_parts(encoded))
+        get = record.__getitem__
+        hashed = encode_fields(_EXCHANGE_FIELDS, get, encoded)
+        record["content_hash"] = _content_hash(hashed)
+        self._fh.writelines(object_parts(encode_fields(TRANSCRIPT_FIELDS, get, hashed)))
         self._fh.write("\n")
         self._fh.flush()
         return record
@@ -220,17 +287,16 @@ class TranscriptLog:
         self.close()
 
 
-def _checked_record(record: dict) -> dict:
-    digest = _content_hash({k: encode_json(record[k]) for k in _HASHED_FIELDS})
-    if digest != record.get("content_hash"):
+def _checked(**record) -> dict:
+    if _content_hash(encode_fields(_EXCHANGE_FIELDS, record.__getitem__)) != record["content_hash"]:
         raise ValueError("transcript content hash mismatch")
     return record
 
 
 def load_transcript(path: Path) -> Iterator[dict]:
-    """The saved records, each checked against its content hash as it is
-    read."""
-    return read_jsonl(path, _checked_record, GatewayError)
+    """The saved records, each checked against ``TRANSCRIPT_FIELDS`` and its
+    content hash as it is read."""
+    return read_jsonl(path, TRANSCRIPT_FIELDS, _checked, GatewayError)
 
 
 class Gateway:

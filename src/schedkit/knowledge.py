@@ -15,7 +15,6 @@ characters after NFC normalization.
 from __future__ import annotations
 
 import functools
-import json
 import struct
 import unicodedata
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError, read_utf8, streamed, write_artifact
-from .gateway import read_jsonl
+from . import DataError, read_utf8, streamed
+from .gateway import dataclass_fields, encode_fields, object_parts, read_jsonl
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
 
@@ -149,6 +148,11 @@ class KnowledgeChunk:
     chunk_index: int
     text: str
     token_count: int
+
+
+# The fields of a line of ``terms.jsonl`` and of ``chunks.jsonl``.
+TERM_FIELDS = dataclass_fields(TermEntry)
+CHUNK_FIELDS = dataclass_fields(KnowledgeChunk)
 
 
 def chunk_document(
@@ -290,18 +294,21 @@ def _read_matrix(path: Path) -> np.ndarray:
     return matrix
 
 
-def _write_manifest(path: Path, records: list[dict]) -> None:
-    lines = [json.dumps(r, sort_keys=True) for r in records]
-    write_artifact(path, "\n".join(lines) + ("\n" if lines else ""))
+def _write_manifest(path: Path, fields, items: list) -> None:
+    """One ``fields`` line per item, written in its pieces."""
+    with streamed(path) as fh:
+        for item in items:
+            fh.writelines(object_parts(encode_fields(fields, functools.partial(getattr, item))))
+            fh.write("\n")
 
 
 def _read_store(
-    embedder, manifest_path: Path, matrix_path: Path, make
+    embedder, manifest_path: Path, matrix_path: Path, fields, make
 ) -> tuple[list, np.ndarray]:
-    """The manifest items (``make`` applied to each record) and the matrix
-    of a saved store. A line that is not a JSON object with the fields
-    ``make`` reads raises ``KnowledgeError`` naming ``path:line``."""
-    items = list(read_jsonl(manifest_path, make, KnowledgeError))
+    """The manifest items (``make`` of each record's ``fields``) and the
+    matrix of a saved store. A line that is not a JSON object with those
+    fields, of their types, raises ``KnowledgeError`` naming ``path:line``."""
+    items = list(read_jsonl(manifest_path, fields, make, KnowledgeError))
     matrix = _read_matrix(Path(matrix_path))
     if len(items) != len(matrix):
         raise KnowledgeError(
@@ -317,44 +324,24 @@ def _read_store(
 
 
 def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Path) -> None:
-    _write_manifest(
-        manifest_path, [{"term": e.term, "definition": e.definition} for e in store.entries]
-    )
+    _write_manifest(manifest_path, TERM_FIELDS, store.entries)
     _write_matrix(Path(matrix_path), store.matrix)
 
 
 def load_term_store(embedder, manifest_path: Path, matrix_path: Path) -> LocalTermStore:
-    entries, matrix = _read_store(
-        embedder, manifest_path, matrix_path, lambda r: TermEntry(r["term"], r["definition"])
-    )
+    entries, matrix = _read_store(embedder, manifest_path, matrix_path, TERM_FIELDS, TermEntry)
     store = LocalTermStore(embedder, matrix)
     store.entries = entries
     return store
 
 
 def save_chunk_store(store: GlobalChunkStore, manifest_path: Path, matrix_path: Path) -> None:
-    _write_manifest(
-        manifest_path,
-        [
-            {
-                "doc_id": c.doc_id,
-                "chunk_index": c.chunk_index,
-                "text": c.text,
-                "token_count": c.token_count,
-            }
-            for c in store.chunks
-        ],
-    )
+    _write_manifest(manifest_path, CHUNK_FIELDS, store.chunks)
     _write_matrix(Path(matrix_path), store.matrix)
 
 
 def load_chunk_store(embedder, manifest_path: Path, matrix_path: Path) -> GlobalChunkStore:
-    chunks, matrix = _read_store(
-        embedder,
-        manifest_path,
-        matrix_path,
-        lambda r: KnowledgeChunk(r["doc_id"], r["chunk_index"], r["text"], r["token_count"]),
-    )
+    chunks, matrix = _read_store(embedder, manifest_path, matrix_path, CHUNK_FIELDS, KnowledgeChunk)
     store = GlobalChunkStore(embedder, matrix)
     store.chunks = chunks
     return store

@@ -9,11 +9,10 @@ chosen/rejected preference pairs for alignment training.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -23,6 +22,8 @@ from .gateway import (
     Gateway,
     MISSING_COLUMNS_LABEL,
     TranscriptLog,
+    dataclass_fields,
+    encode_fields,
     encode_json,
     object_parts,
     read_jsonl,
@@ -72,26 +73,6 @@ class GatewayEvalError(EvalError):
         self.failures = failures
 
 
-def _typed(rec: dict, key: str, kind: type, *, optional: bool = False):
-    """``rec[key]`` if it is a ``kind`` (a bool is no int), or None when
-    ``optional``; otherwise ``TypeError`` naming the key."""
-    value = rec[key]
-    if (value is None and optional) or (
-        isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-    ):
-        return value
-    raise TypeError(f"{key} is {type(value).__name__}, not {kind.__name__}")
-
-
-def _typed_items(rec: dict, key: str, kind: type) -> tuple:
-    """The items of the list ``rec[key]``, each checked to be a ``kind``."""
-    items = tuple(_typed(rec, key, list))
-    for item in items:
-        if not isinstance(item, kind):
-            raise TypeError(f"{key} holds a {type(item).__name__}, not {kind.__name__}")
-    return items
-
-
 @dataclass(frozen=True)
 class MaskSpec:
     row_id: str
@@ -129,41 +110,23 @@ class EvalInstance:
             and all(self.cells_correct)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "row_id": self.mask.row_id,
-            "task_kind": self.mask.task_kind,
-            "masked_columns": list(self.mask.masked_columns),
-            "ground_truth": dict(self.mask.ground_truth),
-            "prompt_system": self.prompt_system,
-            "prompt_user": self.prompt_user,
-            "response_text": self.response_text,
-            "parse_ok": self.parse_ok,
-            "cells_correct": list(self.cells_correct),
-            "error": self.error,
-        }
 
-    @classmethod
-    def from_dict(cls, rec: dict) -> "EvalInstance":
-        """The instance a ``to_dict`` line holds; ``TypeError`` for a field
-        of the wrong type, ``ValueError`` for a masked column that
-        ``ground_truth`` lacks."""
-        masked = _typed_items(rec, "masked_columns", str)
-        truth = _typed(rec, "ground_truth", dict)
-        for column in masked:
-            if not isinstance(truth.get(column), str):
-                raise ValueError(f"ground_truth has no text for masked column {column!r}")
-        return cls(
-            mask=MaskSpec(
-                _typed(rec, "row_id", str), _typed(rec, "task_kind", str), masked, truth
-            ),
-            prompt_system=_typed(rec, "prompt_system", str),
-            prompt_user=_typed(rec, "prompt_user", str),
-            response_text=_typed(rec, "response_text", str, optional=True),
-            parse_ok=_typed(rec, "parse_ok", bool),
-            cells_correct=_typed_items(rec, "cells_correct", bool),
-            error=_typed(rec, "error", str, optional=True),
-        )
+# An instance line's fields: its mask's, then the rest.
+MASK_FIELDS = (
+    ("ground_truth", dict, False),
+    ("masked_columns", (list, str), False),
+    ("row_id", str, False),
+    ("task_kind", str, False),
+)
+_OUTCOME_FIELDS = (
+    ("cells_correct", (list, bool), False),
+    ("error", str, True),
+    ("parse_ok", bool, False),
+    ("prompt_system", str, False),
+    ("prompt_user", str, False),
+    ("response_text", str, True),
+)
+INSTANCE_FIELDS = MASK_FIELDS + _OUTCOME_FIELDS
 
 
 @dataclass(frozen=True)
@@ -449,19 +412,8 @@ class PreferenceRecord:
     context_length_tokens: int
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, rec: dict) -> "PreferenceRecord":
-        """The record a ``to_dict`` line holds; ``TypeError`` for a field of
-        the wrong type."""
-        texts = ("prompt_text", "chosen_text", "rejected_text", "task_kind", "row_id")
-        return cls(
-            **{key: _typed(rec, key, str) for key in texts},
-            context_length_tokens=_typed(rec, "context_length_tokens", int),
-            meta=_typed(rec, "meta", dict) if "meta" in rec else {},
-        )
+PREFERENCE_FIELDS = dataclass_fields(PreferenceRecord)
 
 
 def _truth_wire(mask: MaskSpec) -> str:
@@ -593,8 +545,9 @@ def _preference_record(
 
 
 def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> int:
-    """Append one JSON line per record, each as the records yield it, through
-    one file handle opened at the first record; the number appended."""
+    """Append one ``PREFERENCE_FIELDS`` line per record, each as the records
+    yield it, through one file handle opened at the first record; the
+    number appended."""
     count = 0
     fh = None
     try:
@@ -603,7 +556,8 @@ def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> 
                 raise EvalError("chosen and rejected completions are identical")
             if fh is None:
                 fh = open(path, "a", encoding="utf-8")
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            fh.writelines(object_parts(encode_fields(PREFERENCE_FIELDS, partial(getattr, record))))
+            fh.write("\n")
             count += 1
     finally:
         if fh is not None:
@@ -612,50 +566,35 @@ def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> 
 
 
 def preference_store_load(path: Path) -> list[PreferenceRecord]:
-    return list(read_jsonl(path, PreferenceRecord.from_dict, CorruptRecordError))
-
-
-def _instance_parts(inst: EvalInstance) -> list[str]:
-    """The pieces of ``instance_line``, built field by field so that a
-    prompt already encoded (``prompt_user_json``) is not encoded again."""
-    fields = {
-        "cells_correct": encode_json(list(inst.cells_correct)),
-        "error": encode_json(inst.error),
-        "ground_truth": encode_json(dict(inst.mask.ground_truth)),
-        "masked_columns": encode_json(list(inst.mask.masked_columns)),
-        "parse_ok": encode_json(inst.parse_ok),
-        "prompt_system": encode_json(inst.prompt_system),
-        "prompt_user": inst.prompt_user_json or encode_json(inst.prompt_user),
-        "response_text": encode_json(inst.response_text),
-        "row_id": encode_json(inst.mask.row_id),
-        "task_kind": encode_json(inst.mask.task_kind),
-    }
-    return object_parts(fields)
-
-
-def instance_line(inst: EvalInstance) -> str:
-    """``json.dumps(inst.to_dict(), sort_keys=True)``."""
-    return "".join(_instance_parts(inst))
+    return list(read_jsonl(path, PREFERENCE_FIELDS, PreferenceRecord, CorruptRecordError))
 
 
 def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
-    """One ``instance_line`` per instance, to an open text file that a
-    streaming caller writes instance by instance; each line is written in
-    its pieces, so a long prompt is not copied into it."""
+    """One ``INSTANCE_FIELDS`` line per instance, to an open text file that
+    a streaming caller writes instance by instance; each line is written in
+    its pieces, and a prompt already encoded (``prompt_user_json``) is not
+    encoded again or copied into it."""
     for inst in instances:
-        fh.writelines(_instance_parts(inst))
+        given = {"prompt_user": inst.prompt_user_json}
+        encoded = encode_fields(MASK_FIELDS, partial(getattr, inst.mask))
+        encoded |= encode_fields(_OUTCOME_FIELDS, partial(getattr, inst), given)
+        fh.writelines(object_parts(encoded))
         fh.write("\n")
 
 
 def load_instances(path: Path, only: set[int] | None = None, rows=None) -> Iterator[EvalInstance]:
     """The saved instances, read one line at a time; with ``only``, just
-    those at these positions (``gateway.read_jsonl``). With ``rows``, a
-    line whose ``row_id`` is not among them is rejected too."""
+    those at these positions (``gateway.read_jsonl``). A masked column that
+    ``ground_truth`` has no text for is a ``ValueError``; with ``rows``, so
+    is a ``row_id`` that is not among them."""
 
-    def make(rec: dict) -> EvalInstance:
-        inst = EvalInstance.from_dict(rec)
-        if rows is not None and inst.mask.row_id not in rows:
-            raise ValueError(f"row_id {inst.mask.row_id!r} is no activity of the schedule")
-        return inst
+    def make(**values) -> EvalInstance:
+        mask = MaskSpec(**{name: values.pop(name) for name, _, _ in MASK_FIELDS})
+        for column in mask.masked_columns:
+            if not isinstance(mask.ground_truth.get(column), str):
+                raise ValueError(f"ground_truth has no text for masked column {column!r}")
+        if rows is not None and mask.row_id not in rows:
+            raise ValueError(f"row_id {mask.row_id!r} is no activity of the schedule")
+        return EvalInstance(mask, **values)
 
-    return read_jsonl(path, make, CorruptRecordError, only)
+    return read_jsonl(path, INSTANCE_FIELDS, make, CorruptRecordError, only)

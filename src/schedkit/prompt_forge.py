@@ -1,9 +1,9 @@
 """Prompt assembly from plain-text templates plus run-time sections.
 
-Templates live under ``prompts/`` next to this module, one file per rule
-category and per task kind; loading checks that all eight rule categories
-are present exactly once. Assembly is a pure function of its inputs, so
-every prompt is byte-reproducible.
+Templates live under ``prompts/`` next to this module, one file per task
+kind. Assembly is a pure function of its inputs, so every prompt is
+byte-reproducible. Rules are an input (``run-eval --rules``), not generated
+here.
 """
 
 from __future__ import annotations
@@ -15,17 +15,6 @@ from pathlib import Path
 from . import DataError
 
 _PROMPT_DIR = Path(__file__).parent / "prompts"
-
-RULE_CATEGORIES = {
-    "ActivitySequenceAndTiming": "activity_sequence_and_timing.txt",
-    "CalculateActivityDuration": "calculate_activity_duration.txt",
-    "HierarchicalTreeStructure": "hierarchical_tree_structure.txt",
-    "AssessSequenceReconstruction": "assess_sequence_reconstruction.txt",
-    "AnalyzeTimeRelationships": "analyze_time_relationships.txt",
-    "OverlappingDisciplines": "overlapping_disciplines.txt",
-    "InterDisciplinaryDependencies": "inter_disciplinary_dependencies.txt",
-    "AreaBasedDependencies": "area_based_dependencies.txt",
-}
 
 MVP = "MVP"
 DA = "DA"
@@ -48,10 +37,6 @@ SECTION_RAW = "RAW OUTPUT:"
 
 
 class PromptError(DataError):
-    pass
-
-
-class UnknownCategoryError(PromptError):
     pass
 
 
@@ -87,31 +72,6 @@ def _load(filename: str) -> str:
             raise PromptError(f"template {filename} carries undeclared placeholders")
         _template_cache[filename] = text.rstrip("\n")
     return _template_cache[filename]
-
-
-def verify_registry() -> None:
-    """Every rule category and task kind maps to exactly one readable file."""
-    seen: set[str] = set()
-    for name, filename in RULE_CATEGORIES.items():
-        if filename in seen:
-            raise PromptError(f"duplicate template file for {name}")
-        seen.add(filename)
-        _load(filename)
-    for filename in _TASK_FILES.values():
-        _load(filename)
-    if len(RULE_CATEGORIES) != 8:
-        raise PromptError("rule-category registry must hold exactly 8 entries")
-
-
-def category_template(category: str) -> str:
-    if category not in RULE_CATEGORIES:
-        raise UnknownCategoryError(category)
-    return _load(RULE_CATEGORIES[category])
-
-
-def build_rule_prompt(category: str, context_text: str) -> str:
-    """Category instruction with the rendered context appended."""
-    return f"{category_template(category)}\n\n{SECTION_CONTEXT}\n{context_text}\n"
 
 
 def _answer_format(n_values: int, top_k: int) -> str:

@@ -572,11 +572,13 @@ def test_replayed_response_that_is_not_text_is_a_gateway_error(tmp_path, capsys)
         for r in records:
             log.append(**{k: v for k, v in r.items() if k not in ("transcript_id", "content_hash")})
     capsys.readouterr()
+    # The transcript is read, and its field types checked, before the run
+    # starts its own.
     assert run(["--out", str(tmp_path / "r"), *argv, f"mock:transcript={transcript}"]) == EXIT_GATEWAY
-    assert "1 instance(s) failed at the gateway" in capsys.readouterr().err
-    replayed = list(load_transcript(tmp_path / "r" / "transcript.jsonl"))
-    assert replayed[0]["response_text"] is None
-    assert replayed[0]["error"] == "MalformedResponseError: response is int, not text"
+    assert capsys.readouterr().err == (
+        f"gateway error: {transcript}:1: TypeError: response_text is int, not str\n"
+    )
+    assert not (tmp_path / "r" / "transcript.jsonl").exists()
 
 
 def test_truncated_instances_is_a_data_error(tmp_path, capsys):

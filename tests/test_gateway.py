@@ -89,9 +89,16 @@ def test_transcript_records_every_call(tmp_path):
     assert {r["latency_ms"] for r in records} == {0.0}
 
 
+# The fields of a transcript line that a test does not look at.
+NO_COUNTS = {"latency_ms": 0.0, "prompt_tokens": 0, "completion_tokens": 0}
+
+
 def _record(log: TranscriptLog, gateway: Gateway, system_text: str, user_text: str) -> str:
     response = gateway.complete(system_text, user_text)
-    log.append(system_text=system_text, user_text=user_text, response_text=response, error=None)
+    log.append(
+        system_text=system_text, user_text=user_text, response_text=response, error=None,
+        **NO_COUNTS,
+    )
     return response
 
 
@@ -174,14 +181,18 @@ def test_transcript_line_encoding_is_exact(exchanges):
         path = Path(tmp) / "t.jsonl"
         with TranscriptLog(path) as log:
             records = [log.append(**fields) for fields in exchanges]
+        expected = [
+            {**fields, "transcript_id": i, "content_hash": ref_content_hash(fields)}
+            for i, fields in enumerate(exchanges)
+        ]
         lines = path.read_text("utf-8").splitlines(keepends=True)
-        assert lines == [json.dumps(r, sort_keys=True) + "\n" for r in records]
-        for i, (fields, record) in enumerate(zip(exchanges, records)):
-            assert record == {**fields, "transcript_id": i, "content_hash": record["content_hash"]}
-            assert record["content_hash"] == ref_content_hash(record)
+        assert lines == [json.dumps(e, sort_keys=True) + "\n" for e in expected]
+        assert [json.dumps(r, sort_keys=True) for r in records] == [
+            json.dumps(e, sort_keys=True) for e in expected
+        ]
         loaded = load_transcript(path)
         assert [json.dumps(r, sort_keys=True) for r in loaded] == [
-            json.dumps(r, sort_keys=True) for r in records
+            json.dumps(e, sort_keys=True) for e in expected
         ]
 
 
@@ -216,7 +227,9 @@ def test_transcript_log_starts_its_file_empty(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("stale\n", "utf-8")
     with TranscriptLog(path) as log:
-        record = log.append(system_text="s", user_text="u", response_text="r", error=None)
+        record = log.append(
+            system_text="s", user_text="u", response_text="r", error=None, **NO_COUNTS
+        )
         # Each record is on disk before the log closes.
         assert list(load_transcript(path)) == [record]
     assert [r["transcript_id"] for r in load_transcript(path)] == [0]

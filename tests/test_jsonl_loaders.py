@@ -2,24 +2,33 @@
 
 A bad line raises the loader's own error as ``path:line: Type: detail``,
 the CLI maps it to that artifact's exit code (3 for a replayed transcript,
-2 for the rest), and no loader holds a second copy of its file.
+2 for the rest), and no loader holds a second copy of its file. Each line a
+writer writes is ``json.dumps`` of its record with sorted keys, and reads
+back to an equal record.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedkit.cli import EXIT_DATA, EXIT_GATEWAY, EXIT_OK, main
 from schedkit.gateway import GatewayError, TranscriptLog, load_transcript
 from schedkit.knowledge import (
     GlobalChunkStore,
     HashedNgramEmbedder,
+    KnowledgeChunk,
     KnowledgeError,
     LocalTermStore,
+    TermEntry,
     load_chunk_store,
     load_term_store,
     save_chunk_store,
@@ -207,6 +216,8 @@ def _artifacts(tmp_path: Path, capsys) -> dict[str, Path]:
         "instances": tmp_path / "e" / "instances.jsonl",
         "prefs": tmp_path / "q" / "prefs.jsonl",
         "kb": tmp_path / "kb",
+        "terms": tmp_path / "kb" / "terms.jsonl",
+        "chunks": tmp_path / "kb" / "chunks.jsonl",
     }
 
 
@@ -268,6 +279,11 @@ def _drop_first_masked_truth(record: dict) -> None:
 MISTYPED = {
     "prompt_user-int": ("instances", lambda r: r.update(prompt_user=5), "TypeError: prompt_user is int"),
     "response_text-int": ("instances", lambda r: r.update(response_text=5), "TypeError: response_text is int"),
+    "cells_correct-ints": (
+        "instances",
+        lambda r: r.update(cells_correct=[1] * len(r["cells_correct"])),
+        "TypeError: cells_correct holds a int, not bool",
+    ),
     "ground_truth-short": (
         "instances",
         _drop_first_masked_truth,
@@ -281,26 +297,130 @@ MISTYPED = {
         "TypeError: context_length_tokens is str",
     ),
     "meta-list": ("prefs", lambda r: r.update(meta=[]), "TypeError: meta is list"),
+    "system_text-int": ("transcript", lambda r: r.update(system_text=5), "TypeError: system_text is int"),
+    "user_text-null": (
+        "transcript",
+        lambda r: r.update(user_text=None),
+        "TypeError: user_text is NoneType, not str",
+    ),
+    "error-int": ("transcript", lambda r: r.update(error=7), "TypeError: error is int, not str"),
+    "term-int": ("terms", lambda r: r.update(term=5), "TypeError: term is int, not str"),
+    "definition-null": ("terms", lambda r: r.update(definition=None), "TypeError: definition is NoneType"),
+    "text-int": ("chunks", lambda r: r.update(text=5), "TypeError: text is int, not str"),
+    "doc_id-list": ("chunks", lambda r: r.update(doc_id=[1]), "TypeError: doc_id is list, not str"),
+    "chunk_index-text": ("chunks", lambda r: r.update(chunk_index="a"), "TypeError: chunk_index is str"),
+    "token_count-text": ("chunks", lambda r: r.update(token_count="x"), "TypeError: token_count is str"),
 }
+
+
+def _rehash(record: dict) -> None:
+    """Give a transcript record the content hash of its changed fields, as
+    ``json.dumps`` of them with sorted keys defines it."""
+    basis = {k: record[k] for k in ("error", "response_text", "system_text", "user_text")}
+    record["content_hash"] = hashlib.sha256(json.dumps(basis, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(MISTYPED))
 def test_cli_exit_code_for_a_mistyped_field(tmp_path, capsys, case):
-    """Every command that reads an instances or preference file rejects a
-    line whose fields have the wrong types with exit 2, not 4."""
+    """Every command that reads a JSON-lines file rejects a line whose
+    fields have the wrong types, naming ``path:line``: exit 3 for a replayed
+    transcript (whose content hash matches the changed fields), exit 2 for
+    the rest, never 4 or 0."""
     files = _artifacts(tmp_path, capsys)
     which, change, detail = MISTYPED[case]
     path = files[which]
+    sched = str(files["schedule"])
     instances = ["--instances", str(files["instances"])]
+    run_eval = ["run-eval", "--schedule", sched, "--gateway"]
+    with_kb = [[*run_eval, "mock:echo", "--kb", str(files["kb"])]]
     readers = {
-        "instances": [["collect-prefs", "--schedule", str(files["schedule"]), *instances], ["polish", *instances]],
+        "instances": [["collect-prefs", "--schedule", sched, *instances], ["polish", *instances]],
         "prefs": [["train-scorer", "--prefs-db", str(files["prefs"])]],
+        "transcript": [[*run_eval, f"mock:transcript={path}"]],
+        "terms": with_kb,
+        "chunks": with_kb,
     }[which]
+    code, prefix = (EXIT_GATEWAY, "gateway error") if which == "transcript" else (EXIT_DATA, "data error")
     lines = path.read_bytes().splitlines(keepends=True)
     record = json.loads(lines[1])
     change(record)
+    if which == "transcript":
+        _rehash(record)
     lines[1] = json.dumps(record, sort_keys=True).encode() + b"\n"
     path.write_bytes(b"".join(lines))
     for argv in readers:
-        assert main(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA, argv
-        assert capsys.readouterr().err.startswith(f"data error: {path}:2: {detail}"), argv
+        assert main(["--out", str(tmp_path / "o"), *argv]) == code, argv
+        assert capsys.readouterr().err.startswith(f"{prefix}: {path}:2: {detail}"), argv
+
+
+# --- each writer's line is json.dumps of the record, and reads back -----------------
+
+# Arbitrary Unicode with JSON's escape cases drawn often.
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028é😀\n\t')))
+PREFERENCE = st.builds(
+    PreferenceRecord,
+    prompt_text=TEXT,
+    chosen_text=TEXT,
+    rejected_text=TEXT,
+    task_kind=TEXT,
+    row_id=TEXT,
+    context_length_tokens=st.integers(-(10**20), 10**20),
+    meta=st.dictionaries(TEXT, st.none() | st.booleans() | st.integers() | TEXT, max_size=3),
+).filter(lambda r: r.chosen_text != r.rejected_text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(PREFERENCE, max_size=3))
+def test_preference_lines_are_exact_and_read_back(records):
+    expected = [
+        {
+            "prompt_text": r.prompt_text,
+            "chosen_text": r.chosen_text,
+            "rejected_text": r.rejected_text,
+            "task_kind": r.task_kind,
+            "row_id": r.row_id,
+            "context_length_tokens": r.context_length_tokens,
+            "meta": r.meta,
+        }
+        for r in records
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prefs.jsonl"
+        path.touch()
+        preference_store_append(path, records)
+        assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
+        assert preference_store_load(path) == records
+
+
+def _unit_rows(count: int) -> np.ndarray:
+    """``count`` unit rows of the default embedding width."""
+    return np.full((count, 256), 1 / 16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(TermEntry, TEXT, TEXT), max_size=3))
+def test_term_manifest_lines_are_exact_and_read_back(entries):
+    store = LocalTermStore(HashedNgramEmbedder(), _unit_rows(len(entries)))
+    store.entries = entries
+    expected = [{"term": e.term, "definition": e.definition} for e in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "terms.jsonl"
+        save_term_store(store, path, path.with_suffix(".mat"))
+        assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
+        assert _kb_loader(load_term_store, "entries")(path) == entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(KnowledgeChunk, TEXT, st.integers(), TEXT, st.integers()), max_size=3))
+def test_chunk_manifest_lines_are_exact_and_read_back(chunks):
+    store = GlobalChunkStore(HashedNgramEmbedder(), _unit_rows(len(chunks)))
+    store.chunks = chunks
+    expected = [
+        {"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text, "token_count": c.token_count}
+        for c in chunks
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chunks.jsonl"
+        save_chunk_store(store, path, path.with_suffix(".mat"))
+        assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
+        assert _kb_loader(load_chunk_store, "chunks")(path) == chunks

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,6 @@ from schedkit.masked_eval import (
     canonical_date,
     collect_preferences,
     evaluate_tasks,
-    instance_line,
     load_instances,
     make_mask_tasks,
     maskable_columns,
@@ -557,13 +559,13 @@ def test_preference_store_large_round_trip_hash(tmp_path):
     loaded = preference_store_load(path)
     assert len(loaded) == 10_000
     digest_in = hashlib.sha256(
-        "".join(json.dumps(r.to_dict(), sort_keys=True) for r in loaded).encode()
+        "".join(json.dumps(asdict(r), sort_keys=True) for r in loaded).encode()
     ).hexdigest()
     rewritten = tmp_path / "rewrite.jsonl"
     preference_store_append(rewritten, loaded)
     digest_out = hashlib.sha256(
         "".join(
-            json.dumps(r.to_dict(), sort_keys=True)
+            json.dumps(asdict(r), sort_keys=True)
             for r in preference_store_load(rewritten)
         ).encode()
     ).hexdigest()
@@ -582,17 +584,38 @@ def test_instances_round_trip(tmp_path):
     assert list(load_instances(tmp_path / "inst.jsonl")) == instances
 
 
+def instance_record(inst: EvalInstance) -> dict:
+    """The JSON object of an instance's line, built here field by field."""
+    return {
+        "row_id": inst.mask.row_id,
+        "task_kind": inst.mask.task_kind,
+        "masked_columns": list(inst.mask.masked_columns),
+        "ground_truth": inst.mask.ground_truth,
+        "prompt_system": inst.prompt_system,
+        "prompt_user": inst.prompt_user,
+        "response_text": inst.response_text,
+        "parse_ok": inst.parse_ok,
+        "cells_correct": list(inst.cells_correct),
+        "error": inst.error,
+    }
+
+
 # Arbitrary Unicode with JSON's escape cases drawn often.
-TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f é😀\n\t')))
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f é😀\n\t')))
+
+
+@st.composite
+def masks(draw) -> MaskSpec:
+    """A mask whose ground truth has text for every masked column, and
+    maybe for other columns too."""
+    columns = tuple(draw(st.lists(TEXT, max_size=4)))
+    truth = draw(st.dictionaries(TEXT, TEXT, max_size=2)) | {c: draw(TEXT) for c in columns}
+    return MaskSpec(draw(TEXT), draw(TEXT), columns, truth)
+
+
 INSTANCE = st.builds(
     EvalInstance,
-    mask=st.builds(
-        MaskSpec,
-        row_id=TEXT,
-        task_kind=TEXT,
-        masked_columns=st.lists(TEXT, max_size=4).map(tuple),
-        ground_truth=st.dictionaries(TEXT, TEXT, max_size=4),
-    ),
+    mask=masks(),
     prompt_system=TEXT,
     prompt_user=TEXT,
     response_text=st.none() | TEXT,
@@ -605,13 +628,18 @@ INSTANCE = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(INSTANCE, st.booleans())
 def test_streamed_instance_line_is_exact(inst, pre_encoded):
+    """``save_instances`` writes ``json.dumps`` of the instance's record
+    with sorted keys, with or without the prompt's encoding given, and
+    ``load_instances`` reads that line back to an equal instance."""
     if pre_encoded:
         inst.prompt_user_json = encode_basestring_ascii(inst.prompt_user)
-    expected = json.dumps(inst.to_dict(), sort_keys=True)
-    assert instance_line(inst) == expected
     buf = io.StringIO()
     save_instances(buf, [inst])
-    assert buf.getvalue() == expected + "\n"
+    assert buf.getvalue() == json.dumps(instance_record(inst), sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instances.jsonl"
+        path.write_text(buf.getvalue(), "utf-8")
+        assert list(load_instances(path)) == [inst]
 
 
 def test_sink_streams_the_lines_save_instances_writes():
@@ -634,7 +662,7 @@ def test_sink_streams_the_lines_save_instances_writes():
         sched, tasks, EchoOracleGateway(table), sink=sink, **kwargs
     )
     assert streamed.getvalue() == "".join(
-        json.dumps(i.to_dict(), sort_keys=True) + "\n" for i in instances
+        json.dumps(instance_record(i), sort_keys=True) + "\n" for i in instances
     )
     assert [i.mask for i in instances] == tasks
     assert outcomes == [EvalOutcome(i.mask, i.cells_correct, i.error) for i in instances]
