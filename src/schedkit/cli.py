@@ -287,9 +287,11 @@ def cmd_build_kb(args, cfg) -> int:
 def _load_kb(kb_dir: str | None):
     if not kb_dir:
         return None, None
+    kb = Path(kb_dir)
+    if not ((kb / "terms.jsonl").is_file() or (kb / "chunks.jsonl").is_file()):
+        raise DataError(f"{kb_dir}: no knowledge store (neither terms.jsonl nor chunks.jsonl)")
     from . import knowledge
 
-    kb = Path(kb_dir)
     embedder = knowledge.HashedNgramEmbedder()
     local = glob = None
     if (kb / "terms.jsonl").is_file():
@@ -355,15 +357,20 @@ def cmd_run_eval(args, cfg) -> int:
     k = cfg.getint("eval", "k")
     if k < 1:
         raise UsageError(f"[eval] k: must be >= 1, got {k}")
-    out = _out_dir(args)
-    sched = _read_schedule(args.schedule)
-    # Every input is read and checked before the transcript is started
-    # empty, so a rejected run leaves the previous one whole.
+    given = "--tasks" if args.tasks else "[eval] tasks"
     kinds = [
         kind.strip().upper()
         for kind in (args.tasks or cfg.get("eval", "tasks")).split(",")
         if kind.strip()
     ]
+    if not kinds:
+        raise UsageError(f"{given}: no task kind given")
+    if len(set(kinds)) < len(kinds):
+        raise UsageError(f"{given}: a task kind is given twice: {','.join(kinds)}")
+    out = _out_dir(args)
+    sched = _read_schedule(args.schedule)
+    # Every input is read and checked before the transcript is started
+    # empty, so a rejected run leaves the previous one whole.
     seed = cfg.getint("eval", "seed")
     tasks = []
     for kind in kinds:
@@ -404,7 +411,6 @@ def cmd_run_eval(args, cfg) -> int:
                 tasks,
                 gateway,
                 transcript=log,
-                static_knowledge="",
                 rules=rules_text,
                 context_provider=contexts.__getitem__,
                 k=k,
@@ -418,7 +424,13 @@ def cmd_run_eval(args, cfg) -> int:
         out,
         "run-eval",
         cfg,
-        {"schedule": args.schedule, "gateway": mode, "tasks": ",".join(kinds)},
+        {
+            "schedule": args.schedule,
+            "gateway": mode,
+            "tasks": ",".join(kinds),
+            "kb": args.kb,
+            "rules": args.rules,
+        },
     )
     print(report.render_table(), end="")
     if failure is not None:

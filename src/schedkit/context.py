@@ -44,9 +44,12 @@ class SequentialPath:
 
 @dataclass(frozen=True)
 class ContextBundle:
+    """A target's sampled context. Its HIERARCHICAL relatives are the ids of
+    ``wbs_bucket``, a key of ``ScheduleIndex.wbs_buckets``, less the target."""
+
     target: str
     first_order: frozenset[str]
-    hierarchical: frozenset[str]
+    wbs_bucket: tuple[int, tuple[str, ...]]
     sequential: frozenset[SequentialPath]
     sampled_at_seed: int
 
@@ -86,21 +89,26 @@ def sample_sequential(
     return frozenset(paths)
 
 
-def sample_hierarchical(
+def wbs_bucket(
     schedule: Schedule, target: str, cfg: SamplerConfig
-) -> frozenset[str]:
-    """Activities sharing a WBS ancestor within ``max_wbs_levels`` of the target.
-
-    An activity qualifies when its WBS path shares a prefix of length at
-    least ``depth(target) - max_wbs_levels`` (floored at zero) with the
-    target's path. Deterministic; no sampling involved.
-    """
+) -> tuple[int, tuple[str, ...]]:
+    """The key of the target's HIERARCHICAL bucket in ``wbs_buckets``: the
+    first ``depth(target) - max_wbs_levels`` (floored at zero) segments of
+    its WBS path, with their count. Deterministic; no sampling involved."""
     index = schedule.index
     if target not in index.by_id:
         raise UnknownNodeError(target)
     target_wbs = index.by_id[target].wbs
     required = max(0, len(target_wbs) - cfg.max_wbs_levels)
-    return index.wbs_buckets[required, target_wbs[:required]] - {target}
+    return required, target_wbs[:required]
+
+
+def sample_hierarchical(
+    schedule: Schedule, target: str, cfg: SamplerConfig
+) -> frozenset[str]:
+    """The activities but the target whose WBS path starts with the prefix
+    of its ``wbs_bucket``."""
+    return schedule.index.wbs_buckets[wbs_bucket(schedule, target, cfg)] - {target}
 
 
 def combined_context(
@@ -110,7 +118,7 @@ def combined_context(
     return ContextBundle(
         target=target,
         first_order=first_order(graph, target),
-        hierarchical=sample_hierarchical(schedule, target, cfg),
+        wbs_bucket=wbs_bucket(schedule, target, cfg),
         sequential=sample_sequential(graph, target, cfg),
         sampled_at_seed=cfg.rng_seed,
     )
@@ -125,24 +133,19 @@ def json_escape(text: str) -> str:
 class ContextPieces:
     """A rendered context in pieces: the texts retrieved for the target, if
     any (``knowledge``, each followed by ``\n``), the target's ``head``
-    (TARGET, SEED, FIRST-ORDER and the ``HIERARCHICAL:`` label), a
-    HIERARCHICAL ``block`` less the line at span ``cut`` (one of
-    ``block.spans``, or ``NO_CUT``), and the SEQUENTIAL ``tail``. The block
-    is usually one that the target's whole WBS bucket shares, so its text,
-    JSON escape and token count are each computed once; likewise rows share
-    the texts they retrieve. The pieces meet at ``\n``, so token counts add
-    up across them."""
+    (TARGET, SEED, FIRST-ORDER and the ``HIERARCHICAL:`` label), the
+    ``block`` of its WBS bucket less the target's own line (``cut``, its
+    span in ``block.spans``), and the SEQUENTIAL ``tail``. Every target of a
+    bucket shares its block, so the block's text, JSON escape and token
+    count are each computed once; likewise rows share the texts they
+    retrieve. The pieces meet at ``\n``, so token counts add up across
+    them."""
 
     head: str
     block: LineBlock
     cut: tuple[int, int, int, int, int]
     tail: str
     knowledge: tuple[str, ...] = ()
-
-    @classmethod
-    def plain(cls, text: str) -> ContextPieces:
-        """A context given as text, all of it head."""
-        return cls(text, LineBlock(()), NO_CUT, "")
 
     def text(self) -> str:
         start, end, _, _, _ = self.cut
@@ -166,37 +169,8 @@ class ContextPieces:
         return sum(map(count, self.knowledge)) + count(self.head) + block + count(self.tail)
 
 
-NO_CUT = (0, 0, 0, 0, 0)
-
-
-def _bucket_key(schedule: Schedule, bundle: ContextBundle):
-    """The key of the target's WBS bucket in ``wbs_buckets`` when the
-    bundle's HIERARCHICAL set is that bucket less the target, as
-    ``sample_hierarchical`` draws it; otherwise None."""
-    index = schedule.index
-    target, hierarchical = bundle.target, bundle.hierarchical
-    act = index.by_id.get(target)
-    if act is not None and target not in hierarchical:
-        # Buckets shrink as k grows; the first match keys a set's block.
-        for k in range(len(act.wbs) + 1):
-            key = k, act.wbs[:k]
-            bucket = index.wbs_buckets[key]
-            if len(bucket) == len(hierarchical) + 1 and hierarchical <= bucket:
-                return key
-    return None
-
-
-def _hierarchical_block(schedule: Schedule, bundle: ContextBundle):
-    """The shared block of the target's WBS bucket (``_bucket_key``) and the
-    span of the target's own line in it; for any other HIERARCHICAL set, a
-    block of its own, rendered from the sorted set, and ``NO_CUT``."""
-    index = schedule.index
-    key = _bucket_key(schedule, bundle)
-    if key is not None:
-        block = index.wbs_block(key)
-        return block, block.spans[bundle.target]
-    lines = index.wbs_lines
-    return LineBlock((aid, lines[aid]) for aid in sorted(bundle.hierarchical)), NO_CUT
+# The context of a prompt built without one.
+EMPTY_CONTEXT = ContextPieces("", LineBlock(()), (0, 0, 0, 0, 0), "")
 
 
 def context_pieces(bundle: ContextBundle, schedule: Schedule) -> ContextPieces:
@@ -212,7 +186,7 @@ def context_pieces(bundle: ContextBundle, schedule: Schedule) -> ContextPieces:
     succ_ids = {l.successor_id for l in index.succs.get(bundle.target, ())}
 
     lines = [
-        f"TARGET: {row_text.get(bundle.target, bundle.target)}",
+        f"TARGET: {row_text[bundle.target]}",
         f"SEED: {bundle.sampled_at_seed}",
         "FIRST-ORDER:",
     ]
@@ -223,15 +197,17 @@ def context_pieces(bundle: ContextBundle, schedule: Schedule) -> ContextPieces:
             role = "predecessor"
         else:
             role = "successor"
-        lines.append(context_line(row_text.get(aid), aid, role))
+        lines.append(context_line(row_text[aid], role))
     lines.append("HIERARCHICAL:")
     rendered = []
     for path in bundle.sequential:
         nodes = path.nodes if path.direction == FORWARD else tuple(reversed(path.nodes))
         rendered.append("  " + " -> ".join(nodes))
     tail = ["SEQUENTIAL:", *sorted(rendered)]
-    block, cut = _hierarchical_block(schedule, bundle)
-    return ContextPieces("\n".join(lines) + "\n", block, cut, "\n".join(tail) + "\n")
+    block = index.wbs_block(bundle.wbs_bucket)
+    return ContextPieces(
+        "\n".join(lines) + "\n", block, block.spans[bundle.target], "\n".join(tail) + "\n"
+    )
 
 
 def render_context(bundle: ContextBundle, schedule: Schedule) -> str:
@@ -246,15 +222,11 @@ def _json_ids(ids) -> str:
 
 def serialize_bundle(bundle: ContextBundle, schedule: Schedule) -> str:
     """One JSON line per bundle, stable field and element order:
-    ``json.dumps`` of its fields with sorted keys and sorted elements. A
-    HIERARCHICAL set that is the target's WBS bucket less the target
-    (``_bucket_key``) is cut from the bucket's encoded ids, which are built
-    once per bucket; any other set is encoded from its sorted ids."""
-    key = _bucket_key(schedule, bundle)
-    if key is None:
-        hierarchical = _json_ids(sorted(bundle.hierarchical))
-    else:
-        hierarchical = schedule.index.wbs_ids(key).without(bundle.target)
+    ``json.dumps`` of its fields, with its HIERARCHICAL ids under
+    ``hierarchical``, with sorted keys and sorted elements. The
+    HIERARCHICAL list is cut from the bucket's encoded ids
+    (``ScheduleIndex.wbs_ids``), which are built once per bucket."""
+    hierarchical = schedule.index.wbs_ids(bundle.wbs_bucket).without(bundle.target)
     # Tuples sort as the dataclass's fields do, without its Python ``__lt__``.
     sequential = ", ".join(
         f'{{"direction": {encode_basestring_ascii(direction)}, "nodes": {_json_ids(nodes)}}}'
@@ -266,18 +238,4 @@ def serialize_bundle(bundle: ContextBundle, schedule: Schedule) -> str:
         f'"sampled_at_seed": {json.dumps(bundle.sampled_at_seed)}, '
         f'"sequential": [{sequential}], '
         f'"target": {encode_basestring_ascii(bundle.target)}}}'
-    )
-
-
-def load_bundle(line: str) -> ContextBundle:
-    rec = json.loads(line)
-    return ContextBundle(
-        target=rec["target"],
-        first_order=frozenset(rec["first_order"]),
-        hierarchical=frozenset(rec["hierarchical"]),
-        sequential=frozenset(
-            SequentialPath(p["direction"], tuple(p["nodes"]))
-            for p in rec["sequential"]
-        ),
-        sampled_at_seed=rec["sampled_at_seed"],
     )

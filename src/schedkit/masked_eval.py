@@ -260,7 +260,6 @@ def evaluate_tasks(
     gateway: Gateway,
     *,
     transcript: TranscriptLog | None = None,
-    static_knowledge: str = "",
     rules: str = "",
     context_provider=None,
     k: int = 2,
@@ -268,47 +267,44 @@ def evaluate_tasks(
 ) -> list[EvalOutcome]:
     """Fan prompts out to the gateway and score each completion.
 
-    Gateway failures are captured per instance rather than raised, so a
-    partial run still produces instances. The workers build, send and
-    score; the fold alone writes, in task order whatever the interleaving:
-    each exchange, failed ones included, to ``transcript`` (if any), then
-    its instance to ``sink`` (if any). Only its ``EvalOutcome`` is
-    returned, so no prompt text outlives the sink call; a caller that wants
-    the instances passes ``sink=instances.append``.
+    Every task must be an MVP, DA or AP mask (``EvalError`` before any
+    exchange otherwise). Gateway failures are captured per instance rather
+    than raised, so a partial run still produces instances. The workers
+    build, send and score; the fold alone writes, in task order whatever
+    the interleaving: each exchange, failed ones included, to
+    ``transcript`` (if any), then its instance to ``sink`` (if any). Only
+    its ``EvalOutcome`` is returned, so no prompt text outlives the sink
+    call; a caller that wants the instances passes ``sink=instances.append``.
 
-    ``context_provider`` maps a row id to its context, as text or as
-    ``ContextPieces``. A prompt's JSON encoding (for the transcript and the
-    sink) and its token count are put together from its pieces: the masked
-    row and the tail are encoded here, the context's parts come as its
-    pieces hold them, so a HIERARCHICAL block that a WBS bucket shares is
-    escaped and counted once per run, not once per prompt. Each distinct
-    system text, tail and context head and tail is counted once, and each
-    distinct retrieved text (``ContextPieces.knowledge``) counted and
-    escaped once.
+    ``context_provider`` maps a row id to its context's ``ContextPieces``;
+    without it every prompt's context is empty. A prompt's JSON encoding
+    (for the transcript and the sink) and its token count are put together
+    from its pieces: the masked row and the tail are encoded here, the
+    context's parts come as its pieces hold them, so a HIERARCHICAL block
+    that a WBS bucket shares is escaped and counted once per run, not once
+    per prompt. Each distinct system text, tail and context head and tail
+    is counted once, and each distinct retrieved text
+    (``ContextPieces.knowledge``) counted and escaped once.
     """
-    from .context import ContextPieces, json_escape
+    from .context import EMPTY_CONTEXT, json_escape
 
+    for mask in tasks:
+        if mask.task_kind not in (MVP, DA, AP):
+            raise EvalError(f"unknown task kind {mask.task_kind!r}")
     count = lru_cache(maxsize=None)(word_count)
     escape = lru_cache(maxsize=None)(json_escape)
 
     def run_one(mask: MaskSpec) -> tuple[EvalInstance, dict | None]:
-        row_text = render_masked_row(schedule, mask)
-        pieces = context_provider(mask.row_id) if context_provider else ""
-        if isinstance(pieces, str):
-            pieces = ContextPieces.plain(pieces)
-        context_text = pieces.text()
+        pieces = context_provider(mask.row_id) if context_provider else EMPTY_CONTEXT
         prompt = build_task_prompt(
             mask.task_kind,
-            row_text,
-            static_knowledge,
-            context_text,
-            rules,
+            render_masked_row(schedule, mask),
+            context_text=pieces.text(),
+            rules_text=rules,
             masked_columns=mask.masked_columns,
             top_k=k,
         )
-        head, middle, tail = prompt.pieces
-        if middle is not context_text:  # a Polish prompt leaves the context out
-            pieces = ContextPieces.plain(middle)
+        head, _, tail = prompt.pieces
         user_json = "".join(
             (encode_json(head)[:-1], *pieces.escaped(escape), encode_json(tail)[1:])
         )

@@ -148,17 +148,10 @@ class Schedule:
         return dict(self.index.by_id)
 
 
-def context_line(row_text: str | None, aid: str, role: str) -> str:
+def context_line(row_text: str, role: str) -> str:
     """One line of a rendered context: an activity's ``row_text`` and its
-    role, or ``?`` cells for an id outside the schedule (no row text)."""
-    if row_text is None:
-        return f"  {aid} | ? | ? | ? | {role}"
+    role."""
     return f"  {row_text} | {role}"
-
-
-class _WbsLines(dict):
-    def __missing__(self, aid: str) -> str:
-        return context_line(None, aid, "wbs")
 
 
 class LineBlock:
@@ -223,12 +216,14 @@ class ScheduleIndex:
     other endpoint, then relation; ties keep link order), and
     ``dependency_cells`` their serialized Predecessor/Successor Details.
     ``wbs_buckets`` maps (k, first k WBS segments) to the ids whose path
-    starts with them, for every k up to each path's length. ``row_text``
-    holds each activity's ``id | name | start | finish`` context text, and
-    ``wbs_lines`` its rendered HIERARCHICAL line (an unknown id renders as
-    ``id | ? | ? | ? | wbs``); ``rows`` its ``canonical_row``, the last
-    activity with an id winning as in ``by_id``. ``by_id``, ``preds`` and
-    ``succs`` are built with the index; the other tables on first use.
+    starts with them, for every k up to each path's length; a sampled
+    context names its HIERARCHICAL relatives by such a key
+    (``ContextBundle.wbs_bucket``), and ``wbs_block`` and ``wbs_ids`` render
+    and encode each bucket once. ``row_text`` holds each activity's
+    ``id | name | start | finish`` context text and ``rows`` its
+    ``canonical_row``, the last activity with an id winning as in
+    ``by_id``. ``by_id``, ``preds`` and ``succs`` are built with the index;
+    the other tables on first use.
     """
 
     def __init__(self, schedule: Schedule):
@@ -264,12 +259,6 @@ class ScheduleIndex:
         }
 
     @cached_property
-    def wbs_lines(self) -> _WbsLines:
-        return _WbsLines(
-            (aid, context_line(text, aid, "wbs")) for aid, text in self.row_text.items()
-        )
-
-    @cached_property
     def dependency_cells(self) -> dict[str, tuple[str, str]]:
         return {
             aid: (
@@ -294,13 +283,16 @@ class ScheduleIndex:
         return {key: frozenset(ids) for key, ids in buckets.items()}
 
     def wbs_block(self, key: tuple[int, tuple[str, ...]]) -> LineBlock:
-        """The ``wbs_lines`` of bucket ``key`` of ``wbs_buckets``, sorted by
-        id, as one ``LineBlock`` keyed by id. Built once per bucket."""
+        """The HIERARCHICAL lines (``context_line`` with role ``wbs``) of
+        bucket ``key`` of ``wbs_buckets``, sorted by id, as one ``LineBlock``
+        keyed by id. Built once per bucket."""
         block = self._blocks.get(key)
         if block is None:
-            lines = self.wbs_lines
+            text = self.row_text
             ids = sorted(self.wbs_buckets[key])
-            block = self._blocks[key] = LineBlock((aid, lines[aid]) for aid in ids)
+            block = self._blocks[key] = LineBlock(
+                (aid, context_line(text[aid], "wbs")) for aid in ids
+            )
         return block
 
     def wbs_ids(self, key: tuple[int, tuple[str, ...]]) -> IdList:

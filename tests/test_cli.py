@@ -802,8 +802,9 @@ def _prefs_order_digests(root: Path) -> dict[str, str | None]:
     """sha256 of ``prefs.jsonl`` (None: no file) from collect-prefs, with and
     without ``--synthesize-negatives``, over three instance files of
     ``generate --n 40 --seed 5``, and of ``polished.jsonl`` for the empty
-    one. ``wrong`` is ``run-eval --tasks MVP,DA,MVP`` under ``mock:wrong``,
-    so each MVP group has two wrong instances. ``shuffled`` holds a
+    one. ``wrong`` is the instances of ``run-eval --tasks MVP,DA`` and then
+    of ``--tasks MVP``, both under ``mock:wrong`` (run-eval takes each task
+    kind once), so each MVP group has two wrong instances. ``shuffled`` holds a
     ``mock:echo`` run and a ``mock:wrong --tasks MVP`` run, lines shuffled
     (seed 7) with blank lines between some: an MVP group whose correct line
     comes first takes its wrong line, further on, as its source."""
@@ -813,7 +814,7 @@ def _prefs_order_digests(root: Path) -> dict[str, str | None]:
     assert run(["--out", str(root / "g"), "generate", "--n", "40", "--seed", "5"]) == EXIT_OK
     evaluate = ["run-eval", "--schedule", sched, "--gateway"]
     for out, argv in (
-        ("wrong", [*evaluate, "mock:wrong", "--tasks", "MVP,DA,MVP"]),
+        ("wrong", [*evaluate, "mock:wrong", "--tasks", "MVP,DA"]),
         ("echo", [*evaluate, "mock:echo"]),
         ("wrong_mvp", [*evaluate, "mock:wrong", "--tasks", "MVP"]),
     ):
@@ -827,10 +828,13 @@ def _prefs_order_digests(root: Path) -> dict[str, str | None]:
     for i in range(0, len(lines), 25):
         lines[i] = b"\n" + lines[i]
     files = {
-        "wrong": root / "wrong" / "instances.jsonl",
+        "wrong": root / "wrong.jsonl",
         "shuffled": root / "shuffled.jsonl",
         "empty": root / "empty.jsonl",
     }
+    files["wrong"].write_bytes(
+        b"".join((root / out / "instances.jsonl").read_bytes() for out in ("wrong", "wrong_mvp"))
+    )
     files["shuffled"].write_bytes(b"".join(lines))
     files["empty"].write_bytes(b"")
     digests = {}
@@ -1255,6 +1259,65 @@ def test_rejected_run_eval_inputs_keep_the_previous_run(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err, err
         assert tree_bytes(out) == before, argv
+
+
+def test_run_eval_kb_without_a_store_exits_2_and_keeps_the_previous_run(tmp_path, capsys):
+    """``--kb`` naming a directory that holds neither ``terms.jsonl`` nor
+    ``chunks.jsonl`` (or none at all) exits 2 and names it, before the
+    transcript is started."""
+    sched, kb = _chain_kb(tmp_path)
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+    out = tmp_path / "e"
+    before = tree_bytes(out)
+    capsys.readouterr()
+    for empty in (tmp_path / "no_such_dir", tmp_path / "corpus"):
+        assert _eval_with_kb(tmp_path, sched, empty) == EXIT_DATA, empty
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(empty) in err, err
+        assert tree_bytes(out) == before, empty
+
+
+def test_run_eval_empty_or_repeated_task_lists_are_usage_errors(tmp_path, capsys):
+    """An empty task list, or one that names a kind twice in any case,
+    exits 1 before the transcript is started, from ``--tasks`` or from
+    ``[eval] tasks``."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    out = tmp_path / "e"
+    evaluate = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(evaluate) == EXIT_OK
+    before = tree_bytes(out)
+    cases = [
+        ([*evaluate, "--tasks", ","], "--tasks: no task kind given"),
+        ([*evaluate, "--tasks", "mvp,MVP"], "--tasks: a task kind is given twice: MVP,MVP"),
+    ]
+    for name, tasks, message in (
+        ("empty.ini", " , ", "[eval] tasks: no task kind given"),
+        ("twice.ini", "DA,AP,da", "[eval] tasks: a task kind is given twice: DA,AP,DA"),
+    ):
+        (tmp_path / name).write_text(f"[eval]\ntasks = {tasks}\n", "utf-8")
+        cases.append((["--config", str(tmp_path / name), *evaluate], message))
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert tree_bytes(out) == before, argv
+
+
+def test_run_eval_manifest_names_its_kb_and_rules(tmp_path):
+    sched, kb = _chain_kb(tmp_path)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("rule one\n", "utf-8")
+    evaluate = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(["--out", str(tmp_path / "plain"), *evaluate]) == EXIT_OK
+    assert run(["--out", str(tmp_path / "kb_rules"), *evaluate, "--kb", str(kb), "--rules", str(rules)]) == EXIT_OK
+    common = {"schedule": str(sched), "gateway": "mock:echo", "tasks": "MVP,DA,AP"}
+    for name, inputs in (
+        ("plain", {**common, "kb": None, "rules": None}),
+        ("kb_rules", {**common, "kb": str(kb), "rules": str(rules)}),
+    ):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text("utf-8"))
+        assert manifest["inputs"] == inputs, name
 
 
 # sha256 of train-scorer's files on the pairs that `collect-prefs

@@ -15,16 +15,15 @@ from schedkit.context import (
     SequentialPath,
     combined_context,
     first_order,
-    load_bundle,
     render_context,
     sample_hierarchical,
     sample_sequential,
     serialize_bundle,
 )
 from schedkit.graph import UnknownNodeError, build_graph
-from schedkit.schedule import Schedule
+from schedkit.schedule import DependencyLink, Schedule
 
-from conftest import chain_schedule, make_activity
+from conftest import make_activity
 from test_graph import random_dag, sched_with_links
 
 
@@ -221,7 +220,8 @@ def test_combined_isolated_unique_wbs():
     g = build_graph(sched)
     bundle = combined_context(g, sched, "A", SamplerConfig(max_wbs_levels=1))
     assert bundle.first_order == frozenset()
-    assert bundle.hierarchical == frozenset()
+    assert bundle.wbs_bucket == (2, ("P", "A"))
+    assert sched.index.wbs_buckets[bundle.wbs_bucket] == {"A"}
     assert bundle.sequential == frozenset()
     assert bundle.sampled_at_seed == 42
 
@@ -242,10 +242,12 @@ def test_combined_seed_determinism_bit_identical():
     sched = sched_with_links(ids, pairs)
     g = build_graph(sched)
     cfg = SamplerConfig(rng_seed=42)
-    a = serialize_bundle(combined_context(g, sched, ids[3], cfg), sched)
+    bundle = combined_context(g, sched, ids[3], cfg)
+    a = serialize_bundle(bundle, sched)
     b = serialize_bundle(combined_context(g, sched, ids[3], cfg), sched)
     assert a == b
-    assert load_bundle(a) == combined_context(g, sched, ids[3], cfg)
+    assert bundle == combined_context(g, sched, ids[3], cfg)
+    assert a == reference_bundle_line(bundle, sample_hierarchical(sched, ids[3], cfg))
 
 
 def test_sampling_independent_of_target_order():
@@ -260,58 +262,76 @@ def test_sampling_independent_of_target_order():
     assert forward == backward
 
 
-def test_render_empty_bundle_has_sections(chain):
-    bundle = ContextBundle("B", frozenset(), frozenset(), frozenset(), 42)
-    text = render_context(bundle, chain)
-    for header in ("FIRST-ORDER:", "HIERARCHICAL:", "SEQUENTIAL:"):
-        assert header in text
-    assert text.startswith("TARGET: B |")
+def test_render_empty_bundle_has_sections():
+    sched = Schedule((make_activity("B", wbs=("P", "B")), make_activity("C", wbs=("P", "C"))), ())
+    bundle = combined_context(build_graph(sched), sched, "B", SamplerConfig(max_wbs_levels=0))
+    assert render_context(bundle, sched) == (
+        "TARGET: B | Task B | 2024-01-01 | 2024-01-08\n"
+        "SEED: 42\nFIRST-ORDER:\nHIERARCHICAL:\nSEQUENTIAL:\n"
+    )
 
 
 def test_render_single_first_order_row(chain):
-    bundle = ContextBundle("B", frozenset({"A"}), frozenset(), frozenset(), 42)
+    bundle = combined_context(build_graph(chain), chain, "C", SamplerConfig())
     text = render_context(bundle, chain)
     body = text.split("FIRST-ORDER:\n")[1].split("HIERARCHICAL:")[0]
     rows = [ln for ln in body.splitlines() if ln.strip()]
     assert len(rows) == 1
-    assert rows[0].startswith("  A | Task A | ")
+    assert rows[0].startswith("  B | Task B | ")
     assert rows[0].endswith("| predecessor")
 
 
-_node_ids = st.sampled_from(["A", "B", "C"])
+# Buckets (1, ("P",)) and (0, ()) hold the same ids, so two bundles that
+# differ only in their bucket key render the same text.
+_render_sched = Schedule(
+    tuple(
+        make_activity(aid, wbs=wbs)
+        for aid, wbs in (
+            ("A", ("P", "X", "A1")),
+            ("B", ("P", "X", "B1")),
+            ("C", ("P", "Y", "C1")),
+            ("D", ("P", "X", "A1")),
+        )
+    ),
+    tuple(DependencyLink(u, v) for u, v in (("A", "B"), ("B", "C"), ("A", "C"), ("C", "D"))),
+)
+_render_graph = build_graph(_render_sched)
 
 
 @st.composite
 def bundles(draw) -> ContextBundle:
-    target = draw(_node_ids)
-    others = [n for n in ("A", "B", "C") if n != target]
-    fo = frozenset(draw(st.sets(st.sampled_from(others))))
-    hi = frozenset(draw(st.sets(st.sampled_from(others))))
-    seq = set()
-    for direction in (FORWARD, BACKWARD):
-        if draw(st.booleans()):
-            tail = draw(st.permutations(others))
-            seq.add(SequentialPath(direction, (target, *tail[: draw(st.integers(1, 2))])))
-    return ContextBundle(target, fo, hi, frozenset(seq), draw(st.sampled_from([42, 7])))
+    cfg = SamplerConfig(
+        max_sequential_hops=draw(st.integers(0, 3)),
+        max_wbs_levels=draw(st.integers(0, 3)),
+        paths_per_direction=draw(st.integers(0, 3)),
+        rng_seed=draw(st.sampled_from([42, 7])),
+    )
+    target = draw(st.sampled_from(["A", "B", "C", "D"]))
+    return combined_context(_render_graph, _render_sched, target, cfg)
 
 
-_render_sched = chain_schedule()
+def shown(bundle: ContextBundle):
+    """What a bundle's text shows: its ids, with its bucket's HIERARCHICAL
+    ids in place of the bucket's key, and its seed."""
+    hierarchical = _render_sched.index.wbs_buckets[bundle.wbs_bucket] - {bundle.target}
+    return bundle.target, bundle.first_order, hierarchical, bundle.sequential, bundle.sampled_at_seed
 
 
 @settings(max_examples=120, deadline=None)
 @given(bundles(), bundles())
-def test_render_injective_up_to_bundle_equality(b1, b2):
+def test_render_injective_up_to_the_ids_it_shows(b1, b2):
     t1 = render_context(b1, _render_sched)
     t2 = render_context(b2, _render_sched)
-    assert (t1 == t2) == (b1 == b2)
+    assert (t1 == t2) == (shown(b1) == shown(b2))
 
 
-def reference_bundle_line(bundle: ContextBundle) -> str:
-    """``serialize_bundle`` as it was written before bucket ids were shared."""
+def reference_bundle_line(bundle: ContextBundle, hierarchical) -> str:
+    """``serialize_bundle`` as it was written before bucket ids were shared,
+    with the HIERARCHICAL ids given."""
     rec = {
         "target": bundle.target,
         "first_order": sorted(bundle.first_order),
-        "hierarchical": sorted(bundle.hierarchical),
+        "hierarchical": sorted(hierarchical),
         "sequential": [
             {"direction": p.direction, "nodes": list(p.nodes)}
             for p in sorted(bundle.sequential)
@@ -328,44 +348,32 @@ _escaping_ids = st.text(st.sampled_from('"\\é😀\u2028a1.'), min_size=1, max_s
 @st.composite
 def bucketed_schedules(draw):
     """A schedule of uniquely named activities under three-segment WBS
-    paths. The paths draw from few segments, so buckets hold several ids
-    (each then first, last or inside its bucket's sorted ids) or one."""
+    paths, linked at random. The paths draw from few segments, so buckets
+    hold several ids (each then first, last or inside its bucket's sorted
+    ids) or one."""
     ids = draw(st.lists(_escaping_ids, min_size=1, max_size=12, unique=True))
     segment = st.sampled_from(["X", "Y"])
     acts = tuple(
         make_activity(aid, wbs=("P", draw(segment), draw(segment))) for aid in ids
     )
-    return Schedule(activities=acts, links=(), source_label="escaping")
+    pairs = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=15))
+    links = tuple(DependencyLink(u, v) for u, v in sorted(pairs) if u != v)
+    return Schedule(activities=acts, links=links, source_label="escaping")
 
 
 @settings(max_examples=150, deadline=None)
 @given(bucketed_schedules(), st.integers(0, 3), st.data())
 def test_bundle_line_equals_json_dumps(sched, levels, data):
-    """Every target's line, whether its HIERARCHICAL set is cut from the
-    bucket's shared ids or encoded on its own, is ``json.dumps`` of the
-    bundle. Mutations that fail it: taking the last id's span without the
-    ``", "`` before it, cutting one character short or long, or joining the
-    ids with ``","``."""
+    """Every target's line, its HIERARCHICAL list cut from the bucket's
+    shared ids, is ``json.dumps`` of the bundle. Mutations that fail it:
+    taking the last id's span without the ``", "`` before it, cutting one
+    character short or long, or joining the ids with ``","``."""
     cfg = SamplerConfig(max_wbs_levels=levels, rng_seed=data.draw(st.integers(-5, 10**12)))
-    ids = [a.activity_id for a in sched.activities]
-    path_nodes = st.lists(st.sampled_from(ids), min_size=2, max_size=4).map(tuple)
-    for target in ids:
-        drawn_paths = data.draw(
-            st.sets(st.builds(SequentialPath, st.sampled_from([FORWARD, BACKWARD]), path_nodes), max_size=3)
-        )
-        bucket = sample_hierarchical(sched, target, cfg)
-        # The bucket as sampled, then hand-built sets that match no bucket.
-        others = data.draw(st.sets(st.sampled_from(ids)))
-        for hierarchical in (bucket, frozenset(others), bucket | {target}):
-            bundle = ContextBundle(
-                target,
-                frozenset(data.draw(st.sets(st.sampled_from(ids)))),
-                hierarchical,
-                frozenset(drawn_paths),
-                cfg.rng_seed,
-            )
-            assert serialize_bundle(bundle, sched) == reference_bundle_line(bundle)
-            assert load_bundle(serialize_bundle(bundle, sched)) == bundle
+    g = build_graph(sched)
+    for act in sched.activities:
+        bundle = combined_context(g, sched, act.activity_id, cfg)
+        hierarchical = sample_hierarchical(sched, act.activity_id, cfg)
+        assert serialize_bundle(bundle, sched) == reference_bundle_line(bundle, hierarchical)
 
 
 def test_bundle_line_cuts_each_position_of_a_bucket():
@@ -374,14 +382,14 @@ def test_bundle_line_cuts_each_position_of_a_bucket():
         make_activity("é😀", wbs=("P", "Y")),
     )
     sched = Schedule(activities=acts, links=(), source_label="positions")
-    cfg = SamplerConfig(max_wbs_levels=0)
+    cfg = SamplerConfig(max_wbs_levels=0, rng_seed=1)
+    g = build_graph(sched)
     lines = {}
     for act in acts:
-        bundle = ContextBundle(
-            act.activity_id, frozenset(), sample_hierarchical(sched, act.activity_id, cfg), frozenset(), 1
-        )
+        bundle = combined_context(g, sched, act.activity_id, cfg)
         lines[act.activity_id] = serialize_bundle(bundle, sched)
-        assert lines[act.activity_id] == reference_bundle_line(bundle)
+        hierarchical = sample_hierarchical(sched, act.activity_id, cfg)
+        assert lines[act.activity_id] == reference_bundle_line(bundle, hierarchical)
     assert '"hierarchical": ["b\\\\", "c\\u2028"]' in lines['"a']
     assert '"hierarchical": ["\\"a", "b\\\\"]' in lines["c\u2028"]
     assert '"hierarchical": []' in lines["é😀"]

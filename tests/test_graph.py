@@ -172,7 +172,7 @@ def test_build_graph_edges_match_link_scan(sched):
 
 def test_build_graph_leaves_the_rendering_tables_unbuilt(chain):
     graph_stats(build_graph(chain))
-    lazy = ("row_text", "wbs_lines", "dependency_cells", "wbs_buckets")
+    lazy = ("row_text", "dependency_cells", "wbs_buckets")
     assert not set(lazy) & set(vars(chain.index))
 
 

@@ -38,8 +38,9 @@ PROBE = (
 )
 
 
-def loaded_modules(cwd: Path, *code: str) -> set[str]:
-    """The numpy and schedkit modules that ``python -c *code`` loaded."""
+def loaded_modules(cwd: Path, *code: str, exit_code: int = 0) -> set[str]:
+    """The numpy and schedkit modules that ``python -c *code`` loaded; it
+    must exit with ``exit_code``."""
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
@@ -50,7 +51,7 @@ def loaded_modules(cwd: Path, *code: str) -> set[str]:
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, (code, proc.stderr)
+    assert proc.returncode == exit_code, (code, proc.stderr)
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -115,6 +116,15 @@ def test_only_array_stages_load_numpy(stages):
     ]
     for argv in with_numpy:
         assert "numpy" in loaded_modules(cwd, PROBE, *argv), argv
+
+
+def test_a_kb_without_a_store_is_rejected_before_numpy_loads(stages):
+    cwd, _ = stages
+    (cwd / "no_store").mkdir()
+    argv = ["--out", "nokb", "run-eval", "--schedule", "gen/schedule.csv", "--kb", "no_store"]
+    loaded = loaded_modules(cwd, PROBE, *argv, exit_code=2)
+    assert not {"numpy", "schedkit.knowledge"} & loaded
+    assert not (cwd / "nokb" / "transcript.jsonl").exists()
 
 
 def test_gateway_error_is_the_package_roots():

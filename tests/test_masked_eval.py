@@ -3,7 +3,7 @@ from __future__ import annotations
 import io
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from schedkit.gateway import (
 )
 from schedkit.masked_eval import (
     CorruptRecordError,
+    EvalError,
     EvalInstance,
     EvalOutcome,
     GatewayEvalError,
@@ -42,7 +43,7 @@ from schedkit.masked_eval import (
     save_instances,
     score_cell,
 )
-from schedkit.schedule import Schedule
+from schedkit.schedule import DependencyLink, Schedule
 
 from conftest import make_activity
 
@@ -64,6 +65,19 @@ def rich_schedule(n=100) -> Schedule:
         for i in range(n)
     )
     return Schedule(acts, ())
+
+
+def sampled_contexts(schedule: Schedule) -> dict:
+    """Each activity's context pieces, sampled as run-eval samples them."""
+    from schedkit.context import SamplerConfig, combined_context, context_pieces
+    from schedkit.graph import build_graph
+
+    g = build_graph(schedule)
+    cfg = SamplerConfig()
+    return {
+        a.activity_id: context_pieces(combined_context(g, schedule, a.activity_id, cfg), schedule)
+        for a in schedule.activities
+    }
 
 
 def truth_table(schedule: Schedule) -> dict[str, dict[str, str]]:
@@ -647,8 +661,7 @@ def test_sink_streams_the_lines_save_instances_writes():
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
     table = truth_table(sched)
     del table["A03"]  # one row fails at the gateway
-    contexts = {a.activity_id: f"ctx {a.activity_id}\nline 2" for a in sched.activities}
-    kwargs = dict(static_knowledge="k", rules="r", context_provider=contexts.__getitem__)
+    kwargs = dict(rules="r", context_provider=sampled_contexts(sched).__getitem__)
 
     streamed = io.StringIO()
     instances = []
@@ -673,14 +686,15 @@ def test_sink_streams_the_lines_save_instances_writes():
 
 
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
-    sched = rich_schedule(6)
+    chain = tuple(DependencyLink(f"A{i:02d}", f"A{i + 1:02d}") for i in range(5))
+    sched = replace(rich_schedule(6), links=chain)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
     from schedkit.gateway import TranscriptLog
 
     with TranscriptLog(tmp_path / "t.jsonl") as log:
         evaluate_tasks(
             sched, tasks, ConstantWrongGateway(), transcript=log, rules="rule one\nrule two",
-            context_provider=lambda rid: f"shared context\n{rid}",
+            context_provider=sampled_contexts(sched).__getitem__,
         )
     records = list(load_transcript(tmp_path / "t.jsonl"))
     assert len(records) == len(tasks)
@@ -688,3 +702,26 @@ def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
         assert rec["prompt_tokens"] == len(rec["system_text"].split()) + len(
             rec["user_text"].split()
         )
+
+
+def test_evaluate_tasks_rejects_a_polish_mask_before_any_exchange(tmp_path):
+    """A mask of a kind that is no evaluation task fails the whole call
+    before one prompt is sent, recorded or sunk."""
+    from schedkit.gateway import TranscriptLog
+
+    sched = rich_schedule(3)
+    tasks = make_mask_tasks(sched, "DA")
+    polish = replace(tasks[1], task_kind="Polish")
+    sent = []
+
+    class Recording(ConstantWrongGateway):
+        def _respond(self, system_text, user_text):
+            sent.append(user_text)
+            return super()._respond(system_text, user_text)
+
+    instances = []
+    with TranscriptLog(tmp_path / "t.jsonl") as log:
+        with pytest.raises(EvalError, match="unknown task kind 'Polish'"):
+            evaluate_tasks(sched, [*tasks, polish], Recording(), transcript=log, sink=instances.append)
+    assert sent == [] and instances == []
+    assert (tmp_path / "t.jsonl").read_bytes() == b""

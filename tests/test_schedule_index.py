@@ -26,11 +26,12 @@ from schedkit.context import (
     FORWARD,
     ContextBundle,
     SamplerConfig,
-    SequentialPath,
+    combined_context,
     context_pieces,
     render_context,
     sample_hierarchical,
 )
+from schedkit.graph import build_graph
 from schedkit.gateway import ConstantWrongGateway, TranscriptLog, load_transcript, wire_values
 from schedkit.masked_eval import MaskSpec, _synthesize_rejection, evaluate_tasks
 from schedkit.schedule import (
@@ -105,16 +106,15 @@ def ref_sample_hierarchical(schedule: Schedule, target: str, cfg: SamplerConfig)
 
 
 def ref_row_text(index: dict[str, Activity], aid: str, role: str) -> str:
-    act = index.get(aid)
-    if act is None:
-        return f"{aid} | ? | ? | ? | {role}"
+    act = index[aid]
     return (
         f"{aid} | {act.name} | {act.current_start.isoformat()}"
         f" | {act.current_finish.isoformat()} | {role}"
     )
 
 
-def ref_render_context(bundle: ContextBundle, schedule: Schedule) -> str:
+def ref_render_context(bundle: ContextBundle, schedule: Schedule, hierarchical) -> str:
+    """The context of ``bundle``, whose HIERARCHICAL ids are ``hierarchical``."""
     index = {a.activity_id: a for a in schedule.activities}
     pred_ids = set()
     succ_ids = set()
@@ -123,14 +123,11 @@ def ref_render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             pred_ids.add(link.predecessor_id)
         if link.predecessor_id == bundle.target:
             succ_ids.add(link.successor_id)
-    tgt = index.get(bundle.target)
-    if tgt is None:
-        target_line = f"TARGET: {bundle.target}"
-    else:
-        target_line = (
-            f"TARGET: {bundle.target} | {tgt.name}"
-            f" | {tgt.current_start.isoformat()} | {tgt.current_finish.isoformat()}"
-        )
+    tgt = index[bundle.target]
+    target_line = (
+        f"TARGET: {bundle.target} | {tgt.name}"
+        f" | {tgt.current_start.isoformat()} | {tgt.current_finish.isoformat()}"
+    )
     lines = [target_line, f"SEED: {bundle.sampled_at_seed}", "FIRST-ORDER:"]
     for aid in sorted(bundle.first_order):
         if aid in pred_ids and aid in succ_ids:
@@ -141,7 +138,7 @@ def ref_render_context(bundle: ContextBundle, schedule: Schedule) -> str:
             role = "successor"
         lines.append("  " + ref_row_text(index, aid, role))
     lines.append("HIERARCHICAL:")
-    for aid in sorted(bundle.hierarchical):
+    for aid in sorted(hierarchical):
         lines.append("  " + ref_row_text(index, aid, "wbs"))
     lines.append("SEQUENTIAL:")
     rendered = []
@@ -252,36 +249,45 @@ def test_sample_hierarchical_matches_activity_scan(sched, levels, data):
     assert sample_hierarchical(sched, target, cfg) == ref_sample_hierarchical(sched, target, cfg)
 
 
-def draw_bundle(sched: Schedule, data) -> ContextBundle:
-    """A bundle over ``sched``'s ids and strangers, whose HIERARCHICAL set is
-    often the one ``sample_hierarchical`` draws (a WBS bucket less the
-    target) and otherwise any set."""
-    ids = st.sampled_from(IDS)
-    path = st.builds(
-        SequentialPath,
-        st.sampled_from(("forward", "backward")),
-        st.lists(ids, min_size=2, max_size=4).map(tuple),
+@st.composite
+def graph_schedules(draw) -> Schedule:
+    """A schedule that ``build_graph`` accepts: unique ids, every discipline
+    set, and links between its activities with no self-loop or repeat."""
+    ids = draw(st.lists(st.sampled_from(IDS[:-1]), min_size=1, max_size=6, unique=True))
+    acts = tuple(draw(activities(aid).filter(lambda a: a.discipline)) for aid in ids)
+    ends = st.sampled_from(ids)
+    drawn = draw(
+        st.lists(
+            st.builds(DependencyLink, ends, ends, st.sampled_from(RELATIONS), st.integers(-2, 2)),
+            max_size=10,
+        )
     )
-    target = data.draw(ids)
-    hierarchical = st.frozensets(ids)
-    if target in sched.index.by_id:
-        cfg = st.builds(SamplerConfig, max_wbs_levels=st.integers(0, 4))
-        sampled = cfg.map(lambda c: sample_hierarchical(sched, target, c))
-        hierarchical = sampled | hierarchical
-    return ContextBundle(
-        target=target,
-        first_order=data.draw(st.frozensets(ids)),
-        hierarchical=data.draw(hierarchical),
-        sequential=data.draw(st.frozensets(path, max_size=3)),
-        sampled_at_seed=data.draw(st.integers(0, 99)),
+    links = {}
+    for link in drawn:
+        if link.predecessor_id != link.successor_id:
+            links.setdefault((link.predecessor_id, link.successor_id, link.relation), link)
+    return Schedule(acts, tuple(links.values()))
+
+
+def draw_bundle(sched: Schedule, data) -> tuple[ContextBundle, frozenset[str]]:
+    """A bundle that ``combined_context`` samples from ``sched``, and its
+    HIERARCHICAL ids as the activity scan finds them."""
+    cfg = SamplerConfig(
+        max_sequential_hops=data.draw(st.integers(0, 4)),
+        max_wbs_levels=data.draw(st.integers(0, 4)),
+        paths_per_direction=data.draw(st.integers(0, 3)),
+        rng_seed=data.draw(st.integers(0, 99)),
     )
+    target = data.draw(st.sampled_from([a.activity_id for a in sched.activities]))
+    bundle = combined_context(build_graph(sched), sched, target, cfg)
+    return bundle, ref_sample_hierarchical(sched, target, cfg)
 
 
 @settings(max_examples=200, deadline=None)
-@given(schedules(), st.data())
+@given(graph_schedules(), st.data())
 def test_render_context_matches_link_scan(sched, data):
-    bundle = draw_bundle(sched, data)
-    expected = ref_render_context(bundle, sched)
+    bundle, hierarchical = draw_bundle(sched, data)
+    expected = ref_render_context(bundle, sched, hierarchical)
     assert render_context(bundle, sched) == expected
     pieces = context_pieces(bundle, sched)
     assert all(p.endswith("\n") for p in (pieces.head, pieces.block.text, pieces.tail) if p)
@@ -290,12 +296,12 @@ def test_render_context_matches_link_scan(sched, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(schedules(), st.data())
+@given(graph_schedules(), st.data())
 def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
     """Every task kind's prompt, put together from its context's pieces,
     has the JSON encoding and token count of its whole text."""
-    pieces = context_pieces(draw_bundle(sched, data), sched)
-    if data.draw(st.booleans()):  # as run-eval --kb leads the head
+    pieces = context_pieces(draw_bundle(sched, data)[0], sched)
+    if data.draw(st.booleans()):  # a head that holds every escape case
         pieces = dataclasses.replace(pieces, head=f"{ODD_NAME} knowledge\n{pieces.head}")
     if data.draw(st.booleans()):  # as run-eval --kb leads the context
         knowledge = data.draw(st.lists(st.sampled_from([f"{ODD_NAME} term: its definition", "", "chunk\n"])))
@@ -304,21 +310,20 @@ def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
     columns = (COL_STATUS, COL_START, "Phase")
     tasks = [
         MaskSpec(row_id, kind, columns, dict.fromkeys(columns, "x"))
-        for kind in ("MVP", "DA", "AP", "Polish")
+        for kind in ("MVP", "DA", "AP")
     ]
     instances = []
     with tempfile.TemporaryDirectory() as tmp:
         with TranscriptLog(Path(tmp) / "t.jsonl") as log:
             evaluate_tasks(
-                sched, tasks, ConstantWrongGateway(), transcript=log, static_knowledge=ODD_NAME,
-                rules=f"rule {ODD_NAME}", context_provider=lambda rid: pieces, sink=instances.append,
+                sched, tasks, ConstantWrongGateway(), transcript=log, rules=f"rule {ODD_NAME}",
+                context_provider=lambda rid: pieces, sink=instances.append,
             )
         records = list(load_transcript(Path(tmp) / "t.jsonl"))
     assert [i.mask for i in instances] == tasks
     assert len(records) == len(tasks)
     for inst, rec in zip(instances, records):
-        if inst.mask.task_kind != "Polish":
-            assert pieces.text() in inst.prompt_user
+        assert pieces.text() in inst.prompt_user
         assert inst.prompt_user_json == json.dumps(inst.prompt_user)
         assert rec["user_text"] == inst.prompt_user
         assert rec["prompt_tokens"] == len(inst.prompt_system.split()) + len(inst.prompt_user.split())
