@@ -15,12 +15,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 # Only the package root here: each command imports the modules it runs, so
 # no stage compiles and loads the others' (``knowledge`` and ``alignment``
-# load numpy, so only build-kb, run-eval --kb, train-scorer and polish do).
+# load numpy, so only build-kb, run-eval --kb and train-scorer do).
 from . import DataError, GatewayError, __version__, read_utf8, streamed, write_artifact
 
 EXIT_OK = 0
@@ -262,6 +263,11 @@ def cmd_analyze_graph(args, cfg) -> int:
 
 
 def cmd_build_kb(args, cfg) -> int:
+    if not (args.corpus_dir or args.terms_file):
+        raise UsageError("build-kb: give --corpus-dir, --terms-file or both")
+    chunk_tokens = cfg.getint("kb", "chunk_tokens")
+    if chunk_tokens < 1:
+        raise UsageError(f"[kb] chunk_tokens: must be >= 1, got {chunk_tokens}")
     from . import knowledge
 
     out = _out_dir(args)
@@ -270,7 +276,7 @@ def cmd_build_kb(args, cfg) -> int:
         embedder,
         corpus_dir=args.corpus_dir,
         terms_file=args.terms_file,
-        chunk_tokens=cfg.getint("kb", "chunk_tokens"),
+        chunk_tokens=chunk_tokens,
     )
     knowledge.save_term_store(local, out / "terms.jsonl", out / "terms.mat")
     knowledge.save_chunk_store(glob, out / "chunks.jsonl", out / "chunks.mat")
@@ -302,6 +308,8 @@ def _load_kb(kb_dir: str | None):
         glob = knowledge.load_chunk_store(embedder, kb / "chunks.jsonl", kb / "chunks.mat")
         if not glob.chunks:
             glob = None
+    if local is None and glob is None:
+        raise DataError(f"{kb_dir}: the knowledge stores hold no term and no chunk")
     return local, glob
 
 
@@ -519,16 +527,16 @@ def cmd_train_scorer(args, cfg) -> int:
 
 
 def cmd_polish(args, cfg) -> int:
-    from . import alignment, graph, masked_eval
+    from . import graph, masked_eval, polish
     from .gateway import TranscriptLog, encode_json
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
     gateway = build_gateway(cfg, mode)
-    stats = alignment.ContextLengthStats()
+    stats = polish.ContextLengthStats()
     with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "polished.jsonl") as fh:
         for inst in masked_eval.load_instances(args.instances):
-            polished = alignment.polish_context(
+            polished = polish.polish_context(
                 gateway, inst.mask.task_kind, inst.prompt_user, stats, log
             )
             mask = inst.mask
@@ -635,6 +643,11 @@ COMMANDS = {
 }
 
 def main(argv=None) -> int:
+    # One BLAS thread unless the user sets another count: numpy's bundled
+    # OpenBLAS reads this when numpy loads, and otherwise starts a worker
+    # pool, which costs tens of ms at import and speeds up no product here
+    # (the largest is about 700 x 256).
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

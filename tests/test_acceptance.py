@@ -16,13 +16,11 @@ import pytest
 
 import schedkit.rng as prng
 from schedkit.alignment import (
-    ContextLengthStats,
     LossWeights,
     loss_pa,
     loss_sft,
     loss_total,
     pa_loss_and_gradient,
-    polish_context,
     ranking_accuracy,
     train_scorer,
 )
@@ -36,6 +34,7 @@ from schedkit.gateway import (
 from schedkit.graph import build_graph, degree_distribution, detect_cycles, maximal_hop_values
 from schedkit.knowledge import HashedNgramEmbedder, GlobalChunkStore
 from schedkit.masked_eval import make_mask_tasks, run_eval
+from schedkit.polish import ContextLengthStats, polish_context
 from schedkit.schedule import DependencyLink, Schedule, canonical_row, validate
 from schedkit.synthetic import GeneratorParams, generate_schedule
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import schedkit.rng as prng
 from schedkit.alignment import (
-    ContextLengthStats,
     DegenerateDataError,
     DomainError,
     LossBreakdown,
@@ -21,7 +20,6 @@ from schedkit.alignment import (
     loss_sft,
     loss_total,
     pa_loss_and_gradient,
-    polish_context,
     ranking_accuracy,
     train_scorer,
 )
@@ -34,6 +32,7 @@ from schedkit.gateway import (
     load_transcript,
 )
 from schedkit.masked_eval import PreferenceRecord
+from schedkit.polish import ContextLengthStats, polish_context
 
 # --- loss fixtures (hand-computed) ---------------------------------------------
 
@@ -286,6 +285,16 @@ def test_identity_polish_keeps_distribution():
         raw = f"section body {i} with content words"
         polish_context(gateway, "DA", raw, stats)
     assert stats.raw_lengths["DA"] == stats.polished_lengths["DA"]
+
+
+def test_alignment_binds_the_polish_objects():
+    """``polish`` owns them; ``alignment`` binds the same objects, which the
+    benchmark's tracer names and wraps wherever they are bound."""
+    import schedkit.alignment
+    import schedkit.polish
+
+    assert schedkit.alignment.polish_context is schedkit.polish.polish_context
+    assert schedkit.alignment.ContextLengthStats is schedkit.polish.ContextLengthStats
 
 
 # Text with every kind of whitespace that ``str.split`` splits at drawn often.

@@ -1183,6 +1183,7 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
     ini = tmp_path / "run.ini"
     eval_argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
     train_argv = ["train-scorer", "--prefs-db", str(tmp_path / "missing.jsonl")]
+    kb_argv = ["build-kb", "--terms-file", str(tmp_path / "missing.tsv")]
     cases = [
         (b"[gateway]\nmode = mock:\xff\n", ["generate", "--n", "3"], f"{ini}: UnicodeDecodeError: "),
         (b"mode = mock:echo\n", ["generate", "--n", "3"], "File contains no section headers"),
@@ -1205,6 +1206,9 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
         (b"[loss]\nlearning_rate = -1\n", train_argv, "[loss] learning_rate: must be finite and >= 0, got -1.0"),
         (b"[loss]\nlearning_rate = inf\n", train_argv, "[loss] learning_rate: must be finite and >= 0, got inf"),
         (b"[loss]\nbeta = nan\n", train_argv, "[loss] beta: must be finite and >= 0, got nan"),
+        # Checked before the term file is read, and before numpy loads.
+        (b"[kb]\nchunk_tokens = 0\n", kb_argv, "[kb] chunk_tokens: must be >= 1, got 0"),
+        (b"[kb]\nchunk_tokens = -5\n", kb_argv, "[kb] chunk_tokens: must be >= 1, got -5"),
     ]
     for raw, argv, message in cases:
         ini.write_bytes(raw)
@@ -1275,6 +1279,35 @@ def test_run_eval_kb_without_a_store_exits_2_and_keeps_the_previous_run(tmp_path
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(empty) in err, err
         assert tree_bytes(out) == before, empty
+
+
+def test_build_kb_without_an_input_is_a_usage_error_that_writes_nothing(tmp_path, capsys):
+    """``build-kb`` with neither ``--corpus-dir`` nor ``--terms-file`` has
+    nothing to index: it exits 1 before it creates ``--out``."""
+    out = tmp_path / "kb"
+    assert run(["--out", str(out), "build-kb"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: build-kb: give --corpus-dir, --terms-file or both\n", err
+    assert not out.exists()
+
+
+def test_run_eval_kb_whose_stores_are_empty_exits_2_and_keeps_the_previous_run(tmp_path, capsys):
+    """A ``--kb`` directory whose stores hold no term and no chunk (here
+    ``build-kb`` of an empty corpus) exits 2 and names it, before the
+    transcript is started."""
+    sched, kb = _chain_kb(tmp_path)
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+    out = tmp_path / "e"
+    before = tree_bytes(out)
+    (tmp_path / "no_docs").mkdir()
+    empty = tmp_path / "empty_kb"
+    assert run(["--out", str(empty), "build-kb", "--corpus-dir", str(tmp_path / "no_docs")]) == EXIT_OK
+    assert (empty / "terms.jsonl").is_file() and (empty / "chunks.jsonl").is_file()
+    capsys.readouterr()
+    assert _eval_with_kb(tmp_path, sched, empty) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {empty}: the knowledge stores hold no term and no chunk\n", err
+    assert tree_bytes(out) == before
 
 
 def test_run_eval_empty_or_repeated_task_lists_are_usage_errors(tmp_path, capsys):

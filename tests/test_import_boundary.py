@@ -1,7 +1,8 @@
 """Each stage loads only the modules it runs: ``import schedkit.cli`` loads
 no other ``schedkit`` module, only the stages that compute on arrays load
-numpy, and every module's errors share the base that the CLI maps to exit 2
-or exit 3.
+numpy, they load it with one BLAS thread unless the user sets another
+count, and every module's errors share the base that the CLI maps to exit
+2 or exit 3.
 
 Each stage runs in a fresh interpreter, because this test process has
 loaded numpy and every ``schedkit`` module long before it runs.
@@ -38,21 +39,50 @@ PROBE = (
 )
 
 
-def loaded_modules(cwd: Path, *code: str, exit_code: int = 0) -> set[str]:
-    """The numpy and schedkit modules that ``python -c *code`` loaded; it
-    must exit with ``exit_code``."""
+# Runs the CLI with the arguments given, then prints OPENBLAS_NUM_THREADS,
+# the process's thread count where /proc reports it, and whether numpy
+# loaded, as a JSON list on the last line of stdout.
+BLAS_PROBE = (
+    "import json, os, sys\n"
+    "from schedkit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "threads = None\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        threads = next(int(l.split()[1]) for l in fh if l.startswith('Threads:'))\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads, 'numpy' in sys.modules]))\n"
+    "sys.exit(code)\n"
+)
+
+
+def probe_env(**overrides: str) -> dict[str, str]:
+    """This process's environment with ``src`` on ``PYTHONPATH``, without
+    ``OPENBLAS_NUM_THREADS`` (in-process ``main()`` calls set it here, and a
+    child would inherit it), then ``overrides``."""
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": os.pathsep.join(path), **overrides}
+
+
+def run_probe(cwd: Path, *code: str, exit_code: int = 0, env=None):
+    """The JSON on the last line of stdout of ``python -c *code``, which
+    must exit with ``exit_code``."""
     proc = subprocess.run(
         [sys.executable, "-c", *code],
         cwd=cwd,
-        env=env,
+        env=env or probe_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == exit_code, (code, proc.stderr)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_modules(cwd: Path, *code: str, exit_code: int = 0) -> set[str]:
+    """The numpy and schedkit modules that ``python -c *code`` loaded; it
+    must exit with ``exit_code``."""
+    return set(run_probe(cwd, *code, exit_code=exit_code))
 
 
 # The stages that run without numpy, by name.
@@ -66,6 +96,7 @@ WITHOUT_NUMPY = {
         "--out", "prefs", "collect-prefs", "--schedule", "gen/schedule.csv",
         "--instances", "eval/instances.jsonl", "--synthesize-negatives",
     ],
+    "polish": ["--out", "polish", "polish", "--instances", "eval/instances.jsonl"],
     "report": ["--out", "rep", "report", "--report", "eval/report.json"],
 }
 
@@ -112,7 +143,6 @@ def test_only_array_stages_load_numpy(stages):
         ["--out", "kb", "build-kb", "--corpus-dir", "corpus", "--terms-file", "terms.tsv"],
         ["--out", "kbeval", "run-eval", "--schedule", "gen/schedule.csv", "--gateway", "mock:echo", "--kb", "kb"],
         ["--out", "scorer", "train-scorer", "--prefs-db", "prefs/prefs.jsonl"],
-        ["--out", "polish", "polish", "--instances", "eval/instances.jsonl"],
     ]
     for argv in with_numpy:
         assert "numpy" in loaded_modules(cwd, PROBE, *argv), argv
@@ -125,6 +155,34 @@ def test_a_kb_without_a_store_is_rejected_before_numpy_loads(stages):
     loaded = loaded_modules(cwd, PROBE, *argv, exit_code=2)
     assert not {"numpy", "schedkit.knowledge"} & loaded
     assert not (cwd / "nokb" / "transcript.jsonl").exists()
+
+
+def test_rejected_build_kb_runs_load_no_numpy(stages):
+    """``build-kb`` with no input, or with ``[kb] chunk_tokens`` below 1,
+    exits 1 before ``knowledge`` loads and before it writes anything."""
+    cwd, _ = stages
+    (cwd / "chunk0.ini").write_text("[kb]\nchunk_tokens = 0\n", "utf-8")
+    (cwd / "one_term.tsv").write_text("WBS\tdecomposition of project scope\n", "utf-8")
+    for argv in (
+        ["--out", "kb_none", "build-kb"],
+        ["--config", "chunk0.ini", "--out", "kb_none", "build-kb", "--terms-file", "one_term.tsv"],
+    ):
+        loaded = loaded_modules(cwd, PROBE, *argv, exit_code=1)
+        assert not {"numpy", "schedkit.knowledge"} & loaded, argv
+        assert not (cwd / "kb_none").exists(), argv
+
+
+def test_numpy_stages_run_with_one_blas_thread_unless_the_user_sets_one(tmp_path):
+    """``main`` sets ``OPENBLAS_NUM_THREADS=1`` before a stage loads numpy,
+    so OpenBLAS starts no worker threads; a value the user set stays."""
+    (tmp_path / "terms.tsv").write_text("WBS\tdecomposition of project scope\n", "utf-8")
+    argv = ["--out", "kb", "build-kb", "--terms-file", "terms.tsv"]
+    value, threads, numpy_loaded = run_probe(tmp_path, BLAS_PROBE, *argv)
+    assert numpy_loaded and value == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+    value, _, _ = run_probe(tmp_path, BLAS_PROBE, *argv, env=probe_env(OPENBLAS_NUM_THREADS="2"))
+    assert value == "2"
 
 
 def test_gateway_error_is_the_package_roots():
