@@ -268,6 +268,9 @@ def cmd_build_kb(args, cfg) -> int:
     chunk_tokens = cfg.getint("kb", "chunk_tokens")
     if chunk_tokens < 1:
         raise UsageError(f"[kb] chunk_tokens: must be >= 1, got {chunk_tokens}")
+    # A missing directory would glob to no file and index nothing.
+    if args.corpus_dir and not Path(args.corpus_dir).is_dir():
+        raise DataError(f"{args.corpus_dir}: --corpus-dir is not a directory")
     from . import knowledge
 
     out = _out_dir(args)
@@ -659,7 +662,7 @@ def main(argv=None) -> int:
     except GatewayError as exc:
         print(f"gateway error: {exc}", file=sys.stderr)
         return EXIT_GATEWAY
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - last-resort mapping

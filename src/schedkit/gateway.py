@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -87,8 +88,10 @@ class GatewayConfig:
             raise ValueError("retry_limit must be in [0, 5]")
         if not 1 <= self.max_parallel <= 64:
             raise ValueError("max_parallel must be in [1, 64]")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise ValueError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
 
 
 def exchange_hash(system_text: str, user_text: str) -> str:
@@ -256,18 +259,28 @@ class TranscriptLog:
     ``transcript_id`` counts the appends from 0, so a caller that appends in
     task order numbers each exchange by its task's position. ``append``
     takes the fields of ``TRANSCRIPT_FIELDS`` but ``content_hash`` and
-    ``transcript_id``, which it adds. Each value
-    is JSON-encoded once, for both the content hash and the line, which
-    equals ``json.dumps(record, sort_keys=True)``; ``encoded`` may supply
-    encodings of the exchange's fields that the caller already has.
+    ``transcript_id``, which it adds, as keyword arguments, so a missing or
+    misspelled one is a ``TypeError`` before anything is numbered or
+    written. Each value is JSON-encoded once, for both the content hash and
+    the line, which equals ``json.dumps(record, sort_keys=True)``;
+    ``encoded`` may supply encodings of the exchange's fields that the
+    caller already has.
     """
 
     def __init__(self, path: Path):
         self._fh = open(path, "w", encoding="utf-8")
         self._next_id = 0
 
-    def append(self, encoded: dict[str, str] | None = None, **fields) -> dict:
-        record = {**fields, "transcript_id": self._next_id}
+    def append(
+        self, encoded: dict[str, str] | None = None, *, error: str | None,
+        response_text: str | None, system_text: str, user_text: str,
+        completion_tokens: int, latency_ms: float, prompt_tokens: int,
+    ) -> dict:
+        record = dict(
+            error=error, response_text=response_text, system_text=system_text,
+            user_text=user_text, completion_tokens=completion_tokens, latency_ms=latency_ms,
+            prompt_tokens=prompt_tokens, transcript_id=self._next_id,
+        )
         self._next_id += 1
         get = record.__getitem__
         hashed = encode_fields(_EXCHANGE_FIELDS, get, encoded)
@@ -440,7 +453,8 @@ class IdentityGateway(Gateway):
 
 
 class HttpGateway(Gateway):
-    """OpenAI-compatible chat-completions client with bounded retries.
+    """OpenAI-compatible chat-completions client with bounded retries, over
+    the standard library's ``urllib.request``.
 
     Transient failures (connection errors, timeouts, 429, 5xx) back off
     exponentially up to ``retry_limit`` retries; other HTTP statuses fail
@@ -456,7 +470,9 @@ class HttpGateway(Gateway):
         super().__init__(cfg)
 
     def _respond(self, system_text: str, user_text: str) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload = {
             "model": self.cfg.model_name,
@@ -471,34 +487,38 @@ class HttpGateway(Gateway):
         key = os.environ.get(API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
+        data = json.dumps(payload).encode("utf-8")
 
         last_error: GatewayError | None = None
         for attempt in range(self.cfg.retry_limit + 1):
             if attempt:
                 time.sleep(_BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
             try:
-                resp = requests.post(
-                    self.cfg.endpoint_url,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.cfg.timeout_seconds,
-                )
-            except requests.Timeout:
-                last_error = GatewayTimeoutError(
-                    f"no response within {self.cfg.timeout_seconds}s"
-                )
+                request = urllib.request.Request(self.cfg.endpoint_url, data, headers)
+                try:
+                    resp = urllib.request.urlopen(request, timeout=self.cfg.timeout_seconds)
+                except urllib.error.HTTPError as exc:
+                    resp = exc  # an error status comes with its response
+                with resp:
+                    status, body = resp.status, resp.read()
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                # ValueError: an endpoint URL that urllib cannot parse. A
+                # read times out as TimeoutError, a connect as a URLError
+                # whose reason is one.
+                if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                    last_error = GatewayTimeoutError(
+                        f"no response within {self.cfg.timeout_seconds}s"
+                    )
+                else:
+                    last_error = GatewayError(f"transport failure: {exc}")
                 continue
-            except requests.RequestException as exc:
-                last_error = GatewayError(f"transport failure: {exc}")
+            if status == 429 or status >= 500:
+                last_error = HttpStatusError(status, body.decode("utf-8", "replace"))
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = HttpStatusError(resp.status_code, resp.text)
-                continue
-            if resp.status_code != 200:
-                raise HttpStatusError(resp.status_code, resp.text)
+            if status != 200:
+                raise HttpStatusError(status, body.decode("utf-8", "replace"))
             try:
-                body = resp.json()
-                return body["choices"][0]["message"]["content"]
+                return json.loads(body)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise MalformedResponseError(f"unexpected response shape: {exc}")
         raise RetriesExhaustedError(

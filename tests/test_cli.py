@@ -648,11 +648,12 @@ def test_collect_prefs_rejects_a_row_the_schedule_lacks(tmp_path, capsys):
 
 
 def test_max_parallel_gives_the_same_trees(tmp_path, capsys):
-    """run-eval through mock:echo, a run-eval that fails every exchange
-    (exit 3, partial report) and polish write the same files at
+    """run-eval through mock:echo, its replay, a run-eval that fails every
+    exchange (exit 3, partial report) and polish write the same files at
     ``[gateway] max_parallel`` 1 and 4; only each ``manifest.json``, whose
-    config hash names the setting, differs. A tiny thread switch interval
-    makes the pool's workers interleave."""
+    config hash names the setting, differs, and the replay's instances are
+    the echo run's. A tiny thread switch interval makes the pool's workers
+    interleave."""
     import sys
 
     sched = str(tmp_path / "gen" / "schedule.csv")
@@ -668,6 +669,11 @@ def test_max_parallel_gives_the_same_trees(tmp_path, capsys):
             stages = [
                 ("echo", ["run-eval", "--schedule", sched, "--gateway", "mock:echo"], EXIT_OK),
                 (
+                    "replay",
+                    ["run-eval", "--schedule", sched, "--gateway", f"mock:transcript={out / 'echo' / 'transcript.jsonl'}"],
+                    EXIT_OK,
+                ),
+                (
                     "failed",
                     ["run-eval", "--schedule", sched, "--gateway", f"mock:transcript={tmp_path / 'empty.jsonl'}"],
                     EXIT_GATEWAY,
@@ -679,10 +685,11 @@ def test_max_parallel_gives_the_same_trees(tmp_path, capsys):
     finally:
         sys.setswitchinterval(interval)
     one, four = tree_bytes(tmp_path / "1"), tree_bytes(tmp_path / "4")
-    for name in ("echo", "failed", "polish"):
+    for name in ("echo", "replay", "failed", "polish"):
         manifest = f"{name}/manifest.json"
         assert one.pop(manifest) != four.pop(manifest)
     assert one["failed/transcript.jsonl"] and one["polish/transcript.jsonl"]
+    assert one["replay/instances.jsonl"] == one["echo/instances.jsonl"]
     assert sorted(one) == sorted(four)
     assert [name for name in one if one[name] != four[name]] == []
 
@@ -1193,6 +1200,14 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
         (b"[gateway]\nmax_parallel = two\n", eval_argv, "[gateway] max_parallel: invalid literal"),
         # Rejected by GatewayConfig before any worker thread starts.
         (b"[gateway]\nmax_parallel = 100\n", eval_argv, "[gateway] max_parallel must be in [1, 64]"),
+        # A timeout urlopen would refuse at the first exchange, and a
+        # temperature that JSON cannot carry.
+        (b"[gateway]\ntimeout_seconds = -1\n", eval_argv, "[gateway] timeout_seconds must be finite and > 0, got -1.0"),
+        (b"[gateway]\ntimeout_seconds = 0\n", eval_argv, "[gateway] timeout_seconds must be finite and > 0, got 0.0"),
+        (b"[gateway]\ntimeout_seconds = nan\n", eval_argv, "[gateway] timeout_seconds must be finite and > 0, got nan"),
+        (b"[gateway]\ntemperature = nan\n", eval_argv, "[gateway] temperature must be finite and >= 0, got nan"),
+        (b"[gateway]\ntemperature = inf\n", eval_argv, "[gateway] temperature must be finite and >= 0, got inf"),
+        (b"[gateway]\ntemperature = -0.5\n", eval_argv, "[gateway] temperature must be finite and >= 0, got -0.5"),
         (
             b"[sampler]\nmax_sequential_hops = 99\n",
             ["sample-context", "--schedule", str(sched)],
@@ -1289,6 +1304,43 @@ def test_build_kb_without_an_input_is_a_usage_error_that_writes_nothing(tmp_path
     err = capsys.readouterr().err
     assert err == "usage error: build-kb: give --corpus-dir, --terms-file or both\n", err
     assert not out.exists()
+
+
+def test_build_kb_corpus_dir_that_is_no_directory_exits_2_and_writes_nothing(tmp_path, capsys):
+    """A ``--corpus-dir`` that does not exist, or is a file, holds no
+    document to index: it exits 2 naming it, before ``--out`` is created."""
+    out = tmp_path / "kb"
+    (tmp_path / "doc.txt").write_text("steel erection bolting sequence", "utf-8")
+    for corpus in (tmp_path / "typo", tmp_path / "doc.txt"):
+        assert run(["--out", str(out), "build-kb", "--corpus-dir", str(corpus)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {corpus}: --corpus-dir is not a directory\n", err
+        assert not out.exists()
+
+
+def test_an_input_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    """Each command's input file, given a directory or a path under a
+    file, is a data error (exit 2) that names the path, not exit 4."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    eval_argv = ["run-eval", "--schedule", str(sched)]
+    cases = [
+        (["ingest", "--schedule", str(folder)], folder),
+        (["ingest", "--schedule", str(sched / "x")], sched / "x"),
+        (["report", "--report", str(folder)], folder),
+        ([*eval_argv, "--rules", str(folder)], folder),
+        ([*eval_argv, "--gateway", f"mock:transcript={folder}"], folder),
+        (["collect-prefs", "--schedule", str(sched), "--instances", str(folder)], folder),
+        (["train-scorer", "--prefs-db", str(folder)], folder),
+        (["polish", "--instances", str(folder)], folder),
+        (["build-kb", "--terms-file", str(folder)], folder),
+    ]
+    for argv, path in cases:
+        assert run(["--out", str(tmp_path / "o"), *argv]) == EXIT_DATA, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err, (argv, err)
 
 
 def test_run_eval_kb_whose_stores_are_empty_exits_2_and_keeps_the_previous_run(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import sys
 import tempfile
 import threading
@@ -235,6 +236,21 @@ def test_transcript_log_starts_its_file_empty(tmp_path):
     assert [r["transcript_id"] for r in load_transcript(path)] == [0]
 
 
+def test_transcript_append_rejects_a_misspelled_field_before_numbering(tmp_path):
+    """A misspelled or missing field is a ``TypeError`` at the call, before
+    anything is written or an id is used up."""
+    path = tmp_path / "t.jsonl"
+    fields = dict(system_text="s", user_text="u", response_text="r", error=None, **NO_COUNTS)
+    missing = {k: v for k, v in fields.items() if k != "error"}
+    with TranscriptLog(path) as log:
+        for bad in ({**fields, "eror": None}, {**missing, "eror": None}, missing):
+            with pytest.raises(TypeError):
+                log.append(**bad)
+        assert path.read_text("utf-8") == ""
+        log.append(**fields)
+    assert [r["transcript_id"] for r in load_transcript(path)] == [0]
+
+
 def test_scripted_replay_of_repeated_prompts_in_parallel():
     prompts = [f"prompt {i % 5}" for i in range(60)]
     records = [
@@ -311,6 +327,14 @@ def test_config_limits():
         GatewayConfig(max_parallel=0)
     with pytest.raises(ValueError):
         GatewayConfig(max_parallel=100)
+    # A NaN temperature cannot be sent as JSON; a timeout of 0 or below is
+    # one that urlopen refuses at the first exchange.
+    for value in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            GatewayConfig(temperature=value)
+    for value in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout_seconds must be finite and > 0"):
+            GatewayConfig(timeout_seconds=value)
 
 
 # --- HTTP gateway against a local stub -----------------------------------------
@@ -338,6 +362,15 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif behavior == "404":
             payload = b"not here"
             self.send_response(404)
+        elif behavior == "204":
+            payload = b""
+            self.send_response(204)
+        elif behavior == "slow":  # no answer before the client's timeout
+            time.sleep(0.5)
+            return
+        elif behavior == "not http":
+            self.wfile.write(b"NOT HTTP\r\n\r\n")
+            return
         else:  # malformed
             payload = b"{notjson"
             self.send_response(200)
@@ -362,12 +395,12 @@ def stub_server():
     thread.join()
 
 
-def _http_cfg(url, retry_limit=2):
+def _http_cfg(url, retry_limit=2, timeout_seconds=5.0):
     return GatewayConfig(
         endpoint_url=url,
         model_name="stub-model",
         retry_limit=retry_limit,
-        timeout_seconds=5.0,
+        timeout_seconds=timeout_seconds,
     )
 
 
@@ -406,6 +439,63 @@ def test_http_client_error_no_retry(stub_server, monkeypatch):
         g.complete("s", "u")
     assert err.value.code == 404
     assert len(_StubHandler.calls) == 1
+
+
+def test_http_success_status_other_than_200_is_an_error_without_retry(stub_server, monkeypatch):
+    monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
+    _StubHandler.behaviors = ["204"]
+    g = HttpGateway(_http_cfg(stub_server))
+    with pytest.raises(HttpStatusError) as err:
+        g.complete("s", "u")
+    assert err.value.code == 204
+    assert len(_StubHandler.calls) == 1
+
+
+def test_http_read_timeout_is_retried(stub_server, monkeypatch):
+    monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
+    _StubHandler.behaviors = ["slow", "slow"]
+    g = HttpGateway(_http_cfg(stub_server, retry_limit=1, timeout_seconds=0.1))
+    response, error, _ = timed_complete(g, "s", "u")
+    assert response is None and isinstance(error, RetriesExhaustedError)
+    assert str(error) == "gave up after 2 attempts: no response within 0.1s"
+    assert len(_StubHandler.calls) == 2
+
+
+def test_http_connect_timeout_is_a_timeout(monkeypatch):
+    """urllib reports a connect timeout as a ``URLError`` whose reason is
+    a ``TimeoutError``, not as the ``TimeoutError`` of a read."""
+    import urllib.error
+    import urllib.request
+
+    def time_out(request, timeout):
+        raise urllib.error.URLError(TimeoutError("timed out"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", time_out)
+    g = HttpGateway(_http_cfg("http://127.0.0.1:9/v1/chat/completions", retry_limit=0))
+    response, error, _ = timed_complete(g, "s", "u")
+    assert response is None
+    assert str(error) == "gave up after 1 attempts: no response within 5.0s"
+
+
+@pytest.mark.parametrize("failure", ["refused", "no scheme", "not http"])
+def test_http_transport_failures_are_retried(stub_server, monkeypatch, failure):
+    """A refused connection (an ``OSError``), an endpoint urllib cannot
+    parse (a ``ValueError``) and a reply that is not HTTP (an
+    ``http.client.HTTPException``) are each a retried transport failure."""
+    monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
+    url = stub_server
+    if failure == "refused":
+        with socket.socket() as sock:  # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}/v1/chat/completions"
+    elif failure == "no scheme":
+        url = "chat completions"
+    else:
+        _StubHandler.behaviors = ["not http", "not http"]
+    g = HttpGateway(_http_cfg(url, retry_limit=1))
+    response, error, _ = timed_complete(g, "s", "u")
+    assert response is None and isinstance(error, RetriesExhaustedError)
+    assert str(error).startswith("gave up after 2 attempts: transport failure: "), str(error)
 
 
 def test_http_malformed_body(stub_server, monkeypatch):

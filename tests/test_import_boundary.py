@@ -17,6 +17,8 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -29,12 +31,14 @@ from schedkit.cli import EXIT_GATEWAY, UsageError, main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the CLI with the arguments given, then prints the modules loaded, of
-# numpy and schedkit, as a JSON list on the last line of stdout.
+# numpy, schedkit, requests and urllib, as a JSON list on the last line of
+# stdout.
 PROBE = (
     "import json, sys\n"
     "from schedkit.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'schedkit'))))\n"
+    "roots = ('numpy', 'schedkit', 'requests', 'urllib')\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
     "sys.exit(code)\n"
 )
 
@@ -80,8 +84,8 @@ def run_probe(cwd: Path, *code: str, exit_code: int = 0, env=None):
 
 
 def loaded_modules(cwd: Path, *code: str, exit_code: int = 0) -> set[str]:
-    """The numpy and schedkit modules that ``python -c *code`` loaded; it
-    must exit with ``exit_code``."""
+    """The numpy, schedkit, requests and urllib modules that ``python -c
+    *code`` loaded; it must exit with ``exit_code``."""
     return set(run_probe(cwd, *code, exit_code=exit_code))
 
 
@@ -146,6 +150,48 @@ def test_only_array_stages_load_numpy(stages):
     ]
     for argv in with_numpy:
         assert "numpy" in loaded_modules(cwd, PROBE, *argv), argv
+
+
+class _ChatStub(BaseHTTPRequestHandler):
+    """Answers every chat-completion request with one fixed value."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        reply = {"choices": [{"message": {"content": "[Value]x[/Value]"}}]}
+        payload = json.dumps(reply).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_no_stage_loads_requests_and_only_http_loads_urllib_request(stages):
+    """The ``http`` gateway posts through ``urllib.request``, which it
+    imports on its first exchange; the mock stages never load it, and no
+    stage loads ``requests``."""
+    cwd, stage_modules = stages
+    for name, loaded in stage_modules.items():
+        assert not {"requests", "urllib.request"} & loaded, name
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        (cwd / "http.ini").write_text(f"[gateway]\nendpoint_url = {url}\n", "utf-8")
+        argv = [
+            "--config", "http.ini", "--out", "http_eval", "run-eval",
+            "--schedule", "gen/schedule.csv", "--gateway", "http",
+        ]
+        loaded = loaded_modules(cwd, PROBE, *argv)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert "urllib.request" in loaded and "requests" not in loaded
+    assert (cwd / "http_eval" / "transcript.jsonl").read_text("utf-8").count("\n") == 90
 
 
 def test_a_kb_without_a_store_is_rejected_before_numpy_loads(stages):
