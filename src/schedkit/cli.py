@@ -412,23 +412,24 @@ def cmd_run_eval(args, cfg) -> int:
 
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, schedule=sched)
+    failures = 0  # instances whose exchange failed
     with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "instances.jsonl") as fh:
-        # Caught inside the block, so the instances of a partial run are
-        # kept.
-        failure = None
-        try:
-            report = masked_eval.run_eval(
-                sched,
-                tasks,
-                gateway,
-                transcript=log,
-                rules=rules_text,
-                context_provider=contexts.__getitem__,
-                k=k,
-                sink=lambda inst: masked_eval.save_instances(fh, (inst,)),
-            )
-        except masked_eval.GatewayEvalError as exc:
-            report, failure = exc.partial_report, exc
+
+        def save(inst) -> None:
+            nonlocal failures
+            failures += inst.error is not None
+            masked_eval.save_instances(fh, (inst,))
+
+        report = masked_eval.evaluate_tasks(
+            sched,
+            tasks,
+            gateway,
+            transcript=log,
+            rules=rules_text,
+            context_provider=contexts.__getitem__,
+            k=k,
+            sink=save,
+        )
     write_artifact(out / "report.json", report.to_json())
     write_artifact(out / "report.txt", report.render_table())
     write_manifest(
@@ -444,8 +445,8 @@ def cmd_run_eval(args, cfg) -> int:
         },
     )
     print(report.render_table(), end="")
-    if failure is not None:
-        print(f"warning: {failure}", file=sys.stderr)
+    if failures:
+        print(f"warning: {failures} instance(s) failed at the gateway", file=sys.stderr)
         return EXIT_GATEWAY
     return EXIT_OK
 

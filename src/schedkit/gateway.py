@@ -468,12 +468,16 @@ class HttpGateway(Gateway):
         if not cfg.endpoint_url:
             raise GatewayError("endpoint_url not configured")
         super().__init__(cfg)
-
-    def _respond(self, system_text: str, user_text: str) -> str:
+        # Loaded here, not at the first exchange, so that no exchange's
+        # latency_ms includes the import.
         import http.client
         import urllib.error
         import urllib.request
 
+        self._http, self._urllib = http, urllib
+
+    def _respond(self, system_text: str, user_text: str) -> str:
+        http, urllib = self._http, self._urllib
         payload = {
             "model": self.cfg.model_name,
             "messages": [

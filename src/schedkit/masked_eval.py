@@ -64,15 +64,6 @@ class CorruptRecordError(EvalError):
     pass
 
 
-class GatewayEvalError(EvalError):
-    """Raised when a run lost instances to gateway failures."""
-
-    def __init__(self, partial_report: "ScoreReport", failures: int):
-        super().__init__(f"{failures} instance(s) failed at the gateway")
-        self.partial_report = partial_report
-        self.failures = failures
-
-
 @dataclass(frozen=True)
 class MaskSpec:
     row_id: str
@@ -127,15 +118,6 @@ _OUTCOME_FIELDS = (
     ("response_text", str, True),
 )
 INSTANCE_FIELDS = MASK_FIELDS + _OUTCOME_FIELDS
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    """The part of an instance that ``build_report`` reads."""
-
-    mask: MaskSpec
-    cells_correct: tuple[bool, ...]
-    error: str | None
 
 
 def maskable_columns(row: dict[str, str]) -> list[str]:
@@ -264,17 +246,19 @@ def evaluate_tasks(
     context_provider=None,
     k: int = 2,
     sink: Callable[[EvalInstance], None] | None = None,
-) -> list[EvalOutcome]:
-    """Fan prompts out to the gateway and score each completion.
+) -> ScoreReport:
+    """Fan prompts out to the gateway, score each completion and return
+    the run's ``build_report``.
 
     Every task must be an MVP, DA or AP mask (``EvalError`` before any
     exchange otherwise). Gateway failures are captured per instance rather
-    than raised, so a partial run still produces instances. The workers
-    build, send and score; the fold alone writes, in task order whatever
-    the interleaving: each exchange, failed ones included, to
-    ``transcript`` (if any), then its instance to ``sink`` (if any). Only
-    its ``EvalOutcome`` is returned, so no prompt text outlives the sink
-    call; a caller that wants the instances passes ``sink=instances.append``.
+    than raised: a partial run still produces instances, and its report
+    has ``complete`` False. The workers build, send and score; the fold
+    alone writes, in task order whatever the interleaving: each exchange,
+    failed ones included, to ``transcript`` (if any), then its instance to
+    ``sink`` (if any), then hands it to ``build_report``, which keeps no
+    prompt text. A caller that wants the instances passes
+    ``sink=instances.append``.
 
     ``context_provider`` maps a row id to its context's ``ContextPieces``;
     without it every prompt's context is empty. A prompt's JSON encoding
@@ -331,8 +315,7 @@ def evaluate_tasks(
             completion_tokens=word_count(response) if response else 0,
         )
 
-    def fold(results: Iterable[tuple[EvalInstance, dict | None]]) -> list[EvalOutcome]:
-        outcomes = []
+    def fold(results: Iterable[tuple[EvalInstance, dict | None]]) -> Iterator[EvalInstance]:
         for inst, exchange in results:
             if transcript is not None:
                 transcript.append(
@@ -342,21 +325,18 @@ def evaluate_tasks(
                 )
             if sink is not None:
                 sink(inst)
-            outcomes.append(EvalOutcome(inst.mask, inst.cells_correct, inst.error))
-        return outcomes
+            yield inst
 
     workers = gateway.cfg.max_parallel
     if workers == 1:
-        return fold(map(run_one, tasks))
+        return build_report(schedule, fold(map(run_one, tasks)))
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        return fold(pool.map(run_one, tasks))
+        return build_report(schedule, fold(pool.map(run_one, tasks)))
 
 
-def build_report(
-    schedule: Schedule, instances: Iterable[EvalInstance | EvalOutcome]
-) -> ScoreReport:
+def build_report(schedule: Schedule, instances: Iterable[EvalInstance]) -> ScoreReport:
     """Aggregate counts overall and per discipline/level/area group."""
     by_id = schedule.index.by_id
     report = ScoreReport()
@@ -374,24 +354,6 @@ def build_report(
             group = getattr(act, dim)
             slot = report.group_breakdowns[dim].setdefault(group, {})
             slot.setdefault(kind, TaskScore()).add(inst.cells_correct)
-    return report
-
-
-def run_eval(
-    schedule: Schedule,
-    tasks: list[MaskSpec],
-    gateway: Gateway,
-    **eval_inputs,
-) -> ScoreReport:
-    """Evaluate all tasks and aggregate; ``eval_inputs`` (``transcript``,
-    prompt inputs, ``k`` and ``sink``) go to ``evaluate_tasks``. Gateway
-    failures surface after the fold, as a ``GatewayEvalError`` with the
-    partial report attached."""
-    outcomes = evaluate_tasks(schedule, tasks, gateway, **eval_inputs)
-    report = build_report(schedule, outcomes)
-    failures = sum(1 for o in outcomes if o.error is not None)
-    if failures:
-        raise GatewayEvalError(report, failures)
     return report
 
 

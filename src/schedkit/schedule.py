@@ -383,12 +383,15 @@ def parse_schedule(raw: str, *, source_label: str = "") -> Schedule:
     reference).
     """
     text = raw.lstrip("﻿")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    # Records, not lines: a quoted cell keeps its line breaks, blank ones
+    # included, and other Unicode line boundaries are cell text. Blank and
+    # whitespace-only lines are skipped and take no row number.
+    header_line = next((ln for ln in io.StringIO(text, newline="") if ln.strip()), "")
+    delim = _detect_delimiter(header_line)
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delim)
+    rows = [cells for cells in reader if delim.join(cells).strip()]
+    if not rows:
         raise MissingColumnError(COL_ID)
-    delim = _detect_delimiter(lines[0])
-    reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delim)
-    rows = list(reader)
     header = [h.strip() for h in rows[0]]
 
     col_index: dict[str, int] = {}

@@ -17,7 +17,7 @@ from . import DataError
 from . import rng as prng
 from .schedule import Activity, DependencyLink, Schedule
 
-DEFAULT_DISCIPLINES = (
+DISCIPLINES = (
     ("CSA.Arch.Arch-D", 3.0),
     ("CSA.Arch.Metal", 3.0),
     ("CSA.Arch.RF", 2.0),
@@ -35,10 +35,14 @@ DEFAULT_DISCIPLINES = (
     ("MEP.Proc.Waste", 3.0),
     ("MEP.Proc.Water", 3.0),
 )
-DEFAULT_LEVELS = (("EQ", 2.0), ("UL", 3.0), ("SF", 4.0), ("RF", 1.0))
-DEFAULT_AREAS = (("6E", 3.0), ("9E", 3.0), ("SU", 2.0), ("10E", 2.0))
-DEFAULT_STATUSES = (("Not Started", 5.0), ("In Progress", 3.0), ("Completed", 2.0))
+LEVELS = (("EQ", 2.0), ("UL", 3.0), ("SF", 4.0), ("RF", 1.0))
+AREAS = (("6E", 3.0), ("9E", 3.0), ("SU", 2.0), ("10E", 2.0))
+STATUSES = (("Not Started", 5.0), ("In Progress", 3.0), ("Completed", 2.0))
 RELATION_MIX = (("FS", 0.80), ("SS", 0.10), ("FF", 0.08), ("SF", 0.02))
+# Each activity draws Poisson(TARGET_MEAN_DEGREE / 2) successors, at most
+# as many as follow it within ATTACH_WINDOW positions of the permutation.
+TARGET_MEAN_DEGREE = 3.86
+ATTACH_WINDOW = 20
 
 _PHASE_BY_STATUS = {
     "Completed": "Phase 1",
@@ -60,30 +64,11 @@ class InfeasibleParamsError(SyntheticError):
 @dataclass(frozen=True)
 class GeneratorParams:
     n_activities: int = 200
-    disciplines: tuple = DEFAULT_DISCIPLINES
-    levels: tuple = DEFAULT_LEVELS
-    areas: tuple = DEFAULT_AREAS
-    statuses: tuple = DEFAULT_STATUSES
-    target_mean_degree: float = 3.86
-    attach_window: int = 20
     seed: int = 42
 
     def __post_init__(self):
         if self.n_activities < 1:
             raise InfeasibleParamsError("need at least one activity")
-        if self.target_mean_degree < 0:
-            raise InfeasibleParamsError("target mean degree must be >= 0")
-        # A single activity has no edges to sample, so the target is moot.
-        if self.n_activities > 1 and self.target_mean_degree > self.n_activities - 1:
-            raise InfeasibleParamsError(
-                f"target degree {self.target_mean_degree} exceeds n-1"
-            )
-        for group in (self.disciplines, self.levels, self.areas, self.statuses):
-            for _, w in group:
-                if not w > 0:
-                    raise InfeasibleParamsError("weights must be positive")
-        if self.attach_window < 1:
-            raise InfeasibleParamsError("attach window must be >= 1")
 
 
 def _pick(gen: prng.Rng, table) -> str:
@@ -102,10 +87,10 @@ def generate_schedule(params: GeneratorParams) -> Schedule:
     # chains long instead of scattering edges across the whole horizon.
     edges: list[tuple[int, int, str, int]] = []
     for pos, node in enumerate(order):
-        available = list(range(pos + 1, min(pos + 1 + params.attach_window, n)))
+        available = list(range(pos + 1, min(pos + 1 + ATTACH_WINDOW, n)))
         if not available:
             continue
-        want = gen.poisson(params.target_mean_degree / 2.0)
+        want = gen.poisson(TARGET_MEAN_DEGREE / 2.0)
         take = min(want, len(available))
         if take == 0:
             continue
@@ -116,15 +101,15 @@ def generate_schedule(params: GeneratorParams) -> Schedule:
 
     traits = []
     for i in range(n):
-        discipline = _pick(gen, params.disciplines)
-        status = _pick(gen, params.statuses)
-        area = _pick(gen, params.areas)
+        discipline = _pick(gen, DISCIPLINES)
+        status = _pick(gen, STATUSES)
+        area = _pick(gen, AREAS)
         traits.append(
             {
                 "discipline": discipline,
                 "status": status,
                 "area": area,
-                "level": _pick(gen, params.levels),
+                "level": _pick(gen, LEVELS),
                 "zone": f"Z{gen.randint(4) + 1}",
                 "duration": 1 + gen.randint(20),
                 "slack": gen.randint(5),

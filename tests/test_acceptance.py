@@ -33,7 +33,7 @@ from schedkit.gateway import (
 )
 from schedkit.graph import build_graph, degree_distribution, detect_cycles, maximal_hop_values
 from schedkit.knowledge import HashedNgramEmbedder, GlobalChunkStore
-from schedkit.masked_eval import make_mask_tasks, run_eval
+from schedkit.masked_eval import evaluate_tasks, make_mask_tasks
 from schedkit.polish import ContextLengthStats, polish_context
 from schedkit.schedule import DependencyLink, Schedule, canonical_row, validate
 from schedkit.synthetic import GeneratorParams, generate_schedule
@@ -220,17 +220,17 @@ def test_criterion_05_masked_environment_calibration():
             + make_mask_tasks(sched, "DA")
             + make_mask_tasks(sched, "AP")
         )
-        echo = run_eval(sched, tasks, EchoOracleGateway(truth))
+        echo = evaluate_tasks(sched, tasks, EchoOracleGateway(truth))
         for kind in ("MVP", "DA", "AP"):
             assert echo.accuracy(kind) == 100.0
-        wrong = run_eval(sched, tasks, ConstantWrongGateway())
+        wrong = evaluate_tasks(sched, tasks, ConstantWrongGateway())
         for kind in ("MVP", "DA", "AP"):
             assert wrong.accuracy(kind) == 0.0
         # Planted half-correct: corrupt one of AP's two cells on every row.
         half_table = {rid: dict(row) for rid, row in truth.items()}
         for rid in half_table:
             half_table[rid]["Current Start"] = "1900-01-01"
-        half = run_eval(
+        half = evaluate_tasks(
             sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(half_table)
         )
         assert half.accuracy("AP") == 50.0

@@ -114,6 +114,26 @@ def test_generate_deterministic(tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generate_a_tiny_schedule(tmp_path, capsys, n):
+    """Fewer activities than the mean degree is no error: each draws at
+    most the successors it has, and the schedule re-parses valid and
+    acyclic."""
+    from schedkit.graph import build_graph, detect_cycles
+    from schedkit.schedule import parse_schedule, serialize_schedule, validate
+
+    for seed in (1, 42):
+        out = tmp_path / f"s{seed}"
+        assert run(["--out", str(out), "generate", "--n", str(n), "--seed", str(seed)]) == EXIT_OK
+        text = (out / "schedule.csv").read_text("utf-8")
+        sched = parse_schedule(text)
+        assert len(sched.activities) == n
+        assert serialize_schedule(sched) == text
+        assert validate(sched).violations == ()
+        assert detect_cycles(build_graph(sched)) == []
+        assert f"generated {n} activities" in capsys.readouterr().out
+
+
 def test_analyze_graph_chain_fixture(tmp_path, capsys):
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
@@ -283,7 +303,7 @@ def test_run_eval_gateway_failure_exit_code(tmp_path, capsys):
 
 def test_run_eval_gateway_failure_keeps_instances_and_partial_report(tmp_path, capsys):
     from schedkit.gateway import ScriptedTranscriptGateway
-    from schedkit.masked_eval import GatewayEvalError, make_mask_tasks, run_eval
+    from schedkit.masked_eval import evaluate_tasks, make_mask_tasks
     from schedkit.schedule import parse_schedule
 
     sched = tmp_path / "chain.csv"
@@ -301,10 +321,10 @@ def test_run_eval_gateway_failure_keeps_instances_and_partial_report(tmp_path, c
 
     parsed = parse_schedule(CHAIN_CSV)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(parsed, kind)]
-    with pytest.raises(GatewayEvalError) as err:
-        run_eval(parsed, tasks, ScriptedTranscriptGateway([]))
-    expected = err.value.partial_report.to_json()
-    assert (tmp_path / "e" / "report.json").read_text("utf-8") == expected
+    report = evaluate_tasks(parsed, tasks, ScriptedTranscriptGateway([]))
+    assert report.complete is False
+    assert sum(score.cells_total for score in report.per_task.values()) == 27
+    assert (tmp_path / "e" / "report.json").read_text("utf-8") == report.to_json()
 
 
 def test_sample_context_rejects_an_invalid_schedule_without_targets(tmp_path, capsys):

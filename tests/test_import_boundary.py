@@ -170,8 +170,8 @@ class _ChatStub(BaseHTTPRequestHandler):
 
 def test_no_stage_loads_requests_and_only_http_loads_urllib_request(stages):
     """The ``http`` gateway posts through ``urllib.request``, which it
-    imports on its first exchange; the mock stages never load it, and no
-    stage loads ``requests``."""
+    imports when it is built; the mock stages never load it, and no stage
+    loads ``requests``."""
     cwd, stage_modules = stages
     for name, loaded in stage_modules.items():
         assert not {"requests", "urllib.request"} & loaded, name
@@ -192,6 +192,19 @@ def test_no_stage_loads_requests_and_only_http_loads_urllib_request(stages):
         thread.join()
     assert "urllib.request" in loaded and "requests" not in loaded
     assert (cwd / "http_eval" / "transcript.jsonl").read_text("utf-8").count("\n") == 90
+
+
+def test_the_http_gateway_loads_urllib_request_before_its_first_exchange(tmp_path):
+    """Building an ``HttpGateway`` loads ``urllib.request``, so the first
+    exchange's ``latency_ms`` does not include the import."""
+    probe = (
+        "import json, sys\n"
+        "from schedkit.gateway import GatewayConfig, HttpGateway\n"
+        "before = 'urllib.request' in sys.modules\n"
+        "HttpGateway(GatewayConfig(endpoint_url='http://127.0.0.1:9/v1/chat/completions'))\n"
+        "print(json.dumps([before, 'urllib.request' in sys.modules]))\n"
+    )
+    assert run_probe(tmp_path, probe) == [False, True]
 
 
 def test_a_kb_without_a_store_is_rejected_before_numpy_loads(stages):

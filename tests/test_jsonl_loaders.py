@@ -331,12 +331,12 @@ def test_cli_exit_code_for_a_mistyped_field(tmp_path, capsys, case):
     path = files[which]
     sched = str(files["schedule"])
     instances = ["--instances", str(files["instances"])]
-    run_eval = ["run-eval", "--schedule", sched, "--gateway"]
-    with_kb = [[*run_eval, "mock:echo", "--kb", str(files["kb"])]]
+    eval_argv = ["run-eval", "--schedule", sched, "--gateway"]
+    with_kb = [[*eval_argv, "mock:echo", "--kb", str(files["kb"])]]
     readers = {
         "instances": [["collect-prefs", "--schedule", sched, *instances], ["polish", *instances]],
         "prefs": [["train-scorer", "--prefs-db", str(files["prefs"])]],
-        "transcript": [[*run_eval, f"mock:transcript={path}"]],
+        "transcript": [[*eval_argv, f"mock:transcript={path}"]],
         "terms": with_kb,
         "chunks": with_kb,
     }[which]

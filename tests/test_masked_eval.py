@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from schedkit.gateway import (
     ConstantWrongGateway,
     EchoOracleGateway,
+    GatewayConfig,
     ScriptedTranscriptGateway,
     load_transcript,
     wire_values,
@@ -22,8 +23,6 @@ from schedkit.masked_eval import (
     CorruptRecordError,
     EvalError,
     EvalInstance,
-    EvalOutcome,
-    GatewayEvalError,
     MaskSpec,
     PreferenceRecord,
     ScoreReport,
@@ -39,7 +38,6 @@ from schedkit.masked_eval import (
     preference_store_append,
     preference_store_load,
     render_masked_row,
-    run_eval,
     save_instances,
     score_cell,
 )
@@ -312,7 +310,7 @@ def all_tasks(sched):
 def test_echo_oracle_scores_100():
     sched = rich_schedule(12)
     gateway = EchoOracleGateway(truth_table(sched))
-    report = run_eval(sched, all_tasks(sched), gateway)
+    report = evaluate_tasks(sched, all_tasks(sched), gateway)
     for kind in ("MVP", "DA", "AP"):
         assert report.accuracy(kind) == 100.0
         assert report.accuracy(kind, "rows") == 100.0
@@ -320,7 +318,7 @@ def test_echo_oracle_scores_100():
 
 def test_constant_wrong_scores_0():
     sched = rich_schedule(12)
-    report = run_eval(sched, all_tasks(sched), ConstantWrongGateway())
+    report = evaluate_tasks(sched, all_tasks(sched), ConstantWrongGateway())
     for kind in ("MVP", "DA", "AP"):
         assert report.accuracy(kind) == 0.0
 
@@ -332,7 +330,7 @@ def test_half_correct_mock_scores_exactly_50():
     for rid in table:
         table[rid] = dict(table[rid])
         table[rid]["Current Start"] = "1999-01-01"
-    report = run_eval(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table))
+    report = evaluate_tasks(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table))
     assert report.accuracy("AP") == 50.0
 
 
@@ -343,7 +341,7 @@ def test_group_weighted_averages_reproduce_overall():
         if i % 3 == 0:
             table[rid] = dict(table[rid])
             table[rid]["Level"] = "__WRONG__"
-    report = run_eval(sched, make_mask_tasks(sched, "DA"), EchoOracleGateway(table))
+    report = evaluate_tasks(sched, make_mask_tasks(sched, "DA"), EchoOracleGateway(table))
     overall = report.per_task["DA"]
     for dim, groups in report.group_breakdowns.items():
         weighted = sum(
@@ -359,8 +357,8 @@ def test_report_serialization_deterministic():
     sched = rich_schedule(8)
     gateway_a = EchoOracleGateway(truth_table(sched))
     gateway_b = EchoOracleGateway(truth_table(sched))
-    a = run_eval(sched, all_tasks(sched), gateway_a).to_json()
-    b = run_eval(sched, all_tasks(sched), gateway_b).to_json()
+    a = evaluate_tasks(sched, all_tasks(sched), gateway_a).to_json()
+    b = evaluate_tasks(sched, all_tasks(sched), gateway_b).to_json()
     assert a == b
 
 
@@ -373,10 +371,10 @@ def test_record_then_replay_reproduces_report(tmp_path):
     table["A04"]["Level"] = "__OFF__"
     tasks = make_mask_tasks(sched, "DA")
     with TranscriptLog(tmp_path / "live.jsonl") as log:
-        live_report = run_eval(sched, tasks, EchoOracleGateway(table), transcript=log).to_json()
+        live_report = evaluate_tasks(sched, tasks, EchoOracleGateway(table), transcript=log).to_json()
 
     replay = ScriptedTranscriptGateway(load_transcript(tmp_path / "live.jsonl"))
-    replay_report = run_eval(sched, tasks, replay).to_json()
+    replay_report = evaluate_tasks(sched, tasks, replay).to_json()
     assert replay_report == live_report
 
 
@@ -384,12 +382,14 @@ def test_gateway_failures_flag_partial_report():
     sched = rich_schedule(6)
     table = truth_table(sched)
     del table["A03"]  # EchoOracle errors on the missing row
-    with pytest.raises(GatewayEvalError) as err:
-        run_eval(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table))
-    assert err.value.partial_report.complete is False
-    assert err.value.failures == 1
+    instances = []
+    report = evaluate_tasks(
+        sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(table), sink=instances.append
+    )
+    assert report.complete is False
+    assert sum(inst.error is not None for inst in instances) == 1
     # The surviving rows still scored.
-    assert err.value.partial_report.per_task["AP"].cells_total == 12
+    assert report.per_task["AP"].cells_total == 12
 
 
 def test_failed_instance_outside_schedule_flags_incomplete():
@@ -440,7 +440,7 @@ def test_score_report_json_round_trip():
 
 def test_render_table_one_decimal():
     sched = rich_schedule(6)
-    report = run_eval(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(truth_table(sched)))
+    report = evaluate_tasks(sched, make_mask_tasks(sched, "AP"), EchoOracleGateway(truth_table(sched)))
     table = report.render_table()
     assert "overall | 100.0" in table
     assert "discipline=CSA.Struc.Steel" in table
@@ -663,26 +663,26 @@ def test_sink_streams_the_lines_save_instances_writes():
     del table["A03"]  # one row fails at the gateway
     kwargs = dict(rules="r", context_provider=sampled_contexts(sched).__getitem__)
 
-    streamed = io.StringIO()
-    instances = []
+    for workers in (1, 4):
+        streamed = io.StringIO()
+        instances = []
 
-    def sink(inst):
-        assert inst.prompt_user_json == encode_basestring_ascii(inst.prompt_user)
-        instances.append(inst)
-        save_instances(streamed, (inst,))
+        def sink(inst):
+            assert inst.prompt_user_json == encode_basestring_ascii(inst.prompt_user)
+            instances.append(inst)
+            save_instances(streamed, (inst,))
 
-    outcomes = evaluate_tasks(
-        sched, tasks, EchoOracleGateway(table), sink=sink, **kwargs
-    )
-    assert streamed.getvalue() == "".join(
-        json.dumps(instance_record(i), sort_keys=True) + "\n" for i in instances
-    )
-    assert [i.mask for i in instances] == tasks
-    assert outcomes == [EvalOutcome(i.mask, i.cells_correct, i.error) for i in instances]
-    assert sum(o.error is not None for o in outcomes) == 3
-    assert build_report(sched, outcomes).to_json() == build_report(sched, instances).to_json()
-    # Without a sink the same outcomes come back.
-    assert evaluate_tasks(sched, tasks, EchoOracleGateway(table), **kwargs) == outcomes
+        gateway = EchoOracleGateway(table, cfg=GatewayConfig(max_parallel=workers))
+        report = evaluate_tasks(sched, tasks, gateway, sink=sink, **kwargs)
+        assert streamed.getvalue() == "".join(
+            json.dumps(instance_record(i), sort_keys=True) + "\n" for i in instances
+        )
+        assert [i.mask for i in instances] == tasks
+        assert sum(i.error is not None for i in instances) == 3
+        assert report == build_report(sched, instances)
+        assert report.complete is False
+        # Without a sink the same report comes back.
+        assert evaluate_tasks(sched, tasks, gateway, **kwargs) == report
 
 
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -17,6 +18,7 @@ from schedkit.schedule import (
     MalformedDependencyError,
     MissingColumnError,
     Schedule,
+    ScheduleError,
     canonical_row,
     duration_days,
     parse_dependency_cell,
@@ -225,6 +227,43 @@ def test_parse_serialize_parse_fixed_point(sched):
         a.activity_id for a in sched.activities
     }
     assert set(first.links) == set(sched.links)
+
+
+# Characters ``str.splitlines`` breaks on (a lone "\r" aside, which
+# ``csv.writer`` leaves unquoted), with "\n" to make blank lines inside a
+# quoted cell; ``n`` at both ends since cells are stripped.
+_line_breaking = st.text(
+    alphabet='ab ,"\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029', max_size=8
+).map(lambda t: f"n{t}n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules(), st.data())
+def test_cells_holding_line_boundaries_round_trip(sched, data):
+    acts = tuple(
+        replace(
+            act,
+            name=data.draw(_line_breaking),
+            extra_attributes={"Project Phase": data.draw(_line_breaking)},
+        )
+        for act in sched.activities
+    )
+    text = serialize_schedule(replace(sched, activities=acts))
+    assert serialize_schedule(parse_schedule(text)) == text
+
+
+def test_blank_lines_are_skipped_and_take_no_row_number():
+    text = "\n".join(["", HEADER, "  ", row("A"), "\t", "", row("B", finish="2023-01-01"), ""])
+    with pytest.raises(MalformedDateError, match="row 3"):
+        parse_schedule(text)
+    sched = parse_schedule(text.replace("2023-01-01", "2024-01-08"))
+    assert [a.activity_id for a in sched.activities] == ["A", "B"]
+    with pytest.raises(ScheduleError, match="row 3: empty activity id"):
+        parse_schedule("\n".join([HEADER, row("A"), ",,,", ""]))
+    # No record but blank ones: no header either.
+    for text in ("", " \n\t\n", '"  "\n'):
+        with pytest.raises(MissingColumnError):
+            parse_schedule(text)
 
 
 @settings(max_examples=60, deadline=None)

@@ -71,10 +71,6 @@ def test_generated_schedules_parse_back():
 def test_infeasible_params():
     with pytest.raises(InfeasibleParamsError):
         GeneratorParams(n_activities=0)
-    with pytest.raises(InfeasibleParamsError):
-        GeneratorParams(n_activities=3, target_mean_degree=5.0)
-    with pytest.raises(InfeasibleParamsError):
-        GeneratorParams(levels=(("EQ", 0.0),))
 
 
 def test_wbs_tree_keyed_by_area_and_discipline():
