@@ -37,7 +37,6 @@ DEFAULT_CONFIG = {
         "model_name": "",
         "temperature": "0.0",
         "request_seed": "12345",
-        "max_parallel": "1",
         "timeout_seconds": "60.0",
         "retry_limit": "3",
     },
@@ -149,7 +148,6 @@ def _gateway_config(cfg):
             model_name=cfg.get("gateway", "model_name"),
             temperature=cfg.getfloat("gateway", "temperature"),
             request_seed=cfg.getint("gateway", "request_seed"),
-            max_parallel=cfg.getint("gateway", "max_parallel"),
             timeout_seconds=cfg.getfloat("gateway", "timeout_seconds"),
             retry_limit=cfg.getint("gateway", "retry_limit"),
         )
@@ -159,7 +157,8 @@ def _gateway_config(cfg):
 
 def build_gateway(cfg, mode: str, schedule=None):
     """Gateway per config mode: ``http`` or ``mock:<key of gateway.MOCKS>``;
-    mock:echo derives its table from the schedule.
+    mock:echo derives its table from the schedule. Only ``http`` reads the
+    ``[gateway]`` values, but every mode checks them.
 
     A replay source is read to its end here, so the caller may start its
     own transcript at that very path once this returns.
@@ -179,8 +178,7 @@ def build_gateway(cfg, mode: str, schedule=None):
         data = (schedule.index.rows,)
     elif kind == "transcript":
         data = (load_transcript(path),)
-    make = HttpGateway if mode == "http" else MOCKS[kind]
-    return make(*data, cfg=gw_cfg)
+    return HttpGateway(gw_cfg) if mode == "http" else MOCKS[kind](*data)
 
 
 def _read_schedule(path: str):
@@ -533,6 +531,7 @@ def cmd_train_scorer(args, cfg) -> int:
 def cmd_polish(args, cfg) -> int:
     from . import graph, masked_eval, polish
     from .gateway import TranscriptLog, encode_json
+    from .prompt_forge import AP, DA, MVP
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
@@ -540,10 +539,11 @@ def cmd_polish(args, cfg) -> int:
     stats = polish.ContextLengthStats()
     with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "polished.jsonl") as fh:
         for inst in masked_eval.load_instances(args.instances):
-            polished = polish.polish_context(
-                gateway, inst.mask.task_kind, inst.prompt_user, stats, log
-            )
             mask = inst.mask
+            # The histogram files are named after the task kind.
+            if mask.task_kind not in (MVP, DA, AP):
+                raise DataError(f"{args.instances}: task_kind {mask.task_kind!r} is not MVP, DA or AP")
+            polished = polish.polish_context(gateway, mask.task_kind, inst.prompt_user, stats, log)
             record = {"row_id": mask.row_id, "task_kind": mask.task_kind, "polished": polished}
             fh.write(encode_json(record) + "\n")
         if not stats.raw_lengths:  # no instances
@@ -568,7 +568,7 @@ def cmd_report(args, cfg) -> int:
     out = _out_dir(args)
     try:
         report = ScoreReport.from_json(Path(args.report).read_text("utf-8"))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"{args.report}: {type(exc).__name__}: {exc}") from None
     table = report.render_table()
     write_artifact(out / "report.txt", table)

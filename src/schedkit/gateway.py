@@ -2,11 +2,10 @@
 
 This is the only nondeterministic boundary in the package.
 ``Gateway.complete`` returns one exchange's response text or raises its
-``GatewayError``, and records nothing. Its callers write every exchange,
-successful or not, to a ``TranscriptLog`` in their own task order, so a
-saved transcript can replay a run bit-for-bit without network access and is
-the same file at any ``max_parallel``. A counting semaphore caps in-flight
-requests at ``max_parallel``.
+``GatewayError``, and records nothing. Its callers send one exchange at a
+time and write each, successful or not, to a ``TranscriptLog`` in task
+order, so a saved transcript can replay a run bit-for-bit without network
+access, failed exchanges included.
 
 The oracle mocks answer masked-row prompts; they locate the row id and the
 masked column list via the labels below, which the masked-row renderer
@@ -20,7 +19,6 @@ import json
 import math
 import os
 import re
-import threading
 import time
 import typing
 from collections import deque
@@ -79,15 +77,12 @@ class GatewayConfig:
     model_name: str = ""
     temperature: float = 0.0
     request_seed: int = 12345
-    max_parallel: int = 1
     timeout_seconds: float = 60.0
     retry_limit: int = 3
 
     def __post_init__(self):
         if not 0 <= self.retry_limit <= 5:
             raise ValueError("retry_limit must be in [0, 5]")
-        if not 1 <= self.max_parallel <= 64:
-            raise ValueError("max_parallel must be in [1, 64]")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
@@ -202,10 +197,10 @@ def read_jsonl(path: Path, fields, make, error, only=None) -> Iterator:
     ``fields``, read and yielded one line at a time; blank lines are
     skipped. With ``only``, a set of positions (from 0, blank lines not
     counted), the other lines are not parsed and only those items are
-    yielded. A line that is not UTF-8, JSON or an object, that lacks a field
-    or has one of the wrong type, or that ``make`` rejects with
-    ``ValueError``, ``KeyError`` or ``TypeError``, raises
-    ``error("<path>:<line>: <Type>: <detail>")``."""
+    yielded. A line that is not UTF-8, JSON or an object, that is nested too
+    deep to parse, that lacks a field or has one of the wrong type, or that
+    ``make`` rejects with ``ValueError``, ``KeyError`` or ``TypeError``,
+    raises ``error("<path>:<line>: <Type>: <detail>")``."""
     position = -1
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -220,7 +215,7 @@ def read_jsonl(path: Path, fields, make, error, only=None) -> Iterator:
                 if not isinstance(record, dict):
                     raise TypeError(f"expected a JSON object, got {type(record).__name__}")
                 item = make(**decode_fields(fields, record))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise error(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
             yield item
 
@@ -313,13 +308,9 @@ def load_transcript(path: Path) -> Iterator[dict]:
 
 
 class Gateway:
-    """Base class: concurrency gating and the prompt and response checks."""
+    """Base class: the prompt and response checks."""
 
     deterministic_latency = True
-
-    def __init__(self, cfg: GatewayConfig | None = None):
-        self.cfg = cfg or GatewayConfig()
-        self._slots = threading.BoundedSemaphore(self.cfg.max_parallel)
 
     def _respond(self, system_text: str, user_text: str) -> str:
         raise NotImplementedError
@@ -328,8 +319,7 @@ class Gateway:
         """The response text of one exchange, or its ``GatewayError``."""
         if not user_text or user_text.isspace():
             raise GatewayError("prompt is empty")
-        with self._slots:
-            response = self._respond(system_text, user_text)
+        response = self._respond(system_text, user_text)
         if not isinstance(response, str):
             raise MalformedResponseError(f"response is {type(response).__name__}, not text")
         return response
@@ -349,6 +339,23 @@ def timed_complete(
     if gateway.deterministic_latency:
         return response, error, 0.0
     return response, error, (time.monotonic() - started) * 1000.0
+
+
+class ReplayedError(GatewayError):
+    """A failed exchange replayed from a transcript; its message is the
+    ``error`` text the transcript recorded."""
+
+
+def error_text(error: GatewayError | None) -> str | None:
+    """The ``error`` that a transcript and an instance record for an
+    exchange: None for a successful one, else ``"<Type>: <message>"``, or a
+    replayed failure's recorded text unchanged, so that a replay records
+    what its source did."""
+    if error is None:
+        return None
+    if isinstance(error, ReplayedError):
+        return str(error)
+    return f"{type(error).__name__}: {error}"
 
 
 def _parse_row_id(user_text: str) -> str:
@@ -376,10 +383,9 @@ class EchoOracleGateway(Gateway):
     planting wrong entries yields any target accuracy.
     """
 
-    def __init__(self, answer_table: dict[str, dict[str, str]], **kw):
+    def __init__(self, answer_table: dict[str, dict[str, str]]):
         if answer_table is None:
             raise MissingMockDataError("EchoOracle needs an answer table")
-        super().__init__(**kw)
         self.answer_table = answer_table
 
     def _respond(self, system_text: str, user_text: str) -> str:
@@ -402,29 +408,27 @@ class ConstantWrongGateway(Gateway):
 class ScriptedTranscriptGateway(Gateway):
     """Replays a saved transcript; responses match prompts by content.
 
-    Each saved record is consumed once. A call whose prompt has no
-    remaining record raises TranscriptExhaustedError. ``records`` is read
-    to its end here, one record at a time, and only each record's
+    Each saved record is consumed once; a prompt saved more than once gets
+    its responses in the order they were saved. A call whose prompt has no
+    remaining record raises TranscriptExhaustedError, and a saved failure
+    raises ``ReplayedError`` with its recorded text. ``records`` is read to
+    its end here, one record at a time, and only each record's
     ``(response_text, error)`` is kept, under its prompt's hash.
     """
 
-    def __init__(self, records: Iterable[dict], **kw):
-        super().__init__(**kw)
+    def __init__(self, records: Iterable[dict]):
         self._pending: dict[str, deque[tuple[str | None, str | None]]] = {}
-        self._pending_lock = threading.Lock()
         for rec in records:
             key = exchange_hash(rec["system_text"], rec["user_text"])
             self._pending.setdefault(key, deque()).append((rec["response_text"], rec["error"]))
 
     def _respond(self, system_text: str, user_text: str) -> str:
-        key = exchange_hash(system_text, user_text)
-        with self._pending_lock:
-            queue = self._pending.get(key)
-            if not queue:
-                raise TranscriptExhaustedError("no scripted response left for this prompt")
-            response, error = queue.popleft()
+        queue = self._pending.get(exchange_hash(system_text, user_text))
+        if not queue:
+            raise TranscriptExhaustedError("no scripted response left for this prompt")
+        response, error = queue.popleft()
         if response is None:
-            raise GatewayError(error or "scripted error")
+            raise ReplayedError(error or "scripted error")
         return response
 
 
@@ -467,7 +471,7 @@ class HttpGateway(Gateway):
     def __init__(self, cfg: GatewayConfig):
         if not cfg.endpoint_url:
             raise GatewayError("endpoint_url not configured")
-        super().__init__(cfg)
+        self.cfg = cfg
         # Loaded here, not at the first exchange, so that no exchange's
         # latency_ms includes the import.
         import http.client
@@ -523,7 +527,7 @@ class HttpGateway(Gateway):
                 raise HttpStatusError(status, body.decode("utf-8", "replace"))
             try:
                 return json.loads(body)["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise MalformedResponseError(f"unexpected response shape: {exc}")
         raise RetriesExhaustedError(
             f"gave up after {self.cfg.retry_limit + 1} attempts: {last_error}"

@@ -25,6 +25,7 @@ from .gateway import (
     dataclass_fields,
     encode_fields,
     encode_json,
+    error_text,
     object_parts,
     read_jsonl,
     timed_complete,
@@ -247,18 +248,18 @@ def evaluate_tasks(
     k: int = 2,
     sink: Callable[[EvalInstance], None] | None = None,
 ) -> ScoreReport:
-    """Fan prompts out to the gateway, score each completion and return
-    the run's ``build_report``.
+    """Send each task's prompt to the gateway, one exchange at a time in
+    task order, score each completion and return the run's
+    ``build_report``.
 
     Every task must be an MVP, DA or AP mask (``EvalError`` before any
     exchange otherwise). Gateway failures are captured per instance rather
     than raised: a partial run still produces instances, and its report
-    has ``complete`` False. The workers build, send and score; the fold
-    alone writes, in task order whatever the interleaving: each exchange,
-    failed ones included, to ``transcript`` (if any), then its instance to
-    ``sink`` (if any), then hands it to ``build_report``, which keeps no
-    prompt text. A caller that wants the instances passes
-    ``sink=instances.append``.
+    has ``complete`` False. Each task is built, sent and scored, then the
+    fold writes its exchange, a failed one included, to ``transcript`` (if
+    any), its instance to ``sink`` (if any), and hands the instance to
+    ``build_report``, which keeps no prompt text. A caller that wants the
+    instances passes ``sink=instances.append``.
 
     ``context_provider`` maps a row id to its context's ``ContextPieces``;
     without it every prompt's context is empty. A prompt's JSON encoding
@@ -300,7 +301,7 @@ def evaluate_tasks(
             response_text=response,
             parse_ok=False,
             cells_correct=tuple(False for _ in mask.masked_columns),
-            error=None if error is None else f"{type(error).__name__}: {error}",
+            error=error_text(error),
             prompt_user_json=user_json,
         )
         if response is not None:
@@ -327,13 +328,7 @@ def evaluate_tasks(
                 sink(inst)
             yield inst
 
-    workers = gateway.cfg.max_parallel
-    if workers == 1:
-        return build_report(schedule, fold(map(run_one, tasks)))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        return build_report(schedule, fold(pool.map(run_one, tasks)))
+    return build_report(schedule, fold(map(run_one, tasks)))
 
 
 def build_report(schedule: Schedule, instances: Iterable[EvalInstance]) -> ScoreReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .gateway import TranscriptLog, timed_complete
+from .gateway import TranscriptLog, error_text, timed_complete
 from .prompt_forge import POLISH, SECTION_RAW, build_task_prompt, word_count
 
 
@@ -83,7 +83,7 @@ def polish_context(
     if transcript is not None:
         transcript.append(
             system_text=prompt.system_text, user_text=prompt.user_text, response_text=polished,
-            error=None if error is None else f"{type(error).__name__}: {error}",
+            error=error_text(error),
             latency_ms=latency, completion_tokens=polished_tokens,
             prompt_tokens=_count_once(prompt.system_text) + _count_once(SECTION_RAW) + raw_tokens,
         )

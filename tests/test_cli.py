@@ -492,6 +492,22 @@ def test_polish_histograms_written(tmp_path, capsys):
         assert stats["polished"][kind]["mean"] <= stats["raw"][kind]["mean"]
 
 
+def test_polish_rejects_a_task_kind_other_than_mvp_da_or_ap(tmp_path, capsys):
+    """polish names files after the task kind: a kind holding a NUL, or one
+    too long for a file name, once exited 4 (internal error)."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(argv) == EXIT_OK
+    record = json.loads((tmp_path / "e" / "instances.jsonl").read_text("utf-8").splitlines()[0])
+    path = tmp_path / "instances.jsonl"
+    capsys.readouterr()
+    for kind in ("A\x00P", "x" * 300, "a/b", ""):
+        path.write_text(json.dumps({**record, "task_kind": kind}, sort_keys=True) + "\n", "utf-8")
+        assert run(["--out", str(tmp_path / "p"), "polish", "--instances", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {path}: task_kind {kind!r} is not MVP, DA or AP\n"
+
+
 def _chain_kb(tmp_path: Path) -> tuple[Path, Path]:
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
@@ -667,51 +683,45 @@ def test_collect_prefs_rejects_a_row_the_schedule_lacks(tmp_path, capsys):
     assert {d: tree_bytes(tmp_path / d) for d in ("q", "db")} == before
 
 
-def test_max_parallel_gives_the_same_trees(tmp_path, capsys):
-    """run-eval through mock:echo, its replay, a run-eval that fails every
-    exchange (exit 3, partial report) and polish write the same files at
-    ``[gateway] max_parallel`` 1 and 4; only each ``manifest.json``, whose
-    config hash names the setting, differs, and the replay's instances are
-    the echo run's. A tiny thread switch interval makes the pool's workers
-    interleave."""
-    import sys
-
+def test_a_replay_of_failed_exchanges_records_them_unchanged(tmp_path, capsys):
+    """A replay of a run whose exchanges partly failed, and the replay of
+    that replay, write the same instances, transcript and report: a
+    replayed failure keeps its recorded error text."""
     sched = str(tmp_path / "gen" / "schedule.csv")
-    assert run(["--out", str(tmp_path / "gen"), "generate", "--n", "60", "--seed", "3"]) == EXIT_OK
-    (tmp_path / "empty.jsonl").write_text("", "utf-8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 4):
-            config = tmp_path / f"parallel{workers}.ini"
-            config.write_text(f"[gateway]\nmax_parallel = {workers}\n", "utf-8")
-            out = tmp_path / str(workers)
-            stages = [
-                ("echo", ["run-eval", "--schedule", sched, "--gateway", "mock:echo"], EXIT_OK),
-                (
-                    "replay",
-                    ["run-eval", "--schedule", sched, "--gateway", f"mock:transcript={out / 'echo' / 'transcript.jsonl'}"],
-                    EXIT_OK,
-                ),
-                (
-                    "failed",
-                    ["run-eval", "--schedule", sched, "--gateway", f"mock:transcript={tmp_path / 'empty.jsonl'}"],
-                    EXIT_GATEWAY,
-                ),
-                ("polish", ["polish", "--instances", str(out / "echo" / "instances.jsonl")], EXIT_OK),
-            ]
-            for name, argv, code in stages:
-                assert run(["--config", str(config), "--out", str(out / name), *argv]) == code, name
-    finally:
-        sys.setswitchinterval(interval)
-    one, four = tree_bytes(tmp_path / "1"), tree_bytes(tmp_path / "4")
-    for name in ("echo", "replay", "failed", "polish"):
-        manifest = f"{name}/manifest.json"
-        assert one.pop(manifest) != four.pop(manifest)
-    assert one["failed/transcript.jsonl"] and one["polish/transcript.jsonl"]
-    assert one["replay/instances.jsonl"] == one["echo/instances.jsonl"]
-    assert sorted(one) == sorted(four)
-    assert [name for name in one if one[name] != four[name]] == []
+    assert run(["--out", str(tmp_path / "gen"), "generate", "--n", "12", "--seed", "3"]) == EXIT_OK
+    base = ["run-eval", "--schedule", sched, "--gateway"]
+    assert run(["--out", str(tmp_path / "echo"), *base, "mock:echo"]) == EXIT_OK
+    lines = (tmp_path / "echo" / "transcript.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "head.jsonl").write_bytes(b"".join(lines[:20]))
+    source = tmp_path / "head.jsonl"
+    for name in ("replay", "replay2"):
+        assert run(["--out", str(tmp_path / name), *base, f"mock:transcript={source}"]) == EXIT_GATEWAY
+        assert "16 instance(s) failed at the gateway" in capsys.readouterr().err
+        source = tmp_path / name / "transcript.jsonl"
+    once, twice = tree_bytes(tmp_path / "replay"), tree_bytes(tmp_path / "replay2")
+    for name in ("instances.jsonl", "transcript.jsonl", "report.json"):
+        assert once[name] == twice[name], name
+    errors = [json.loads(line)["error"] for line in once["instances.jsonl"].splitlines()]
+    assert errors.count("TranscriptExhaustedError: no scripted response left for this prompt") == 16
+
+
+def test_a_config_that_sets_max_parallel_writes_the_same_run_eval_tree(tmp_path, capsys):
+    """``[gateway] max_parallel`` is no longer read: a config that still
+    sets it, to any value, gives the same files; only the manifest, whose
+    config hash covers the file, differs."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(["--out", str(tmp_path / "e"), *argv]) == EXIT_OK
+    expected = tree_bytes(tmp_path / "e")
+    ini = tmp_path / "parallel.ini"
+    for value in ("4", "100"):
+        ini.write_text(f"[gateway]\nmax_parallel = {value}\n", "utf-8")
+        out = tmp_path / value
+        assert run(["--config", str(ini), "--out", str(out), *argv]) == EXIT_OK
+        tree = tree_bytes(out)
+        assert tree.pop("manifest.json") != expected["manifest.json"]
+        assert tree == {k: v for k, v in expected.items() if k != "manifest.json"}
 
 
 def _every_stage(root: Path, seed: int) -> list[tuple[str, list[str]]]:
@@ -1174,6 +1184,7 @@ def test_report_of_a_corrupt_report_is_a_data_error(tmp_path, capsys):
         (b'{"complete": true, "per_task": {}, "group_breakdowns": 1}', "TypeError"),
         (b'{"complete": true, "per_task": {}, "group_breakdowns": {"Level": []}}', "TypeError"),
         (b"\xff" + whole, "UnicodeDecodeError"),
+        (b"[" * 200_000, "RecursionError"),
         *((edited(cells_total=count), "TypeError") for count in ("a", None, 1.5, True)),
         # Counts no run can produce. The first is a hand-written file that
         # once rendered "overall | 500.0" and exited 0.
@@ -1217,9 +1228,6 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
         (b"[eval]\nk = x\n", eval_argv, "[eval] k: invalid literal"),
         (b"[eval]\nk = 0\n", eval_argv, "[eval] k: must be >= 1, got 0"),
         (b"[eval]\nk = -3\n", eval_argv, "[eval] k: must be >= 1, got -3"),
-        (b"[gateway]\nmax_parallel = two\n", eval_argv, "[gateway] max_parallel: invalid literal"),
-        # Rejected by GatewayConfig before any worker thread starts.
-        (b"[gateway]\nmax_parallel = 100\n", eval_argv, "[gateway] max_parallel must be in [1, 64]"),
         # A timeout urlopen would refuse at the first exchange, and a
         # temperature that JSON cannot carry.
         (b"[gateway]\ntimeout_seconds = -1\n", eval_argv, "[gateway] timeout_seconds must be finite and > 0, got -1.0"),

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schedkit.cli import EXIT_DATA, EXIT_GATEWAY, EXIT_OK, main
-from schedkit.gateway import GatewayError, TranscriptLog, load_transcript
+from schedkit.cli import EXIT_DATA, EXIT_GATEWAY, EXIT_OK, EXIT_USAGE, main
+from schedkit.gateway import TRANSCRIPT_FIELDS, GatewayError, TranscriptLog, load_transcript
 from schedkit.knowledge import (
     GlobalChunkStore,
     HashedNgramEmbedder,
@@ -35,6 +35,7 @@ from schedkit.knowledge import (
     save_term_store,
 )
 from schedkit.masked_eval import (
+    INSTANCE_FIELDS,
     CorruptRecordError,
     EvalInstance,
     MaskSpec,
@@ -65,6 +66,10 @@ CORRUPTIONS = {
         "TypeError: expected a JSON object, got list",
     ),
     "missing_field": (_drop_field, "KeyError: "),
+    "nested": (
+        lambda line, field: b"[" * 200_000 + b"\n",
+        "RecursionError: maximum recursion depth exceeded",
+    ),
 }
 
 
@@ -424,3 +429,112 @@ def test_chunk_manifest_lines_are_exact_and_read_back(chunks):
         save_chunk_store(store, path, path.with_suffix(".mat"))
         assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
         assert _kb_loader(load_chunk_store, "chunks")(path) == chunks
+
+
+# --- CLI fuzzing: one strategy per field table ------------------------------------
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _of_type(kind, nullable: bool):
+    """Values of a field-table type (``gateway.decode_fields``)."""
+    if isinstance(kind, tuple):
+        values = st.lists(_of_type(kind[1], False), max_size=3)
+    else:
+        values = {
+            str: st.text(max_size=12),
+            int: st.integers(),
+            float: st.floats() | st.integers(),
+            bool: st.booleans(),
+            dict: st.dictionaries(st.text(max_size=12), st.text(max_size=12) | JSON_VALUE, max_size=3),
+        }[kind]
+    return values | st.none() if nullable else values
+
+
+def table_lines(fields, bases: list[dict], mend=lambda draw, record: None):
+    """Lines for a file of the field table ``fields``, in any order: every
+    record of ``bases``, and up to four more lines. Those are records from
+    ``bases`` with up to three fields redrawn, of their own type or of any
+    JSON type, or dropped; or lines that are no object, are nested deep or
+    are not UTF-8. ``mend(draw, record)`` may restore what a record needs
+    beyond its types, such as a transcript's content hash."""
+
+    @st.composite
+    def record_line(draw) -> bytes:
+        record = dict(draw(st.sampled_from(bases)))
+        for name, kind, nullable in draw(st.lists(st.sampled_from(fields), max_size=3)):
+            how = draw(st.sampled_from(("typed", "any", "drop")))
+            if how == "typed":
+                record[name] = draw(_of_type(kind, nullable))
+            elif how == "any":
+                record[name] = draw(JSON_VALUE)
+            else:
+                record.pop(name, None)
+        mend(draw, record)
+        return json.dumps(record, sort_keys=True).encode() + b"\n"
+
+    other = st.one_of(
+        JSON_VALUE.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode() + b"\n"),
+        st.sampled_from((b"[" * 3 + b"\n", b'{"a": ' * 3 + b"\n", b"[" * 200_000 + b"\n")),
+        st.binary(max_size=12).map(lambda raw: raw + b"\n"),
+    )
+    whole = [json.dumps(record, sort_keys=True).encode() + b"\n" for record in bases]
+    extra = st.lists(st.one_of(record_line(), record_line(), other), max_size=4)
+    return extra.flatmap(lambda lines: st.permutations(whole + lines))
+
+
+def _rehash_some(draw, record: dict) -> None:
+    if draw(st.booleans()) and {"error", "response_text", "system_text", "user_text"} <= set(record):
+        _rehash(record)
+
+
+@pytest.fixture(scope="module")
+def chain_echo_run(tmp_path_factory):
+    """The chain schedule and its echo run's transcript and instance
+    records."""
+    root = tmp_path_factory.mktemp("chain")
+    sched = root / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["--out", str(root / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert main(argv) == EXIT_OK
+
+    def records(name: str) -> list[dict]:
+        return [json.loads(line) for line in (root / "e" / name).read_text("utf-8").splitlines()]
+
+    return sched, records("transcript.jsonl"), records("instances.jsonl")
+
+
+def _exit_codes(name: str, lines: list[bytes], commands) -> list[int]:
+    """The exit code of each command of ``commands(path)``, run in-process on
+    a file ``name`` that holds ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(b"".join(lines))
+        return [main(["--out", str(Path(tmp) / "o"), *argv]) for argv in commands(path)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_transcript_lines_never_exit_4(chain_echo_run, data):
+    sched, transcript, _ = chain_echo_run
+    lines = data.draw(table_lines(TRANSCRIPT_FIELDS, transcript, _rehash_some))
+    codes = _exit_codes("transcript.jsonl", lines, lambda path: [
+        ["run-eval", "--schedule", str(sched), "--gateway", f"mock:transcript={path}"],
+    ])
+    assert set(codes) <= {EXIT_OK, EXIT_GATEWAY}, codes
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_instance_lines_never_exit_4(chain_echo_run, data):
+    sched, _, instances = chain_echo_run
+    lines = data.draw(table_lines(INSTANCE_FIELDS, instances))
+    codes = _exit_codes("instances.jsonl", lines, lambda path: [
+        ["collect-prefs", "--schedule", str(sched), "--instances", str(path), "--synthesize-negatives"],
+        ["polish", "--instances", str(path)],
+    ])
+    assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GATEWAY}, codes

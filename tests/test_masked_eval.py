@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from schedkit.gateway import (
     ConstantWrongGateway,
     EchoOracleGateway,
-    GatewayConfig,
     ScriptedTranscriptGateway,
     load_transcript,
     wire_values,
@@ -663,26 +662,25 @@ def test_sink_streams_the_lines_save_instances_writes():
     del table["A03"]  # one row fails at the gateway
     kwargs = dict(rules="r", context_provider=sampled_contexts(sched).__getitem__)
 
-    for workers in (1, 4):
-        streamed = io.StringIO()
-        instances = []
+    streamed = io.StringIO()
+    instances = []
 
-        def sink(inst):
-            assert inst.prompt_user_json == encode_basestring_ascii(inst.prompt_user)
-            instances.append(inst)
-            save_instances(streamed, (inst,))
+    def sink(inst):
+        assert inst.prompt_user_json == encode_basestring_ascii(inst.prompt_user)
+        instances.append(inst)
+        save_instances(streamed, (inst,))
 
-        gateway = EchoOracleGateway(table, cfg=GatewayConfig(max_parallel=workers))
-        report = evaluate_tasks(sched, tasks, gateway, sink=sink, **kwargs)
-        assert streamed.getvalue() == "".join(
-            json.dumps(instance_record(i), sort_keys=True) + "\n" for i in instances
-        )
-        assert [i.mask for i in instances] == tasks
-        assert sum(i.error is not None for i in instances) == 3
-        assert report == build_report(sched, instances)
-        assert report.complete is False
-        # Without a sink the same report comes back.
-        assert evaluate_tasks(sched, tasks, gateway, **kwargs) == report
+    gateway = EchoOracleGateway(table)
+    report = evaluate_tasks(sched, tasks, gateway, sink=sink, **kwargs)
+    assert streamed.getvalue() == "".join(
+        json.dumps(instance_record(i), sort_keys=True) + "\n" for i in instances
+    )
+    assert [i.mask for i in instances] == tasks
+    assert sum(i.error is not None for i in instances) == 3
+    assert report == build_report(sched, instances)
+    assert report.complete is False
+    # Without a sink the same report comes back.
+    assert evaluate_tasks(sched, tasks, gateway, **kwargs) == report
 
 
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
