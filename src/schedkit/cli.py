@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -379,11 +380,10 @@ def cmd_run_eval(args, cfg) -> int:
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     # Every input is read and checked before the transcript is started
-    # empty, so a rejected run leaves the previous one whole.
+    # empty, so a rejected run leaves the previous one whole. Each mask is
+    # made as its prompt is sent.
     seed = cfg.getint("eval", "seed")
-    tasks = []
-    for kind in kinds:
-        tasks.extend(masked_eval.make_mask_tasks(sched, kind, seed=seed))
+    masks = [masked_eval.make_mask_tasks(sched, kind, seed=seed) for kind in kinds]
     rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
     local, glob = _load_kb(args.kb)
     # Each row's context as its pieces, not as text: rows of one WBS
@@ -420,7 +420,7 @@ def cmd_run_eval(args, cfg) -> int:
 
         report = masked_eval.evaluate_tasks(
             sched,
-            tasks,
+            itertools.chain.from_iterable(masks),
             gateway,
             transcript=log,
             rules=rules_text,
@@ -531,7 +531,6 @@ def cmd_train_scorer(args, cfg) -> int:
 def cmd_polish(args, cfg) -> int:
     from . import graph, masked_eval, polish
     from .gateway import TranscriptLog, encode_json
-    from .prompt_forge import AP, DA, MVP
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
@@ -540,9 +539,6 @@ def cmd_polish(args, cfg) -> int:
     with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "polished.jsonl") as fh:
         for inst in masked_eval.load_instances(args.instances):
             mask = inst.mask
-            # The histogram files are named after the task kind.
-            if mask.task_kind not in (MVP, DA, AP):
-                raise DataError(f"{args.instances}: task_kind {mask.task_kind!r} is not MVP, DA or AP")
             polished = polish.polish_context(gateway, mask.task_kind, inst.prompt_user, stats, log)
             record = {"row_id": mask.row_id, "task_kind": mask.task_kind, "polished": polished}
             fh.write(encode_json(record) + "\n")

@@ -65,12 +65,27 @@ class CorruptRecordError(EvalError):
     pass
 
 
+class UnknownTaskKindError(EvalError, ValueError):
+    pass
+
+
+TASK_KINDS = (MVP, DA, AP)
+
+
+def _check_task_kind(kind: str) -> None:
+    if kind not in TASK_KINDS:
+        raise UnknownTaskKindError(f"unknown task kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     row_id: str
     task_kind: str
     masked_columns: tuple[str, ...]
     ground_truth: dict[str, str]
+
+    def __post_init__(self):
+        _check_task_kind(self.task_kind)
 
 
 @dataclass(frozen=True)
@@ -130,35 +145,31 @@ def maskable_columns(row: dict[str, str]) -> list[str]:
     ]
 
 
-def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> list[MaskSpec]:
-    """One MaskSpec per activity; MVP column picks are seeded per row."""
+def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> Iterator[MaskSpec]:
+    """One MaskSpec per activity, in schedule order, each made as the
+    returned iterator reaches it; MVP column picks are seeded per row. The
+    kind, and for MVP every row's pool of maskable columns, are checked
+    when this is called, so a bad input fails before any mask is used."""
+    _check_task_kind(kind)
     rows = schedule.index.rows
-    tasks = []
-    for act in schedule.activities:
-        row = rows[act.activity_id]
-        if kind == MVP:
-            pool = maskable_columns(row)
+    if kind == MVP:
+        for act in schedule.activities:
+            pool = maskable_columns(rows[act.activity_id])
             if len(pool) < 3:
                 raise TooFewColumnsError(
                     f"row {act.activity_id!r} has only {len(pool)} maskable column(s)"
                 )
+
+    def mask(act) -> MaskSpec:
+        row = rows[act.activity_id]
+        if kind == MVP:
             gen = prng.derive(seed, "mask", act.activity_id)
-            columns = tuple(gen.sample(pool, 3))
-        elif kind == DA:
-            columns = RELATIONAL_COLUMNS
-        elif kind == AP:
-            columns = DATE_COLUMNS
+            columns = tuple(gen.sample(maskable_columns(row), 3))
         else:
-            raise EvalError(f"unknown task kind {kind!r}")
-        tasks.append(
-            MaskSpec(
-                row_id=act.activity_id,
-                task_kind=kind,
-                masked_columns=columns,
-                ground_truth={c: row[c] for c in columns},
-            )
-        )
-    return tasks
+            columns = RELATIONAL_COLUMNS if kind == DA else DATE_COLUMNS
+        return MaskSpec(act.activity_id, kind, columns, {c: row[c] for c in columns})
+
+    return map(mask, schedule.activities)
 
 
 def render_masked_row(schedule: Schedule, mask: MaskSpec) -> str:
@@ -239,7 +250,7 @@ def score_completion(mask: MaskSpec, completion: Completion) -> tuple[bool, ...]
 
 def evaluate_tasks(
     schedule: Schedule,
-    tasks: list[MaskSpec],
+    tasks: Iterable[MaskSpec],
     gateway: Gateway,
     *,
     transcript: TranscriptLog | None = None,
@@ -250,14 +261,14 @@ def evaluate_tasks(
 ) -> ScoreReport:
     """Send each task's prompt to the gateway, one exchange at a time in
     task order, score each completion and return the run's
-    ``build_report``.
+    ``build_report``. ``tasks`` may be any iterable, read one mask at a
+    time (a ``MaskSpec`` is of an MVP, DA or AP task by construction).
 
-    Every task must be an MVP, DA or AP mask (``EvalError`` before any
-    exchange otherwise). Gateway failures are captured per instance rather
-    than raised: a partial run still produces instances, and its report
-    has ``complete`` False. Each task is built, sent and scored, then the
-    fold writes its exchange, a failed one included, to ``transcript`` (if
-    any), its instance to ``sink`` (if any), and hands the instance to
+    Gateway failures are captured per instance rather than raised: a
+    partial run still produces instances, and its report has ``complete``
+    False. Each task is built, sent and scored, then the fold writes its
+    exchange, a failed one included, to ``transcript`` (if any), its
+    instance to ``sink`` (if any), and hands the instance to
     ``build_report``, which keeps no prompt text. A caller that wants the
     instances passes ``sink=instances.append``.
 
@@ -273,9 +284,6 @@ def evaluate_tasks(
     """
     from .context import EMPTY_CONTEXT, json_escape
 
-    for mask in tasks:
-        if mask.task_kind not in (MVP, DA, AP):
-            raise EvalError(f"unknown task kind {mask.task_kind!r}")
     count = lru_cache(maxsize=None)(word_count)
     escape = lru_cache(maxsize=None)(json_escape)
 
@@ -537,7 +545,8 @@ def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
 
 def load_instances(path: Path, only: set[int] | None = None, rows=None) -> Iterator[EvalInstance]:
     """The saved instances, read one line at a time; with ``only``, just
-    those at these positions (``gateway.read_jsonl``). A masked column that
+    those at these positions (``gateway.read_jsonl``). A task kind that is
+    not MVP, DA or AP (``MaskSpec``) or a masked column that
     ``ground_truth`` has no text for is a ``ValueError``; with ``rows``, so
     is a ``row_id`` that is not among them."""
 

@@ -21,7 +21,7 @@ from datetime import date
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import DataError
 
@@ -373,105 +373,123 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if header_line.count("\t") > header_line.count(",") else ","
 
 
+def _records(buf: io.StringIO, delim: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank CSV records of ``buf``, numbered from 1 and read one at
+    a time. A record the reader cannot read (a cell over the field size
+    limit, or a NUL byte where the interpreter refuses one) is a
+    ``ScheduleError`` naming its row."""
+    row_no = 0
+    try:
+        for cells in csv.reader(buf, delimiter=delim):
+            if delim.join(cells).strip():
+                row_no += 1
+                yield row_no, cells
+    except csv.Error as exc:
+        raise ScheduleError(f"row {row_no + 1}: unreadable record: {exc}") from None
+
+
 def parse_schedule(raw: str, *, source_label: str = "") -> Schedule:
     """Parse character-separated tabular text into a Schedule.
 
-    Columns are found by their canonical header (``CANONICAL_COLUMNS``); the
-    first column under each name counts. Other columns land in
-    ``extra_attributes``. Raises on the first structural defect (missing
-    column, malformed date or dependency cell, duplicate id, dangling
-    reference).
+    Columns are found by their canonical header (``CANONICAL_COLUMNS``).
+    Other columns land in ``extra_attributes``. The first column under each
+    name counts, and a later one under the same name is dropped, so the
+    serialized schedule has one column per name. Raises on the first
+    structural defect: a missing column, then a malformed date or
+    dependency cell or duplicate id, in row order, then a link defect
+    (dangling or self reference) once every row is read.
+
+    Links come sorted by (predecessor, successor, relation), whichever
+    cells declare them, so a parsed schedule serializes and parses back to
+    itself. Records are read one at a time, and each distinct cell value,
+    WBS segment, WBS path and relation is held once, however many rows
+    repeat it; a link's endpoints are its activities' own id strings.
     """
-    text = raw.lstrip("﻿")
     # Records, not lines: a quoted cell keeps its line breaks, blank ones
     # included, and other Unicode line boundaries are cell text. Blank and
     # whitespace-only lines are skipped and take no row number.
-    header_line = next((ln for ln in io.StringIO(text, newline="") if ln.strip()), "")
-    delim = _detect_delimiter(header_line)
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delim)
-    rows = [cells for cells in reader if delim.join(cells).strip()]
-    if not rows:
+    buf = io.StringIO(raw.lstrip("﻿"), newline="")
+    delim = _detect_delimiter(next((ln for ln in buf if ln.strip()), ""))
+    buf.seek(0)
+    records = _records(buf, delim)
+    first = next(records, None)
+    if first is None:
         raise MissingColumnError(COL_ID)
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first[1]]
 
     col_index: dict[str, int] = {}
-    extra_headers: list[tuple[str, int]] = []
     for idx, name in enumerate(header):
-        if name in CANONICAL_COLUMNS and name not in col_index:
-            col_index[name] = idx
-        else:
-            extra_headers.append((name, idx))
+        col_index.setdefault(name, idx)
+    extras = [(name, idx) for name, idx in col_index.items() if name not in CANONICAL_COLUMNS]
 
     for col in MANDATORY_COLUMNS:
         if col not in col_index:
             raise MissingColumnError(col)
 
-    # Each row as stripped cells, padded to the header, read by both passes.
+    shared: dict = {}  # each distinct value, as the one object every row holds
     width = len(header)
-    table = [
-        [c.strip() for c in cells[:width]] + [""] * (width - len(cells))
-        for cells in rows[1:]
-    ]
+    activities: list[Activity] = []
+    ids: dict[str, str] = {}  # each id, as its activity holds it
+    dependency_cells: list[tuple[int, str, str, str]] = []
 
     def get(cells: list[str], col: str) -> str:
         idx = col_index.get(col)
         return "" if idx is None else cells[idx]
 
-    activities: list[Activity] = []
-    seen_ids: set[str] = set()
-
-    for row_no, cells in enumerate(table, start=2):
+    for row_no, cells in records:
+        # Stripped cells, padded to the header.
+        cells = [shared.setdefault(v, v) for v in (c.strip() for c in cells[:width])]
+        cells += [""] * (width - len(cells))
         activity_id = get(cells, COL_ID)
         if not activity_id:
             raise ScheduleError(f"row {row_no}: empty activity id")
-        if activity_id in seen_ids:
+        if activity_id in ids:
             raise DuplicateIdError(row_no, activity_id)
-        seen_ids.add(activity_id)
+        ids[activity_id] = activity_id
 
         start = _parse_date(get(cells, COL_START), row=row_no)
         finish = _parse_date(get(cells, COL_FINISH), row=row_no)
         if start > finish:
             raise MalformedDateError(
-                row_no,
-                get(cells, COL_FINISH),
-                f"finish precedes start {start.isoformat()}",
+                row_no, get(cells, COL_FINISH), f"finish precedes start {start.isoformat()}"
             )
 
         wbs_cell = get(cells, COL_WBS)
-        wbs = tuple(seg for seg in wbs_cell.split(".") if seg != "")
+        wbs = tuple(shared.setdefault(seg, seg) for seg in wbs_cell.split(".") if seg != "")
         if not wbs:
             raise MalformedDependencyError(row_no, wbs_cell, "empty WBS path")
 
-        extras = {name: cells[idx] for name, idx in extra_headers}
         activities.append(
             Activity(
                 activity_id=activity_id,
                 name=get(cells, COL_NAME),
                 status=get(cells, COL_STATUS),
-                wbs=wbs,
+                wbs=shared.setdefault(wbs, wbs),
                 discipline=get(cells, COL_DISCIPLINE),
                 level=get(cells, COL_LEVEL),
                 area=get(cells, COL_AREA),
                 zone=get(cells, COL_ZONE) or None,
                 current_start=start,
                 current_finish=finish,
-                extra_attributes=extras,
+                extra_attributes={name: cells[idx] for name, idx in extras},
             )
         )
+        dependency_cells.append((row_no, activity_id, get(cells, COL_PRED), get(cells, COL_SUCC)))
 
-    # Second pass over dependency cells now that every id is known.
+    # Dependency cells now that every id is known.
     links: list[DependencyLink] = []
     seen_triples: set[tuple[str, str, str]] = set()
-    for row_no, cells in enumerate(table, start=2):
-        activity_id = get(cells, COL_ID)
-        for ref, rel, lag in parse_dependency_cell(get(cells, COL_PRED), row=row_no):
-            _append_link(links, seen_triples, row_no, ref, activity_id, rel, lag, seen_ids)
-        for ref, rel, lag in parse_dependency_cell(get(cells, COL_SUCC), row=row_no):
-            _append_link(links, seen_triples, row_no, activity_id, ref, rel, lag, seen_ids)
+    for row_no, activity_id, pred_cell, succ_cell in dependency_cells:
+        for ref, rel, lag in parse_dependency_cell(pred_cell, row=row_no):
+            rel = shared.setdefault(rel, rel)
+            _append_link(links, seen_triples, row_no, ref, activity_id, rel, lag, ids)
+        for ref, rel, lag in parse_dependency_cell(succ_cell, row=row_no):
+            rel = shared.setdefault(rel, rel)
+            _append_link(links, seen_triples, row_no, activity_id, ref, rel, lag, ids)
 
     return Schedule(
         activities=tuple(activities),
-        links=tuple(links),
+        links=tuple(sorted(links, key=attrgetter("predecessor_id", "successor_id", "relation"))),
         source_label=source_label,
     )
 
@@ -484,19 +502,19 @@ def _append_link(
     succ: str,
     rel: str,
     lag: int,
-    known_ids: set[str],
+    ids: dict[str, str],
 ) -> None:
     if pred == succ:
         raise MalformedDependencyError(row_no, pred, "self-referencing dependency")
     for ref in (pred, succ):
-        if ref not in known_ids:
+        if ref not in ids:
             raise DanglingReferenceError(row_no, ref)
     triple = (pred, succ, rel)
     if triple in seen:
         # Both endpoints usually declare the same link; keep the first form.
         return
     seen.add(triple)
-    links.append(DependencyLink(pred, succ, rel, lag))
+    links.append(DependencyLink(ids[pred], ids[succ], rel, lag))
 
 
 def validate(schedule: Schedule) -> ValidationReport:

@@ -216,9 +216,9 @@ def test_criterion_05_masked_environment_calibration():
         sched = generate_schedule(GeneratorParams(n_activities=500, seed=42))
         truth = {a.activity_id: canonical_row(sched, a) for a in sched.activities}
         tasks = (
-            make_mask_tasks(sched, "MVP")
-            + make_mask_tasks(sched, "DA")
-            + make_mask_tasks(sched, "AP")
+            list(make_mask_tasks(sched, "MVP"))
+            + list(make_mask_tasks(sched, "DA"))
+            + list(make_mask_tasks(sched, "AP"))
         )
         echo = evaluate_tasks(sched, tasks, EchoOracleGateway(truth))
         for kind in ("MVP", "DA", "AP"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -492,20 +493,52 @@ def test_polish_histograms_written(tmp_path, capsys):
         assert stats["polished"][kind]["mean"] <= stats["raw"][kind]["mean"]
 
 
-def test_polish_rejects_a_task_kind_other_than_mvp_da_or_ap(tmp_path, capsys):
-    """polish names files after the task kind: a kind holding a NUL, or one
-    too long for a file name, once exited 4 (internal error)."""
+NO_TASK_KINDS = ("A\x00P", "a\x00b", "x" * 300, "a/b", "../x", "", "mvp")
+
+
+def _instances_of_kinds(tmp_path: Path, kinds) -> tuple[Path, Path, list[Path]]:
+    """The chain schedule, and one instance file per kind: an echo run's
+    first instance, then the same instance under the kind."""
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
     argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
     assert run(argv) == EXIT_OK
-    record = json.loads((tmp_path / "e" / "instances.jsonl").read_text("utf-8").splitlines()[0])
-    path = tmp_path / "instances.jsonl"
+    line = (tmp_path / "e" / "instances.jsonl").read_text("utf-8").splitlines()[0]
+    paths = []
+    for i, kind in enumerate(kinds):
+        paths.append(tmp_path / f"instances{i}.jsonl")
+        record = {**json.loads(line), "task_kind": kind}
+        paths[-1].write_text(line + "\n" + json.dumps(record, sort_keys=True) + "\n", "utf-8")
+    return sched, tmp_path / "e" / "instances.jsonl", paths
+
+
+def _no_task_kind_error(path: Path, kind: str) -> str:
+    return f"data error: {path}:2: UnknownTaskKindError: unknown task kind {kind!r}\n"
+
+
+def test_polish_rejects_a_task_kind_other_than_mvp_da_or_ap(tmp_path, capsys):
+    """polish names files after the task kind: a kind holding a NUL, or one
+    too long for a file name, once exited 4 (internal error). The instance
+    reader rejects it, naming the file and line."""
+    _, _, paths = _instances_of_kinds(tmp_path, NO_TASK_KINDS)
     capsys.readouterr()
-    for kind in ("A\x00P", "x" * 300, "a/b", ""):
-        path.write_text(json.dumps({**record, "task_kind": kind}, sort_keys=True) + "\n", "utf-8")
+    for kind, path in zip(NO_TASK_KINDS, paths):
         assert run(["--out", str(tmp_path / "p"), "polish", "--instances", str(path)]) == EXIT_DATA
-        assert capsys.readouterr().err == f"data error: {path}: task_kind {kind!r} is not MVP, DA or AP\n"
+        assert capsys.readouterr().err == _no_task_kind_error(path, kind)
+
+
+def test_collect_prefs_rejects_a_task_kind_other_than_mvp_da_or_ap(tmp_path, capsys):
+    """collect-prefs once wrote a preference pair under any task kind. It
+    now exits 2 naming the file and line, before it writes a database."""
+    sched, good, paths = _instances_of_kinds(tmp_path, NO_TASK_KINDS)
+    assert run(["--out", str(tmp_path / "q"), "collect-prefs", "--schedule", str(sched), "--instances", str(good)]) == EXIT_OK
+    capsys.readouterr()
+    for i, (kind, path) in enumerate(zip(NO_TASK_KINDS, paths)):
+        out = tmp_path / f"q{i}"
+        argv = ["--out", str(out), "collect-prefs", "--schedule", str(sched), "--instances", str(path)]
+        assert run([*argv, "--synthesize-negatives"]) == EXIT_DATA
+        assert capsys.readouterr().err == _no_task_kind_error(path, kind)
+        assert not (out / "prefs.jsonl").exists()
 
 
 def _chain_kb(tmp_path: Path) -> tuple[Path, Path]:
@@ -1028,6 +1061,24 @@ def test_run_eval_memory_stays_below_its_contexts(tmp_path, capsys):
     assert _traced_peak(argv) < contexts
 
 
+# How far run-eval's traced peak over MVP, DA and AP may exceed that over
+# MVP alone, at n=1200. Masks made as they are sent added 0.09-0.20 MB on
+# Python 3.10 and 3.11; holding all 3n masks added 0.8-1.3 MB.
+MASKS_MARGIN = 400_000
+
+
+def test_run_eval_memory_does_not_grow_with_its_task_kinds(tmp_path, capsys):
+    """run-eval makes each mask as its prompt is sent: at n=1200 its traced
+    peak over MVP, DA and AP stays within a small fixed margin of its peak
+    over MVP alone, which holding the other kinds' masks would exceed."""
+    _echo_run(tmp_path, 30)  # each kind's first prompt, untraced
+    assert run(["--out", str(tmp_path / "g"), "generate", "--n", "1200", "--seed", "1"]) == EXIT_OK
+    sched = str(tmp_path / "g" / "schedule.csv")
+    argv = ["--out", str(tmp_path / "e"), "run-eval", "--schedule", sched, "--gateway", "mock:echo", "--tasks"]
+    mvp = _traced_peak([*argv, "MVP"])
+    assert _traced_peak([*argv, "MVP,DA,AP"]) < mvp + MASKS_MARGIN
+
+
 def _echo_run(root: Path, n: int, *tasks: str) -> tuple[str, Path]:
     """``run-eval --gateway mock:echo`` over ``generate --n n --seed 1``:
     the schedule path and the run directory."""
@@ -1306,6 +1357,66 @@ def test_rejected_run_eval_inputs_keep_the_previous_run(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err, err
         assert tree_bytes(out) == before, argv
+
+
+def test_a_row_with_too_few_maskable_columns_keeps_the_previous_run(tmp_path, monkeypatch, capsys):
+    """run-eval makes each mask as its prompt is sent, but checks every
+    row's MVP pool before the transcript is started: a row with fewer than
+    3 maskable columns exits 2, with MVP the last kind too, and the earlier
+    run's files stay as they were. A parsed row always has its WBS and both
+    dates, so the pool is cut short here."""
+    from schedkit import masked_eval
+
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    out = tmp_path / "e"
+    evaluate = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(evaluate) == EXIT_OK
+    before = tree_bytes(out)
+    pool = masked_eval.maskable_columns
+    monkeypatch.setattr(
+        masked_eval, "maskable_columns", lambda row: pool(row)[: 2 if row["Activity ID"] == "B" else None]
+    )
+    capsys.readouterr()
+    for tasks in ("MVP", "DA,AP,MVP"):
+        assert run([*evaluate, "--tasks", tasks]) == EXIT_DATA, tasks
+        assert capsys.readouterr().err == "data error: row 'B' has only 2 maskable column(s)\n"
+        assert tree_bytes(out) == before, tasks
+
+
+def _reject_schedule(tmp_path: Path, path: Path, message: str, capsys) -> None:
+    """Every stage that reads the schedule ``path`` exits 2 with
+    ``message``."""
+    capsys.readouterr()
+    for argv in (
+        ["ingest"], ["analyze-graph"], ["sample-context"], ["run-eval", "--gateway", "mock:echo"],
+    ):
+        argv = ["--out", str(tmp_path / "o"), argv[0], "--schedule", str(path), *argv[1:]]
+        assert run(argv) == EXIT_DATA, argv
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_a_cell_over_the_csv_field_limit_is_a_data_error_naming_its_row(tmp_path, capsys):
+    """A cell longer than the csv reader's field limit once exited 4 in
+    every stage that reads the schedule."""
+    limit = csv.field_size_limit()
+    path = tmp_path / "oversize.csv"
+    path.write_text(CHAIN_CSV.replace("Task B", "B" * (limit + 1)), "utf-8")
+    _reject_schedule(tmp_path, path, f"row 3: unreadable record: field larger than field limit ({limit})", capsys)
+
+
+def test_a_nul_byte_the_csv_reader_refuses_is_a_data_error_naming_its_row(tmp_path, capsys):
+    """Python 3.10's csv reader refuses a NUL byte, which once exited 4;
+    3.11's reads it as cell text."""
+    try:
+        next(csv.reader(["a\x00b"]))
+    except csv.Error:
+        pass
+    else:
+        pytest.skip("this interpreter's csv reader accepts a NUL byte")
+    path = tmp_path / "nul.csv"
+    path.write_text(CHAIN_CSV.replace("Task B", "Task\x00B"), "utf-8")
+    _reject_schedule(tmp_path, path, "row 3: unreadable record: line contains NUL", capsys)
 
 
 def test_run_eval_kb_without_a_store_exits_2_and_keeps_the_previous_run(tmp_path, capsys):

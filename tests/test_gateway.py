@@ -76,7 +76,7 @@ def test_transcript_records_every_call(tmp_path):
     table = dict(sched.index.rows)
     failing = sched.activities[1].activity_id
     del table[failing]
-    tasks = make_mask_tasks(sched, "DA")
+    tasks = list(make_mask_tasks(sched, "DA"))
     with TranscriptLog(tmp_path / "t.jsonl") as log:
         evaluate_tasks(sched, tasks, EchoOracleGateway(table), transcript=log)
     records = list(load_transcript(tmp_path / "t.jsonl"))

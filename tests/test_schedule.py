@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import csv
+import io
+import tempfile
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedkit import schedule as sm
+from schedkit.cli import main
 from schedkit.schedule import (
     COL_FINISH,
     COL_START,
@@ -112,6 +117,56 @@ def test_unknown_columns_land_in_extras():
     text = "\n".join([header, row("A1") + ",Phase 2,SUB-7"])
     act = parse_schedule(text).activities[0]
     assert act.extra_attributes == {"Project Phase": "Phase 2", "Subcontractor": "SUB-7"}
+
+
+def test_a_repeated_header_keeps_its_first_column():
+    """A later column under a name already seen, canonical or not, is
+    dropped: the canonical row shows the value the activity holds, and the
+    serialized schedule parses back to the same schedule."""
+    header = HEADER + ",Activity Status,Phase,Phase"
+    sched = parse_schedule("\n".join([header, row("A1") + ",Completed,p1,p2"]))
+    act = sched.activities[0]
+    assert (act.status, act.extra_attributes) == ("Not Started", {"Phase": "p1"})
+    assert canonical_row(sched, act)["Activity Status"] == "Not Started"
+    assert parse_schedule(serialize_schedule(sched)) == sched
+
+
+def test_row_errors_come_before_link_errors():
+    """Every row is read before any link is checked: a bad date in row 5
+    is reported although row 3 names an unknown activity."""
+    text = "\n".join(
+        [HEADER, row("A"), row("B", pred="ZZZ"), row("C"), row("D", finish="2024-13-01")]
+    )
+    with pytest.raises(MalformedDateError, match="row 5"):
+        parse_schedule(text)
+    with pytest.raises(DanglingReferenceError, match="row 3"):
+        parse_schedule(text.replace("2024-13-01", "2024-01-08"))
+
+
+def test_parsed_schedule_holds_each_distinct_value_once():
+    """Equal cell values, WBS segments and WBS paths of a parsed schedule
+    are one object, and each link's endpoints are its activities' own id
+    strings."""
+    from schedkit.synthetic import GeneratorParams, generate_schedule
+
+    text = serialize_schedule(generate_schedule(GeneratorParams(n_activities=300, seed=1)))
+    sched = parse_schedule(text)
+    values = [
+        (attr, getattr(act, attr))
+        for act in sched.activities
+        for attr in ("status", "discipline", "level", "area", "wbs")
+    ]
+    values += [("segment", seg) for act in sched.activities for seg in act.wbs]
+    values += [("relation", link.relation) for link in sched.links]
+    first: dict = {}
+    for key in values:
+        assert first.setdefault(key, key[1]) is key[1], key
+    assert len(first) < len(values) / 10  # the values do repeat
+    ids = {act.activity_id: act.activity_id for act in sched.activities}
+    assert sched.links
+    for link in sched.links:
+        assert link.predecessor_id is ids[link.predecessor_id]
+        assert link.successor_id is ids[link.successor_id]
 
 
 # --- validate ---------------------------------------------------------------
@@ -284,3 +339,75 @@ def test_records_export_shape(chain):
     assert rec["activity_id"] == "B"
     assert rec["predecessors"] == [{"id": "A", "relation": "FS", "lag_days": 0}]
     assert rec["successors"] == [{"id": "C", "relation": "FS", "lag_days": 0}]
+
+
+# --- fuzzed headers and dependency cells, through ingest --------------------
+
+_FUZZ_IDS = ("A1", "B2", "C3")
+_pad = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _dependency_cells(draw, own: str) -> str:
+    """Tokens of the grammar in odd case and spacing, and now and then one
+    that breaks it: an unknown id or relation, a bad lag, the row's own id,
+    or a comma for a separator."""
+    others = [aid for aid in _FUZZ_IDS if aid != own]
+    tokens = []
+    for _ in range(draw(st.integers(0, 2))):
+        rel = draw(st.sampled_from(["", ":FS", ":ss", ":Ff", ":SF", " :sf"]))
+        lag = draw(st.sampled_from(["", "+2", "-3", "+0", "-0"])) if rel else ""
+        tokens.append(f"{draw(_pad)}{draw(st.sampled_from(others))}{rel}{lag}{draw(_pad)}")
+    if draw(st.integers(0, 11)) == 0:
+        broken = ["ZZ", own, "A1:XX", "B2:", "C3:FS+", "C3:FS+x", "A1,B2", ":FS", "B2:FS 2"]
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(broken)))
+    seps = st.sampled_from([";", "; ", " ;", ";;", " ; "])
+    return "".join(token + draw(seps) for token in tokens)
+
+
+_FUZZ_VALUES = {
+    sm.COL_STATUS: st.sampled_from(["Not Started", "In Progress", "", "done"]),
+    sm.COL_WBS: st.sampled_from(["P.A", "P.B", "Q", "P..A", ".P."]),
+    sm.COL_START: st.just("2024-01-01"),
+    sm.COL_FINISH: st.sampled_from(["2024-01-08", "2024-01-01"]),
+}
+
+
+@st.composite
+def fuzzed_schedule_texts(draw) -> str:
+    """Three activities under a header that shuffles, repeats and leaves
+    out canonical columns (names padded with whitespace), with fuzzed
+    dependency cells, comma- or tab-separated."""
+    every = [*sm.CANONICAL_COLUMNS, "Phase"]
+    names = [name for name in draw(st.permutations(every)) if draw(st.integers(0, 24))]
+    for name in draw(st.lists(st.sampled_from(every), max_size=2)):
+        names.insert(draw(st.integers(0, len(names))), name)
+    other = st.sampled_from(["", "x", "SF", "6E", "Phase 2"])
+    rows = [[f"{draw(_pad)}{name}{draw(_pad)}" for name in names]]
+    for aid in _FUZZ_IDS:
+        values = {
+            sm.COL_ID: st.just(aid),
+            sm.COL_PRED: _dependency_cells(aid),
+            sm.COL_SUCC: _dependency_cells(aid),
+        }
+        rows.append([draw({**_FUZZ_VALUES, **values}.get(name, other)) for name in names])
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=draw(st.sampled_from([",", "\t"])), lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(fuzzed_schedule_texts())
+def test_fuzzed_headers_and_dependency_cells_through_ingest(text):
+    """``ingest`` of a fuzzed schedule exits 0, 1, 2 or 3, never 4; when
+    the text parses, the schedule it writes parses back to the same
+    schedule."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.csv"
+        path.write_text(text, "utf-8")
+        out = Path(tmp) / "out"
+        code = main(["--out", str(out), "ingest", "--schedule", str(path)])
+        assert code in {0, 1, 2, 3}
+        if code == 0:
+            written = (out / "schedule.csv").read_text("utf-8")
+            assert parse_schedule(written) == parse_schedule(text)
