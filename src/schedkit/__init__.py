@@ -18,6 +18,11 @@ class DataError(Exception):
     exit 2."""
 
 
+class CorruptRecordError(DataError):
+    """A line of a JSON-lines record file, of preference pairs or of
+    evaluation instances, that does not read back as its record."""
+
+
 class GatewayError(Exception):
     """Base of every failed chat-completion exchange (``gateway``). The CLI
     maps it to exit 3."""

@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Collection
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .knowledge import HashedNgramEmbedder
 # Polishing lives in the numpy-free ``polish`` module; the names stay bound
 # here, where the benchmark's tracer looks them up.
 from .polish import ContextLengthStats, polish_context
-
-if TYPE_CHECKING:  # only type hints name it
-    from .masked_eval import PreferenceRecord
+from .preferences import PreferenceRecord
 
 _EPS = 1e-12
 
@@ -173,16 +171,38 @@ class PreferenceScorer:
         return cls(HashedNgramEmbedder(dim), weights, bias)
 
 
-def _training_matrix(records: list[PreferenceRecord], scorer: PreferenceScorer):
-    rows = []
+def _training_matrix(records: Collection[PreferenceRecord], scorer: PreferenceScorer):
+    """Each record's chosen row, then its rejected row, written into one
+    matrix allocated at its final size as the records are iterated once;
+    and the labels of the rows written.
+
+    Iterating must yield exactly ``len(records)`` records. A preference
+    file that changed between its count and its read, or a pipe that the
+    count drained, does not, and raises ``AlignmentError`` naming the file
+    before a row is left unwritten or one is written past the end.
+    """
+    n = len(records)
+    X = np.empty((2 * n, scorer.dim))
+    read = 0
     for rec in records:
-        rows.append(scorer.features(rec.prompt_text, rec.chosen_text))
-        rows.append(scorer.features(rec.prompt_text, rec.rejected_text))
-    return np.stack(rows), np.asarray([1.0, 0.0] * len(records))
+        if read == n:
+            read += 1  # one more than counted
+            break
+        X[2 * read] = scorer.features(rec.prompt_text, rec.chosen_text)
+        X[2 * read + 1] = scorer.features(rec.prompt_text, rec.rejected_text)
+        read += 1
+    if read != n:
+        source = getattr(records, "path", "preference records")
+        got = read if read < n else f"more than {n}"
+        raise AlignmentError(
+            f"{source}: {n} record(s) counted, then {got} read; it changed between"
+            " the two reads, or is a pipe, which cannot be read twice"
+        )
+    return X, np.asarray([1.0, 0.0] * read)
 
 
 def train_scorer(
-    records: list[PreferenceRecord],
+    records: Collection[PreferenceRecord],
     weights: LossWeights = LossWeights(),
     epochs: int = 10,
     learning_rate: float = 1.0,
@@ -195,10 +215,9 @@ def train_scorer(
     Phase one minimizes the supervised term on chosen completions; phase
     two minimizes the combined total with the preference term over all
     examples. Each epoch logs the pre-update loss breakdown, whose
-    context-rule term is 0.
+    context-rule term is 0. ``records`` is counted, then iterated once, so
+    a ``preferences.PreferenceStore`` is read from disk and never held.
     """
-    if len(records) < 2:
-        raise DegenerateDataError("need at least 2 preference records")
     scorer = PreferenceScorer()
     gen = prng.derive(seed, "scorer-init")
     scorer.weights = np.asarray(
@@ -207,6 +226,8 @@ def train_scorer(
     scorer.bias = (gen.uniform() * 2.0 - 1.0) * 0.01
     X, y = _training_matrix(records, scorer)
     scorer.training_features = X
+    if len(y) < 4:  # two labelled rows per record read
+        raise DegenerateDataError("need at least 2 preference records")
     if len(set(y.tolist())) < 2:
         raise DegenerateDataError("both labels must be represented")
 
@@ -231,26 +252,19 @@ def train_scorer(
     return scorer
 
 
-def ranking_accuracy(
-    scorer: PreferenceScorer,
-    records: list[PreferenceRecord],
-    features: np.ndarray | None = None,
-) -> float:
-    """Share of records whose chosen completion outscores the rejected one.
+def ranking_accuracy(scorer: PreferenceScorer, features: np.ndarray) -> float:
+    """Share of pairs whose chosen row outscores the rejected one.
 
-    ``features`` are the records' rows in training order (chosen, then
-    rejected, per record), such as ``scorer.training_features`` after
-    ``train_scorer(records)``; without them every pair is embedded again.
+    ``features`` holds each pair's rows in training order (chosen, then
+    rejected), such as ``scorer.training_features`` after ``train_scorer``.
     Each row is scored on its own, exactly as ``PreferenceScorer.score``.
     """
-    if not records:
+    pairs = len(features) // 2
+    if not pairs:
         return 0.0
-    if features is None:
-        features = _training_matrix(records, scorer)[0]
     hits = sum(
         1
-        for i in range(len(records))
+        for i in range(pairs)
         if scorer.score_features(features[2 * i]) > scorer.score_features(features[2 * i + 1])
     )
-    return hits / len(records)
-
+    return hits / pairs

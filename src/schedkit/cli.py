@@ -485,12 +485,13 @@ def cmd_collect_prefs(args, cfg) -> int:
 
 def cmd_train_scorer(args, cfg) -> int:
     loss = _loss_config(cfg)
-    from . import alignment, masked_eval
+    from . import alignment, preferences
 
     out = _out_dir(args)
-    records = masked_eval.preference_store_load(args.prefs_db)
+    # Read from disk as the features are made; the outputs are written only
+    # after training, so a bad line leaves the previous ones whole.
     scorer = alignment.train_scorer(
-        records,
+        preferences.preference_store_load(args.prefs_db),
         weights=alignment.LossWeights(beta=loss["beta"]),
         epochs=loss["epochs"],
         learning_rate=loss["learning_rate"],
@@ -506,12 +507,14 @@ def cmd_train_scorer(args, cfg) -> int:
         for i, bd in enumerate(scorer.training_log)
     ]
     write_artifact(out / "training_log.jsonl", "\n".join(log_lines) + "\n")
-    accuracy = alignment.ranking_accuracy(scorer, records, scorer.training_features)
+    features = scorer.training_features
+    pairs = len(features) // 2
+    accuracy = alignment.ranking_accuracy(scorer, features)
     write_artifact(
         out / "scorer_summary.json",
         json.dumps(
             {
-                "records": len(records),
+                "records": pairs,
                 "ranking_accuracy": accuracy,
                 "final": log_lines and json.loads(log_lines[-1]) or None,
             },
@@ -522,7 +525,7 @@ def cmd_train_scorer(args, cfg) -> int:
     )
     write_manifest(out, "train-scorer", cfg, {"prefs_db": args.prefs_db})
     print(
-        f"trained on {len(records)} pair(s); ranking accuracy "
+        f"trained on {pairs} pair(s); ranking accuracy "
         f"{accuracy * 100.0:.1f}% -> {out / 'scorer.bin'}"
     )
     return EXIT_OK

@@ -89,10 +89,10 @@ class GatewayConfig:
             raise ValueError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
 
 
-def exchange_hash(system_text: str, user_text: str) -> str:
+def exchange_hash(system_text: str, user_text: str) -> bytes:
     return hashlib.sha256(
         system_text.encode("utf-8") + b"\x00" + user_text.encode("utf-8")
-    ).hexdigest()
+    ).digest()
 
 
 # ``json.dumps(value, sort_keys=True)``'s C encoder, built once rather than
@@ -413,20 +413,29 @@ class ScriptedTranscriptGateway(Gateway):
     remaining record raises TranscriptExhaustedError, and a saved failure
     raises ``ReplayedError`` with its recorded text. ``records`` is read to
     its end here, one record at a time, and only each record's
-    ``(response_text, error)`` is kept, under its prompt's hash.
+    ``(response_text, error)`` is kept, under its prompt's sha256 digest:
+    the first in one dict, and those after it, for a prompt saved more than
+    once, in a deque in another.
     """
 
     def __init__(self, records: Iterable[dict]):
-        self._pending: dict[str, deque[tuple[str | None, str | None]]] = {}
+        # Each prompt's next saved exchange, and a repeated prompt's later ones.
+        self._next: dict[bytes, tuple[str | None, str | None]] = {}
+        self._later: dict[bytes, deque[tuple[str | None, str | None]]] = {}
         for rec in records:
             key = exchange_hash(rec["system_text"], rec["user_text"])
-            self._pending.setdefault(key, deque()).append((rec["response_text"], rec["error"]))
+            saved = (rec["response_text"], rec["error"])
+            if self._next.setdefault(key, saved) is not saved:
+                self._later.setdefault(key, deque()).append(saved)
 
     def _respond(self, system_text: str, user_text: str) -> str:
-        queue = self._pending.get(exchange_hash(system_text, user_text))
-        if not queue:
+        key = exchange_hash(system_text, user_text)
+        saved = self._next.pop(key, None)
+        if saved is None:
             raise TranscriptExhaustedError("no scripted response left for this prompt")
-        response, error = queue.popleft()
+        if self._later.get(key):
+            self._next[key] = self._later[key].popleft()
+        response, error = saved
         if response is None:
             raise ReplayedError(error or "scripted error")
         return response

@@ -16,13 +16,12 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from . import DataError
+from . import CorruptRecordError, DataError
 from . import rng as prng
 from .gateway import (
     Gateway,
     MISSING_COLUMNS_LABEL,
     TranscriptLog,
-    dataclass_fields,
     encode_fields,
     encode_json,
     error_text,
@@ -30,6 +29,14 @@ from .gateway import (
     read_jsonl,
     timed_complete,
     wire_values,
+)
+# The preference store lives in the numpy-free ``preferences`` module, which
+# ``train-scorer`` loads without this one; its names stay bound here, where
+# ``collect-prefs`` and the benchmark's tracer look them up.
+from .preferences import (
+    PreferenceRecord,
+    preference_store_append,
+    preference_store_load,
 )
 from .prompt_forge import AP, DA, MVP, build_task_prompt, prompt_tokens, word_count
 from .report import ScoreReport, TaskScore
@@ -58,10 +65,6 @@ class EvalError(DataError):
 
 
 class TooFewColumnsError(EvalError):
-    pass
-
-
-class CorruptRecordError(EvalError):
     pass
 
 
@@ -363,20 +366,6 @@ def build_report(schedule: Schedule, instances: Iterable[EvalInstance]) -> Score
 # --- preference pairs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreferenceRecord:
-    prompt_text: str
-    chosen_text: str
-    rejected_text: str
-    task_kind: str
-    row_id: str
-    context_length_tokens: int
-    meta: dict = field(default_factory=dict)
-
-
-PREFERENCE_FIELDS = dataclass_fields(PreferenceRecord)
-
-
 def _truth_wire(mask: MaskSpec) -> str:
     return wire_values([mask.ground_truth[c] for c in mask.masked_columns])
 
@@ -503,31 +492,6 @@ def _preference_record(
         context_length_tokens=word_count(source.prompt_user),
         meta=meta,
     )
-
-
-def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> int:
-    """Append one ``PREFERENCE_FIELDS`` line per record, each as the records
-    yield it, through one file handle opened at the first record; the
-    number appended."""
-    count = 0
-    fh = None
-    try:
-        for record in records:
-            if record.chosen_text == record.rejected_text:
-                raise EvalError("chosen and rejected completions are identical")
-            if fh is None:
-                fh = open(path, "a", encoding="utf-8")
-            fh.writelines(object_parts(encode_fields(PREFERENCE_FIELDS, partial(getattr, record))))
-            fh.write("\n")
-            count += 1
-    finally:
-        if fh is not None:
-            fh.close()
-    return count
-
-
-def preference_store_load(path: Path) -> list[PreferenceRecord]:
-    return list(read_jsonl(path, PREFERENCE_FIELDS, PreferenceRecord, CorruptRecordError))
 
 
 def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:

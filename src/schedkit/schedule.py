@@ -110,7 +110,7 @@ class DuplicateIdError(ScheduleError):
         self.activity_id = activity_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activity:
     activity_id: str
     name: str
@@ -125,7 +125,7 @@ class Activity:
     extra_attributes: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyLink:
     predecessor_id: str
     successor_id: str

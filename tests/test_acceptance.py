@@ -369,7 +369,7 @@ def test_criterion_07_pipeline_determinism(tmp_path, monkeypatch):
 
 def test_criterion_08_preference_training():
     def body():
-        from schedkit.masked_eval import PreferenceRecord
+        from schedkit.preferences import PreferenceRecord
 
         good = "install torque inspect anchor survey hoist align brace rig weld".split()
         bad = "unicorn nebula sonnet glacier mango violin parrot comet waffle dune".split()
@@ -386,7 +386,7 @@ def test_criterion_08_preference_training():
             for i in range(20)
         ]
         scorer = train_scorer(records, epochs=190, learning_rate=5.0, epochs_sft=10)
-        assert ranking_accuracy(scorer, records) >= 0.95
+        assert ranking_accuracy(scorer, scorer.training_features) >= 0.95
         slow = train_scorer(records, epochs=30, learning_rate=0.05, epochs_sft=10)
         log = slow.training_log
         for a, b in zip(log[: slow.sft_epochs], log[1 : slow.sft_epochs]):

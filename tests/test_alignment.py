@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import schedkit.rng as prng
 from schedkit.alignment import (
+    AlignmentError,
     DegenerateDataError,
     DomainError,
     LossBreakdown,
@@ -31,8 +32,8 @@ from schedkit.gateway import (
     TranscriptLog,
     load_transcript,
 )
-from schedkit.masked_eval import PreferenceRecord
 from schedkit.polish import ContextLengthStats, polish_context
+from schedkit.preferences import PreferenceRecord
 
 # --- loss fixtures (hand-computed) ---------------------------------------------
 
@@ -182,7 +183,7 @@ def separable_records(n=20, seed=5) -> list[PreferenceRecord]:
 def test_separable_pairs_reach_95_percent_ranking():
     records = separable_records(20)
     scorer = train_scorer(records, epochs=190, learning_rate=5.0, epochs_sft=10)
-    assert ranking_accuracy(scorer, records) >= 0.95
+    assert ranking_accuracy(scorer, scorer.training_features) >= 0.95
 
 
 def test_ranking_accuracy_from_training_features_matches_rescoring():
@@ -194,9 +195,11 @@ def test_ranking_accuracy_from_training_features_matches_rescoring():
     ):
         assert scorer.score_features(chosen) == scorer.score(rec.prompt_text, rec.chosen_text)
         assert scorer.score_features(rejected) == scorer.score(rec.prompt_text, rec.rejected_text)
-    assert ranking_accuracy(scorer, records, scorer.training_features) == ranking_accuracy(
-        scorer, records
+    rescored = sum(
+        scorer.score(r.prompt_text, r.chosen_text) > scorer.score(r.prompt_text, r.rejected_text)
+        for r in records
     )
+    assert ranking_accuracy(scorer, scorer.training_features) == rescored / len(records)
 
 
 def test_zero_learning_rate_freezes_weights():
@@ -244,6 +247,30 @@ def test_training_log_breakdown_identity():
 def test_degenerate_data_rejected():
     with pytest.raises(DegenerateDataError):
         train_scorer(separable_records(1), epochs=1)
+
+
+class _MiscountedRecords:
+    """Records whose ``len`` is ``counted`` although iterating yields
+    ``records``, as a preference file that changes between its count and
+    its read does."""
+
+    def __init__(self, records, counted):
+        self.records, self.counted = records, counted
+
+    def __len__(self):
+        return self.counted
+
+    def __iter__(self):
+        return iter(self.records)
+
+
+@pytest.mark.parametrize("counted, held, read", [(6, 5, 5), (4, 5, "more than 4"), (4, 0, 0)])
+def test_records_that_do_not_match_their_count_are_rejected(counted, held, read):
+    """Neither is a row of the preallocated matrix left unwritten nor is one
+    written past its end: the mismatch is a data error."""
+    records = _MiscountedRecords(separable_records(held), counted)
+    with pytest.raises(AlignmentError, match=f"^preference records: {counted} record\\(s\\) counted, then {read} read;"):
+        train_scorer(records, epochs=1)
 
 
 def test_scorer_save_load_round_trip(tmp_path):

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -1128,6 +1130,123 @@ def test_collect_prefs_and_polish_memory_does_not_grow_with_instances(tmp_path, 
         peaks[n] = (_traced_peak(prefs), _traced_peak(polish))
     for small, large in zip(peaks[300], peaks[1200]):
         assert large < small + PEAK_GROWTH_MARGIN, peaks
+
+
+@pytest.fixture(scope="module")
+def wrong_prefs(tmp_path_factory) -> Path:
+    """The 180 preference pairs that ``collect-prefs --synthesize-negatives``
+    makes of a ``mock:wrong`` run over ``generate --n 60 --seed 1``."""
+    root = tmp_path_factory.mktemp("wrong_prefs")
+    sched = str(root / "g" / "schedule.csv")
+    instances = str(root / "e" / "instances.jsonl")
+    for argv in (
+        ["--out", str(root / "g"), "generate", "--n", "60", "--seed", "1"],
+        ["--out", str(root / "e"), "run-eval", "--schedule", sched, "--gateway", "mock:wrong"],
+        ["--out", str(root / "p"), "collect-prefs", "--schedule", sched, "--instances", instances, "--synthesize-negatives"],
+    ):
+        assert run(argv) == EXIT_OK
+    return root / "p" / "prefs.jsonl"
+
+
+# How far train-scorer's traced peak may rise when every prompt of its 180
+# pairs is four times as long (0.29 -> 1.18 MB of prompt text). Reading one
+# record at a time, the peak rose by 0.27 MB on Python 3.11, the longest
+# prompt's embedding arrays; holding every record raised it by 0.88 MB.
+PROMPT_PAD_MARGIN = 450_000
+
+
+def test_train_scorer_memory_does_not_grow_with_prompt_text(tmp_path, wrong_prefs, capsys):
+    """train-scorer reads its pairs one line at a time into a feature matrix
+    sized by the pair count: with every prompt padded to four times its
+    length, its traced peak stays within a fixed margin of the original's,
+    which holding the prompts would exceed."""
+    padded = tmp_path / "padded.jsonl"
+    with open(wrong_prefs, encoding="utf-8") as src, open(padded, "w", encoding="utf-8") as dst:
+        for line in src:
+            record = json.loads(line)
+            record["prompt_text"] *= 4
+            dst.write(json.dumps(record, sort_keys=True) + "\n")
+    argv = ["--out", str(tmp_path / "s"), "train-scorer", "--prefs-db"]
+    assert run([*argv, str(wrong_prefs)]) == EXIT_OK  # imports and first calls, untraced
+    original = _traced_peak([*argv, str(wrong_prefs)])
+    assert _traced_peak([*argv, str(padded)]) < original + PROMPT_PAD_MARGIN
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        pytest.param(lambda line: b"\xff" + line, id="not_utf8"),
+        pytest.param(
+            lambda line: json.dumps({**json.loads(line), "row_id": 7}, sort_keys=True).encode() + b"\n",
+            id="mistyped_field",
+        ),
+    ],
+)
+def test_a_bad_last_pair_exits_2_naming_its_line_and_keeps_the_previous_scorer(
+    tmp_path, wrong_prefs, capsys, bad_line
+):
+    """train-scorer embeds each pair as it reads it, so a bad line after 50
+    good ones is found after their rows are made; it still exits 2 naming
+    that line, and the previous run's files stay as they were."""
+    lines = wrong_prefs.read_bytes().splitlines(keepends=True)[:51]
+    prefs = tmp_path / "prefs.jsonl"
+    prefs.write_bytes(b"".join(lines[:50]))
+    out = tmp_path / "s"
+    argv = ["--out", str(out), "train-scorer", "--prefs-db", str(prefs)]
+    assert run(argv) == EXIT_OK
+    before = tree_bytes(out)
+    prefs.write_bytes(b"".join([*lines[:50], bad_line(lines[50])]))
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {prefs}:51: ")
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("change", ["grown", "shrunk"])
+def test_prefs_that_change_between_count_and_read_exit_2(tmp_path, wrong_prefs, capsys, monkeypatch, change):
+    """train-scorer counts the pairs of ``--prefs-db``, then reads them. A
+    pair appended in between (as ``collect-prefs`` appends) or a line cut
+    off is a data error naming the file, and the previous files stay."""
+    from schedkit import preferences
+
+    lines = wrong_prefs.read_bytes().splitlines(keepends=True)[:51]
+    prefs = tmp_path / "prefs.jsonl"
+    prefs.write_bytes(b"".join(lines[:50]))
+    out = tmp_path / "s"
+    argv = ["--out", str(out), "train-scorer", "--prefs-db", str(prefs)]
+    assert run(argv) == EXIT_OK
+    before = tree_bytes(out)
+    count = preferences.PreferenceStore.__len__
+
+    def count_then_change(store):
+        counted = count(store)
+        prefs.write_bytes(b"".join(lines if change == "grown" else lines[:49]))
+        return counted
+
+    monkeypatch.setattr(preferences.PreferenceStore, "__len__", count_then_change)
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    read = "more than 50" if change == "grown" else "49"
+    assert capsys.readouterr().err.startswith(f"data error: {prefs}: 50 record(s) counted, then {read} read;")
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("pairs", [0, 50])
+def test_prefs_from_a_pipe_exit_2(tmp_path, wrong_prefs, pairs):
+    """A pipe cannot be read twice: its count drains it, so train-scorer
+    exits 2 rather than train on rows it never read; an empty pipe has too
+    few pairs, as an empty file has."""
+    lines = wrong_prefs.read_bytes().splitlines(keepends=True)[:pairs]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "schedkit.cli", "--out", str(tmp_path / "s"), "train-scorer", "--prefs-db", "/dev/stdin"],
+        input=b"".join(lines), env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    expected = "50 record(s) counted, then 0 read;" if pairs else "need at least 2 preference records"
+    assert proc.stderr.decode().startswith("data error: ") and expected in proc.stderr.decode()
+    assert not (tmp_path / "s" / "scorer.bin").exists()
 
 
 def _count_canonical_rows(monkeypatch) -> list[str]:

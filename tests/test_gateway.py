@@ -25,6 +25,7 @@ from schedkit.gateway import (
     IdentityGateway,
     MalformedResponseError,
     MissingMockDataError,
+    ReplayedError,
     RetriesExhaustedError,
     ScriptedTranscriptGateway,
     StopwordStripperGateway,
@@ -260,6 +261,21 @@ def test_scripted_replay_of_repeated_prompts_keeps_the_recorded_order():
     assert [replay.complete("s", p) for p in prompts] == [r["response_text"] for r in records]
     with pytest.raises(TranscriptExhaustedError):
         replay.complete("s", prompts[0])
+
+
+def test_a_prompt_saved_three_times_replays_its_failure_in_order():
+    saved = [("r0", None), (None, "HttpStatusError: status 503"), ("r2", None)]
+    records = [{"system_text": "s", "user_text": "u", "response_text": r, "error": e} for r, e in saved]
+    once = {"system_text": "s", "user_text": "v", "response_text": "only", "error": None}
+    replay = ScriptedTranscriptGateway([records[0], once, *records[1:]])
+    assert replay.complete("s", "u") == "r0"
+    with pytest.raises(ReplayedError, match="^HttpStatusError: status 503$"):
+        replay.complete("s", "u")
+    assert replay.complete("s", "v") == "only"
+    assert replay.complete("s", "u") == "r2"
+    for prompt in ("u", "v"):
+        with pytest.raises(TranscriptExhaustedError):
+            replay.complete("s", prompt)
 
 
 def test_polish_mocks():

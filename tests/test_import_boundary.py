@@ -152,6 +152,16 @@ def test_only_array_stages_load_numpy(stages):
         assert "numpy" in loaded_modules(cwd, PROBE, *argv), argv
 
 
+def test_train_scorer_loads_neither_the_schedule_nor_the_evaluation(stages):
+    """train-scorer reads its pairs through ``preferences``, which imports
+    neither ``schedule`` nor ``masked_eval``, so it loads neither."""
+    cwd, _ = stages
+    argv = ["--out", "scorer_only", "train-scorer", "--prefs-db", "prefs/prefs.jsonl"]
+    loaded = loaded_modules(cwd, PROBE, *argv)
+    assert not {"schedkit.schedule", "schedkit.masked_eval"} & loaded
+    assert {"numpy", "schedkit.alignment"} <= loaded  # it did train
+
+
 class _ChatStub(BaseHTTPRequestHandler):
     """Answers every chat-completion request with one fixed value."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -20,9 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schedkit import CorruptRecordError
 from schedkit.cli import EXIT_DATA, EXIT_GATEWAY, EXIT_OK, EXIT_USAGE, main
 from schedkit.gateway import TRANSCRIPT_FIELDS, GatewayError, TranscriptLog, load_transcript
 from schedkit.knowledge import (
+    CHUNK_FIELDS,
+    TERM_FIELDS,
     GlobalChunkStore,
     HashedNgramEmbedder,
     KnowledgeChunk,
@@ -34,16 +38,12 @@ from schedkit.knowledge import (
     save_chunk_store,
     save_term_store,
 )
-from schedkit.masked_eval import (
-    INSTANCE_FIELDS,
-    CorruptRecordError,
-    EvalInstance,
-    MaskSpec,
+from schedkit.masked_eval import INSTANCE_FIELDS, EvalInstance, MaskSpec, load_instances, save_instances
+from schedkit.preferences import (
+    PREFERENCE_FIELDS,
     PreferenceRecord,
-    load_instances,
     preference_store_append,
     preference_store_load,
-    save_instances,
 )
 from test_cli import CHAIN_CSV
 
@@ -142,7 +142,7 @@ def _listed(load):
 LOADERS = {
     "transcript": (write_transcript, _listed(load_transcript), GatewayError, "user_text"),
     "instances": (write_instances, _listed(load_instances), CorruptRecordError, "prompt_user"),
-    "preferences": (write_preferences, preference_store_load, CorruptRecordError, "rejected_text"),
+    "preferences": (write_preferences, _listed(preference_store_load), CorruptRecordError, "rejected_text"),
     "terms": (write_terms, _kb_loader(load_term_store, "entries"), KnowledgeError, "definition"),
     "chunks": (write_chunks, _kb_loader(load_chunk_store, "chunks"), KnowledgeError, "text"),
 }
@@ -193,9 +193,10 @@ def test_loader_holds_no_second_copy_of_its_file(tmp_path, name):
 # --- the CLI's exit codes ------------------------------------------------------------
 
 
-def _artifacts(tmp_path: Path, capsys) -> dict[str, Path]:
+def _artifacts(tmp_path: Path, capsys=None) -> dict[str, Path]:
     """A chain schedule, the echo run's transcript and instances, the wrong
-    run's preference pairs and a two-term, two-chunk KB."""
+    run's preference pairs and a two-term, two-chunk KB; what the commands
+    printed is discarded."""
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
     base = ["run-eval", "--schedule", str(sched), "--gateway"]
@@ -214,7 +215,8 @@ def _artifacts(tmp_path: Path, capsys) -> dict[str, Path]:
     terms.write_text("WBS\tscope decomposition\nMEP\tmechanical electrical plumbing\n", "utf-8")
     kb = ["build-kb", "--corpus-dir", str(corpus), "--terms-file", str(terms)]
     assert main(["--out", str(tmp_path / "kb"), *kb]) == EXIT_OK
-    capsys.readouterr()
+    if capsys is not None:
+        capsys.readouterr()
     return {
         "schedule": sched,
         "transcript": tmp_path / "e" / "transcript.jsonl",
@@ -394,7 +396,7 @@ def test_preference_lines_are_exact_and_read_back(records):
         path.touch()
         preference_store_append(path, records)
         assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
-        assert preference_store_load(path) == records
+        assert list(preference_store_load(path)) == records
 
 
 def _unit_rows(count: int) -> np.ndarray:
@@ -538,3 +540,40 @@ def test_fuzzed_instance_lines_never_exit_4(chain_echo_run, data):
         ["polish", "--instances", str(path)],
     ])
     assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GATEWAY}, codes
+
+
+@pytest.fixture(scope="module")
+def chain_artifacts(tmp_path_factory) -> dict[str, Path]:
+    """``_artifacts``, made once for the fuzzing below."""
+    return _artifacts(tmp_path_factory.mktemp("artifacts"))
+
+
+def _records(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_preference_lines_never_exit_4(chain_artifacts, data):
+    lines = data.draw(table_lines(PREFERENCE_FIELDS, _records(chain_artifacts["prefs"])))
+    codes = _exit_codes("prefs.jsonl", lines, lambda path: [["train-scorer", "--prefs-db", str(path)]])
+    assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GATEWAY}, codes
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_kb_manifest_lines_never_exit_4(chain_artifacts, data):
+    """A KB whose ``terms.jsonl`` or ``chunks.jsonl`` holds drawn lines,
+    beside the matrices that ``build-kb`` wrote, through ``run-eval --kb``."""
+    name, fields = data.draw(st.sampled_from((("terms.jsonl", TERM_FIELDS), ("chunks.jsonl", CHUNK_FIELDS))))
+    lines = data.draw(table_lines(fields, _records(chain_artifacts["kb"] / name)))
+    with tempfile.TemporaryDirectory() as tmp:
+        kb = Path(tmp) / "kb"
+        shutil.copytree(chain_artifacts["kb"], kb)
+        (kb / name).write_bytes(b"".join(lines))
+        argv = [
+            "--out", str(Path(tmp) / "o"), "run-eval", "--schedule", str(chain_artifacts["schedule"]),
+            "--gateway", "mock:echo", "--kb", str(kb),
+        ]
+        code = main(argv)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GATEWAY}, code

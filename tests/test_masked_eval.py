@@ -543,13 +543,13 @@ def test_preference_store_round_trip(tmp_path):
         for i in range(3)
     ]
     assert preference_store_append(path, recs) == 3
-    assert preference_store_load(path) == recs
+    assert list(preference_store_load(path)) == recs
 
 
 def test_preference_store_empty_file(tmp_path):
     path = tmp_path / "prefs.jsonl"
     path.write_text("", "utf-8")
-    assert preference_store_load(path) == []
+    assert list(preference_store_load(path)) == []
 
 
 def test_preference_store_corrupt_line(tmp_path):
@@ -558,7 +558,7 @@ def test_preference_store_corrupt_line(tmp_path):
     preference_store_append(path, [rec])
     path.write_text(path.read_text("utf-8") + "{broken\n", "utf-8")
     with pytest.raises(CorruptRecordError) as err:
-        preference_store_load(path)
+        list(preference_store_load(path))
     assert str(err.value).startswith(f"{path}:2: JSONDecodeError:")
 
 
