@@ -188,8 +188,10 @@ def _training_matrix(records: Collection[PreferenceRecord], scorer: PreferenceSc
         if read == n:
             read += 1  # one more than counted
             break
-        X[2 * read] = scorer.features(rec.prompt_text, rec.chosen_text)
-        X[2 * read + 1] = scorer.features(rec.prompt_text, rec.rejected_text)
+        # Both rows equal ``scorer.features``'s; the prompt is counted once.
+        X[2 * read], X[2 * read + 1] = scorer.embedder.embed_joined(
+            rec.prompt_text, (rec.chosen_text, rec.rejected_text)
+        )
         read += 1
     if read != n:
         source = getattr(records, "path", "preference records")

@@ -273,22 +273,20 @@ def cmd_build_kb(args, cfg) -> int:
     from . import knowledge
 
     out = _out_dir(args)
-    embedder = knowledge.HashedNgramEmbedder()
-    local, glob = knowledge.build_stores_from_paths(
-        embedder,
+    terms, chunks = knowledge.build_stores_from_paths(
+        knowledge.HashedNgramEmbedder(),
         corpus_dir=args.corpus_dir,
         terms_file=args.terms_file,
+        out_dir=out,
         chunk_tokens=chunk_tokens,
     )
-    knowledge.save_term_store(local, out / "terms.jsonl", out / "terms.mat")
-    knowledge.save_chunk_store(glob, out / "chunks.jsonl", out / "chunks.mat")
     write_manifest(
         out,
         "build-kb",
         cfg,
         {"corpus_dir": args.corpus_dir, "terms_file": args.terms_file},
     )
-    print(f"indexed {len(local.entries)} terms, {len(glob.chunks)} chunks -> {out}")
+    print(f"indexed {terms} terms, {chunks} chunks -> {out}")
     return EXIT_OK
 
 

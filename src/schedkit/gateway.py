@@ -174,8 +174,9 @@ def _is(value, kind: type) -> bool:
 def decode_fields(fields, record: dict) -> dict:
     """The value in the parsed JSON object ``record`` of each field in the
     table ``fields``, by name: ``KeyError`` for a missing field,
-    ``TypeError`` naming one of the wrong type. A list's items are checked
-    too and come back as a tuple."""
+    ``TypeError`` naming one of the wrong type, ``UnicodeEncodeError`` for
+    a string, in it or in an object, that is not UTF-8. A list's items are
+    checked too and come back as a tuple."""
     values = {}
     for name, kind, nullable in fields:
         value = record[name]
@@ -187,23 +188,54 @@ def decode_fields(fields, record: dict) -> dict:
             for item in value:
                 if not _is(item, each):
                     raise TypeError(f"{name} holds a {type(item).__name__}, not {each.__name__}")
+                _encodable(item)
+        else:
+            _encodable(value)
         values[name] = value
     return values
 
 
-def read_jsonl(path: Path, fields, make, error, only=None) -> Iterator:
+def _encodable(value) -> None:
+    """``UnicodeEncodeError``, a ``ValueError``, if ``value`` is or holds a
+    string that UTF-8 cannot encode: a lone surrogate, which a JSON escape
+    such as ``"\\ud800"`` gives."""
+    if isinstance(value, str):
+        if not value.isascii():
+            value.encode("utf-8")
+    elif isinstance(value, dict):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+
+
+def _decode_line(line: str, fields, make):
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    return make(**decode_fields(fields, record))
+
+
+# What a line that cannot be read as its record raises, before it is
+# reported as ``error("<path>:<line>: <Type>: <detail>")``.
+_BAD_LINE = (ValueError, KeyError, TypeError, RecursionError)
+
+
+def read_jsonl(path: Path, fields, make, error, only=None, *, located=False) -> Iterator:
     """``make(**values)`` of each JSON object in the JSON-lines file
     ``path``, its ``values`` read by ``decode_fields`` with the table
     ``fields``, read and yielded one line at a time; blank lines are
     skipped. With ``only``, a set of positions (from 0, blank lines not
     counted), the other lines are not parsed and only those items are
-    yielded. A line that is not UTF-8, JSON or an object, that is nested too
-    deep to parse, that lacks a field or has one of the wrong type, or that
-    ``make`` rejects with ``ValueError``, ``KeyError`` or ``TypeError``,
-    raises ``error("<path>:<line>: <Type>: <detail>")``."""
+    yielded. With ``located``, each item comes as ``(offset, line_no,
+    item)``: the byte offset where its line starts and its line number, as
+    ``read_jsonl_line`` takes them. A line that is not UTF-8, JSON or an
+    object, that is nested too deep to parse, that lacks a field or has one
+    of the wrong type, or that ``make`` rejects with ``ValueError``,
+    ``KeyError`` or ``TypeError``, raises
+    ``error("<path>:<line>: <Type>: <detail>")``."""
     position = -1
+    end = 0
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            offset, end = end, end + len(raw)
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
@@ -211,13 +243,27 @@ def read_jsonl(path: Path, fields, make, error, only=None) -> Iterator:
                 position += 1
                 if only is not None and position not in only:
                     continue
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-                item = make(**decode_fields(fields, record))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                item = _decode_line(line, fields, make)
+            except _BAD_LINE as exc:
                 raise error(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
-            yield item
+            yield (offset, line_no, item) if located else item
+
+
+def read_jsonl_line(path: Path, offset: int, line_no: int, fields, make, error):
+    """The item of the one line of ``path`` that starts at byte ``offset``,
+    read again as ``read_jsonl`` read it there as line ``line_no``. The
+    same line errors raise ``error`` naming ``path:line_no``, and so does a
+    line that is now blank or past the end of the file."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        raw = fh.readline()
+    try:
+        line = raw.decode("utf-8")
+        if not line.strip():
+            raise ValueError("the line is blank or gone: the file changed after it was read")
+        return _decode_line(line, fields, make)
+    except _BAD_LINE as exc:
+        raise error(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
 
 
 # A transcript line's fields: the exchange, which ``content_hash`` covers,

@@ -10,20 +10,28 @@ reproducible offline. The trigram hashes of a text are computed together
 with numpy uint64 arithmetic and equal, bit for bit, hashing each trigram
 on its own with ``rng.fnv1a64``. A token is a maximal run of non-whitespace
 characters after NFC normalization.
+
+A saved store is a JSON-lines manifest and a float32 matrix. Building one
+writes each row as it is embedded (``build_stores_from_paths``); loading
+one keeps the matrix and where each manifest line starts, and reads a
+line's text only when it is retrieved (``_Manifest``).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 import unicodedata
+from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import DataError, read_utf8, streamed
-from .gateway import dataclass_fields, encode_fields, object_parts, read_jsonl
+from .gateway import dataclass_fields, encode_fields, object_parts, read_jsonl, read_jsonl_line
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
 
@@ -128,12 +136,46 @@ class HashedNgramEmbedder:
         norm_text = normalize_text(text)
         if not norm_text:
             raise EmptyTextError("cannot embed empty text")
+        return _unit(self._counts(norm_text))
+
+    def embed_joined(self, prefix: str, texts) -> list[np.ndarray]:
+        """``embed(prefix + "\\n" + text)`` for each of ``texts``, with the
+        prefix's features counted once.
+
+        NFC never composes across a newline, so ``prefix + "\\n" + text``
+        normalizes to the normalized prefix ``p`` and text ``t`` joined by
+        one space.
+        Its bucket counts are integers: those of the prefix, plus those of
+        the text, plus those of the trigrams that span the space, which are
+        the trigrams of ``p[-2:] + " " + t[:2]``. So each vector equals
+        ``embed``'s bit for bit. If either side normalizes to nothing, the
+        joined text is embedded whole.
+        """
+        p = normalize_text(prefix)
+        head = self._counts(p) if p else None
+        rows = []
+        for text in texts:
+            t = normalize_text(text)
+            if head is None or not t:
+                rows.append(self.embed(prefix + "\n" + text))
+            else:
+                rows.append(_unit(head + self._counts(t) + self._trigram_counts(p[-2:] + " " + t[:2])))
+        return rows
+
+    def _counts(self, norm_text: str) -> np.ndarray:
+        """The word and trigram bucket counts of normalized, non-empty text."""
         words = np.fromiter(map(self._word_hash, norm_text.split(" ")), dtype=np.uint64)
-        trigrams = _trigram_hashes(norm_text.encode("utf-8"))
-        counts = _bucket_counts(words, self.dim) + _bucket_counts(trigrams, self.dim)
-        counts = counts.astype(np.float64)
-        counts /= np.linalg.norm(counts)
-        return counts
+        return _bucket_counts(words, self.dim) + self._trigram_counts(norm_text)
+
+    def _trigram_counts(self, text: str) -> np.ndarray:
+        return _bucket_counts(_trigram_hashes(text.encode("utf-8")), self.dim)
+
+
+def _unit(counts: np.ndarray) -> np.ndarray:
+    """Integer bucket counts as a float64 unit vector."""
+    vector = counts.astype(np.float64)
+    vector /= np.linalg.norm(vector)
+    return vector
 
 
 @dataclass(frozen=True)
@@ -178,6 +220,23 @@ def chunk_document(
     return chunks
 
 
+def _term_entry(term: str, definition: str) -> TermEntry:
+    if not term:
+        raise KnowledgeError("term must be non-empty")
+    return TermEntry(term, definition)
+
+
+# What a loaded manifest keeps of each line to find it changed: a term's
+# term, a chunk's (doc_id, chunk_index), which also orders ties.
+_TERM_KEY = operator.attrgetter("term")
+_CHUNK_KEY = operator.attrgetter("doc_id", "chunk_index")
+
+
+def _sort_rank(keys: list) -> np.ndarray:
+    """Each position's place in the order of ``keys``, ties by position."""
+    return np.argsort(sorted(range(len(keys)), key=keys.__getitem__))
+
+
 class _MatrixStore:
     """Items with one embedding each: row i of ``matrix`` embeds item i."""
 
@@ -201,16 +260,18 @@ class _MatrixStore:
 
 
 class LocalTermStore(_MatrixStore):
-    """Term -> definition entries with argmax retrieval over definitions."""
+    """Term -> definition entries with argmax retrieval over definitions.
+
+    A loaded store's ``entries`` are read from its manifest when retrieved
+    (``_Manifest``), so it takes no ``add``.
+    """
 
     def __init__(self, embedder, matrix: np.ndarray | None = None):
         super().__init__(embedder, matrix)
-        self.entries: list[TermEntry] = []
+        self.entries: list[TermEntry] | _Manifest = []
 
     def add(self, term: str, definition: str) -> TermEntry:
-        if not term:
-            raise KnowledgeError("term must be non-empty")
-        entry = TermEntry(term, definition)
+        entry = _term_entry(term, definition)
         self._blocks.append(self.embedder.embed(definition))
         self.entries.append(entry)
         return entry
@@ -223,11 +284,15 @@ class LocalTermStore(_MatrixStore):
 
 
 class GlobalChunkStore(_MatrixStore):
-    """Chunked reference documents with top-k cosine retrieval."""
+    """Chunked reference documents with top-k cosine retrieval.
+
+    A loaded store's ``chunks`` are read from its manifest when retrieved
+    (``_Manifest``), so it takes no ``add_document``.
+    """
 
     def __init__(self, embedder, matrix: np.ndarray | None = None):
         super().__init__(embedder, matrix)
-        self.chunks: list[KnowledgeChunk] = []
+        self.chunks: list[KnowledgeChunk] | _Manifest = []
         # Each chunk's position in (doc_id, chunk_index) order.
         self._rank: np.ndarray | None = None
 
@@ -247,11 +312,7 @@ class GlobalChunkStore(_MatrixStore):
         if k < 1:
             raise KnowledgeError("k must be >= 1")
         if self._rank is None:
-            order = sorted(
-                range(len(self.chunks)),
-                key=lambda i: (self.chunks[i].doc_id, self.chunks[i].chunk_index),
-            )
-            self._rank = np.argsort(order)
+            self._rank = _sort_rank([_CHUNK_KEY(c) for c in self.chunks])
         ranked = np.lexsort((self._rank, -self._similarities(query)))
         return [self.chunks[i] for i in ranked[:k]]
 
@@ -259,14 +320,6 @@ class GlobalChunkStore(_MatrixStore):
 # --- persistence ---------------------------------------------------------------
 
 _MAGIC = b"SKEM"
-
-
-def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    count, dim = matrix.shape
-    with streamed(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", dim if count else 0, count))
-        fh.write(matrix.astype("<f4").tobytes())
 
 
 def _read_matrix(path: Path) -> np.ndarray:
@@ -294,25 +347,89 @@ def _read_matrix(path: Path) -> np.ndarray:
     return matrix
 
 
-def _write_manifest(path: Path, fields, items: list) -> None:
-    """One ``fields`` line per item, written in its pieces."""
-    with streamed(path) as fh:
-        for item in items:
-            fh.writelines(object_parts(encode_fields(fields, functools.partial(getattr, item))))
-            fh.write("\n")
+@contextmanager
+def _store_writer(manifest_path: Path, matrix_path: Path, fields):
+    """``add(item, row)``, which writes the ``fields`` line of ``item`` to the
+    manifest and ``row`` as float32 to the matrix as it is called, and
+    returns the number of rows written. Both files go through ``streamed``;
+    the matrix header's dim (0 for no row) and row count are patched in
+    when the block ends."""
+    with streamed(manifest_path) as manifest, streamed(matrix_path, "wb") as matrix:
+        matrix.write(_MAGIC + bytes(8))
+        dim = count = 0
+
+        def add(item, row: np.ndarray) -> int:
+            nonlocal dim, count
+            manifest.writelines(object_parts(encode_fields(fields, functools.partial(getattr, item))))
+            manifest.write("\n")
+            matrix.write(row.astype("<f4").tobytes())
+            dim, count = len(row), count + 1
+            return count
+
+        yield add
+        matrix.seek(4)
+        matrix.write(struct.pack("<II", dim, count))
+
+
+def _save_store(items, matrix: np.ndarray, manifest_path: Path, matrix_path: Path, fields) -> None:
+    with _store_writer(manifest_path, matrix_path, fields) as add:
+        for item, row in zip(items, matrix, strict=True):
+            add(item, row)
+
+
+class _Manifest(Sequence):
+    """The items of a saved store's manifest, each read from disk when it is
+    first asked for.
+
+    Loading reads every line once and checks it as ``read_jsonl`` does, but
+    keeps only where the line starts, its number and its item's key
+    (``_TERM_KEY``, ``_CHUNK_KEY``). ``self[i]`` reads line i again and
+    keeps its item, so every caller shares one copy of its text. A line
+    that no longer reads back, or whose key changed (the file was rewritten
+    after loading), raises ``KnowledgeError`` naming ``path:line``.
+    """
+
+    def __init__(self, path: Path, fields, make, key):
+        self.path = Path(path)
+        self._fields, self._make, self._key = fields, make, key
+        self._lines: list[tuple[int, int]] = []  # (offset, line_no)
+        self.keys = []
+        for offset, line_no, item in read_jsonl(self.path, fields, make, KnowledgeError, located=True):
+            self._lines.append((offset, line_no))
+            self.keys.append(key(item))
+        self._items: dict[int, object] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int):
+        i = operator.index(i)
+        item = self._items.get(i)
+        if item is None:
+            make = functools.partial(self._reread, self.keys[i])
+            item = read_jsonl_line(self.path, *self._lines[i], self._fields, make, KnowledgeError)
+            self._items[i] = item
+        return item
+
+    def _reread(self, key, **values):
+        item = self._make(**values)
+        if self._key(item) != key:
+            raise ValueError(f"key {self._key(item)!r} was {key!r} when the store was loaded")
+        return item
 
 
 def _read_store(
-    embedder, manifest_path: Path, matrix_path: Path, fields, make
-) -> tuple[list, np.ndarray]:
-    """The manifest items (``make`` of each record's ``fields``) and the
-    matrix of a saved store. A line that is not a JSON object with those
-    fields, of their types, raises ``KnowledgeError`` naming ``path:line``."""
-    items = list(read_jsonl(manifest_path, fields, make, KnowledgeError))
+    embedder, manifest_path: Path, matrix_path: Path, fields, make, key
+) -> tuple[_Manifest, np.ndarray]:
+    """The manifest (``_Manifest`` of ``make`` of each record's ``fields``)
+    and the matrix of a saved store. A line that is not a JSON object with
+    those fields, of their types, raises ``KnowledgeError`` naming
+    ``path:line``."""
+    items = _Manifest(manifest_path, fields, make, key)
     matrix = _read_matrix(Path(matrix_path))
     if len(items) != len(matrix):
         raise KnowledgeError(
-            f"{matrix_path}: {len(matrix)} rows for {len(items)} manifest records"
+            f"{manifest_path}: {len(items)} records, but {matrix_path} holds {len(matrix)} rows"
         )
     if not items:
         return items, np.empty((0, embedder.dim))
@@ -324,26 +441,29 @@ def _read_store(
 
 
 def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Path) -> None:
-    _write_manifest(manifest_path, TERM_FIELDS, store.entries)
-    _write_matrix(Path(matrix_path), store.matrix)
+    _save_store(store.entries, store.matrix, manifest_path, matrix_path, TERM_FIELDS)
 
 
 def load_term_store(embedder, manifest_path: Path, matrix_path: Path) -> LocalTermStore:
-    entries, matrix = _read_store(embedder, manifest_path, matrix_path, TERM_FIELDS, TermEntry)
+    entries, matrix = _read_store(
+        embedder, manifest_path, matrix_path, TERM_FIELDS, TermEntry, _TERM_KEY
+    )
     store = LocalTermStore(embedder, matrix)
     store.entries = entries
     return store
 
 
 def save_chunk_store(store: GlobalChunkStore, manifest_path: Path, matrix_path: Path) -> None:
-    _write_manifest(manifest_path, CHUNK_FIELDS, store.chunks)
-    _write_matrix(Path(matrix_path), store.matrix)
+    _save_store(store.chunks, store.matrix, manifest_path, matrix_path, CHUNK_FIELDS)
 
 
 def load_chunk_store(embedder, manifest_path: Path, matrix_path: Path) -> GlobalChunkStore:
-    chunks, matrix = _read_store(embedder, manifest_path, matrix_path, CHUNK_FIELDS, KnowledgeChunk)
+    chunks, matrix = _read_store(
+        embedder, manifest_path, matrix_path, CHUNK_FIELDS, KnowledgeChunk, _CHUNK_KEY
+    )
     store = GlobalChunkStore(embedder, matrix)
     store.chunks = chunks
+    store._rank = _sort_rank(chunks.keys)
     return store
 
 
@@ -351,24 +471,37 @@ def build_stores_from_paths(
     embedder,
     corpus_dir: Path | None,
     terms_file: Path | None,
+    out_dir: Path,
     chunk_tokens: int = DEFAULT_CHUNK_TOKENS,
-) -> tuple[LocalTermStore, GlobalChunkStore]:
-    """Index a directory of .txt documents and a two-column term file.
+) -> tuple[int, int]:
+    """Index a two-column term file and a directory of .txt documents into
+    the knowledge base in ``out_dir``; the numbers of terms and chunks.
 
     The term file is tab-separated ``term<TAB>definition``, one per line.
-    Files are visited in sorted order so indexing is idempotent.
+    Files are visited in sorted order so indexing is idempotent. Each term
+    and chunk is written as soon as it is embedded, to ``terms.jsonl`` and
+    ``terms.mat`` or ``chunks.jsonl`` and ``chunks.mat``, byte for byte as
+    ``save_term_store`` and ``save_chunk_store`` write them, so one document
+    is held at a time. The four files are renamed into place together at
+    the end, so a bad input leaves an earlier knowledge base whole.
     """
-    local = LocalTermStore(embedder)
-    if terms_file is not None:
-        for line in read_utf8(terms_file, KnowledgeError).splitlines():
-            if not line.strip():
-                continue
-            term, _, definition = line.partition("\t")
-            if not definition:
-                raise KnowledgeError(f"term line without definition: {line!r}")
-            local.add(term.strip(), definition.strip())
-    glob = GlobalChunkStore(embedder)
-    if corpus_dir is not None:
-        for path in sorted(Path(corpus_dir).glob("*.txt")):
-            glob.add_document(path.stem, read_utf8(path, KnowledgeError), chunk_tokens)
-    return local, glob
+    out = Path(out_dir)
+    terms = chunks = 0
+    with (
+        _store_writer(out / "terms.jsonl", out / "terms.mat", TERM_FIELDS) as add_term,
+        _store_writer(out / "chunks.jsonl", out / "chunks.mat", CHUNK_FIELDS) as add_chunk,
+    ):
+        if terms_file is not None:
+            for line in read_utf8(terms_file, KnowledgeError).splitlines():
+                if not line.strip():
+                    continue
+                term, _, definition = line.partition("\t")
+                if not definition:
+                    raise KnowledgeError(f"term line without definition: {line!r}")
+                entry = _term_entry(term.strip(), definition.strip())
+                terms = add_term(entry, embedder.embed(entry.definition))
+        if corpus_dir is not None:
+            for path in sorted(Path(corpus_dir).glob("*.txt")):
+                for chunk in chunk_document(path.stem, read_utf8(path, KnowledgeError), chunk_tokens):
+                    chunks = add_chunk(chunk, embedder.embed(chunk.text))
+    return terms, chunks

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 import sys
 from datetime import date
 from pathlib import Path
@@ -53,3 +55,17 @@ def chain_schedule(ids: tuple[str, ...] = ("A", "B", "C")) -> Schedule:
 @pytest.fixture
 def chain():
     return chain_schedule()
+
+
+def check_read_back(load, path: Path, expected: list[dict], items: list, error) -> None:
+    """``load(path)`` reads back ``items``, or, if a string of record i of
+    ``expected`` holds a lone surrogate, which the writer escapes but UTF-8
+    cannot encode, raises ``error`` naming line i + 1."""
+    for line_no, record in enumerate(expected, start=1):
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(error, match=rf"^{re.escape(str(path))}:{line_no}: UnicodeEncodeError: "):
+                load(path)
+            return
+    assert load(path) == items

@@ -325,8 +325,13 @@ def test_alignment_binds_the_polish_objects():
 
 
 # Text with every kind of whitespace that ``str.split`` splits at drawn often.
+# No lone surrogate: ``polish`` reads its prompts through ``read_jsonl``,
+# which rejects them, and so does the transcript read back here.
 POLISH_TEXT = st.text(
-    st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\u2028\u3000a")),
+    st.one_of(
+        st.characters(exclude_categories=["Cs"]),
+        st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\u2028\u3000a"),
+    ),
     min_size=1,
 ).filter(str.strip)
 

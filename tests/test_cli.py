@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -208,6 +209,18 @@ PROMPT_DIGESTS_N300 = {
     "kbeval/instances.jsonl": "e62b2a6de693287afad1e4bb04dface6ee219b150e1249253c16565568a27163",
     "kbeval/report.json": "ba7933490e9722eb230c5e43a2561fee9664b9d6179587d861a190cc8abb9538",
 }
+# sha256 of build-kb's stores for PROMPT_CORPUS and PROMPT_TERMS ("kb"),
+# and for an empty terms file alone ("ekb": no row, so dim 0).
+KB_DIGESTS = {
+    "kb/terms.jsonl": "b29bd181e5f55e75998f7e499e2a60820fa55bb13f8a3e97342f23057df335ef",
+    "kb/terms.mat": "579947d2740a360555f3f69cf8ab35a7c09013fc91855f8c4dc851a47b4c35fb",
+    "kb/chunks.jsonl": "64daf5e90d3e173b561faf3bbfb138c6fa75820f98e40a42501bf066374458f6",
+    "kb/chunks.mat": "cec32f55d24ca2ba8ba259b7426b319c53ded1ce05f74e90c0f64391649cd93e",
+    "ekb/terms.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ekb/terms.mat": "1cc93775ab4386f5cf9cc85715688191c8254c1cf178bb56b7eb4f4e34495f5b",
+    "ekb/chunks.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ekb/chunks.mat": "1cc93775ab4386f5cf9cc85715688191c8254c1cf178bb56b7eb4f4e34495f5b",
+}
 PROMPT_CORPUS = {
     "manual.txt": (
         "Concrete pour slab curing and finishing for decks. "
@@ -232,6 +245,7 @@ def test_prompt_artifacts_are_pinned(tmp_path, capsys):
         (corpus / name).write_text(text, "utf-8")
     terms = tmp_path / "terms.tsv"
     terms.write_text(PROMPT_TERMS, "utf-8")
+    (tmp_path / "empty.tsv").write_text("", "utf-8")
     evaluate = ["run-eval", "--schedule", sched, "--gateway", "mock:echo"]
     runs = (
         ["--out", str(tmp_path / "gen"), "generate", "--n", "300", "--seed", "1"],
@@ -239,10 +253,12 @@ def test_prompt_artifacts_are_pinned(tmp_path, capsys):
         ["--out", str(tmp_path / "eval"), *evaluate],
         ["--out", str(tmp_path / "kb"), "build-kb", "--corpus-dir", str(corpus), "--terms-file", str(terms)],
         ["--out", str(tmp_path / "kbeval"), *evaluate, "--kb", str(tmp_path / "kb")],
+        ["--out", str(tmp_path / "ekb"), "build-kb", "--terms-file", str(tmp_path / "empty.tsv")],
     )
     for argv in runs:
         assert run(argv) == EXIT_OK
     assert _digests(tmp_path, PROMPT_DIGESTS_N300) == PROMPT_DIGESTS_N300
+    assert _digests(tmp_path, KB_DIGESTS) == KB_DIGESTS
 
 
 def test_ingest_round_trip(tmp_path, capsys):
@@ -1170,6 +1186,153 @@ def test_train_scorer_memory_does_not_grow_with_prompt_text(tmp_path, wrong_pref
     assert run([*argv, str(wrong_prefs)]) == EXIT_OK  # imports and first calls, untraced
     original = _traced_peak([*argv, str(wrong_prefs)])
     assert _traced_peak([*argv, str(padded)]) < original + PROMPT_PAD_MARGIN
+
+
+KB_VOCABULARY = (
+    "concrete pour slab rebar deck steel beam column grout weld bolt crane "
+    "conduit cable tray duct pipe valve pump fan chiller panel switchgear"
+).split()
+
+
+def _kb_corpus(corpus: Path, docs: int, tokens: int, stretch: int = 1) -> Path:
+    """``docs`` documents of ``tokens`` words from KB_VOCABULARY, each word
+    repeated ``stretch`` times within itself."""
+    corpus.mkdir()
+    for i in range(docs):
+        words = (KB_VOCABULARY[(7 * i + j * j) % len(KB_VOCABULARY)] * stretch for j in range(tokens))
+        (corpus / f"doc{i:03d}.txt").write_text(" ".join(words), "utf-8")
+    return corpus
+
+
+# How far build-kb's traced peak may rise from 8 to 32 documents of 2,000
+# words (32 to 128 chunks). Writing each row as it is embedded, it rose by
+# 1.4 KB on Python 3.11; holding every chunk and row rose by 0.67 MB.
+KB_DOCS_MARGIN = 100_000
+
+
+def test_build_kb_memory_does_not_grow_with_its_documents(tmp_path, capsys):
+    """build-kb holds one document at a time: with four times the
+    documents, its traced peak stays within a fixed margin."""
+    def argv(docs: int) -> list[str]:
+        corpus = _kb_corpus(tmp_path / f"c{docs}", docs, 2000)
+        return ["--out", str(tmp_path / f"kb{docs}"), "build-kb", "--corpus-dir", str(corpus)]
+
+    small, large = argv(8), argv(32)
+    assert run(small) == EXIT_OK  # imports and first calls, untraced
+    assert _traced_peak(large) < _traced_peak(small) + KB_DOCS_MARGIN
+
+
+# How far run-eval's traced peak over the chain may rise when each of a
+# KB's 128 chunks is 3.5 times as long (0.39 -> 1.35 MB of chunk text).
+# Keeping line offsets and the retrieved texts, it rose by 0.06 MB on
+# Python 3.11, the longer retrieved texts and the prompts that hold them;
+# holding every chunk text rose by 0.98 MB.
+KB_TEXT_MARGIN = 350_000
+
+
+def test_run_eval_kb_memory_does_not_grow_with_chunk_text(tmp_path, capsys):
+    """run-eval --kb reads a chunk's text only when it is retrieved, so
+    chunk texts 3.5 times as long leave its traced peak within a fixed
+    margin."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+
+    def argv(stretch: int) -> list[str]:
+        corpus = _kb_corpus(tmp_path / f"c{stretch}", 128, 500, stretch)
+        kb = tmp_path / f"kb{stretch}"
+        assert run(["--out", str(kb), "build-kb", "--corpus-dir", str(corpus)]) == EXIT_OK
+        return [
+            "--out", str(tmp_path / f"e{stretch}"), "run-eval", "--schedule", str(sched),
+            "--gateway", "mock:echo", "--kb", str(kb),
+        ]
+
+    short, long = argv(1), argv(4)
+    assert run(short) == EXIT_OK  # imports and first calls, untraced
+    assert _traced_peak(long) < _traced_peak(short) + KB_TEXT_MARGIN
+
+
+def test_a_bad_last_input_leaves_the_previous_kb_whole(tmp_path, capsys):
+    """build-kb writes each row as it embeds it, into temporary siblings of
+    the four store files, and renames them only when every input is
+    indexed: a last document that is empty, or a last term line without a
+    definition, exits 2 and leaves the previous KB byte for byte, with no
+    temporary file."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("steel erection bolting torque sequence", "utf-8")
+    (corpus / "b.txt").write_text("concrete pour curing formwork stripped", "utf-8")
+    terms = tmp_path / "terms.tsv"
+    terms.write_text("WBS\tscope decomposition\nMEP\tmechanical electrical plumbing\n", "utf-8")
+    kb = tmp_path / "kb"
+    argv = ["--out", str(kb), "build-kb", "--corpus-dir", str(corpus), "--terms-file", str(terms)]
+    assert run(argv) == EXIT_OK
+    before = tree_bytes(kb)
+    capsys.readouterr()
+    (corpus / "c.txt").write_text(" \n\t", "utf-8")
+    assert run(argv) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: document 'c' is empty after normalization\n"
+    assert tree_bytes(kb) == before
+    (corpus / "c.txt").unlink()
+    terms.write_text(terms.read_text("utf-8") + "Lag\n", "utf-8")
+    assert run(argv) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: term line without definition: 'Lag'\n"
+    assert tree_bytes(kb) == before
+
+
+def _swap_doc_ids(path: Path) -> None:
+    """Swap the doc ids of the two one-letter documents, line for line."""
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"a"', b'"_"').replace(b'"b"', b'"a"').replace(b'"_"', b'"b"'))
+
+
+def _retype_first_text(path: Path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "text": 5}, sort_keys=True).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+# How chunks.jsonl is rewritten after run-eval loaded it, and how the
+# message after ``path:<line>: `` starts.
+REWRITES = {
+    "swapped": (_swap_doc_ids, "ValueError: key ("),
+    "emptied": (lambda path: path.write_bytes(b""), "ValueError: the line is blank or gone"),
+    "retyped": (_retype_first_text, ""),
+}
+
+
+@pytest.mark.parametrize("how", sorted(REWRITES))
+def test_a_chunk_line_rewritten_after_loading_exits_2_naming_it(tmp_path, capsys, monkeypatch, how):
+    """run-eval --kb reads a chunk's line again when it retrieves it; if the
+    manifest changed after loading, that line no longer reads back or no
+    longer holds its (doc_id, chunk_index), and the run exits 2 naming
+    ``path:line``, before the transcript is started."""
+    from schedkit import knowledge
+
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("steel erection bolting torque sequence", "utf-8")
+    (corpus / "b.txt").write_text("concrete pour curing formwork stripped", "utf-8")
+    kb = tmp_path / "kb"
+    assert run(["--out", str(kb), "build-kb", "--corpus-dir", str(corpus)]) == EXIT_OK
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+    before = tree_bytes(tmp_path / "e")
+    chunks = kb / "chunks.jsonl"
+    rewrite, detail = REWRITES[how]
+    load = knowledge.load_chunk_store
+
+    def load_then_rewrite(*args):
+        store = load(*args)
+        rewrite(chunks)
+        return store
+
+    monkeypatch.setattr(knowledge, "load_chunk_store", load_then_rewrite)
+    capsys.readouterr()
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert re.match(rf"data error: {re.escape(str(chunks))}:[12]: {re.escape(detail)}", err), err
+    assert tree_bytes(tmp_path / "e") == before
 
 
 @pytest.mark.parametrize(

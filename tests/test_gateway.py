@@ -38,6 +38,8 @@ from schedkit.gateway import (
 from schedkit.masked_eval import evaluate_tasks, make_mask_tasks
 from schedkit.synthetic import GeneratorParams, generate_schedule
 
+from conftest import check_read_back
+
 ROW_PROMPT = """ROW:
 Activity ID: A100
 Activity Name: Pour slab
@@ -190,10 +192,13 @@ def test_transcript_line_encoding_is_exact(exchanges):
         assert [json.dumps(r, sort_keys=True) for r in records] == [
             json.dumps(e, sort_keys=True) for e in expected
         ]
-        loaded = load_transcript(path)
-        assert [json.dumps(r, sort_keys=True) for r in loaded] == [
-            json.dumps(e, sort_keys=True) for e in expected
-        ]
+        check_read_back(
+            lambda p: [json.dumps(r, sort_keys=True) for r in load_transcript(p)],
+            path,
+            expected,
+            [json.dumps(e, sort_keys=True) for e in expected],
+            gw.GatewayError,
+        )
 
 
 # JSON values with the encoder's edge cases: integers past 64 bits, bools

@@ -4,7 +4,8 @@ A bad line raises the loader's own error as ``path:line: Type: detail``,
 the CLI maps it to that artifact's exit code (3 for a replayed transcript,
 2 for the rest), and no loader holds a second copy of its file. Each line a
 writer writes is ``json.dumps`` of its record with sorted keys, and reads
-back to an equal record.
+back to an equal record, unless a string in it holds a lone surrogate,
+which UTF-8 cannot encode: reading rejects that line.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from schedkit.preferences import (
     preference_store_append,
     preference_store_load,
 )
+from conftest import check_read_back
 from test_cli import CHAIN_CSV
 
 
@@ -127,9 +129,9 @@ def write_chunks(path: Path, texts: list[str]) -> list[Path]:
 
 
 def _kb_loader(load, items: str):
-    """The saved store's entries or chunks."""
-    return lambda path: getattr(
-        load(HashedNgramEmbedder(), path, path.with_suffix(".mat")), items
+    """The saved store's entries or chunks, as a list."""
+    return lambda path: list(
+        getattr(load(HashedNgramEmbedder(), path, path.with_suffix(".mat")), items)
     )
 
 
@@ -281,8 +283,11 @@ def _drop_first_masked_truth(record: dict) -> None:
     del record["ground_truth"][record["masked_columns"][0]]
 
 
-# A field of the wrong type on line 2: (file, change to the line's record,
-# how the message after ``path:2: `` starts).
+SURROGATE = "UnicodeEncodeError: 'utf-8' codec can't encode character '\\ud800'"
+
+# A field of the wrong type, or with a string UTF-8 cannot encode, on line
+# 2: (file, change to the line's record, how the message after ``path:2: ``
+# starts).
 MISTYPED = {
     "prompt_user-int": ("instances", lambda r: r.update(prompt_user=5), "TypeError: prompt_user is int"),
     "response_text-int": ("instances", lambda r: r.update(response_text=5), "TypeError: response_text is int"),
@@ -317,6 +322,15 @@ MISTYPED = {
     "doc_id-list": ("chunks", lambda r: r.update(doc_id=[1]), "TypeError: doc_id is list, not str"),
     "chunk_index-text": ("chunks", lambda r: r.update(chunk_index="a"), "TypeError: chunk_index is str"),
     "token_count-text": ("chunks", lambda r: r.update(token_count="x"), "TypeError: token_count is str"),
+    # A lone surrogate escape parses to a string that UTF-8 cannot encode.
+    "prompt_text-surrogate": ("prefs", lambda r: r.update(prompt_text="\ud800 task"), SURROGATE),
+    "meta-surrogate": ("prefs", lambda r: r.update(meta={"k": ["\ud800"]}), SURROGATE),
+    "prompt_user-surrogate": ("instances", lambda r: r.update(prompt_user="\ud800"), SURROGATE),
+    "masked_columns-surrogate": ("instances", lambda r: r.update(masked_columns=["\ud800"]), SURROGATE),
+    "user_text-surrogate": ("transcript", lambda r: r.update(user_text="a\ud800"), SURROGATE),
+    "definition-surrogate": ("terms", lambda r: r.update(definition="\ud800"), SURROGATE),
+    "doc_id-surrogate": ("chunks", lambda r: r.update(doc_id="\ud800"), SURROGATE),
+    "text-surrogate": ("chunks", lambda r: r.update(text="x \ud800"), SURROGATE),
 }
 
 
@@ -330,9 +344,9 @@ def _rehash(record: dict) -> None:
 @pytest.mark.parametrize("case", sorted(MISTYPED))
 def test_cli_exit_code_for_a_mistyped_field(tmp_path, capsys, case):
     """Every command that reads a JSON-lines file rejects a line whose
-    fields have the wrong types, naming ``path:line``: exit 3 for a replayed
-    transcript (whose content hash matches the changed fields), exit 2 for
-    the rest, never 4 or 0."""
+    fields have the wrong types or hold a lone surrogate, naming
+    ``path:line``: exit 3 for a replayed transcript (whose content hash
+    matches the changed fields), exit 2 for the rest, never 4 or 0."""
     files = _artifacts(tmp_path, capsys)
     which, change, detail = MISTYPED[case]
     path = files[which]
@@ -396,7 +410,7 @@ def test_preference_lines_are_exact_and_read_back(records):
         path.touch()
         preference_store_append(path, records)
         assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
-        assert list(preference_store_load(path)) == records
+        check_read_back(_listed(preference_store_load), path, expected, records, CorruptRecordError)
 
 
 def _unit_rows(count: int) -> np.ndarray:
@@ -414,7 +428,7 @@ def test_term_manifest_lines_are_exact_and_read_back(entries):
         path = Path(tmp) / "terms.jsonl"
         save_term_store(store, path, path.with_suffix(".mat"))
         assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
-        assert _kb_loader(load_term_store, "entries")(path) == entries
+        check_read_back(_kb_loader(load_term_store, "entries"), path, expected, entries, KnowledgeError)
 
 
 @settings(max_examples=100, deadline=None)
@@ -430,7 +444,7 @@ def test_chunk_manifest_lines_are_exact_and_read_back(chunks):
         path = Path(tmp) / "chunks.jsonl"
         save_chunk_store(store, path, path.with_suffix(".mat"))
         assert path.read_text("utf-8") == "".join(json.dumps(e, sort_keys=True) + "\n" for e in expected)
-        assert _kb_loader(load_chunk_store, "chunks")(path) == chunks
+        check_read_back(_kb_loader(load_chunk_store, "chunks"), path, expected, chunks, KnowledgeError)
 
 
 # --- CLI fuzzing: one strategy per field table ------------------------------------
@@ -442,17 +456,24 @@ JSON_VALUE = st.recursive(
 )
 
 
+# Text that may hold lone surrogates, which ``json.dumps`` writes as
+# ``\ud800``-style escapes and UTF-8 cannot encode.
+FIELD_TEXT = st.text(max_size=12) | st.text(
+    st.characters(categories=["Cs"]) | st.characters(), min_size=1, max_size=4
+)
+
+
 def _of_type(kind, nullable: bool):
     """Values of a field-table type (``gateway.decode_fields``)."""
     if isinstance(kind, tuple):
         values = st.lists(_of_type(kind[1], False), max_size=3)
     else:
         values = {
-            str: st.text(max_size=12),
+            str: FIELD_TEXT,
             int: st.integers(),
             float: st.floats() | st.integers(),
             bool: st.booleans(),
-            dict: st.dictionaries(st.text(max_size=12), st.text(max_size=12) | JSON_VALUE, max_size=3),
+            dict: st.dictionaries(FIELD_TEXT, FIELD_TEXT | JSON_VALUE, max_size=3),
         }[kind]
     return values | st.none() if nullable else values
 

@@ -187,6 +187,31 @@ def test_count_tokens_counts_the_tokens_of_the_normalized_text(text):
     assert count_tokens(text) == len(tokenize(text))
 
 
+# Text with what a join could disturb drawn often: whitespace, combining
+# marks, Hangul jamo that NFC composes (U+1100 U+1161 is U+AC00) and CJK.
+_JOIN_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=["Cs"]),
+        st.sampled_from(_SPACES[:8] + _MARKS + ["\u1100", "\u1161", "\u11a8", "\u6f22", "e", "x"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=_JOIN_TEXT, texts=st.lists(_JOIN_TEXT, max_size=3), dim=st.sampled_from([7, 256]))
+def test_embed_joined_equals_embedding_each_joined_text(prefix, texts, dim):
+    emb = HashedNgramEmbedder(dim)
+    texts = [t for t in texts if normalize_text(prefix + "\n" + t)]
+    got = [row.tobytes() for row in emb.embed_joined(prefix, texts)]
+    assert got == [emb.embed(prefix + "\n" + t).tobytes() for t in texts]
+
+
+def test_embed_joined_of_nothing_rejects_it():
+    with pytest.raises(EmptyTextError):
+        EMB.embed_joined(" \u3000", ["concrete", "\t"])
+
+
 # --- cosine -------------------------------------------------------------------
 
 
@@ -377,7 +402,7 @@ def test_load_checks_matrix_dim_against_embedder(tmp_path):
     save_chunk_store(GlobalChunkStore(EMB), tmp_path / "empty.jsonl", tmp_path / "empty.mat")
     assert (tmp_path / "empty.mat").read_bytes() == b"SKEM" + struct.pack("<II", 0, 0)
     empty = load_chunk_store(other, tmp_path / "empty.jsonl", tmp_path / "empty.mat")
-    assert empty.chunks == [] and empty.matrix.shape == (0, 7)
+    assert list(empty.chunks) == [] and empty.matrix.shape == (0, 7)
 
 
 def test_store_build_idempotent_byte_identical(tmp_path):

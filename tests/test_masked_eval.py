@@ -43,7 +43,7 @@ from schedkit.masked_eval import (
 )
 from schedkit.schedule import DependencyLink, Schedule
 
-from conftest import make_activity
+from conftest import check_read_back, make_activity
 
 
 def rich_schedule(n=100) -> Schedule:
@@ -653,7 +653,9 @@ def test_streamed_instance_line_is_exact(inst, pre_encoded):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instances.jsonl"
         path.write_text(buf.getvalue(), "utf-8")
-        assert list(load_instances(path)) == [inst]
+        check_read_back(
+            lambda p: list(load_instances(p)), path, [instance_record(inst)], [inst], CorruptRecordError
+        )
 
 
 def test_sink_streams_the_lines_save_instances_writes():
