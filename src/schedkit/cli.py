@@ -183,9 +183,26 @@ def build_gateway(cfg, mode: str, schedule=None):
 
 
 def _read_schedule(path: str):
+    """The schedule at ``path``, read as a stream (a pipe works); bytes that
+    are not UTF-8 raise ``ScheduleError`` naming the file."""
     from .schedule import ScheduleError, parse_schedule
 
-    return parse_schedule(read_utf8(path, ScheduleError), source_label=path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return parse_schedule(fh, source_label=path)
+        except UnicodeDecodeError as exc:
+            raise ScheduleError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _write_schedule(out: Path, sched) -> None:
+    """``schedule.csv`` and ``schedule.jsonl`` of ``sched``, each written
+    one row at a time."""
+    from .schedule import serialize_records, serialize_schedule
+
+    with streamed(out / "schedule.csv") as fh:
+        serialize_schedule(sched, fh)
+    with streamed(out / "schedule.jsonl") as fh:
+        serialize_records(sched, fh)
 
 
 def _out_dir(args) -> Path:
@@ -199,27 +216,24 @@ def _out_dir(args) -> Path:
 
 def cmd_generate(args, cfg) -> int:
     from . import synthetic
-    from .schedule import serialize_records, serialize_schedule
 
     out = _out_dir(args)
     n = args.n if args.n is not None else cfg.getint("generate", "n")
     seed = args.seed if args.seed is not None else cfg.getint("generate", "seed")
     sched = synthetic.generate_schedule(synthetic.GeneratorParams(n_activities=n, seed=seed))
-    write_artifact(out / "schedule.csv", serialize_schedule(sched))
-    write_artifact(out / "schedule.jsonl", serialize_records(sched))
+    _write_schedule(out, sched)
     write_manifest(out, "generate", cfg, {"n": n, "seed": seed})
     print(f"generated {n} activities, {len(sched.links)} links -> {out / 'schedule.csv'}")
     return EXIT_OK
 
 
 def cmd_ingest(args, cfg) -> int:
-    from .schedule import serialize_records, serialize_schedule, validate
+    from .schedule import validate
 
     out = _out_dir(args)
     sched = _read_schedule(args.schedule)
     report = validate(sched)
-    write_artifact(out / "schedule.csv", serialize_schedule(sched))
-    write_artifact(out / "schedule.jsonl", serialize_records(sched))
+    _write_schedule(out, sched)
     write_artifact(
         out / "validation.json",
         json.dumps([v.__dict__ for v in report.violations], sort_keys=True, indent=2) + "\n",

@@ -129,7 +129,7 @@ def json_escape(text: str) -> str:
     return encode_basestring_ascii(text)[1:-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextPieces:
     """A rendered context in pieces: the texts retrieved for the target, if
     any (``knowledge``, each followed by ``\n``), the target's ``head``

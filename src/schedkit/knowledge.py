@@ -242,15 +242,7 @@ class _MatrixStore:
 
     def __init__(self, embedder, matrix: np.ndarray | None = None):
         self.embedder = embedder
-        # The matrix, then the rows added since it was last stacked, so a
-        # build stacks once rather than on every add.
-        self._blocks = [np.empty((0, embedder.dim)) if matrix is None else matrix]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if len(self._blocks) > 1:
-            self._blocks = [np.vstack(self._blocks)]
-        return self._blocks[0]
+        self.matrix = np.empty((0, embedder.dim)) if matrix is None else matrix
 
     def _similarities(self, query: str | np.ndarray) -> np.ndarray:
         """Cosine of every row with ``query``, a text or its embedding."""
@@ -272,7 +264,7 @@ class LocalTermStore(_MatrixStore):
 
     def add(self, term: str, definition: str) -> TermEntry:
         entry = _term_entry(term, definition)
-        self._blocks.append(self.embedder.embed(definition))
+        self.matrix = np.vstack([self.matrix, self.embedder.embed(definition)])
         self.entries.append(entry)
         return entry
 
@@ -300,7 +292,7 @@ class GlobalChunkStore(_MatrixStore):
         self, doc_id: str, text: str, chunk_tokens: int = DEFAULT_CHUNK_TOKENS
     ) -> list[KnowledgeChunk]:
         pieces = chunk_document(doc_id, text, chunk_tokens)
-        self._blocks.extend([self.embedder.embed(c.text) for c in pieces])
+        self.matrix = np.vstack([self.matrix, *(self.embedder.embed(c.text) for c in pieces)])
         self.chunks.extend(pieces)
         self._rank = None
         return pieces
@@ -335,6 +327,8 @@ def _read_matrix(path: Path) -> np.ndarray:
             f"{path}: header declares {count} rows of dim {dim} "
             f"({4 * dim * count} data bytes), file has {len(raw) - 12}"
         )
+    if count and not dim:  # no data bytes, however many rows
+        raise KnowledgeError(f"{path}: header declares {count} rows of dim 0")
     matrix = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim).astype(np.float64)
     if not np.isfinite(matrix).all():
         raise KnowledgeError(f"{path}: non-finite value in matrix")

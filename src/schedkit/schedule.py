@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from . import DataError
 
@@ -209,6 +211,57 @@ class IdList:
         return self.text[:start] + self.text[end:]
 
 
+class RowTable(Mapping):
+    """Each id's ``canonical_row``, the last activity with an id winning as
+    in ``by_id``. A row is held as one tuple of its cell values against one
+    tuple of column names that every row shares (``columns``: the canonical
+    columns, then every extra column, sorted), with None for an extra
+    column its activity lacks, and each distinct value is held once.
+    ``self[aid]`` is a new dict equal to the row, in its column order."""
+
+    def __init__(self, schedule: Schedule, activities: Iterable[Activity]):
+        self.columns = (*CANONICAL_COLUMNS, *extra_columns(schedule))
+        shared: dict = {}
+        self._cells = {
+            act.activity_id: tuple(
+                shared.setdefault(v, v) for v in map(canonical_row(schedule, act).get, self.columns)
+            )
+            for act in activities
+        }
+
+    def __getitem__(self, aid: str) -> dict[str, str]:
+        return {col: v for col, v in zip(self.columns, self._cells[aid]) if v is not None}
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
+class WbsBuckets(dict):
+    """(k, first k WBS segments) -> the ids whose path starts with them.
+    Every bucket of depth k is built when the first of them is asked for,
+    so only the depths that sampling asks for are held."""
+
+    def __init__(self, activities: tuple[Activity, ...]):
+        super().__init__()
+        self._activities = activities
+        self._depths: set[int] = set()
+
+    def __missing__(self, key: tuple[int, tuple[str, ...]]) -> frozenset[str]:
+        k = key[0]
+        if k in self._depths:
+            raise KeyError(key)
+        self._depths.add(k)
+        found: dict[tuple[str, ...], set[str]] = {}
+        for act in self._activities:
+            if len(act.wbs) >= k:
+                found.setdefault(act.wbs[:k], set()).add(act.activity_id)
+        self.update(((k, prefix), frozenset(ids)) for prefix, ids in found.items())
+        return self[key]
+
+
 class ScheduleIndex:
     """Lookups into one schedule, so no caller re-scans activities or links.
 
@@ -216,14 +269,13 @@ class ScheduleIndex:
     other endpoint, then relation; ties keep link order), and
     ``dependency_cells`` their serialized Predecessor/Successor Details.
     ``wbs_buckets`` maps (k, first k WBS segments) to the ids whose path
-    starts with them, for every k up to each path's length; a sampled
-    context names its HIERARCHICAL relatives by such a key
-    (``ContextBundle.wbs_bucket``), and ``wbs_block`` and ``wbs_ids`` render
-    and encode each bucket once. ``row_text`` holds each activity's
-    ``id | name | start | finish`` context text and ``rows`` its
-    ``canonical_row``, the last activity with an id winning as in
-    ``by_id``. ``by_id``, ``preds`` and ``succs`` are built with the index;
-    the other tables on first use.
+    starts with them (``WbsBuckets``); a sampled context names its
+    HIERARCHICAL relatives by such a key (``ContextBundle.wbs_bucket``),
+    and ``wbs_block`` and ``wbs_ids`` render and encode each bucket once.
+    ``row_text`` holds each activity's ``id | name | start | finish``
+    context text and ``rows`` its ``canonical_row`` (``RowTable``).
+    ``by_id``, ``preds`` and ``succs`` are built with the index; the other
+    tables on first use.
     """
 
     def __init__(self, schedule: Schedule):
@@ -247,8 +299,8 @@ class ScheduleIndex:
         self._id_lists: dict[tuple[int, tuple[str, ...]], IdList] = {}
 
     @cached_property
-    def rows(self) -> dict[str, dict[str, str]]:
-        return {aid: canonical_row(self._schedule, a) for aid, a in self.by_id.items()}
+    def rows(self) -> RowTable:
+        return RowTable(self._schedule, self.by_id.values())
 
     @cached_property
     def row_text(self) -> dict[str, str]:
@@ -275,12 +327,8 @@ class ScheduleIndex:
         }
 
     @cached_property
-    def wbs_buckets(self) -> dict[tuple[int, tuple[str, ...]], frozenset[str]]:
-        buckets: dict[tuple[int, tuple[str, ...]], set[str]] = {}
-        for act in self._schedule.activities:
-            for k in range(len(act.wbs) + 1):
-                buckets.setdefault((k, act.wbs[:k]), set()).add(act.activity_id)
-        return {key: frozenset(ids) for key, ids in buckets.items()}
+    def wbs_buckets(self) -> WbsBuckets:
+        return WbsBuckets(self._schedule.activities)
 
     def wbs_block(self, key: tuple[int, tuple[str, ...]]) -> LineBlock:
         """The HIERARCHICAL lines (``context_line`` with role ``wbs``) of
@@ -373,14 +421,14 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if header_line.count("\t") > header_line.count(",") else ","
 
 
-def _records(buf: io.StringIO, delim: str) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank CSV records of ``buf``, numbered from 1 and read one at
-    a time. A record the reader cannot read (a cell over the field size
+def _records(lines: Iterable[str], delim: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank CSV records of ``lines``, numbered from 1 and read one
+    at a time. A record the reader cannot read (a cell over the field size
     limit, or a NUL byte where the interpreter refuses one) is a
     ``ScheduleError`` naming its row."""
     row_no = 0
     try:
-        for cells in csv.reader(buf, delimiter=delim):
+        for cells in csv.reader(lines, delimiter=delim):
             if delim.join(cells).strip():
                 row_no += 1
                 yield row_no, cells
@@ -388,8 +436,13 @@ def _records(buf: io.StringIO, delim: str) -> Iterator[tuple[int, list[str]]]:
         raise ScheduleError(f"row {row_no + 1}: unreadable record: {exc}") from None
 
 
-def parse_schedule(raw: str, *, source_label: str = "") -> Schedule:
+def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Schedule:
     """Parse character-separated tabular text into a Schedule.
+
+    ``source`` is the text, or its lines: a file opened with ``newline=""``
+    is read one record at a time and never whole, and is not sought, so a
+    pipe works. Leading BOMs of the first line are dropped, and the
+    delimiter is that of the first non-blank line.
 
     Columns are found by their canonical header (``CANONICAL_COLUMNS``).
     Other columns land in ``extra_attributes``. The first column under each
@@ -405,13 +458,18 @@ def parse_schedule(raw: str, *, source_label: str = "") -> Schedule:
     WBS segment, WBS path and relation is held once, however many rows
     repeat it; a link's endpoints are its activities' own id strings.
     """
+    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    # The lines up to the first non-blank one, read again as records.
+    head = [next(lines, "").lstrip("\ufeff")]
+    while not head[-1].strip():
+        line = next(lines, None)
+        if line is None:
+            break
+        head.append(line)
     # Records, not lines: a quoted cell keeps its line breaks, blank ones
     # included, and other Unicode line boundaries are cell text. Blank and
     # whitespace-only lines are skipped and take no row number.
-    buf = io.StringIO(raw.lstrip("﻿"), newline="")
-    delim = _detect_delimiter(next((ln for ln in buf if ln.strip()), ""))
-    buf.seek(0)
-    records = _records(buf, delim)
+    records = _records(itertools.chain(head, lines), _detect_delimiter(head[-1]))
     first = next(records, None)
     if first is None:
         raise MissingColumnError(COL_ID)
@@ -476,27 +534,26 @@ def parse_schedule(raw: str, *, source_label: str = "") -> Schedule:
         )
         dependency_cells.append((row_no, activity_id, get(cells, COL_PRED), get(cells, COL_SUCC)))
 
-    # Dependency cells now that every id is known.
-    links: list[DependencyLink] = []
-    seen_triples: set[tuple[str, str, str]] = set()
+    # Dependency cells now that every id is known. Each link is keyed by its
+    # (predecessor, successor, relation), which then sorts the links.
+    links: dict[tuple[str, str, str], DependencyLink] = {}
     for row_no, activity_id, pred_cell, succ_cell in dependency_cells:
         for ref, rel, lag in parse_dependency_cell(pred_cell, row=row_no):
             rel = shared.setdefault(rel, rel)
-            _append_link(links, seen_triples, row_no, ref, activity_id, rel, lag, ids)
+            _add_link(links, row_no, ref, activity_id, rel, lag, ids)
         for ref, rel, lag in parse_dependency_cell(succ_cell, row=row_no):
             rel = shared.setdefault(rel, rel)
-            _append_link(links, seen_triples, row_no, activity_id, ref, rel, lag, ids)
+            _add_link(links, row_no, activity_id, ref, rel, lag, ids)
 
     return Schedule(
         activities=tuple(activities),
-        links=tuple(sorted(links, key=attrgetter("predecessor_id", "successor_id", "relation"))),
+        links=tuple(links[key] for key in sorted(links)),
         source_label=source_label,
     )
 
 
-def _append_link(
-    links: list[DependencyLink],
-    seen: set[tuple[str, str, str]],
+def _add_link(
+    links: dict[tuple[str, str, str], DependencyLink],
     row_no: int,
     pred: str,
     succ: str,
@@ -509,12 +566,11 @@ def _append_link(
     for ref in (pred, succ):
         if ref not in ids:
             raise DanglingReferenceError(row_no, ref)
-    triple = (pred, succ, rel)
-    if triple in seen:
-        # Both endpoints usually declare the same link; keep the first form.
-        return
-    seen.add(triple)
-    links.append(DependencyLink(ids[pred], ids[succ], rel, lag))
+    # The endpoints as their activities hold them, so no cell text is kept.
+    key = (ids[pred], ids[succ], rel)
+    # Both endpoints usually declare the same link; keep the first form.
+    if key not in links:
+        links[key] = DependencyLink(*key, lag)
 
 
 def validate(schedule: Schedule) -> ValidationReport:
@@ -629,23 +685,25 @@ def extra_columns(schedule: Schedule) -> list[str]:
     return sorted(cols)
 
 
-def serialize_schedule(schedule: Schedule) -> str:
-    """Canonical comma-separated serialization with a fixed column order."""
+def serialize_schedule(schedule: Schedule, out: TextIO | None = None) -> str | None:
+    """Canonical comma-separated serialization with a fixed column order,
+    written to ``out`` one row at a time; with no ``out``, returned."""
     extras = extra_columns(schedule)
     header = list(CANONICAL_COLUMNS) + extras
-    buf = io.StringIO()
+    buf = io.StringIO() if out is None else out
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for act in schedule.activities:
         row = canonical_row(schedule, act)
         writer.writerow([row.get(col, "") for col in header])
-    return buf.getvalue()
+    return buf.getvalue() if out is None else None
 
 
-def serialize_records(schedule: Schedule) -> str:
-    """Line-delimited export: one JSON object per activity."""
+def serialize_records(schedule: Schedule, out: TextIO | None = None) -> str | None:
+    """Line-delimited export, one JSON object per activity, written to
+    ``out`` one line at a time; with no ``out``, returned."""
     index = schedule.index
-    lines = []
+    buf = io.StringIO() if out is None else out
     for act in schedule.activities:
         rec = {
             "activity_id": act.activity_id,
@@ -669,5 +727,5 @@ def serialize_records(schedule: Schedule) -> str:
             ],
             "extra_attributes": dict(sorted(act.extra_attributes.items())),
         }
-        lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+        buf.write(json.dumps(rec, sort_keys=True) + "\n")
+    return buf.getvalue() if out is None else None

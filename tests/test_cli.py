@@ -595,7 +595,9 @@ def test_run_eval_corrupt_matrix_is_a_data_error(tmp_path, capsys):
     # A well-formed file whose rows have dim 3, not the embedder's 256.
     dim3 = raw[:4] + struct.pack("<II3f", 3, 1, 1.0, 0.0, 0.0)
     nan_row = raw[:12] + struct.pack("<f", float("nan")) + raw[16:]
-    for bad in (raw[: len(raw) - 6], b"NOPE" + raw[4:], dim3, nan_row):
+    # Rows of dim 0 have no data bytes, however many the header declares.
+    dim0 = raw[:4] + struct.pack("<II", 0, 2**32 - 1)
+    for bad in (raw[: len(raw) - 6], b"NOPE" + raw[4:], dim3, nan_row, dim0):
         (kb / "terms.mat").write_bytes(bad)
         assert _eval_with_kb(tmp_path, sched, kb) == EXIT_DATA
         err = capsys.readouterr().err
@@ -1859,3 +1861,118 @@ def test_scorer_artifacts_are_pinned(tmp_path, capsys):
     argv = ["--config", str(ini), "--out", str(tmp_path / "a"), "train-scorer", "--prefs-db", prefs]
     assert run(argv) == EXIT_OK
     assert _digests(tmp_path / "a", SCORER_DIGESTS_N100) == SCORER_DIGESTS_N100
+
+
+# --- the schedule, read and written as a stream ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def n2000(tmp_path_factory) -> Path:
+    """``schedule.csv`` of ``generate --n 2000 --seed 1``, beside its
+    ``schedule.jsonl``."""
+    out = tmp_path_factory.mktemp("n2000") / "g"
+    assert run(["--out", str(out), "generate", "--n", "2000", "--seed", "1"]) == EXIT_OK
+    return out / "schedule.csv"
+
+
+# sha256 of `generate --n 2000 --seed 1`'s schedule files, and of those that
+# `ingest` of its schedule.csv writes.
+GENERATE_DIGESTS_N2000 = {
+    "schedule.csv": "5f36064f9e497aba675ef8544b4d40effe3987f1d567dd94aa299db1da1b2785",
+    "schedule.jsonl": "19a00ab9fe0c42d44282fb922641ab63e7fc8295c1494e9ae93cecad47478573",
+}
+INGEST_DIGESTS_N2000 = {
+    "schedule.csv": "5f36064f9e497aba675ef8544b4d40effe3987f1d567dd94aa299db1da1b2785",
+    "schedule.jsonl": "5f37f62afbea6f84ccf484f4316cf33c10feda34f62b96313290c55f82c48455",
+    "validation.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+}
+
+
+def test_schedule_files_at_n2000_are_pinned(tmp_path, n2000, capsys):
+    assert _digests(n2000.parent, GENERATE_DIGESTS_N2000) == GENERATE_DIGESTS_N2000
+    assert run(["--out", str(tmp_path / "i"), "ingest", "--schedule", str(n2000)]) == EXIT_OK
+    assert _digests(tmp_path / "i", INGEST_DIGESTS_N2000) == INGEST_DIGESTS_N2000
+
+
+def test_ingest_from_a_pipe_writes_the_tree_of_the_file(tmp_path, n2000, capsys):
+    """``--schedule`` is read as a stream and never sought, so ingest of a
+    schedule piped to ``/dev/stdin`` prints and writes what ingest of the
+    file does, but for the path that its manifest names."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "schedkit.cli", "--out", str(tmp_path / "p"), "ingest", "--schedule", "/dev/stdin"],
+        input=n2000.read_bytes(), env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "f"), "ingest", "--schedule", str(n2000)]) == EXIT_OK
+    assert proc.stdout.decode() == capsys.readouterr().out
+    piped, filed = tree_bytes(tmp_path / "p"), tree_bytes(tmp_path / "f")
+    manifest = piped.pop("manifest.json").decode().replace("/dev/stdin", str(n2000))
+    assert manifest == filed.pop("manifest.json").decode()
+    assert piped == filed
+
+
+def test_an_undecodable_byte_at_row_1500_exits_2_naming_the_file(tmp_path, n2000, capsys):
+    """A byte that is not UTF-8, met while the schedule is read as a
+    stream, is a data error naming the file, and nothing is written."""
+    lines = n2000.read_bytes().split(b"\n")
+    lines[1500] = b"\xff" + lines[1500]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "o"), "ingest", "--schedule", str(bad)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {bad}: UnicodeDecodeError: ")
+    assert not (tmp_path / "o" / "schedule.csv").exists()
+
+
+def test_reading_the_schedule_holds_no_copy_of_its_text(n2000):
+    """The schedule is parsed as it is read: at n=2000 the traced peak of
+    reading it stays under twice the size of the schedule it gives (1.7
+    times on Python 3.11), which reading the whole text first, and a
+    StringIO copy of it, exceeded (3.1 times)."""
+    import tracemalloc
+
+    from schedkit.cli import _read_schedule
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sched = _read_schedule(str(n2000))
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(sched.activities) == 2000
+    assert peak < 2 * held
+
+
+def test_writing_the_schedule_holds_no_copy_of_its_text(tmp_path, n2000):
+    """``schedule.csv`` and ``schedule.jsonl`` are written one row at a
+    time: at n=2000 writing them raises the traced peak by less than a
+    quarter of the bytes written, which building each file's text first
+    exceeded."""
+    import tracemalloc
+
+    from schedkit import streamed
+    from schedkit.cli import _read_schedule
+    from schedkit.schedule import serialize_records, serialize_schedule
+
+    sched = _read_schedule(str(n2000))
+
+    def write() -> None:
+        with streamed(tmp_path / "schedule.csv") as fh:
+            serialize_schedule(sched, fh)
+        with streamed(tmp_path / "schedule.jsonl") as fh:
+            serialize_records(sched, fh)
+
+    write()  # builds the index tables, which the schedule keeps
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    written = sum((tmp_path / name).stat().st_size for name in ("schedule.csv", "schedule.jsonl"))
+    assert peak < written / 4

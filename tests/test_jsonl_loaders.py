@@ -10,9 +10,12 @@ which UTF-8 cannot encode: reading rejects that line.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -598,3 +601,52 @@ def test_fuzzed_kb_manifest_lines_never_exit_4(chain_artifacts, data):
         ]
         code = main(argv)
     assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GATEWAY}, code
+
+
+@st.composite
+def broken_matrices(draw, raw: bytes) -> bytes:
+    """The ``.mat`` file ``raw`` that ``build-kb`` wrote, broken one way: a
+    wrong magic, a truncated header, a dim and row count that do not match
+    the data, a NaN or infinite value, a row of zeros, or random bytes."""
+    dim, count = struct.unpack_from("<II", raw, 4)
+    floats = (len(raw) - 12) // 4
+    how = draw(st.sampled_from(("magic", "header", "shape", "value", "zero row", "bytes")))
+    if how == "magic":
+        return draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != raw[:4])) + raw[4:]
+    if how == "header":
+        return raw[: draw(st.integers(0, 11))]
+    if how == "shape":
+        size = st.integers(0, 8) | st.sampled_from((dim, count, 2 * dim, 2**31, 2**32 - 1))
+        data = raw[12 : 12 + 4 * draw(st.integers(0, floats + 2))]
+        return raw[:4] + struct.pack("<II", draw(size), draw(size)) + data
+    if how == "value":
+        at = 12 + 4 * draw(st.integers(0, floats - 1))
+        value = struct.pack("<f", draw(st.sampled_from((float("nan"), float("inf"), -float("inf")))))
+        return raw[:at] + value + raw[at + 4 :]
+    if how == "zero row":
+        at = 12 + 4 * dim * draw(st.integers(0, count - 1))
+        return raw[:at] + bytes(4 * dim) + raw[at + 4 * dim :]
+    return draw(st.sampled_from((b"", raw[:4]))) + draw(st.binary(max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_matrix_bytes_never_exit_4(chain_artifacts, data):
+    """A KB whose ``terms.mat``, ``chunks.mat`` or both are broken
+    (``broken_matrices``), beside the manifests that ``build-kb`` wrote,
+    through ``run-eval --kb``: exit 0-3 and no internal error."""
+    names = data.draw(st.sampled_from((["terms.mat"], ["chunks.mat"], ["terms.mat", "chunks.mat"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        kb = Path(tmp) / "kb"
+        shutil.copytree(chain_artifacts["kb"], kb)
+        for name in names:
+            (kb / name).write_bytes(data.draw(broken_matrices((kb / name).read_bytes())))
+        argv = [
+            "--out", str(Path(tmp) / "o"), "run-eval", "--schedule", str(chain_artifacts["schedule"]),
+            "--gateway", "mock:echo", "--kb", str(kb),
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_GATEWAY}, (code, err.getvalue())
+    assert "internal error" not in err.getvalue()

@@ -411,3 +411,62 @@ def test_fuzzed_headers_and_dependency_cells_through_ingest(text):
         if code == 0:
             written = (out / "schedule.csv").read_text("utf-8")
             assert parse_schedule(written) == parse_schedule(text)
+
+
+# --- parsing a file as a stream -------------------------------------------------
+
+
+def _parsed(source):
+    """What ``parse_schedule`` of ``source`` gives: the schedule, or the
+    type and message of its error."""
+    try:
+        return parse_schedule(source)
+    except ScheduleError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fuzzed_schedule_texts(),
+    st.integers(0, 2),
+    st.booleans(),
+    st.sampled_from(["", "\n", " \n\t\n", "\r\n\r\n"]),
+)
+def test_parsing_a_file_equals_parsing_its_text(text, boms, crlf, lead):
+    """A file opened with ``newline=""`` parses as its whole text does, to
+    the same schedule or the same error, with leading BOMs, CRLF line ends
+    and blank lines before the header."""
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    text = "\ufeff" * boms + lead + text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.csv"
+        path.write_text(text, "utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert _parsed(fh) == _parsed(text)
+
+
+@pytest.mark.parametrize("variant", ["plain", "bom", "crlf", "blank-lines", "tabs"])
+def test_a_schedule_file_in_each_variant_parses_to_its_schedule(tmp_path, variant):
+    """A generated schedule far longer than one read of the file (so a CRLF
+    may fall across two reads), written with a BOM, CRLF line ends, blank
+    lines before the header or tabs, parses from the file to the schedule
+    its plain text gives."""
+    from schedkit.synthetic import GeneratorParams, generate_schedule
+
+    plain = serialize_schedule(generate_schedule(GeneratorParams(n_activities=300, seed=1)))
+    text = {
+        "plain": plain,
+        "bom": "\ufeff" + plain,
+        "crlf": plain.replace("\n", "\r\n"),
+        "blank-lines": "\n \n" + plain,
+    }.get(variant)
+    if variant == "tabs":
+        buf = io.StringIO()
+        csv.writer(buf, delimiter="\t", lineterminator="\n").writerows(csv.reader(io.StringIO(plain)))
+        text = buf.getvalue()
+    path = tmp_path / "schedule.csv"
+    path.write_text(text, "utf-8", newline="")
+    assert len(text) > 4 * io.DEFAULT_BUFFER_SIZE
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert parse_schedule(fh) == parse_schedule(plain)

@@ -236,9 +236,12 @@ def test_canonical_row_matches_link_scan(sched):
     day = date(2024, 1, 1)
     stranger = Activity("Q", "Q", "Completed", ("P",), "", "", "", None, day, day)
     assert canonical_row(sched, stranger) == ref_canonical_row(sched, stranger)
-    # ``rows`` holds each id's row; the last activity with an id wins.
+    # ``rows`` holds each id's row, in its column order; the last activity
+    # with an id wins.
     last = {a.activity_id: a for a in sched.activities}
-    assert sched.index.rows == {aid: ref_canonical_row(sched, a) for aid, a in last.items()}
+    assert {aid: list(row.items()) for aid, row in sched.index.rows.items()} == {
+        aid: list(ref_canonical_row(sched, a).items()) for aid, a in last.items()
+    }
 
 
 @settings(max_examples=100, deadline=None)
@@ -247,6 +250,17 @@ def test_sample_hierarchical_matches_activity_scan(sched, levels, data):
     cfg = SamplerConfig(max_wbs_levels=levels)
     target = data.draw(st.sampled_from([a.activity_id for a in sched.activities]))
     assert sample_hierarchical(sched, target, cfg) == ref_sample_hierarchical(sched, target, cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(schedules(), st.integers(0, 4))
+def test_wbs_buckets_hold_only_the_depths_sampling_asks_for(sched, levels):
+    cfg = SamplerConfig(max_wbs_levels=levels)
+    for act in sched.activities:
+        sample_hierarchical(sched, act.activity_id, cfg)
+    # A repeated id samples from its last activity, as ``by_id`` holds it.
+    asked = {max(0, len(a.wbs) - levels) for a in sched.index.by_id.values()}
+    assert {k for k, _ in sched.index.wbs_buckets} == asked
 
 
 @st.composite
