@@ -3,11 +3,13 @@ masked-cell evaluation, and preference alignment.
 
 The package root holds what every stage shares and the CLI needs before it
 knows its command: the error bases it maps to exit codes, and the reading
-and writing of whole files. It imports only the standard library."""
+and writing of files. It imports only the standard library."""
 
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 __version__ = "0.1.0"
 
@@ -35,6 +37,34 @@ def read_utf8(path: Path, error) -> str:
         return Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def utf8_lines(raw: BinaryIO, path, error) -> Iterator[str]:
+    """The lines of ``raw``, a binary file opened from ``path``, decoded one
+    at a time with the line ends that ``read_utf8`` gives (``\\r\\n`` and a
+    lone ``\\r`` read as ``\\n``), so the file is never held whole and a
+    pipe works. Bytes that are not UTF-8 raise ``error`` naming the file,
+    with their byte offset in it, as ``read_utf8`` does."""
+    offset = 0
+    # No UTF-8 sequence holds a \n byte, so each line decodes on its own.
+    for line in raw:
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start, end = offset + exc.start, offset + exc.end
+            where = (
+                f"byte 0x{line[exc.start]:02x} in position {start}"
+                if end - start == 1
+                else f"bytes in position {start}-{end - 1}"
+            )
+            raise error(
+                f"{path}: UnicodeDecodeError: 'utf-8' codec can't decode {where}: {exc.reason}"
+            ) from None
+        offset += len(line)
+        if "\r" in text:
+            yield from io.StringIO(text, newline=None)
+        else:
+            yield text
 
 
 @contextmanager

@@ -23,7 +23,7 @@ from pathlib import Path
 # Only the package root here: each command imports the modules it runs, so
 # no stage compiles and loads the others' (``knowledge`` and ``alignment``
 # load numpy, so only build-kb, run-eval --kb and train-scorer do).
-from . import DataError, GatewayError, __version__, read_utf8, streamed, write_artifact
+from . import DataError, GatewayError, __version__, read_utf8, streamed, utf8_lines, write_artifact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,15 +183,11 @@ def build_gateway(cfg, mode: str, schedule=None):
 
 
 def _read_schedule(path: str):
-    """The schedule at ``path``, read as a stream (a pipe works); bytes that
-    are not UTF-8 raise ``ScheduleError`` naming the file."""
+    """The schedule at ``path``, read a line at a time (``utf8_lines``)."""
     from .schedule import ScheduleError, parse_schedule
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            return parse_schedule(fh, source_label=path)
-        except UnicodeDecodeError as exc:
-            raise ScheduleError(f"{path}: {type(exc).__name__}: {exc}") from None
+    with open(path, "rb") as raw:
+        return parse_schedule(utf8_lines(raw, path, ScheduleError), source_label=path)
 
 
 def _write_schedule(out: Path, sched) -> None:

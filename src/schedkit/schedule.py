@@ -439,10 +439,12 @@ def _records(lines: Iterable[str], delim: str) -> Iterator[tuple[int, list[str]]
 def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Schedule:
     """Parse character-separated tabular text into a Schedule.
 
-    ``source`` is the text, or its lines: a file opened with ``newline=""``
-    is read one record at a time and never whole, and is not sought, so a
-    pipe works. Leading BOMs of the first line are dropped, and the
-    delimiter is that of the first non-blank line.
+    ``source`` is the text, or an iterable of its lines (an open file, say),
+    which is read one record at a time, never whole, and not sought, so a
+    pipe works. Either is taken with its line ends already translated, as a
+    file opened with the default ``newline`` gives them, so a ``\\r`` left
+    in a quoted cell is cell text. Leading BOMs of the first line are
+    dropped, and the delimiter is that of the first non-blank line.
 
     Columns are found by their canonical header (``CANONICAL_COLUMNS``).
     Other columns land in ``extra_attributes``. The first column under each
@@ -685,25 +687,22 @@ def extra_columns(schedule: Schedule) -> list[str]:
     return sorted(cols)
 
 
-def serialize_schedule(schedule: Schedule, out: TextIO | None = None) -> str | None:
+def serialize_schedule(schedule: Schedule, out: TextIO) -> None:
     """Canonical comma-separated serialization with a fixed column order,
-    written to ``out`` one row at a time; with no ``out``, returned."""
+    written to ``out`` one row at a time."""
     extras = extra_columns(schedule)
     header = list(CANONICAL_COLUMNS) + extras
-    buf = io.StringIO() if out is None else out
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for act in schedule.activities:
         row = canonical_row(schedule, act)
         writer.writerow([row.get(col, "") for col in header])
-    return buf.getvalue() if out is None else None
 
 
-def serialize_records(schedule: Schedule, out: TextIO | None = None) -> str | None:
+def serialize_records(schedule: Schedule, out: TextIO) -> None:
     """Line-delimited export, one JSON object per activity, written to
-    ``out`` one line at a time; with no ``out``, returned."""
+    ``out`` one line at a time."""
     index = schedule.index
-    buf = io.StringIO() if out is None else out
     for act in schedule.activities:
         rec = {
             "activity_id": act.activity_id,
@@ -727,5 +726,4 @@ def serialize_records(schedule: Schedule, out: TextIO | None = None) -> str | No
             ],
             "extra_attributes": dict(sorted(act.extra_attributes.items())),
         }
-        buf.write(json.dumps(rec, sort_keys=True) + "\n")
-    return buf.getvalue() if out is None else None
+        out.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -12,7 +13,13 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from schedkit.schedule import Activity, DependencyLink, Schedule
+from schedkit.schedule import (
+    Activity,
+    DependencyLink,
+    Schedule,
+    serialize_records,
+    serialize_schedule,
+)
 
 
 def make_activity(
@@ -50,6 +57,20 @@ def chain_schedule(ids: tuple[str, ...] = ("A", "B", "C")) -> Schedule:
         DependencyLink(ids[i], ids[i + 1], "FS", 0) for i in range(len(ids) - 1)
     )
     return Schedule(activities=acts, links=links, source_label="chain")
+
+
+def csv_text(schedule: Schedule) -> str:
+    """``serialize_schedule`` of ``schedule``: its ``schedule.csv`` text."""
+    buf = io.StringIO()
+    serialize_schedule(schedule, buf)
+    return buf.getvalue()
+
+
+def records_text(schedule: Schedule) -> str:
+    """``serialize_records`` of ``schedule``: its ``schedule.jsonl`` text."""
+    buf = io.StringIO()
+    serialize_records(schedule, buf)
+    return buf.getvalue()
 
 
 @pytest.fixture

@@ -124,7 +124,9 @@ def test_generate_a_tiny_schedule(tmp_path, capsys, n):
     most the successors it has, and the schedule re-parses valid and
     acyclic."""
     from schedkit.graph import build_graph, detect_cycles
-    from schedkit.schedule import parse_schedule, serialize_schedule, validate
+    from schedkit.schedule import parse_schedule, validate
+
+    from conftest import csv_text
 
     for seed in (1, 42):
         out = tmp_path / f"s{seed}"
@@ -132,7 +134,7 @@ def test_generate_a_tiny_schedule(tmp_path, capsys, n):
         text = (out / "schedule.csv").read_text("utf-8")
         sched = parse_schedule(text)
         assert len(sched.activities) == n
-        assert serialize_schedule(sched) == text
+        assert csv_text(sched) == text
         assert validate(sched).violations == ()
         assert detect_cycles(build_graph(sched)) == []
         assert f"generated {n} activities" in capsys.readouterr().out
@@ -1914,24 +1916,59 @@ def test_ingest_from_a_pipe_writes_the_tree_of_the_file(tmp_path, n2000, capsys)
     assert piped == filed
 
 
-def test_an_undecodable_byte_at_row_1500_exits_2_naming_the_file(tmp_path, n2000, capsys):
-    """A byte that is not UTF-8, met while the schedule is read as a
-    stream, is a data error naming the file, and nothing is written."""
+@pytest.mark.parametrize("bad_bytes", [b"\xff", b"\xe2\x82", b"\xef\xbb"])
+def test_an_undecodable_byte_at_row_1500_exits_2_naming_the_file(tmp_path, n2000, capsys, bad_bytes):
+    """Bytes that are not UTF-8, met while the schedule is read a line at a
+    time, are a data error naming the file and their offset in it, in the
+    words of a decode of the whole file; nothing is written."""
     lines = n2000.read_bytes().split(b"\n")
-    lines[1500] = b"\xff" + lines[1500]
+    lines[1500] = bad_bytes + lines[1500]
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"\n".join(lines))
+    with pytest.raises(UnicodeDecodeError) as whole:
+        bad.read_bytes().decode("utf-8")
+    assert whole.value.start > 100_000
     capsys.readouterr()
     assert run(["--out", str(tmp_path / "o"), "ingest", "--schedule", str(bad)]) == EXIT_DATA
-    assert capsys.readouterr().err.startswith(f"data error: {bad}: UnicodeDecodeError: ")
+    assert capsys.readouterr().err == f"data error: {bad}: UnicodeDecodeError: {whole.value}\n"
     assert not (tmp_path / "o" / "schedule.csv").exists()
 
 
+# A CRLF schedule with a quoted cell over two lines, a quoted lone \r and
+# a quoted cell holding a blank line.
+CRLF_SCHEDULE = (
+    b"Activity ID,Activity Name,Activity Status,WBS,Discipline,Level,Area,Zone,"
+    b"Current Start,Current Finish,Predecessor Details,Successor Details\r\n"
+    b'A1,"Pour\r\nslab",Not Started,P.A,CSA.Struc.Steel,SF,6E,,2024-01-01,2024-01-08,,\r\n'
+    b'A2,"Cure\rcheck",Not Started,P.A,CSA.Struc.Steel,SF,6E,"Z\r\n\r\n1",2024-01-08,2024-01-15,A1:FS,\r\n'
+    b"A3,Strip,Not Started,P.B,CSA.Struc.Steel,SF,6E,,2024-01-15,2024-01-16,A2:FS+1,\r\n"
+)
+
+
+def test_line_ends_inside_quoted_cells_read_as_newlines(tmp_path, capsys):
+    """``--schedule`` is read with its line ends translated, as a read of
+    the whole text does: a CRLF or a lone CR inside a quoted cell reads as
+    one newline, so the files that ingest writes are those pinned here."""
+    src = tmp_path / "crlf.csv"
+    src.write_bytes(CRLF_SCHEDULE)
+    assert run(["--out", str(tmp_path / "i"), "ingest", "--schedule", str(src)]) == EXIT_OK
+    assert (tmp_path / "i" / "schedule.csv").read_bytes() == (
+        b"Activity ID,Activity Name,Activity Status,WBS,Discipline,Level,Area,Zone,"
+        b"Current Start,Current Finish,Predecessor Details,Successor Details\n"
+        b'A1,"Pour\nslab",Not Started,P.A,CSA.Struc.Steel,SF,6E,,2024-01-01,2024-01-08,,A2:FS\n'
+        b'A2,"Cure\ncheck",Not Started,P.A,CSA.Struc.Steel,SF,6E,"Z\n\n1",2024-01-08,2024-01-15,A1:FS,A3:FS+1\n'
+        b"A3,Strip,Not Started,P.B,CSA.Struc.Steel,SF,6E,,2024-01-15,2024-01-16,A2:FS+1,\n"
+    )
+    assert _digests(tmp_path / "i", ["schedule.jsonl"]) == {
+        "schedule.jsonl": "2dd15392354be0618587484f9150869023524aafb5f5f5eb706f0004516f9cbd"
+    }
+
+
 def test_reading_the_schedule_holds_no_copy_of_its_text(n2000):
-    """The schedule is parsed as it is read: at n=2000 the traced peak of
-    reading it stays under twice the size of the schedule it gives (1.7
-    times on Python 3.11), which reading the whole text first, and a
-    StringIO copy of it, exceeded (3.1 times)."""
+    """The schedule is parsed as it is read, a line at a time: at n=2000
+    the traced peak of reading it stays under twice the size of the
+    schedule it gives (1.8 times on Python 3.11), which reading the whole
+    text first, and a StringIO copy of it, exceeded (3.2 times)."""
     import tracemalloc
 
     from schedkit.cli import _read_schedule

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schedkit import schedule as sm
-from schedkit.cli import main
+from schedkit.cli import _read_schedule, main
 from schedkit.schedule import (
     COL_FINISH,
     COL_START,
@@ -28,12 +28,10 @@ from schedkit.schedule import (
     duration_days,
     parse_dependency_cell,
     parse_schedule,
-    serialize_records,
-    serialize_schedule,
     validate,
 )
 
-from conftest import make_activity
+from conftest import csv_text, make_activity, records_text
 
 HEADER = (
     "Activity ID,Activity Name,Activity Status,WBS,Discipline,Level,Area,Zone,"
@@ -128,7 +126,7 @@ def test_a_repeated_header_keeps_its_first_column():
     act = sched.activities[0]
     assert (act.status, act.extra_attributes) == ("Not Started", {"Phase": "p1"})
     assert canonical_row(sched, act)["Activity Status"] == "Not Started"
-    assert parse_schedule(serialize_schedule(sched)) == sched
+    assert parse_schedule(csv_text(sched)) == sched
 
 
 def test_row_errors_come_before_link_errors():
@@ -149,7 +147,7 @@ def test_parsed_schedule_holds_each_distinct_value_once():
     strings."""
     from schedkit.synthetic import GeneratorParams, generate_schedule
 
-    text = serialize_schedule(generate_schedule(GeneratorParams(n_activities=300, seed=1)))
+    text = csv_text(generate_schedule(GeneratorParams(n_activities=300, seed=1)))
     sched = parse_schedule(text)
     values = [
         (attr, getattr(act, attr))
@@ -274,8 +272,8 @@ def schedules(draw) -> Schedule:
 @settings(max_examples=60, deadline=None)
 @given(schedules())
 def test_parse_serialize_parse_fixed_point(sched):
-    first = parse_schedule(serialize_schedule(sched))
-    second = parse_schedule(serialize_schedule(first))
+    first = parse_schedule(csv_text(sched))
+    second = parse_schedule(csv_text(first))
     assert first == second
     # First normalization already preserves content.
     assert {a.activity_id for a in first.activities} == {
@@ -303,8 +301,8 @@ def test_cells_holding_line_boundaries_round_trip(sched, data):
         )
         for act in sched.activities
     )
-    text = serialize_schedule(replace(sched, activities=acts))
-    assert serialize_schedule(parse_schedule(text)) == text
+    text = csv_text(replace(sched, activities=acts))
+    assert csv_text(parse_schedule(text)) == text
 
 
 def test_blank_lines_are_skipped_and_take_no_row_number():
@@ -331,7 +329,7 @@ def test_canonical_row_covers_all_columns(sched):
 
 
 def test_records_export_shape(chain):
-    lines = serialize_records(chain).strip().splitlines()
+    lines = records_text(chain).strip().splitlines()
     assert len(lines) == 3
     import json
 
@@ -413,52 +411,81 @@ def test_fuzzed_headers_and_dependency_cells_through_ingest(text):
             assert parse_schedule(written) == parse_schedule(text)
 
 
-# --- parsing a file as a stream -------------------------------------------------
+# --- reading a schedule file a line at a time ------------------------------------
 
 
-def _parsed(source):
-    """What ``parse_schedule`` of ``source`` gives: the schedule, or the
-    type and message of its error."""
+def _parsed(read, path: Path):
+    """What ``read(path)`` gives: the schedule, or the type and message of
+    its error."""
     try:
-        return parse_schedule(source)
+        return read(path)
     except ScheduleError as exc:
         return type(exc), str(exc)
+
+
+def _read_whole(path: Path) -> Schedule:
+    """The schedule of ``path``'s whole text, its line ends translated."""
+    return parse_schedule(path.read_text("utf-8"), source_label=str(path))
+
+
+def _read_lines(path: Path) -> Schedule:
+    """The schedule of ``path`` as ``--schedule`` reads it, a line at a time."""
+    return _read_schedule(str(path))
+
+
+_line_ends = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     fuzzed_schedule_texts(),
     st.integers(0, 2),
-    st.booleans(),
-    st.sampled_from(["", "\n", " \n\t\n", "\r\n\r\n"]),
+    _line_ends,
+    st.sampled_from(["", "\n", " \n\t\n", "\r\n\r\n", "\r \r"]),
 )
-def test_parsing_a_file_equals_parsing_its_text(text, boms, crlf, lead):
-    """A file opened with ``newline=""`` parses as its whole text does, to
-    the same schedule or the same error, with leading BOMs, CRLF line ends
-    and blank lines before the header."""
-    if crlf:
-        text = text.replace("\n", "\r\n")
-    text = "\ufeff" * boms + lead + text
+def test_reading_a_file_equals_parsing_its_whole_text(text, boms, eol, lead):
+    """A file read a line at a time parses as its whole text does, to the
+    same schedule or the same error, with leading BOMs, any line ends and
+    blank lines before the header."""
+    text = "\ufeff" * boms + lead + text.replace("\n", eol)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "schedule.csv"
-        path.write_text(text, "utf-8", newline="")
-        with open(path, encoding="utf-8", newline="") as fh:
-            assert _parsed(fh) == _parsed(text)
+        path.write_bytes(text.encode("utf-8"))
+        assert _parsed(_read_lines, path) == _parsed(_read_whole, path)
 
 
-@pytest.mark.parametrize("variant", ["plain", "bom", "crlf", "blank-lines", "tabs"])
+@settings(max_examples=60, deadline=None)
+@given(schedules(), st.data(), _line_ends)
+def test_line_breaks_in_cells_read_as_in_the_whole_text(sched, data, eol):
+    """Cells holding line breaks, lone CRs among them, in a file whose
+    line ends (inside quoted cells too) are LF, CRLF or CR, read a line at
+    a time as from the whole text."""
+    breaking = st.text(alphabet='ab ,"\n\r\x0b\x1c\x85\u2028', max_size=8).map(lambda t: f"n{t}n")
+    acts = tuple(
+        replace(act, name=data.draw(breaking), extra_attributes={"Project Phase": data.draw(breaking)})
+        for act in sched.activities
+    )
+    text = csv_text(replace(sched, activities=acts)).replace("\n", eol)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _parsed(_read_lines, path) == _parsed(_read_whole, path)
+
+
+@pytest.mark.parametrize("variant", ["plain", "bom", "crlf", "cr", "blank-lines", "tabs"])
 def test_a_schedule_file_in_each_variant_parses_to_its_schedule(tmp_path, variant):
     """A generated schedule far longer than one read of the file (so a CRLF
-    may fall across two reads), written with a BOM, CRLF line ends, blank
-    lines before the header or tabs, parses from the file to the schedule
-    its plain text gives."""
+    may fall across two reads), written with a BOM, CRLF or CR line ends,
+    blank lines before the header or tabs, parses from the file to the
+    schedule its plain text gives."""
     from schedkit.synthetic import GeneratorParams, generate_schedule
 
-    plain = serialize_schedule(generate_schedule(GeneratorParams(n_activities=300, seed=1)))
+    plain = csv_text(generate_schedule(GeneratorParams(n_activities=300, seed=1)))
     text = {
         "plain": plain,
         "bom": "\ufeff" + plain,
         "crlf": plain.replace("\n", "\r\n"),
+        "cr": plain.replace("\n", "\r"),
         "blank-lines": "\n \n" + plain,
     }.get(variant)
     if variant == "tabs":
@@ -466,7 +493,6 @@ def test_a_schedule_file_in_each_variant_parses_to_its_schedule(tmp_path, varian
         csv.writer(buf, delimiter="\t", lineterminator="\n").writerows(csv.reader(io.StringIO(plain)))
         text = buf.getvalue()
     path = tmp_path / "schedule.csv"
-    path.write_text(text, "utf-8", newline="")
+    path.write_bytes(text.encode("utf-8"))
     assert len(text) > 4 * io.DEFAULT_BUFFER_SIZE
-    with open(path, encoding="utf-8", newline="") as fh:
-        assert parse_schedule(fh) == parse_schedule(plain)
+    assert _read_lines(path) == parse_schedule(plain, source_label=str(path))

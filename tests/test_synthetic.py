@@ -6,7 +6,6 @@ import pytest
 from schedkit.graph import build_graph, detect_cycles, degree_distribution
 from schedkit.schedule import (
     Schedule,
-    serialize_schedule,
     validate,
 )
 from schedkit.attributes import (
@@ -19,7 +18,7 @@ from schedkit.attributes import (
 )
 from schedkit.synthetic import GeneratorParams, InfeasibleParamsError, generate_schedule
 
-from conftest import make_activity
+from conftest import csv_text, make_activity
 
 
 def test_single_activity():
@@ -29,10 +28,10 @@ def test_single_activity():
 
 
 def test_seed_determinism_byte_identical():
-    a = serialize_schedule(generate_schedule(GeneratorParams(n_activities=150, seed=42)))
-    b = serialize_schedule(generate_schedule(GeneratorParams(n_activities=150, seed=42)))
+    a = csv_text(generate_schedule(GeneratorParams(n_activities=150, seed=42)))
+    b = csv_text(generate_schedule(GeneratorParams(n_activities=150, seed=42)))
     assert a == b
-    c = serialize_schedule(generate_schedule(GeneratorParams(n_activities=150, seed=7)))
+    c = csv_text(generate_schedule(GeneratorParams(n_activities=150, seed=7)))
     assert a != c
 
 
@@ -61,7 +60,7 @@ def test_generated_schedules_parse_back():
     from schedkit.schedule import parse_schedule
 
     sched = generate_schedule(GeneratorParams(n_activities=60, seed=3))
-    reparsed = parse_schedule(serialize_schedule(sched))
+    reparsed = parse_schedule(csv_text(sched))
     assert {a.activity_id for a in reparsed.activities} == {
         a.activity_id for a in sched.activities
     }
