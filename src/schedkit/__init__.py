@@ -31,20 +31,17 @@ class GatewayError(Exception):
 
 
 def read_utf8(path: Path, error) -> str:
-    """The text of ``path``; bytes that are not UTF-8 raise ``error`` naming
-    the file."""
-    try:
-        return Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: {type(exc).__name__}: {exc}") from None
+    """The text of ``path``, as ``utf8_lines`` reads it."""
+    with open(path, "rb") as raw:
+        return "".join(utf8_lines(raw, path, error))
 
 
 def utf8_lines(raw: BinaryIO, path, error) -> Iterator[str]:
     """The lines of ``raw``, a binary file opened from ``path``, decoded one
-    at a time with the line ends that ``read_utf8`` gives (``\\r\\n`` and a
-    lone ``\\r`` read as ``\\n``), so the file is never held whole and a
-    pipe works. Bytes that are not UTF-8 raise ``error`` naming the file,
-    with their byte offset in it, as ``read_utf8`` does."""
+    at a time with the line ends of text mode (``\\r\\n`` and a lone
+    ``\\r`` read as ``\\n``), so the file is never held whole and a pipe
+    works. Bytes that are not UTF-8 raise ``error`` naming the file, with
+    their byte offset in it, in the words of ``UnicodeDecodeError``."""
     offset = 0
     # No UTF-8 sequence holds a \n byte, so each line decodes on its own.
     for line in raw:

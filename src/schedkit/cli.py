@@ -541,7 +541,8 @@ def cmd_train_scorer(args, cfg) -> int:
 
 def cmd_polish(args, cfg) -> int:
     from . import graph, masked_eval, polish
-    from .gateway import TranscriptLog, encode_json
+    from .gateway import TranscriptLog
+    from .records import encode_json
 
     out = _out_dir(args)
     mode = args.gateway or "mock:stopword"
@@ -574,7 +575,7 @@ def cmd_report(args, cfg) -> int:
 
     out = _out_dir(args)
     try:
-        report = ScoreReport.from_json(Path(args.report).read_text("utf-8"))
+        report = ScoreReport.from_json(read_utf8(args.report, DataError))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"{args.report}: {type(exc).__name__}: {exc}") from None
     table = report.render_table()

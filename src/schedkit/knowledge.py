@@ -14,7 +14,7 @@ characters after NFC normalization.
 A saved store is a JSON-lines manifest and a float32 matrix. Building one
 writes each row as it is embedded (``build_stores_from_paths``); loading
 one keeps the matrix and where each manifest line starts, and reads a
-line's text only when it is retrieved (``_Manifest``).
+line's text only when it is retrieved (``records.LineIndex``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import functools
 import operator
 import struct
 import unicodedata
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DataError, read_utf8, streamed
-from .gateway import dataclass_fields, encode_fields, object_parts, read_jsonl, read_jsonl_line
+from .records import LineIndex, dataclass_fields, write_line
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
 
@@ -255,12 +254,12 @@ class LocalTermStore(_MatrixStore):
     """Term -> definition entries with argmax retrieval over definitions.
 
     A loaded store's ``entries`` are read from its manifest when retrieved
-    (``_Manifest``), so it takes no ``add``.
+    (``records.LineIndex``), so it takes no ``add``.
     """
 
     def __init__(self, embedder, matrix: np.ndarray | None = None):
         super().__init__(embedder, matrix)
-        self.entries: list[TermEntry] | _Manifest = []
+        self.entries: list[TermEntry] | LineIndex = []
 
     def add(self, term: str, definition: str) -> TermEntry:
         entry = _term_entry(term, definition)
@@ -279,12 +278,12 @@ class GlobalChunkStore(_MatrixStore):
     """Chunked reference documents with top-k cosine retrieval.
 
     A loaded store's ``chunks`` are read from its manifest when retrieved
-    (``_Manifest``), so it takes no ``add_document``.
+    (``records.LineIndex``), so it takes no ``add_document``.
     """
 
     def __init__(self, embedder, matrix: np.ndarray | None = None):
         super().__init__(embedder, matrix)
-        self.chunks: list[KnowledgeChunk] | _Manifest = []
+        self.chunks: list[KnowledgeChunk] | LineIndex = []
         # Each chunk's position in (doc_id, chunk_index) order.
         self._rank: np.ndarray | None = None
 
@@ -354,8 +353,7 @@ def _store_writer(manifest_path: Path, matrix_path: Path, fields):
 
         def add(item, row: np.ndarray) -> int:
             nonlocal dim, count
-            manifest.writelines(object_parts(encode_fields(fields, functools.partial(getattr, item))))
-            manifest.write("\n")
+            write_line(manifest, fields, functools.partial(getattr, item))
             matrix.write(row.astype("<f4").tobytes())
             dim, count = len(row), count + 1
             return count
@@ -371,55 +369,14 @@ def _save_store(items, matrix: np.ndarray, manifest_path: Path, matrix_path: Pat
             add(item, row)
 
 
-class _Manifest(Sequence):
-    """The items of a saved store's manifest, each read from disk when it is
-    first asked for.
-
-    Loading reads every line once and checks it as ``read_jsonl`` does, but
-    keeps only where the line starts, its number and its item's key
-    (``_TERM_KEY``, ``_CHUNK_KEY``). ``self[i]`` reads line i again and
-    keeps its item, so every caller shares one copy of its text. A line
-    that no longer reads back, or whose key changed (the file was rewritten
-    after loading), raises ``KnowledgeError`` naming ``path:line``.
-    """
-
-    def __init__(self, path: Path, fields, make, key):
-        self.path = Path(path)
-        self._fields, self._make, self._key = fields, make, key
-        self._lines: list[tuple[int, int]] = []  # (offset, line_no)
-        self.keys = []
-        for offset, line_no, item in read_jsonl(self.path, fields, make, KnowledgeError, located=True):
-            self._lines.append((offset, line_no))
-            self.keys.append(key(item))
-        self._items: dict[int, object] = {}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, i: int):
-        i = operator.index(i)
-        item = self._items.get(i)
-        if item is None:
-            make = functools.partial(self._reread, self.keys[i])
-            item = read_jsonl_line(self.path, *self._lines[i], self._fields, make, KnowledgeError)
-            self._items[i] = item
-        return item
-
-    def _reread(self, key, **values):
-        item = self._make(**values)
-        if self._key(item) != key:
-            raise ValueError(f"key {self._key(item)!r} was {key!r} when the store was loaded")
-        return item
-
-
 def _read_store(
     embedder, manifest_path: Path, matrix_path: Path, fields, make, key
-) -> tuple[_Manifest, np.ndarray]:
-    """The manifest (``_Manifest`` of ``make`` of each record's ``fields``)
+) -> tuple[LineIndex, np.ndarray]:
+    """The manifest (``LineIndex`` of ``make`` of each record's ``fields``)
     and the matrix of a saved store. A line that is not a JSON object with
     those fields, of their types, raises ``KnowledgeError`` naming
     ``path:line``."""
-    items = _Manifest(manifest_path, fields, make, key)
+    items = LineIndex(manifest_path, fields, make, key, KnowledgeError)
     matrix = _read_matrix(Path(matrix_path))
     if len(items) != len(matrix):
         raise KnowledgeError(

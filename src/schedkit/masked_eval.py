@@ -22,11 +22,7 @@ from .gateway import (
     Gateway,
     MISSING_COLUMNS_LABEL,
     TranscriptLog,
-    encode_fields,
-    encode_json,
     error_text,
-    object_parts,
-    read_jsonl,
     timed_complete,
     wire_values,
 )
@@ -39,6 +35,7 @@ from .preferences import (
     preference_store_load,
 )
 from .prompt_forge import AP, DA, MVP, build_task_prompt, prompt_tokens, word_count
+from .records import encode_fields, encode_json, read_jsonl, write_line
 from .report import ScoreReport, TaskScore
 from .schedule import (
     COL_AREA,
@@ -500,16 +497,14 @@ def save_instances(fh: TextIO, instances: Iterable[EvalInstance]) -> None:
     its pieces, and a prompt already encoded (``prompt_user_json``) is not
     encoded again or copied into it."""
     for inst in instances:
-        given = {"prompt_user": inst.prompt_user_json}
         encoded = encode_fields(MASK_FIELDS, partial(getattr, inst.mask))
-        encoded |= encode_fields(_OUTCOME_FIELDS, partial(getattr, inst), given)
-        fh.writelines(object_parts(encoded))
-        fh.write("\n")
+        encoded["prompt_user"] = inst.prompt_user_json
+        write_line(fh, INSTANCE_FIELDS, partial(getattr, inst), encoded)
 
 
 def load_instances(path: Path, only: set[int] | None = None, rows=None) -> Iterator[EvalInstance]:
     """The saved instances, read one line at a time; with ``only``, just
-    those at these positions (``gateway.read_jsonl``). A task kind that is
+    those at these positions (``records.read_jsonl``). A task kind that is
     not MVP, DA or AP (``MaskSpec``) or a masked column that
     ``ground_truth`` has no text for is a ``ValueError``; with ``rows``, so
     is a ``row_id`` that is not among them."""

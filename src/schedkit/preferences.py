@@ -1,9 +1,9 @@
 """The preference store: one JSON line per chosen/rejected completion pair.
 
 ``collect-prefs`` appends the pairs it makes and ``train-scorer`` reads
-them back. The module imports only the package root and ``gateway``'s
-field tables, so a stage that reads a store loads neither the schedule nor
-the evaluation modules.
+them back. The module imports only the package root and ``records``, so a
+stage that reads a store loads neither the schedule, the evaluation nor the
+gateway modules.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import CorruptRecordError, DataError
-from .gateway import dataclass_fields, encode_fields, object_parts, read_jsonl
+from .records import count_records, dataclass_fields, read_jsonl, write_line
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ PREFERENCE_FIELDS = dataclass_fields(PreferenceRecord)
 class PreferenceStore:
     """The records of a preference file, read from disk on each pass and
     never held: iterating yields them one line at a time
-    (``gateway.read_jsonl``), and ``len`` counts the lines that are not
-    blank, by the same rule, without parsing them."""
+    (``records.read_jsonl``), and ``len`` counts them without parsing them
+    (``records.count_records``)."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
@@ -44,10 +44,7 @@ class PreferenceStore:
         return read_jsonl(self.path, PREFERENCE_FIELDS, PreferenceRecord, CorruptRecordError)
 
     def __len__(self) -> int:
-        # Bytes that are not UTF-8 decode to U+FFFD, which is not blank, so
-        # their line counts here and ``read_jsonl`` names it.
-        with open(self.path, "rb") as fh:
-            return sum(1 for raw in fh if raw.decode("utf-8", "replace").strip())
+        return count_records(self.path)
 
 
 def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> int:
@@ -62,8 +59,7 @@ def preference_store_append(path: Path, records: Iterable[PreferenceRecord]) -> 
                 raise DataError("chosen and rejected completions are identical")
             if fh is None:
                 fh = open(path, "a", encoding="utf-8")
-            fh.writelines(object_parts(encode_fields(PREFERENCE_FIELDS, partial(getattr, record))))
-            fh.write("\n")
+            write_line(fh, PREFERENCE_FIELDS, partial(getattr, record))
             count += 1
     finally:
         if fh is not None:

@@ -201,33 +201,6 @@ def test_transcript_line_encoding_is_exact(exchanges):
         )
 
 
-# JSON values with the encoder's edge cases: integers past 64 bits, bools
-# (ints to Python), NaN, both infinities, -0.0, and nested containers under
-# non-ASCII keys.
-JSON_VALUE = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(10**40), 10**40)
-    | st.floats()
-    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0])
-    | TEXT,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUE)
-def test_encode_json_equals_json_dumps(value):
-    """The reused encoder writes what ``json.dumps(sort_keys=True)`` does,
-    call after call. Mutations that fail it: building the encoder without
-    ``sort_keys``, with ``","`` or ``":"`` as separators, or with
-    ``allow_nan`` off."""
-    expected = json.dumps(value, sort_keys=True)
-    assert gw.encode_json(value) == expected
-    assert gw.encode_json([value, value]) == f"[{expected}, {expected}]"
-
-
 def test_transcript_log_starts_its_file_empty(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("stale\n", "utf-8")

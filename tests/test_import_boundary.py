@@ -131,6 +131,8 @@ def test_stages_that_read_no_context_load_neither_eval_nor_context(stages):
     # The control: the stages that do sample contexts load them.
     assert "schedkit.context" in stage_modules["sample-context"]
     assert {"schedkit.context", "schedkit.masked_eval"} <= stage_modules["run-eval"]
+    # run-eval sends exchanges and writes records; each has its own module.
+    assert {"schedkit.gateway", "schedkit.records"} <= stage_modules["run-eval"]
 
 
 def test_only_array_stages_load_numpy(stages):
@@ -148,18 +150,26 @@ def test_only_array_stages_load_numpy(stages):
         ["--out", "kbeval", "run-eval", "--schedule", "gen/schedule.csv", "--gateway", "mock:echo", "--kb", "kb"],
         ["--out", "scorer", "train-scorer", "--prefs-db", "prefs/prefs.jsonl"],
     ]
-    for argv in with_numpy:
-        assert "numpy" in loaded_modules(cwd, PROBE, *argv), argv
+    loaded = {argv[2]: loaded_modules(cwd, PROBE, *argv) for argv in with_numpy}
+    for name, modules in loaded.items():
+        assert "numpy" in modules, name
+    # build-kb writes records and sends no exchange.
+    assert "schedkit.records" in loaded["build-kb"]
+    assert "schedkit.gateway" not in loaded["build-kb"]
 
 
 def test_train_scorer_loads_neither_the_schedule_nor_the_evaluation(stages):
     """train-scorer reads its pairs through ``preferences``, which imports
-    neither ``schedule`` nor ``masked_eval``, so it loads neither."""
+    neither ``schedule`` nor ``masked_eval``, so it loads neither; nor does
+    ``preferences`` import ``gateway``."""
     cwd, _ = stages
     argv = ["--out", "scorer_only", "train-scorer", "--prefs-db", "prefs/prefs.jsonl"]
     loaded = loaded_modules(cwd, PROBE, *argv)
     assert not {"schedkit.schedule", "schedkit.masked_eval"} & loaded
     assert {"numpy", "schedkit.alignment"} <= loaded  # it did train
+    probe = "import json, sys, schedkit.preferences; print(json.dumps(sorted(sys.modules)))"
+    loaded = loaded_modules(cwd, probe)
+    assert "schedkit.records" in loaded and "schedkit.gateway" not in loaded
 
 
 class _ChatStub(BaseHTTPRequestHandler):

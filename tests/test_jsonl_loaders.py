@@ -1,4 +1,4 @@
-"""Every JSON-lines artifact is read back through ``gateway.read_jsonl``.
+"""Every JSON-lines artifact is read back through ``records.read_jsonl``.
 
 A bad line raises the loader's own error as ``path:line: Type: detail``,
 the CLI maps it to that artifact's exit code (3 for a replayed transcript,
@@ -467,7 +467,7 @@ FIELD_TEXT = st.text(max_size=12) | st.text(
 
 
 def _of_type(kind, nullable: bool):
-    """Values of a field-table type (``gateway.decode_fields``)."""
+    """Values of a field-table type (``records.decode_fields``)."""
     if isinstance(kind, tuple):
         values = st.lists(_of_type(kind[1], False), max_size=3)
     else:
