@@ -301,26 +301,17 @@ def cmd_build_kb(args, cfg) -> int:
 
 
 def _load_kb(kb_dir: str | None):
+    """The ``--kb`` knowledge base (``knowledge.KnowledgeBase``), or None
+    without one. A directory with neither manifest is rejected before
+    numpy loads."""
     if not kb_dir:
-        return None, None
+        return None
     kb = Path(kb_dir)
     if not ((kb / "terms.jsonl").is_file() or (kb / "chunks.jsonl").is_file()):
         raise DataError(f"{kb_dir}: no knowledge store (neither terms.jsonl nor chunks.jsonl)")
     from . import knowledge
 
-    embedder = knowledge.HashedNgramEmbedder()
-    local = glob = None
-    if (kb / "terms.jsonl").is_file():
-        local = knowledge.load_term_store(embedder, kb / "terms.jsonl", kb / "terms.mat")
-        if not local.entries:
-            local = None
-    if (kb / "chunks.jsonl").is_file():
-        glob = knowledge.load_chunk_store(embedder, kb / "chunks.jsonl", kb / "chunks.mat")
-        if not glob.chunks:
-            glob = None
-    if local is None and glob is None:
-        raise DataError(f"{kb_dir}: the knowledge stores hold no term and no chunk")
-    return local, glob
+    return knowledge.KnowledgeBase(kb_dir)
 
 
 def _sampled_contexts(sched, cfg, targets, render):
@@ -393,7 +384,7 @@ def cmd_run_eval(args, cfg) -> int:
     seed = cfg.getint("eval", "seed")
     masks = [masked_eval.make_mask_tasks(sched, kind, seed=seed) for kind in kinds]
     rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
-    local, glob = _load_kb(args.kb)
+    kb = _load_kb(args.kb)
     # Each row's context as its pieces, not as text: rows of one WBS
     # bucket share its HIERARCHICAL block, and rows that retrieve the
     # same texts share them. Retrieved knowledge, if any, leads.
@@ -402,19 +393,10 @@ def cmd_run_eval(args, cfg) -> int:
         bundle.target: pieces
         for bundle, pieces in _sampled_contexts(sched, cfg, ids, context.context_pieces)
     }
-    if local is not None or glob is not None:
+    if kb is not None:
         for row_id, pieces in contexts.items():
-            # Both stores share one embedder, so the query is embedded once.
-            query = (local or glob).embedder.embed(pieces.text())
-            parts = []
-            if local is not None:
-                entry = local.retrieve(query)
-                parts.append(f"{entry.term}: {entry.definition}")
-            if glob is not None:
-                for chunk in glob.retrieve(query, k=3):
-                    parts.append(chunk.text)
-            if "\n".join(parts):
-                contexts[row_id] = dataclasses.replace(pieces, knowledge=tuple(parts))
+            if retrieved := kb.retrieve(pieces.text()):
+                contexts[row_id] = dataclasses.replace(pieces, knowledge=retrieved)
 
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, schedule=sched)

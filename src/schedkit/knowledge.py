@@ -14,7 +14,9 @@ characters after NFC normalization.
 A saved store is a JSON-lines manifest and a float32 matrix. Building one
 writes each row as it is embedded (``build_stores_from_paths``); loading
 one keeps the matrix and where each manifest line starts, and reads a
-line's text only when it is retrieved (``records.LineIndex``).
+line's text only when it is retrieved (``records.LineIndex``). A store is
+made only by loading it. ``KnowledgeBase`` is the one reader of a
+knowledge base directory and holds the rule for what a row retrieves.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError, read_utf8, streamed
+from . import DataError, read_utf8, streamed, utf8_lines
 from .records import LineIndex, dataclass_fields, write_line
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
@@ -219,12 +221,6 @@ def chunk_document(
     return chunks
 
 
-def _term_entry(term: str, definition: str) -> TermEntry:
-    if not term:
-        raise KnowledgeError("term must be non-empty")
-    return TermEntry(term, definition)
-
-
 # What a loaded manifest keeps of each line to find it changed: a term's
 # term, a chunk's (doc_id, chunk_index), which also orders ties.
 _TERM_KEY = operator.attrgetter("term")
@@ -236,75 +232,43 @@ def _sort_rank(keys: list) -> np.ndarray:
     return np.argsort(sorted(range(len(keys)), key=keys.__getitem__))
 
 
-class _MatrixStore:
-    """Items with one embedding each: row i of ``matrix`` embeds item i."""
+class LocalTermStore:
+    """Term -> definition entries with argmax retrieval over definitions:
+    row i of ``matrix`` embeds the definition of ``entries[i]``, which is
+    read from the manifest when it is retrieved (``records.LineIndex``)."""
 
-    def __init__(self, embedder, matrix: np.ndarray | None = None):
-        self.embedder = embedder
-        self.matrix = np.empty((0, embedder.dim)) if matrix is None else matrix
+    def __init__(self, entries: LineIndex, matrix: np.ndarray):
+        self.entries = entries
+        self.matrix = matrix
 
-    def _similarities(self, query: str | np.ndarray) -> np.ndarray:
-        """Cosine of every row with ``query``, a text or its embedding."""
-        if isinstance(query, str):
-            query = self.embedder.embed(query)
-        return self.matrix @ query
-
-
-class LocalTermStore(_MatrixStore):
-    """Term -> definition entries with argmax retrieval over definitions.
-
-    A loaded store's ``entries`` are read from its manifest when retrieved
-    (``records.LineIndex``), so it takes no ``add``.
-    """
-
-    def __init__(self, embedder, matrix: np.ndarray | None = None):
-        super().__init__(embedder, matrix)
-        self.entries: list[TermEntry] | LineIndex = []
-
-    def add(self, term: str, definition: str) -> TermEntry:
-        entry = _term_entry(term, definition)
-        self.matrix = np.vstack([self.matrix, self.embedder.embed(definition)])
-        self.entries.append(entry)
-        return entry
-
-    def retrieve(self, query: str | np.ndarray) -> TermEntry:
-        """Highest-cosine entry; earliest insertion wins ties."""
+    def retrieve(self, query: np.ndarray) -> TermEntry:
+        """Highest-cosine entry with the embedded ``query``; the earliest
+        entry wins ties."""
         if not self.entries:
             raise EmptyStoreError("local term store is empty")
-        return self.entries[int(np.argmax(self._similarities(query)))]
+        return self.entries[int(np.argmax(self.matrix @ query))]
 
 
-class GlobalChunkStore(_MatrixStore):
-    """Chunked reference documents with top-k cosine retrieval.
+class GlobalChunkStore:
+    """Chunked reference documents with top-k cosine retrieval: row i of
+    ``matrix`` embeds ``chunks[i]``, which is read from the manifest when
+    it is retrieved (``records.LineIndex``)."""
 
-    A loaded store's ``chunks`` are read from its manifest when retrieved
-    (``records.LineIndex``), so it takes no ``add_document``.
-    """
+    def __init__(self, chunks: LineIndex, matrix: np.ndarray):
+        self.chunks = chunks
+        self.matrix = matrix
+        # Each chunk's position in (doc_id, chunk_index) order, from the
+        # keys the index keeps, so no chunk text is read to rank.
+        self._rank = _sort_rank(chunks.keys)
 
-    def __init__(self, embedder, matrix: np.ndarray | None = None):
-        super().__init__(embedder, matrix)
-        self.chunks: list[KnowledgeChunk] | LineIndex = []
-        # Each chunk's position in (doc_id, chunk_index) order.
-        self._rank: np.ndarray | None = None
-
-    def add_document(
-        self, doc_id: str, text: str, chunk_tokens: int = DEFAULT_CHUNK_TOKENS
-    ) -> list[KnowledgeChunk]:
-        pieces = chunk_document(doc_id, text, chunk_tokens)
-        self.matrix = np.vstack([self.matrix, *(self.embedder.embed(c.text) for c in pieces)])
-        self.chunks.extend(pieces)
-        self._rank = None
-        return pieces
-
-    def retrieve(self, query: str | np.ndarray, k: int = 3) -> list[KnowledgeChunk]:
-        """k most similar chunks, ties broken by (doc_id, chunk_index)."""
+    def retrieve(self, query: np.ndarray, k: int = 3) -> list[KnowledgeChunk]:
+        """The k chunks of highest cosine with the embedded ``query``, ties
+        broken by (doc_id, chunk_index)."""
         if not self.chunks:
             raise EmptyStoreError("global chunk store is empty")
         if k < 1:
             raise KnowledgeError("k must be >= 1")
-        if self._rank is None:
-            self._rank = _sort_rank([_CHUNK_KEY(c) for c in self.chunks])
-        ranked = np.lexsort((self._rank, -self._similarities(query)))
+        ranked = np.lexsort((self._rank, -(self.matrix @ query)))
         return [self.chunks[i] for i in ranked[:k]]
 
 
@@ -396,12 +360,9 @@ def save_term_store(store: LocalTermStore, manifest_path: Path, matrix_path: Pat
 
 
 def load_term_store(embedder, manifest_path: Path, matrix_path: Path) -> LocalTermStore:
-    entries, matrix = _read_store(
-        embedder, manifest_path, matrix_path, TERM_FIELDS, TermEntry, _TERM_KEY
+    return LocalTermStore(
+        *_read_store(embedder, manifest_path, matrix_path, TERM_FIELDS, TermEntry, _TERM_KEY)
     )
-    store = LocalTermStore(embedder, matrix)
-    store.entries = entries
-    return store
 
 
 def save_chunk_store(store: GlobalChunkStore, manifest_path: Path, matrix_path: Path) -> None:
@@ -409,13 +370,9 @@ def save_chunk_store(store: GlobalChunkStore, manifest_path: Path, matrix_path: 
 
 
 def load_chunk_store(embedder, manifest_path: Path, matrix_path: Path) -> GlobalChunkStore:
-    chunks, matrix = _read_store(
-        embedder, manifest_path, matrix_path, CHUNK_FIELDS, KnowledgeChunk, _CHUNK_KEY
+    return GlobalChunkStore(
+        *_read_store(embedder, manifest_path, matrix_path, CHUNK_FIELDS, KnowledgeChunk, _CHUNK_KEY)
     )
-    store = GlobalChunkStore(embedder, matrix)
-    store.chunks = chunks
-    store._rank = _sort_rank(chunks.keys)
-    return store
 
 
 def build_stores_from_paths(
@@ -428,7 +385,8 @@ def build_stores_from_paths(
     """Index a two-column term file and a directory of .txt documents into
     the knowledge base in ``out_dir``; the numbers of terms and chunks.
 
-    The term file is tab-separated ``term<TAB>definition``, one per line.
+    The term file is tab-separated ``term<TAB>definition``, one per line,
+    where a line ends only at ``\n``, ``\r\n`` or ``\r`` (``utf8_lines``).
     Files are visited in sorted order so indexing is idempotent. Each term
     and chunk is written as soon as it is embedded, to ``terms.jsonl`` and
     ``terms.mat`` or ``chunks.jsonl`` and ``chunks.mat``, byte for byte as
@@ -443,16 +401,61 @@ def build_stores_from_paths(
         _store_writer(out / "chunks.jsonl", out / "chunks.mat", CHUNK_FIELDS) as add_chunk,
     ):
         if terms_file is not None:
-            for line in read_utf8(terms_file, KnowledgeError).splitlines():
-                if not line.strip():
-                    continue
-                term, _, definition = line.partition("\t")
-                if not definition:
-                    raise KnowledgeError(f"term line without definition: {line!r}")
-                entry = _term_entry(term.strip(), definition.strip())
-                terms = add_term(entry, embedder.embed(entry.definition))
+            with open(terms_file, "rb") as raw:
+                for line_no, line in enumerate(utf8_lines(raw, terms_file, KnowledgeError), 1):
+                    line = line.removesuffix("\n")
+                    if not line.strip():
+                        continue
+                    term, _, definition = line.partition("\t")
+                    if not definition:
+                        raise KnowledgeError(
+                            f"{terms_file}:{line_no}: term line without definition: {line!r}"
+                        )
+                    if not term.strip():
+                        raise KnowledgeError(f"{terms_file}:{line_no}: term must be non-empty")
+                    entry = TermEntry(term.strip(), definition.strip())
+                    terms = add_term(entry, embedder.embed(entry.definition))
         if corpus_dir is not None:
             for path in sorted(Path(corpus_dir).glob("*.txt")):
                 for chunk in chunk_document(path.stem, read_utf8(path, KnowledgeError), chunk_tokens):
                     chunks = add_chunk(chunk, embedder.embed(chunk.text))
     return terms, chunks
+
+
+class KnowledgeBase:
+    """The knowledge base that ``build-kb`` wrote into ``kb_dir``, and the
+    rule for what a row retrieves from it.
+
+    It loads whichever of the term store (``terms.jsonl``, ``terms.mat``)
+    and the chunk store (``chunks.jsonl``, ``chunks.mat``) the directory
+    holds, and keeps one only if it has a row; if neither is kept it raises
+    ``KnowledgeError``.
+    """
+
+    def __init__(self, kb_dir):
+        kb = Path(kb_dir)
+        self.embedder = HashedNgramEmbedder()
+
+        def load(name: str, loader):
+            if (kb / f"{name}.jsonl").is_file():
+                store = loader(self.embedder, kb / f"{name}.jsonl", kb / f"{name}.mat")
+                return store if len(store.matrix) else None
+
+        self.term_store = load("terms", load_term_store)
+        self.chunk_store = load("chunks", load_chunk_store)
+        if self.term_store is None and self.chunk_store is None:
+            raise KnowledgeError(f"{kb_dir}: the knowledge stores hold no term and no chunk")
+
+    def retrieve(self, text: str) -> tuple[str, ...]:
+        """What a row whose context is ``text`` retrieves: the top term as
+        ``term: definition``, then the texts of the top 3 chunks, from the
+        one embedding of ``text``; ``()`` if they join to the empty
+        string."""
+        query = self.embedder.embed(text)
+        parts = []
+        if self.term_store is not None:
+            entry = self.term_store.retrieve(query)
+            parts.append(f"{entry.term}: {entry.definition}")
+        if self.chunk_store is not None:
+            parts.extend(chunk.text for chunk in self.chunk_store.retrieve(query, k=3))
+        return tuple(parts) if "\n".join(parts) else ()

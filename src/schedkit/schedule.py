@@ -71,8 +71,6 @@ MANDATORY_COLUMNS = (
     COL_SUCC,
 )
 
-CANONICAL_STATUSES = ("Not Started", "In Progress", "Completed")
-
 
 class ScheduleError(DataError):
     """Base class for ingestion failures."""

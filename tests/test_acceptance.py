@@ -32,7 +32,7 @@ from schedkit.gateway import (
     StopwordStripperGateway,
 )
 from schedkit.graph import build_graph, degree_distribution, detect_cycles, maximal_hop_values
-from schedkit.knowledge import HashedNgramEmbedder, GlobalChunkStore
+from schedkit.knowledge import HashedNgramEmbedder, build_stores_from_paths, load_chunk_store
 from schedkit.masked_eval import evaluate_tasks, make_mask_tasks
 from schedkit.polish import ContextLengthStats, polish_context
 from schedkit.schedule import DependencyLink, Schedule, canonical_row, validate
@@ -135,7 +135,7 @@ def test_criterion_01_sampler_oracle_equivalence():
     _report(1, "sampler/oracle equivalence", 10.0, body)
 
 
-def test_criterion_02_retrieval_oracle_equivalence():
+def test_criterion_02_retrieval_oracle_equivalence(tmp_path):
     def body():
         emb = HashedNgramEmbedder()
         words = (
@@ -143,13 +143,16 @@ def test_criterion_02_retrieval_oracle_equivalence():
             "cable duct pipe valve pump fan chiller panel transformer"
         ).split()
         gen = prng.derive(2, "acceptance-retrieval")
-        store = GlobalChunkStore(emb)
-        doc = 0
-        while len(store.chunks) < 500:
-            n_chunks = 1 + gen.randint(10)
-            text = " ".join(gen.choice(words) for _ in range(6 * n_chunks))
-            store.add_document(f"doc{doc:03d}", text, 6)
-            doc += 1
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        doc = n_chunks = 0
+        while n_chunks < 500:
+            n = 1 + gen.randint(10)
+            text = " ".join(gen.choice(words) for _ in range(6 * n))
+            (corpus / f"doc{doc:03d}.txt").write_text(text, "utf-8")
+            doc, n_chunks = doc + 1, n_chunks + n
+        assert build_stores_from_paths(emb, corpus, None, tmp_path, 6) == (0, n_chunks)
+        store = load_chunk_store(emb, tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
         for _ in range(100):
             query = " ".join(gen.choice(words) for _ in range(5))
             q = emb.embed(query).tolist()
@@ -160,8 +163,8 @@ def test_criterion_02_retrieval_oracle_equivalence():
                 ),
                 key=lambda t: t[:3],
             )
-            assert store.retrieve(query, k=3) == [t[3] for t in scored[:3]]
-            assert store.retrieve(query, k=1) == [scored[0][3]]
+            assert store.retrieve(emb.embed(query), k=3) == [t[3] for t in scored[:3]]
+            assert store.retrieve(emb.embed(query), k=1) == [scored[0][3]]
 
     _report(2, "retrieval/oracle equivalence", 10.0, body)
 

@@ -1279,7 +1279,7 @@ def test_a_bad_last_input_leaves_the_previous_kb_whole(tmp_path, capsys):
     (corpus / "c.txt").unlink()
     terms.write_text(terms.read_text("utf-8") + "Lag\n", "utf-8")
     assert run(argv) == EXIT_DATA
-    assert capsys.readouterr().err == "data error: term line without definition: 'Lag'\n"
+    assert capsys.readouterr().err == f"data error: {terms}:3: term line without definition: 'Lag'\n"
     assert tree_bytes(kb) == before
 
 

@@ -19,6 +19,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,12 +32,11 @@ from schedkit.gateway import TRANSCRIPT_FIELDS, GatewayError, TranscriptLog, loa
 from schedkit.knowledge import (
     CHUNK_FIELDS,
     TERM_FIELDS,
-    GlobalChunkStore,
     HashedNgramEmbedder,
     KnowledgeChunk,
     KnowledgeError,
-    LocalTermStore,
     TermEntry,
+    build_stores_from_paths,
     load_chunk_store,
     load_term_store,
     save_chunk_store,
@@ -116,18 +116,22 @@ def write_preferences(path: Path, texts: list[str]) -> list[Path]:
 
 
 def write_terms(path: Path, texts: list[str]) -> list[Path]:
-    store = LocalTermStore(HashedNgramEmbedder())
-    for i, text in enumerate(texts):
-        store.add(f"term{i}", text)
-    save_term_store(store, path, path.with_suffix(".mat"))
+    """``build-kb`` of one term per text into ``path``'s directory, as
+    ``path`` (``terms.jsonl``) and its matrix."""
+    terms = path.with_suffix(".tsv")
+    terms.write_text("".join(f"term{i}\t{text}\n" for i, text in enumerate(texts)), "utf-8")
+    build_stores_from_paths(HashedNgramEmbedder(), None, terms, path.parent)
     return [path, path.with_suffix(".mat")]
 
 
 def write_chunks(path: Path, texts: list[str]) -> list[Path]:
-    store = GlobalChunkStore(HashedNgramEmbedder())
+    """``build-kb`` of one one-chunk document per text into ``path``'s
+    directory, as ``path`` (``chunks.jsonl``) and its matrix."""
+    corpus = path.with_suffix(".corpus")
+    corpus.mkdir()
     for i, text in enumerate(texts):
-        store.add_document(f"doc{i}", text, chunk_tokens=10**6)
-    save_chunk_store(store, path, path.with_suffix(".mat"))
+        (corpus / f"doc{i:03d}.txt").write_text(text, "utf-8")
+    build_stores_from_paths(HashedNgramEmbedder(), corpus, None, path.parent, chunk_tokens=10**6)
     return [path, path.with_suffix(".mat")]
 
 
@@ -424,8 +428,7 @@ def _unit_rows(count: int) -> np.ndarray:
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.builds(TermEntry, TEXT, TEXT), max_size=3))
 def test_term_manifest_lines_are_exact_and_read_back(entries):
-    store = LocalTermStore(HashedNgramEmbedder(), _unit_rows(len(entries)))
-    store.entries = entries
+    store = SimpleNamespace(entries=entries, matrix=_unit_rows(len(entries)))
     expected = [{"term": e.term, "definition": e.definition} for e in entries]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "terms.jsonl"
@@ -437,8 +440,7 @@ def test_term_manifest_lines_are_exact_and_read_back(entries):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.builds(KnowledgeChunk, TEXT, st.integers(), TEXT, st.integers()), max_size=3))
 def test_chunk_manifest_lines_are_exact_and_read_back(chunks):
-    store = GlobalChunkStore(HashedNgramEmbedder(), _unit_rows(len(chunks)))
-    store.chunks = chunks
+    store = SimpleNamespace(chunks=chunks, matrix=_unit_rows(len(chunks)))
     expected = [
         {"doc_id": c.doc_id, "chunk_index": c.chunk_index, "text": c.text, "token_count": c.token_count}
         for c in chunks

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +18,12 @@ from schedkit.knowledge import (
     EmptyTextError,
     GlobalChunkStore,
     HashedNgramEmbedder,
+    KnowledgeBase,
+    KnowledgeChunk,
     KnowledgeError,
     LocalTermStore,
+    TermEntry,
+    build_stores_from_paths,
     chunk_document,
     count_tokens,
     load_chunk_store,
@@ -220,36 +226,114 @@ def test_cosine_self_is_one():
     assert float(np.dot(v, v)) == pytest.approx(1.0, abs=1e-12)
 
 
+# --- building and loading stores -------------------------------------------------
+
+
+def built_kb(out: Path, terms=(), docs=(), chunk_tokens: int = 6) -> Path:
+    """``out``, into which ``build_stores_from_paths`` has written the
+    knowledge base of ``terms``, (term, definition) pairs in file order,
+    and ``docs``, (doc_id, text) pairs."""
+    out.mkdir()
+    (out / "terms.tsv").write_text("".join(f"{t}\t{d}\n" for t, d in terms), "utf-8")
+    (out / "corpus").mkdir()
+    for doc_id, text in docs:
+        (out / "corpus" / f"{doc_id}.txt").write_text(text, "utf-8")
+    build_stores_from_paths(EMB, out / "corpus", out / "terms.tsv", out, chunk_tokens)
+    return out
+
+
+def term_store(out: Path, terms) -> LocalTermStore:
+    kb = built_kb(out, terms=terms)
+    return load_term_store(EMB, kb / "terms.jsonl", kb / "terms.mat")
+
+
+def chunk_store(out: Path, docs, chunk_tokens: int = 6) -> GlobalChunkStore:
+    kb = built_kb(out, docs=docs, chunk_tokens=chunk_tokens)
+    return load_chunk_store(EMB, kb / "chunks.jsonl", kb / "chunks.mat")
+
+
+def saved_chunks_in_order(out: Path, chunks, embedded=None) -> GlobalChunkStore:
+    """A chunk store whose manifest holds ``chunks`` in the given order,
+    which ``build-kb`` would sort by document, each embedded as its text or
+    as ``embedded``: saved, then loaded."""
+    out.mkdir()
+    rows = np.array([EMB.embed(embedded or c.text) for c in chunks])
+    save_chunk_store(SimpleNamespace(chunks=chunks, matrix=rows), out / "chunks.jsonl", out / "chunks.mat")
+    return load_chunk_store(EMB, out / "chunks.jsonl", out / "chunks.mat")
+
+
+def random_docs(n_chunks: int, seed: int = 4) -> list[tuple[str, str]]:
+    """Documents of 6-word chunks, ``n_chunks`` in all, named in sorted order."""
+    gen = prng.derive(seed, "global-store")
+    docs, total = [], 0
+    while total < n_chunks:
+        n = min(n_chunks - total, 1 + gen.randint(10))
+        docs.append((f"doc{len(docs):03d}", random_text(gen, 6 * n)))
+        total += n
+    return docs
+
+
+def test_terms_file_lines_break_only_at_line_ends(tmp_path):
+    """A line of the terms file ends only at \n, \r\n or \r: other
+    characters that ``str.splitlines`` breaks at stay in the definition."""
+    terms = tmp_path / "terms.tsv"
+    terms.write_text("WBS\tscope\u2028into parts\r\nlag\twait\x0bperiod\rfloat\tslack\x85days\n", "utf-8")
+    assert build_stores_from_paths(EMB, None, terms, tmp_path) == (3, 0)
+    store = load_term_store(EMB, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+    assert list(store.entries) == [
+        TermEntry("WBS", "scope\u2028into parts"),
+        TermEntry("lag", "wait\x0bperiod"),
+        TermEntry("float", "slack\x85days"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,line_no,detail",
+    [
+        ("WBS\tscope\n\nLag\nfloat\tslack\n", 3, "term line without definition: 'Lag'"),
+        ("WBS\tscope\r\n \tslack\n", 2, "term must be non-empty"),
+    ],
+)
+def test_a_bad_terms_line_names_path_and_line(tmp_path, text, line_no, detail):
+    terms = tmp_path / "terms.tsv"
+    terms.write_bytes(text.encode())
+    with pytest.raises(KnowledgeError) as err:
+        build_stores_from_paths(EMB, None, terms, tmp_path)
+    assert str(err.value) == f"{terms}:{line_no}: {detail}"
+
+
 # --- local retrieval ------------------------------------------------------------
 
 
-def test_retrieve_local_single_entry():
-    store = LocalTermStore(EMB)
-    store.add("WBS", "hierarchical decomposition of project scope")
-    assert store.retrieve("anything at all").term == "WBS"
+def test_retrieve_local_single_entry(tmp_path):
+    store = term_store(tmp_path / "kb", [("WBS", "hierarchical decomposition of project scope")])
+    assert store.retrieve(EMB.embed("anything at all")).term == "WBS"
 
 
-def test_retrieve_local_definition_echo():
-    store = LocalTermStore(EMB)
-    store.add("WBS", "hierarchical decomposition of project scope")
-    store.add("lag", "waiting period between dependent activities")
-    hit = store.retrieve("waiting period between dependent activities")
+def test_retrieve_local_definition_echo(tmp_path):
+    store = term_store(
+        tmp_path / "kb",
+        [
+            ("WBS", "hierarchical decomposition of project scope"),
+            ("lag", "waiting period between dependent activities"),
+        ],
+    )
+    hit = store.retrieve(EMB.embed("waiting period between dependent activities"))
     assert hit.term == "lag"
 
 
-def test_retrieve_local_empty_store():
+def test_retrieve_local_empty_store(tmp_path):
+    kb = built_kb(tmp_path / "kb")
     with pytest.raises(EmptyStoreError):
-        LocalTermStore(EMB).retrieve("x")
+        load_term_store(EMB, kb / "terms.jsonl", kb / "terms.mat").retrieve(EMB.embed("x"))
 
 
-def test_retrieve_local_matches_argmax_scan():
+def test_retrieve_local_matches_argmax_scan(tmp_path):
     gen = prng.derive(21, "local-scan")
-    store = LocalTermStore(EMB)
-    for i in range(50):
-        store.add(f"term{i}", random_text(gen, 8))
+    store = term_store(tmp_path / "kb", [(f"term{i}", random_text(gen, 8)) for i in range(50)])
     for _ in range(25):
         query = random_text(gen, 5)
-        got = store.retrieve(query)
+        got = store.retrieve(EMB.embed(query))
         q = EMB.embed(query).tolist()
         rows = store.matrix.tolist()
         best = max(
@@ -259,54 +343,49 @@ def test_retrieve_local_matches_argmax_scan():
         assert got is store.entries[best]
 
 
+def test_retrieve_local_tie_goes_to_earliest_entry(tmp_path):
+    store = term_store(
+        tmp_path / "kb", [("later-sorted", "crane lift rigging"), ("another", "crane lift rigging")]
+    )
+    assert store.retrieve(EMB.embed("crane lift")).term == "later-sorted"
+
+
 # --- global retrieval -----------------------------------------------------------
 
 
-def build_store(n_chunks: int, seed: int = 4) -> GlobalChunkStore:
-    gen = prng.derive(seed, "global-store")
-    store = GlobalChunkStore(EMB)
-    doc = 0
-    while sum(1 for _ in store.chunks) < n_chunks:
-        remaining = n_chunks - len(store.chunks)
-        words_per_chunk = 6
-        n = min(remaining, 1 + gen.randint(10))
-        text = random_text(gen, words_per_chunk * n)
-        store.add_document(f"doc{doc:03d}", text, words_per_chunk)
-        doc += 1
-    return store
-
-
-def test_retrieve_global_k_clamps():
-    store = GlobalChunkStore(EMB)
-    store.add_document("d", "alpha beta gamma delta", 2)
-    got = store.retrieve("alpha beta", k=3)
+def test_retrieve_global_k_clamps(tmp_path):
+    store = chunk_store(tmp_path / "kb", [("d", "alpha beta gamma delta")], chunk_tokens=2)
+    got = store.retrieve(EMB.embed("alpha beta"), k=3)
     assert len(got) == 2
 
 
-def test_retrieve_global_k1_is_argmax():
-    store = build_store(40)
+def test_retrieve_global_k1_is_argmax(tmp_path):
+    store = chunk_store(tmp_path / "kb", random_docs(40))
     gen = prng.derive(77, "queries")
     for _ in range(10):
         query = random_text(gen, 4)
-        top1 = store.retrieve(query, k=1)
+        top1 = store.retrieve(EMB.embed(query), k=1)
         assert top1 == brute_force_top_k(store, query, 1)
 
 
-def test_retrieve_global_matches_scan_500_chunks():
-    store = build_store(500)
+def test_retrieve_global_matches_scan_500_chunks(tmp_path):
+    store = chunk_store(tmp_path / "kb", random_docs(500))
     gen = prng.derive(5, "queries-500")
     for _ in range(100):
         query = random_text(gen, 5)
-        assert store.retrieve(query, k=3) == brute_force_top_k(store, query, 3)
+        assert store.retrieve(EMB.embed(query), k=3) == brute_force_top_k(store, query, 3)
 
 
-def test_retrieve_global_tie_order_across_documents():
-    # Equal similarities rank by (doc_id, chunk_index), not insertion order.
-    store = GlobalChunkStore(EMB)
-    store.add_document("beta", "pour slab cure deck", 2)
-    store.add_document("alpha", "pour slab cure deck", 2)
-    store.add_document("gamma", "pour slab pour slab", 2)
-    got = [(c.doc_id, c.chunk_index) for c in store.retrieve("pour slab", k=6)]
+def test_retrieve_global_tie_order_across_documents(tmp_path):
+    # Equal similarities rank by (doc_id, chunk_index), not manifest order.
+    chunks = [
+        *chunk_document("beta", "pour slab cure deck", 2),
+        *chunk_document("alpha", "pour slab cure deck", 2),
+        *chunk_document("gamma", "pour slab pour slab", 2),
+    ]
+    store = saved_chunks_in_order(tmp_path / "kb", chunks)
+    assert list(store.chunks) == chunks
+    got = [(c.doc_id, c.chunk_index) for c in store.retrieve(EMB.embed("pour slab"), k=6)]
     assert got == [
         ("alpha", 0),
         ("beta", 0),
@@ -315,61 +394,104 @@ def test_retrieve_global_tie_order_across_documents():
         ("alpha", 1),
         ("beta", 1),
     ]
-    assert store.retrieve("pour slab", k=6) == brute_force_top_k(store, "pour slab", 6)
+    assert store.retrieve(EMB.embed("pour slab"), k=6) == brute_force_top_k(store, "pour slab", 6)
 
 
-def test_retrieve_local_tie_goes_to_earliest_entry():
-    store = LocalTermStore(EMB)
-    store.add("later-sorted", "crane lift rigging")
-    store.add("another", "crane lift rigging")
-    assert store.retrieve("crane lift").term == "later-sorted"
-
-
-def test_retrieve_accepts_an_embedded_query():
-    store = build_store(40)
-    local = LocalTermStore(EMB)
-    for i, word in enumerate(WORDS):
-        local.add(f"t{i}", f"{word} {WORDS[-1 - i]}")
-    gen = prng.derive(9, "embedded-queries")
-    for _ in range(10):
-        query = random_text(gen, 4)
-        vec = EMB.embed(query)
-        assert store.retrieve(vec, k=3) == store.retrieve(query, k=3)
-        assert local.retrieve(vec) is local.retrieve(query)
-
-
-def test_retrieve_global_empty_store():
+def test_retrieve_global_empty_store(tmp_path):
+    kb = built_kb(tmp_path / "kb")
     with pytest.raises(EmptyStoreError):
-        GlobalChunkStore(EMB).retrieve("x")
+        load_chunk_store(EMB, kb / "chunks.jsonl", kb / "chunks.mat").retrieve(EMB.embed("x"))
+
+
+# --- the knowledge base ------------------------------------------------------------
+
+KB_TERMS = [("slab", "concrete pour"), ("crane", "lift rigging")]
+KB_DOCS = [("a", "pour slab cure deck crane lift"), ("b", "weld bolt")]
+
+
+def stores_retrieve(kb: Path, text: str) -> tuple[str, ...]:
+    """What the loaded stores of ``kb`` retrieve for ``text``, each that has
+    a row: the top term as ``term: definition``, then the top 3 chunks."""
+    query = EMB.embed(text)
+    parts = []
+    terms = load_term_store(EMB, kb / "terms.jsonl", kb / "terms.mat")
+    if terms.entries:
+        entry = terms.retrieve(query)
+        parts.append(f"{entry.term}: {entry.definition}")
+    chunks = load_chunk_store(EMB, kb / "chunks.jsonl", kb / "chunks.mat")
+    if chunks.chunks:
+        parts.extend(c.text for c in chunks.retrieve(query, k=3))
+    return tuple(parts)
+
+
+def test_knowledge_base_of_terms_only(tmp_path):
+    kb = built_kb(tmp_path / "kb", terms=KB_TERMS)
+    assert KnowledgeBase(kb).retrieve("pour slab") == ("slab: concrete pour",)
+    # A store whose files are missing is skipped like an empty one.
+    (kb / "chunks.jsonl").unlink()
+    (kb / "chunks.mat").unlink()
+    assert KnowledgeBase(kb).retrieve("pour slab") == ("slab: concrete pour",)
+
+
+def test_knowledge_base_of_chunks_only(tmp_path):
+    kb = built_kb(tmp_path / "kb", docs=KB_DOCS, chunk_tokens=2)
+    got = KnowledgeBase(kb).retrieve("pour slab")
+    assert len(got) == 3 and got[0] == "pour slab"
+    assert got == stores_retrieve(kb, "pour slab")
+
+
+def test_knowledge_base_puts_the_term_before_the_chunks_in_rank_order(tmp_path):
+    kb = built_kb(tmp_path / "kb", terms=KB_TERMS, docs=KB_DOCS, chunk_tokens=2)
+    for text in ("pour slab", "crane lift rigging", "weld bolt deck"):
+        got = KnowledgeBase(kb).retrieve(text)
+        assert len(got) == 4
+        assert got == stores_retrieve(kb, text)
+    assert KnowledgeBase(kb).retrieve("pour slab")[:2] == ("slab: concrete pour", "pour slab")
+
+
+def test_knowledge_base_whose_texts_join_to_nothing_retrieves_nothing(tmp_path):
+    kb = tmp_path / "kb"
+    empty_text = saved_chunks_in_order(kb, [KnowledgeChunk("d", 0, "", 0)], embedded="slab")
+    assert [c.text for c in empty_text.retrieve(EMB.embed("pour slab"))] == [""]
+    assert KnowledgeBase(kb).retrieve("pour slab") == ()
 
 
 # --- persistence ---------------------------------------------------------------
 
 
 def test_store_round_trip(tmp_path):
-    local = LocalTermStore(EMB)
-    local.add("WBS", "hierarchical decomposition of project scope")
-    local.add("float", "schedule slack of an activity")
-    save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
-    loaded = load_term_store(EMB, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+    terms = [
+        ("WBS", "hierarchical decomposition of project scope"),
+        ("float", "schedule slack of an activity"),
+    ]
+    kb = built_kb(tmp_path / "kb", terms=terms, docs=random_docs(30))
+    loaded = load_term_store(EMB, kb / "terms.jsonl", kb / "terms.mat")
     assert [e.term for e in loaded.entries] == ["WBS", "float"]
     assert np.linalg.norm(loaded.matrix[0]) == pytest.approx(1.0, abs=1e-9)
-    assert loaded.retrieve("schedule slack").term == "float"
+    assert loaded.retrieve(EMB.embed("schedule slack")).term == "float"
+    loaded_g = load_chunk_store(EMB, kb / "chunks.jsonl", kb / "chunks.mat")
+    assert len(loaded_g.chunks) == 30
 
-    glob = build_store(30)
-    save_chunk_store(glob, tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
-    loaded_g = load_chunk_store(EMB, tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
-    assert [(c.doc_id, c.chunk_index) for c in loaded_g.chunks] == [
-        (c.doc_id, c.chunk_index) for c in glob.chunks
-    ]
+    # Saving a loaded store writes its manifest byte for byte.
+    again = tmp_path / "again"
+    again.mkdir()
+    save_term_store(loaded, again / "terms.jsonl", again / "terms.mat")
+    save_chunk_store(loaded_g, again / "chunks.jsonl", again / "chunks.mat")
+    for name in ("terms.jsonl", "chunks.jsonl"):
+        assert (again / name).read_bytes() == (kb / name).read_bytes()
+    reloaded = load_chunk_store(EMB, again / "chunks.jsonl", again / "chunks.mat")
+    assert reloaded.chunks.keys == loaded_g.chunks.keys
 
 
 def test_read_matrix_rejects_corrupt_files(tmp_path):
-    local = LocalTermStore(EMB)
-    local.add("WBS", "hierarchical decomposition of project scope")
-    local.add("float", "schedule slack of an activity")
-    save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
-    raw = (tmp_path / "terms.mat").read_bytes()
+    kb = built_kb(
+        tmp_path / "kb",
+        terms=[
+            ("WBS", "hierarchical decomposition of project scope"),
+            ("float", "schedule slack of an activity"),
+        ],
+    )
+    raw = (kb / "terms.mat").read_bytes()
     nan_row = raw[:12] + struct.pack("<f", float("nan")) + raw[16:]
     inf_row = raw[:12] + struct.pack("<f", float("inf")) + raw[16:]
     zero_row = raw[:12] + bytes(4 * EMB.dim) + raw[12 + 4 * EMB.dim :]
@@ -383,31 +505,31 @@ def test_read_matrix_rejects_corrupt_files(tmp_path):
         inf_row,
         zero_row,
     ):
-        (tmp_path / "terms.mat").write_bytes(bad)
+        (kb / "terms.mat").write_bytes(bad)
         with pytest.raises(KnowledgeError, match="terms.mat"):
-            load_term_store(EMB, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+            load_term_store(EMB, kb / "terms.jsonl", kb / "terms.mat")
 
 
 def test_load_checks_matrix_dim_against_embedder(tmp_path):
-    local = LocalTermStore(EMB)
-    local.add("WBS", "hierarchical decomposition of project scope")
-    save_term_store(local, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
-    save_chunk_store(build_store(5), tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
+    kb = built_kb(
+        tmp_path / "kb",
+        terms=[("WBS", "hierarchical decomposition of project scope")],
+        docs=random_docs(5),
+    )
     other = HashedNgramEmbedder(7)
     with pytest.raises(DimensionMismatchError, match="terms.mat"):
-        load_term_store(other, tmp_path / "terms.jsonl", tmp_path / "terms.mat")
+        load_term_store(other, kb / "terms.jsonl", kb / "terms.mat")
     with pytest.raises(DimensionMismatchError, match="chunks.mat"):
-        load_chunk_store(other, tmp_path / "chunks.jsonl", tmp_path / "chunks.mat")
+        load_chunk_store(other, kb / "chunks.jsonl", kb / "chunks.mat")
     # An empty store is written as dim 0 with 0 rows and loads under any embedder.
-    save_chunk_store(GlobalChunkStore(EMB), tmp_path / "empty.jsonl", tmp_path / "empty.mat")
-    assert (tmp_path / "empty.mat").read_bytes() == b"SKEM" + struct.pack("<II", 0, 0)
-    empty = load_chunk_store(other, tmp_path / "empty.jsonl", tmp_path / "empty.mat")
-    assert list(empty.chunks) == [] and empty.matrix.shape == (0, 7)
+    empty = built_kb(tmp_path / "empty")
+    assert (empty / "chunks.mat").read_bytes() == b"SKEM" + struct.pack("<II", 0, 0)
+    store = load_chunk_store(other, empty / "chunks.jsonl", empty / "chunks.mat")
+    assert list(store.chunks) == [] and store.matrix.shape == (0, 7)
 
 
 def test_store_build_idempotent_byte_identical(tmp_path):
     for run in ("a", "b"):
-        store = build_store(25, seed=3)
-        save_chunk_store(store, tmp_path / f"{run}.jsonl", tmp_path / f"{run}.mat")
-    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-    assert (tmp_path / "a.mat").read_bytes() == (tmp_path / "b.mat").read_bytes()
+        built_kb(tmp_path / run, terms=[("WBS", "scope decomposition")], docs=random_docs(25, seed=3))
+    for name in ("terms.jsonl", "terms.mat", "chunks.jsonl", "chunks.mat"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
