@@ -2,8 +2,9 @@
 masked-cell evaluation, and preference alignment.
 
 The package root holds what every stage shares and the CLI needs before it
-knows its command: the error bases it maps to exit codes, and the reading
-and writing of files. It imports only the standard library."""
+knows its command: the error bases it maps to exit codes, the reading and
+writing of files, and the interpreter's own SHA-256. It imports only the
+standard library."""
 
 import io
 import os
@@ -28,6 +29,20 @@ class CorruptRecordError(DataError):
 class GatewayError(Exception):
     """Base of every failed chat-completion exchange (``gateway``). The CLI
     maps it to exit 3."""
+
+
+def builtin_sha256():
+    """The SHA-256 constructor that CPython builds in (``_sha2`` from 3.12,
+    ``_sha256`` before), which loads no OpenSSL, or ``hashlib``'s where the
+    interpreter has neither. All give the same digests."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def read_utf8(path: Path, error) -> str:

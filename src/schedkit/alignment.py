@@ -21,13 +21,21 @@ import numpy as np
 from . import DataError, streamed
 from . import rng as prng
 from .knowledge import HashedNgramEmbedder
-
-# Polishing lives in the numpy-free ``polish`` module; the names stay bound
-# here, where the benchmark's tracer looks them up.
-from .polish import ContextLengthStats, polish_context
 from .preferences import PreferenceRecord
 
 _EPS = 1e-12
+
+
+def __getattr__(name: str):
+    """``polish_context`` and ``ContextLengthStats`` of the numpy-free
+    ``polish`` module, which the benchmark's tracer looks up here. They are
+    loaded when first asked for, so ``train-scorer`` loads neither
+    ``polish`` nor the gateway it imports."""
+    if name in ("polish_context", "ContextLengthStats"):
+        from . import polish
+
+        return getattr(polish, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class AlignmentError(DataError):

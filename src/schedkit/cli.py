@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -23,7 +22,16 @@ from pathlib import Path
 # Only the package root here: each command imports the modules it runs, so
 # no stage compiles and loads the others' (``knowledge`` and ``alignment``
 # load numpy, so only build-kb, run-eval --kb and train-scorer do).
-from . import DataError, GatewayError, __version__, read_utf8, streamed, utf8_lines, write_artifact
+from . import (
+    DataError,
+    GatewayError,
+    __version__,
+    builtin_sha256,
+    read_utf8,
+    streamed,
+    utf8_lines,
+    write_artifact,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,9 +101,11 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 
 def config_hash(cfg: configparser.ConfigParser) -> str:
+    """sha256 of the effective config, through the interpreter's own SHA-256:
+    a few hundred bytes do not pay for loading OpenSSL."""
     buf = io.StringIO()
     cfg.write(buf)
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    return builtin_sha256()(buf.getvalue().encode("utf-8")).hexdigest()
 
 
 def write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
@@ -164,7 +174,7 @@ def build_gateway(cfg, mode: str, schedule=None):
     A replay source is read to its end here, so the caller may start its
     own transcript at that very path once this returns.
     """
-    from .gateway import MOCKS, HttpGateway, load_transcript
+    from .gateway import MOCKS, HttpGateway, expect_exchanges, load_transcript
 
     gw_cfg = _gateway_config(cfg)
     kind, eq, path = mode.removeprefix("mock:").partition("=")
@@ -178,8 +188,18 @@ def build_gateway(cfg, mode: str, schedule=None):
             raise UsageError("mock:echo needs a schedule to answer from")
         data = (schedule.index.rows,)
     elif kind == "transcript":
+        expect_exchanges(_file_size(path))
         data = (load_transcript(path),)
     return HttpGateway(gw_cfg) if mode == "http" else MOCKS[kind](*data)
+
+
+def _file_size(path) -> int:
+    """The size of the file at ``path``; 0 for a pipe or where there is no
+    file, which its reader then reports."""
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
 
 
 def _read_schedule(path: str):
@@ -360,7 +380,7 @@ def cmd_sample_context(args, cfg) -> int:
 
 def cmd_run_eval(args, cfg) -> int:
     from . import context, masked_eval
-    from .gateway import TranscriptLog
+    from .gateway import TranscriptLog, expect_exchanges
     from .prompt_forge import PromptError
 
     k = cfg.getint("eval", "k")
@@ -397,6 +417,8 @@ def cmd_run_eval(args, cfg) -> int:
         for row_id, pieces in contexts.items():
             if retrieved := kb.retrieve(pieces.text()):
                 contexts[row_id] = dataclasses.replace(pieces, knowledge=retrieved)
+    # Each task kind sends every row's context once, with the rules.
+    expect_exchanges(len(kinds) * sum(len(rules_text) + p.size() for p in contexts.values()))
 
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, schedule=sched)
@@ -523,10 +545,12 @@ def cmd_train_scorer(args, cfg) -> int:
 
 def cmd_polish(args, cfg) -> int:
     from . import graph, masked_eval, polish
-    from .gateway import TranscriptLog
+    from .gateway import TranscriptLog, expect_exchanges
     from .records import encode_json
 
     out = _out_dir(args)
+    # Each instance's prompt is polished: about the instances file in all.
+    expect_exchanges(_file_size(args.instances))
     mode = args.gateway or "mock:stopword"
     gateway = build_gateway(cfg, mode)
     stats = polish.ContextLengthStats()

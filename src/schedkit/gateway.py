@@ -14,7 +14,6 @@ shares.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import GatewayError
+from . import GatewayError, builtin_sha256
 from .records import encode_fields, object_parts, read_jsonl, write_line
 
 ROW_ID_LABEL = "Activity ID"
@@ -87,10 +86,44 @@ class GatewayConfig:
             raise ValueError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
 
 
+# Below this many bytes of exchanges a process hashes with the
+# interpreter's own SHA-256. Loading OpenSSL's (``hashlib``) takes about
+# 3 ms and adds about 3.5 MB to a stage's peak RSS, the built-in 0.1 MB;
+# but the built-in hashes at about 5 ms/MB against OpenSSL's 1 ms/MB. Up
+# to 4 MiB of exchanges (a replay hashes each up to four times) it costs a
+# stage tens of ms for 3.4 MB less memory; above, the time it costs grows
+# with the bytes.
+HASH_BUDGET = 4 << 20
+
+_expected = 0  # the bytes of exchanges expected so far
+_sha256 = None  # the constructor picked at the first hash
+
+
+def expect_exchanges(size: int) -> None:
+    """Count ``size`` more bytes of exchanges that this process will hash.
+    Only what is counted before the first hash weighs in the choice."""
+    global _expected
+    _expected += size
+
+
+def sha256(data: bytes = b""):
+    """A SHA-256 object of ``data``. At the process's first hash the
+    exchanges expected so far pick the constructor for good: the
+    interpreter's own below ``HASH_BUDGET``, ``hashlib``'s at or above it.
+    Either gives the same digests."""
+    global _sha256
+    if _sha256 is None:
+        if _expected < HASH_BUDGET:
+            _sha256 = builtin_sha256()
+        else:
+            import hashlib
+
+            _sha256 = hashlib.sha256
+    return _sha256(data)
+
+
 def exchange_hash(system_text: str, user_text: str) -> bytes:
-    return hashlib.sha256(
-        system_text.encode("utf-8") + b"\x00" + user_text.encode("utf-8")
-    ).digest()
+    return sha256(system_text.encode("utf-8") + b"\x00" + user_text.encode("utf-8")).digest()
 
 
 # A transcript line's fields: the exchange, which ``content_hash`` covers,
@@ -113,7 +146,7 @@ TRANSCRIPT_FIELDS = _EXCHANGE_FIELDS + (
 def _content_hash(hashed: dict[str, str]) -> str:
     """sha256 of ``json.dumps`` of the exchange's fields with sorted keys,
     fed piece by piece from their encodings in ``hashed``."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for part in object_parts(hashed):
         digest.update(part.encode("utf-8"))
     return digest.hexdigest()

@@ -407,7 +407,7 @@ def build_stores_from_paths(
                     if not line.strip():
                         continue
                     term, _, definition = line.partition("\t")
-                    if not definition:
+                    if not definition.strip():
                         raise KnowledgeError(
                             f"{terms_file}:{line_no}: term line without definition: {line!r}"
                         )

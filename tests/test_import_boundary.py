@@ -1,8 +1,9 @@
 """Each stage loads only the modules it runs: ``import schedkit.cli`` loads
 no other ``schedkit`` module, only the stages that compute on arrays load
 numpy, they load it with one BLAS thread unless the user sets another
-count, and every module's errors share the base that the CLI maps to exit
-2 or exit 3.
+count, only a stage with at least ``gateway.HASH_BUDGET`` bytes of
+exchanges loads OpenSSL's hashing (``_hashlib``), and every module's errors
+share the base that the CLI maps to exit 2 or exit 3.
 
 Each stage runs in a fresh interpreter, because this test process has
 loaded numpy and every ``schedkit`` module long before it runs.
@@ -10,6 +11,7 @@ loaded numpy and every ``schedkit`` module long before it runs.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import inspect
 import json
@@ -31,13 +33,13 @@ from schedkit.cli import EXIT_GATEWAY, UsageError, main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the CLI with the arguments given, then prints the modules loaded, of
-# numpy, schedkit, requests and urllib, as a JSON list on the last line of
-# stdout.
+# numpy, schedkit, requests, urllib and _hashlib, as a JSON list on the last
+# line of stdout.
 PROBE = (
     "import json, sys\n"
     "from schedkit.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "roots = ('numpy', 'schedkit', 'requests', 'urllib')\n"
+    "roots = ('numpy', 'schedkit', 'requests', 'urllib', '_hashlib')\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
     "sys.exit(code)\n"
 )
@@ -84,8 +86,9 @@ def run_probe(cwd: Path, *code: str, exit_code: int = 0, env=None):
 
 
 def loaded_modules(cwd: Path, *code: str, exit_code: int = 0) -> set[str]:
-    """The numpy, schedkit, requests and urllib modules that ``python -c
-    *code`` loaded; it must exit with ``exit_code``."""
+    """The modules that ``python -c *code`` printed as loaded (``PROBE``
+    prints those of numpy, schedkit, requests, urllib and _hashlib); it
+    must exit with ``exit_code``."""
     return set(run_probe(cwd, *code, exit_code=exit_code))
 
 
@@ -102,6 +105,10 @@ WITHOUT_NUMPY = {
     ],
     "polish": ["--out", "polish", "polish", "--instances", "eval/instances.jsonl"],
     "report": ["--out", "rep", "report", "--report", "eval/report.json"],
+    "replay": [
+        "--out", "replay", "run-eval", "--schedule", "gen/schedule.csv",
+        "--gateway", "mock:transcript=eval/transcript.jsonl",
+    ],
 }
 
 
@@ -120,6 +127,7 @@ def test_cli_import_loads_only_the_package_root(tmp_path):
         "schedkit",
         "schedkit.cli",
     }
+    assert "_hashlib" not in loaded
 
 
 def test_stages_that_read_no_context_load_neither_eval_nor_context(stages):
@@ -135,13 +143,11 @@ def test_stages_that_read_no_context_load_neither_eval_nor_context(stages):
     assert {"schedkit.gateway", "schedkit.records"} <= stage_modules["run-eval"]
 
 
-def test_only_array_stages_load_numpy(stages):
-    cwd, stage_modules = stages
-    for name, loaded in stage_modules.items():
-        assert "numpy" not in loaded, name
-
-    # The control: the stages that do compute on arrays still load numpy,
-    # so the probe above cannot pass for want of looking.
+@pytest.fixture(scope="module")
+def array_stages(stages) -> dict[str, set[str]]:
+    """The modules that each stage which computes on arrays loaded, each run
+    in a fresh interpreter after the numpy-free ones."""
+    cwd, _ = stages
     (cwd / "corpus").mkdir()
     (cwd / "corpus" / "a.txt").write_text("steel erection bolting sequence", "utf-8")
     (cwd / "terms.tsv").write_text("WBS\tdecomposition of project scope\n", "utf-8")
@@ -150,12 +156,107 @@ def test_only_array_stages_load_numpy(stages):
         ["--out", "kbeval", "run-eval", "--schedule", "gen/schedule.csv", "--gateway", "mock:echo", "--kb", "kb"],
         ["--out", "scorer", "train-scorer", "--prefs-db", "prefs/prefs.jsonl"],
     ]
-    loaded = {argv[2]: loaded_modules(cwd, PROBE, *argv) for argv in with_numpy}
-    for name, modules in loaded.items():
+    return {argv[2]: loaded_modules(cwd, PROBE, *argv) for argv in with_numpy}
+
+
+def test_only_array_stages_load_numpy(stages, array_stages):
+    _, stage_modules = stages
+    for name, loaded in stage_modules.items():
+        assert "numpy" not in loaded, name
+
+    # The control: the stages that do compute on arrays still load numpy,
+    # so the probe above cannot pass for want of looking.
+    for name, modules in array_stages.items():
         assert "numpy" in modules, name
     # build-kb writes records and sends no exchange.
-    assert "schedkit.records" in loaded["build-kb"]
-    assert "schedkit.gateway" not in loaded["build-kb"]
+    assert "schedkit.records" in array_stages["build-kb"]
+    assert "schedkit.gateway" not in array_stages["build-kb"]
+
+
+def test_stages_below_the_hashing_budget_load_no_openssl_hashing(stages, array_stages):
+    """Every stage here has far fewer than ``HASH_BUDGET`` bytes of
+    exchanges, the replay and polish included, so each hashes with the
+    interpreter's own SHA-256 and loads no ``_hashlib``."""
+    cwd, stage_modules = stages
+    for name, loaded in {**stage_modules, **array_stages}.items():
+        assert "_hashlib" not in loaded, name
+    assert (cwd / "replay" / "transcript.jsonl").read_bytes() == (
+        cwd / "eval" / "transcript.jsonl"
+    ).read_bytes()
+
+
+def test_a_run_eval_at_the_hashing_budget_loads_openssl_hashing(stages):
+    """The control: 90 prompts that each carry a 48 KiB rules file are
+    sized at more than ``HASH_BUDGET`` bytes of exchanges, so that run
+    hashes through ``hashlib`` from its first hash; its transcript's
+    content hashes are those that the interpreter's SHA-256 gives."""
+    cwd, _ = stages
+    rule = "Every finish follows its start by the activity's duration.\n"
+    (cwd / "rules.txt").write_text(rule * (48 * 1024 // len(rule) + 1), "utf-8")
+    argv = [
+        "--out", "ruled", "run-eval", "--schedule", "gen/schedule.csv",
+        "--gateway", "mock:echo", "--rules", "rules.txt",
+    ]
+    assert 90 * (cwd / "rules.txt").stat().st_size >= schedkit.gateway.HASH_BUDGET
+    assert "_hashlib" in loaded_modules(cwd, PROBE, *argv)
+    builtin = schedkit.builtin_sha256()
+    for line in (cwd / "ruled" / "transcript.jsonl").read_text("utf-8").splitlines():
+        record = json.loads(line)
+        basis = {k: record[k] for k in ("error", "response_text", "system_text", "user_text")}
+        encoded = json.dumps(basis, sort_keys=True).encode("utf-8")
+        assert builtin(encoded).hexdigest() == record["content_hash"]
+
+
+# Inputs whose digests the chooser must give as ``hashlib`` does: empty,
+# ASCII, non-ASCII UTF-8, and more bytes than the budget.
+HASH_INPUTS = (
+    b"",
+    b"Activity ID: A-17",
+    "Ausführung – 工程 ✓".encode("utf-8"),
+    bytes(range(256)) * (schedkit.gateway.HASH_BUDGET // 256 + 1),
+)
+
+
+@pytest.fixture
+def unpicked(monkeypatch):
+    """``gateway`` as before the process's first hash, restored after."""
+    monkeypatch.setattr(schedkit.gateway, "_sha256", None)
+    monkeypatch.setattr(schedkit.gateway, "_expected", 0)
+
+
+def assert_digests_equal_hashlibs() -> None:
+    for data in HASH_INPUTS:
+        assert schedkit.gateway.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    piecewise = schedkit.gateway.sha256(HASH_INPUTS[1])
+    for data in HASH_INPUTS[2:]:
+        piecewise.update(data)
+        piecewise.update(b"")
+    assert piecewise.digest() == hashlib.sha256(b"".join(HASH_INPUTS)).digest()
+
+
+@pytest.mark.parametrize("expected", [0, schedkit.gateway.HASH_BUDGET - 1, schedkit.gateway.HASH_BUDGET])
+def test_the_chosen_sha256_gives_hashlibs_digests(unpicked, expected):
+    schedkit.gateway.expect_exchanges(expected)
+    assert_digests_equal_hashlibs()
+    picked_hashlib = schedkit.gateway._sha256 is hashlib.sha256
+    assert picked_hashlib == (expected >= schedkit.gateway.HASH_BUDGET)
+    # The pick holds for the process: what is counted later changes nothing.
+    schedkit.gateway.expect_exchanges(schedkit.gateway.HASH_BUDGET)
+    schedkit.gateway.sha256()
+    assert (schedkit.gateway._sha256 is hashlib.sha256) == picked_hashlib
+
+
+def test_the_builtin_sha256_is_the_interpreters_own():
+    own = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert schedkit.builtin_sha256() is own.sha256
+
+
+def test_without_a_builtin_sha256_the_chooser_falls_back_to_hashlib(unpicked, monkeypatch):
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert schedkit.builtin_sha256() is hashlib.sha256
+    assert_digests_equal_hashlibs()
+    assert schedkit.gateway._sha256 is hashlib.sha256
 
 
 def test_train_scorer_loads_neither_the_schedule_nor_the_evaluation(stages):

@@ -292,6 +292,7 @@ def test_terms_file_lines_break_only_at_line_ends(tmp_path):
     [
         ("WBS\tscope\n\nLag\nfloat\tslack\n", 3, "term line without definition: 'Lag'"),
         ("WBS\tscope\r\n \tslack\n", 2, "term must be non-empty"),
+        ("WBS\tscope\nLag\t   \n", 2, "term line without definition: 'Lag\\t   '"),
     ],
 )
 def test_a_bad_terms_line_names_path_and_line(tmp_path, text, line_no, detail):

@@ -307,6 +307,7 @@ def test_render_context_matches_link_scan(sched, data):
     assert all(p.endswith("\n") for p in (pieces.head, pieces.block.text, pieces.tail) if p)
     assert "".join(pieces.escaped()) == json.dumps(expected)[1:-1]
     assert pieces.tokens() == len(expected.split())
+    assert pieces.size() == len(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,6 +321,7 @@ def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
     if data.draw(st.booleans()):  # as run-eval --kb leads the context
         knowledge = data.draw(st.lists(st.sampled_from([f"{ODD_NAME} term: its definition", "", "chunk\n"])))
         pieces = dataclasses.replace(pieces, knowledge=tuple(knowledge))
+    assert pieces.size() == len(pieces.text())
     row_id = data.draw(st.sampled_from(sorted(sched.index.by_id)))
     columns = (COL_STATUS, COL_START, "Phase")
     tasks = [

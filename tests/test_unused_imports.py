@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Module-level imports a module keeps for others to find, by file stem.
 RE_EXPORTS = {
-    ("alignment", "polish_context"),
-    ("alignment", "ContextLengthStats"),
     ("masked_eval", "preference_store_append"),
     ("masked_eval", "preference_store_load"),
 }
