@@ -8,6 +8,7 @@ standard library."""
 
 import io
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -35,13 +36,15 @@ def builtin_sha256():
     """The SHA-256 constructor that CPython builds in (``_sha2`` from 3.12,
     ``_sha256`` before), which loads no OpenSSL, or ``hashlib``'s where the
     interpreter has neither. All give the same digests."""
+    # By version, as ``gateway`` calls this for each hash and a failed
+    # import costs about 50 us.
     try:
-        from _sha2 import sha256
-    except ImportError:
-        try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
             from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
+    except ImportError:
+        from hashlib import sha256
     return sha256
 
 

@@ -174,7 +174,7 @@ def build_gateway(cfg, mode: str, schedule=None):
     A replay source is read to its end here, so the caller may start its
     own transcript at that very path once this returns.
     """
-    from .gateway import MOCKS, HttpGateway, expect_exchanges, load_transcript
+    from .gateway import MOCKS, HttpGateway, load_transcript
 
     gw_cfg = _gateway_config(cfg)
     kind, eq, path = mode.removeprefix("mock:").partition("=")
@@ -188,18 +188,8 @@ def build_gateway(cfg, mode: str, schedule=None):
             raise UsageError("mock:echo needs a schedule to answer from")
         data = (schedule.index.rows,)
     elif kind == "transcript":
-        expect_exchanges(_file_size(path))
         data = (load_transcript(path),)
     return HttpGateway(gw_cfg) if mode == "http" else MOCKS[kind](*data)
-
-
-def _file_size(path) -> int:
-    """The size of the file at ``path``; 0 for a pipe or where there is no
-    file, which its reader then reports."""
-    try:
-        return os.stat(path).st_size
-    except OSError:
-        return 0
 
 
 def _read_schedule(path: str):
@@ -380,7 +370,7 @@ def cmd_sample_context(args, cfg) -> int:
 
 def cmd_run_eval(args, cfg) -> int:
     from . import context, masked_eval
-    from .gateway import TranscriptLog, expect_exchanges
+    from .gateway import TranscriptLog
     from .prompt_forge import PromptError
 
     k = cfg.getint("eval", "k")
@@ -417,8 +407,6 @@ def cmd_run_eval(args, cfg) -> int:
         for row_id, pieces in contexts.items():
             if retrieved := kb.retrieve(pieces.text()):
                 contexts[row_id] = dataclasses.replace(pieces, knowledge=retrieved)
-    # Each task kind sends every row's context once, with the rules.
-    expect_exchanges(len(kinds) * sum(len(rules_text) + p.size() for p in contexts.values()))
 
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, schedule=sched)
@@ -545,12 +533,10 @@ def cmd_train_scorer(args, cfg) -> int:
 
 def cmd_polish(args, cfg) -> int:
     from . import graph, masked_eval, polish
-    from .gateway import TranscriptLog, expect_exchanges
+    from .gateway import TranscriptLog
     from .records import encode_json
 
     out = _out_dir(args)
-    # Each instance's prompt is polished: about the instances file in all.
-    expect_exchanges(_file_size(args.instances))
     mode = args.gateway or "mock:stopword"
     gateway = build_gateway(cfg, mode)
     stats = polish.ContextLengthStats()

@@ -153,12 +153,6 @@ class ContextPieces:
         lead = [piece for part in self.knowledge for piece in (part, "\n")]
         return "".join((*lead, self.head, block[:start], block[end:], self.tail))
 
-    def size(self) -> int:
-        """``len(text())``, without joining it."""
-        start, end, _, _, _ = self.cut
-        lead = sum(len(part) + 1 for part in self.knowledge)
-        return lead + len(self.head) + len(self.block.text) - (end - start) + len(self.tail)
-
     def escaped(self, escape=json_escape) -> tuple[str, ...]:
         """``json_escape(text())`` in parts; ``escape`` escapes each
         knowledge text and may memoise them, as rows share them."""

@@ -86,44 +86,38 @@ class GatewayConfig:
             raise ValueError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
 
 
-# Below this many bytes of exchanges a process hashes with the
-# interpreter's own SHA-256. Loading OpenSSL's (``hashlib``) takes about
-# 3 ms and adds about 3.5 MB to a stage's peak RSS, the built-in 0.1 MB;
-# but the built-in hashes at about 5 ms/MB against OpenSSL's 1 ms/MB. Up
-# to 4 MiB of exchanges (a replay hashes each up to four times) it costs a
-# stage tens of ms for 3.4 MB less memory; above, the time it costs grows
-# with the bytes.
+# Until a process has hashed this many bytes it hashes with the
+# interpreter's own SHA-256, and with OpenSSL's (``hashlib``) from then
+# on. Loading ``hashlib`` takes about 4 ms and adds about 3.5 MB to a
+# stage's peak RSS, the built-in 0.1 MB; but the built-in hashes at about
+# 4 ms/MB against OpenSSL's 0.8 ms/MB. So a stage that hashes less saves
+# 3.4 MB for at most about 15 ms, and one that hashes more pays those
+# 15 ms once, on its first 4 MiB.
 HASH_BUDGET = 4 << 20
 
-_expected = 0  # the bytes of exchanges expected so far
-_sha256 = None  # the constructor picked at the first hash
+_hashed = 0  # the bytes this process has hashed so far
 
 
-def expect_exchanges(size: int) -> None:
-    """Count ``size`` more bytes of exchanges that this process will hash.
-    Only what is counted before the first hash weighs in the choice."""
-    global _expected
-    _expected += size
+def _sha256(parts: Iterable[bytes]):
+    """A SHA-256 object of ``parts`` joined, whose bytes count as hashed:
+    the interpreter's own while this process has hashed fewer than
+    ``HASH_BUDGET`` bytes, ``hashlib``'s from then on. Both give the same
+    digests."""
+    global _hashed
+    if _hashed < HASH_BUDGET:
+        digest = builtin_sha256()()
+    else:
+        import hashlib
 
-
-def sha256(data: bytes = b""):
-    """A SHA-256 object of ``data``. At the process's first hash the
-    exchanges expected so far pick the constructor for good: the
-    interpreter's own below ``HASH_BUDGET``, ``hashlib``'s at or above it.
-    Either gives the same digests."""
-    global _sha256
-    if _sha256 is None:
-        if _expected < HASH_BUDGET:
-            _sha256 = builtin_sha256()
-        else:
-            import hashlib
-
-            _sha256 = hashlib.sha256
-    return _sha256(data)
+        digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+        _hashed += len(part)
+    return digest
 
 
 def exchange_hash(system_text: str, user_text: str) -> bytes:
-    return sha256(system_text.encode("utf-8") + b"\x00" + user_text.encode("utf-8")).digest()
+    return _sha256((system_text.encode("utf-8"), b"\x00", user_text.encode("utf-8"))).digest()
 
 
 # A transcript line's fields: the exchange, which ``content_hash`` covers,
@@ -146,10 +140,7 @@ TRANSCRIPT_FIELDS = _EXCHANGE_FIELDS + (
 def _content_hash(hashed: dict[str, str]) -> str:
     """sha256 of ``json.dumps`` of the exchange's fields with sorted keys,
     fed piece by piece from their encodings in ``hashed``."""
-    digest = sha256()
-    for part in object_parts(hashed):
-        digest.update(part.encode("utf-8"))
-    return digest.hexdigest()
+    return _sha256(part.encode("utf-8") for part in object_parts(hashed)).hexdigest()
 
 
 class TranscriptLog:
@@ -201,14 +192,17 @@ class TranscriptLog:
 
 
 def _checked(**record) -> dict:
+    if (record["response_text"] is None) == (record["error"] is None):
+        raise ValueError("exactly one of response_text and error must be null")
     if _content_hash(encode_fields(_EXCHANGE_FIELDS, record.__getitem__)) != record["content_hash"]:
         raise ValueError("transcript content hash mismatch")
     return record
 
 
 def load_transcript(path: Path) -> Iterator[dict]:
-    """The saved records, each checked against ``TRANSCRIPT_FIELDS`` and its
-    content hash as it is read."""
+    """The saved records, each checked against ``TRANSCRIPT_FIELDS``, for
+    exactly one of ``response_text`` and ``error``, and against its content
+    hash as it is read."""
     return read_jsonl(path, TRANSCRIPT_FIELDS, _checked, GatewayError)
 
 
@@ -342,7 +336,7 @@ class ScriptedTranscriptGateway(Gateway):
             self._next[key] = self._later[key].popleft()
         response, error = saved
         if response is None:
-            raise ReplayedError(error or "scripted error")
+            raise ReplayedError(error)
         return response
 
 

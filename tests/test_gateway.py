@@ -163,16 +163,23 @@ def ref_content_hash(record: dict) -> str:
 
 # Arbitrary Unicode with JSON's escape cases drawn often.
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028é😀\n\t')))
-EXCHANGE = st.fixed_dictionaries(
-    {
-        "system_text": TEXT,
-        "user_text": TEXT,
-        "response_text": st.none() | TEXT,
-        "error": st.none() | TEXT,
-        "latency_ms": st.floats(),
-        "prompt_tokens": st.integers(0, 10**6),
-        "completion_tokens": st.integers(0, 10**6),
-    }
+# An exchange has a response or an error, never both nor neither.
+OUTCOME = st.one_of(
+    st.fixed_dictionaries({"response_text": TEXT, "error": st.none()}),
+    st.fixed_dictionaries({"response_text": st.none(), "error": TEXT}),
+)
+EXCHANGE = st.builds(
+    lambda fields, outcome: {**fields, **outcome},
+    st.fixed_dictionaries(
+        {
+            "system_text": TEXT,
+            "user_text": TEXT,
+            "latency_ms": st.floats(),
+            "prompt_tokens": st.integers(0, 10**6),
+            "completion_tokens": st.integers(0, 10**6),
+        }
+    ),
+    OUTCOME,
 )
 
 

@@ -1,9 +1,9 @@
 """Each stage loads only the modules it runs: ``import schedkit.cli`` loads
 no other ``schedkit`` module, only the stages that compute on arrays load
 numpy, they load it with one BLAS thread unless the user sets another
-count, only a stage with at least ``gateway.HASH_BUDGET`` bytes of
-exchanges loads OpenSSL's hashing (``_hashlib``), and every module's errors
-share the base that the CLI maps to exit 2 or exit 3.
+count, only a stage that hashes more than ``gateway.HASH_BUDGET`` bytes
+loads OpenSSL's hashing (``_hashlib``), and every module's errors share the
+base that the CLI maps to exit 2 or exit 3.
 
 Each stage runs in a fresh interpreter, because this test process has
 loaded numpy and every ``schedkit`` module long before it runs.
@@ -29,6 +29,7 @@ import schedkit
 import schedkit.gateway
 from schedkit import GatewayError
 from schedkit.cli import EXIT_GATEWAY, UsageError, main
+from schedkit.records import encode_fields
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -174,9 +175,9 @@ def test_only_array_stages_load_numpy(stages, array_stages):
 
 
 def test_stages_below_the_hashing_budget_load_no_openssl_hashing(stages, array_stages):
-    """Every stage here has far fewer than ``HASH_BUDGET`` bytes of
-    exchanges, the replay and polish included, so each hashes with the
-    interpreter's own SHA-256 and loads no ``_hashlib``."""
+    """Every stage here hashes far fewer than ``HASH_BUDGET`` bytes, the
+    replay and polish included, so each hashes with the interpreter's own
+    SHA-256 and loads no ``_hashlib``."""
     cwd, stage_modules = stages
     for name, loaded in {**stage_modules, **array_stages}.items():
         assert "_hashlib" not in loaded, name
@@ -186,10 +187,11 @@ def test_stages_below_the_hashing_budget_load_no_openssl_hashing(stages, array_s
 
 
 def test_a_run_eval_at_the_hashing_budget_loads_openssl_hashing(stages):
-    """The control: 90 prompts that each carry a 48 KiB rules file are
-    sized at more than ``HASH_BUDGET`` bytes of exchanges, so that run
-    hashes through ``hashlib`` from its first hash; its transcript's
-    content hashes are those that the interpreter's SHA-256 gives."""
+    """The control: 90 prompts that each carry a 48 KiB rules file hash
+    more than ``HASH_BUDGET`` bytes before the last one, so that run
+    switches to ``hashlib`` on the way; its transcript's content hashes,
+    before the switch and after it, are those that the interpreter's
+    SHA-256 gives."""
     cwd, _ = stages
     rule = "Every finish follows its start by the activity's duration.\n"
     (cwd / "rules.txt").write_text(rule * (48 * 1024 // len(rule) + 1), "utf-8")
@@ -197,7 +199,7 @@ def test_a_run_eval_at_the_hashing_budget_loads_openssl_hashing(stages):
         "--out", "ruled", "run-eval", "--schedule", "gen/schedule.csv",
         "--gateway", "mock:echo", "--rules", "rules.txt",
     ]
-    assert 90 * (cwd / "rules.txt").stat().st_size >= schedkit.gateway.HASH_BUDGET
+    assert 89 * (cwd / "rules.txt").stat().st_size >= schedkit.gateway.HASH_BUDGET
     assert "_hashlib" in loaded_modules(cwd, PROBE, *argv)
     builtin = schedkit.builtin_sha256()
     for line in (cwd / "ruled" / "transcript.jsonl").read_text("utf-8").splitlines():
@@ -207,8 +209,8 @@ def test_a_run_eval_at_the_hashing_budget_loads_openssl_hashing(stages):
         assert builtin(encoded).hexdigest() == record["content_hash"]
 
 
-# Inputs whose digests the chooser must give as ``hashlib`` does: empty,
-# ASCII, non-ASCII UTF-8, and more bytes than the budget.
+# Inputs whose digests the gateway's SHA-256 must give as ``hashlib`` does:
+# empty, ASCII, non-ASCII UTF-8, and more bytes than the budget.
 HASH_INPUTS = (
     b"",
     b"Activity ID: A-17",
@@ -216,34 +218,46 @@ HASH_INPUTS = (
     bytes(range(256)) * (schedkit.gateway.HASH_BUDGET // 256 + 1),
 )
 
+# An exchange's fields, whose content hash is fed piece by piece.
+EXCHANGE = {
+    "error": None,
+    "response_text": "[Value]Ausführung[/Value]",
+    "system_text": "sys",
+    "user_text": "Activity ID: A-17\nMissing columns: Status ✓",
+}
+
 
 @pytest.fixture
-def unpicked(monkeypatch):
-    """``gateway`` as before the process's first hash, restored after."""
-    monkeypatch.setattr(schedkit.gateway, "_sha256", None)
-    monkeypatch.setattr(schedkit.gateway, "_expected", 0)
+def unhashed(monkeypatch):
+    """``gateway`` as in a process that has hashed nothing yet, restored
+    after."""
+    monkeypatch.setattr(schedkit.gateway, "_hashed", 0)
 
 
-def assert_digests_equal_hashlibs() -> None:
-    for data in HASH_INPUTS:
-        assert schedkit.gateway.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
-    piecewise = schedkit.gateway.sha256(HASH_INPUTS[1])
-    for data in HASH_INPUTS[2:]:
-        piecewise.update(data)
-        piecewise.update(b"")
-    assert piecewise.digest() == hashlib.sha256(b"".join(HASH_INPUTS)).digest()
+def content_hash(record: dict) -> str:
+    """The gateway's content hash of ``record``'s exchange fields."""
+    gateway = schedkit.gateway
+    return gateway._content_hash(encode_fields(gateway._EXCHANGE_FIELDS, record.__getitem__))
 
 
-@pytest.mark.parametrize("expected", [0, schedkit.gateway.HASH_BUDGET - 1, schedkit.gateway.HASH_BUDGET])
-def test_the_chosen_sha256_gives_hashlibs_digests(unpicked, expected):
-    schedkit.gateway.expect_exchanges(expected)
-    assert_digests_equal_hashlibs()
-    picked_hashlib = schedkit.gateway._sha256 is hashlib.sha256
-    assert picked_hashlib == (expected >= schedkit.gateway.HASH_BUDGET)
-    # The pick holds for the process: what is counted later changes nothing.
-    schedkit.gateway.expect_exchanges(schedkit.gateway.HASH_BUDGET)
-    schedkit.gateway.sha256()
-    assert (schedkit.gateway._sha256 is hashlib.sha256) == picked_hashlib
+def test_the_sha256_is_the_builtin_until_the_budget_is_hashed(unhashed):
+    """In one process, hashing ``HASH_INPUTS`` twice crosses the budget at
+    the last input of the first pass: each hash before it starts with the
+    interpreter's own SHA-256, each after it with ``hashlib``'s, and every
+    digest, piecewise ones included, is ``hashlib``'s."""
+    gateway = schedkit.gateway
+    reference = hashlib.sha256(json.dumps(EXCHANGE, sort_keys=True).encode("utf-8")).hexdigest()
+    constructors = []
+    for data in HASH_INPUTS * 2:
+        assert content_hash(EXCHANGE) == reference
+        digest = gateway._sha256([data])
+        constructors.append(type(digest))
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert content_hash(EXCHANGE) == reference
+    builtin, openssl = type(schedkit.builtin_sha256()()), type(hashlib.sha256())
+    assert builtin is not openssl
+    assert constructors == [builtin] * 4 + [openssl] * 4
+    assert gateway._sha256(HASH_INPUTS).digest() == hashlib.sha256(b"".join(HASH_INPUTS)).digest()
 
 
 def test_the_builtin_sha256_is_the_interpreters_own():
@@ -251,12 +265,16 @@ def test_the_builtin_sha256_is_the_interpreters_own():
     assert schedkit.builtin_sha256() is own.sha256
 
 
-def test_without_a_builtin_sha256_the_chooser_falls_back_to_hashlib(unpicked, monkeypatch):
+def test_without_a_builtin_sha256_the_chooser_falls_back_to_hashlib(unhashed, monkeypatch):
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
     assert schedkit.builtin_sha256() is hashlib.sha256
-    assert_digests_equal_hashlibs()
-    assert schedkit.gateway._sha256 is hashlib.sha256
+    digest = schedkit.gateway._sha256(HASH_INPUTS[:3])
+    assert type(digest) is type(hashlib.sha256())
+    assert digest.digest() == hashlib.sha256(b"".join(HASH_INPUTS[:3])).digest()
+    assert content_hash(EXCHANGE) == hashlib.sha256(
+        json.dumps(EXCHANGE, sort_keys=True).encode("utf-8")
+    ).hexdigest()
 
 
 def test_train_scorer_loads_neither_the_schedule_nor_the_evaluation(stages):

@@ -323,6 +323,17 @@ MISTYPED = {
         "TypeError: user_text is NoneType, not str",
     ),
     "error-int": ("transcript", lambda r: r.update(error=7), "TypeError: error is int, not str"),
+    # A transcript line holds exactly one of a response and an error.
+    "response_text-and-error-null": (
+        "transcript",
+        lambda r: r.update(response_text=None, error=None),
+        "ValueError: exactly one of response_text and error must be null",
+    ),
+    "response_text-and-error-set": (
+        "transcript",
+        lambda r: r.update(error="GatewayError: timed out"),
+        "ValueError: exactly one of response_text and error must be null",
+    ),
     "term-int": ("terms", lambda r: r.update(term=5), "TypeError: term is int, not str"),
     "definition-null": ("terms", lambda r: r.update(definition=None), "TypeError: definition is NoneType"),
     "text-int": ("chunks", lambda r: r.update(text=5), "TypeError: text is int, not str"),
@@ -351,7 +362,8 @@ def _rehash(record: dict) -> None:
 @pytest.mark.parametrize("case", sorted(MISTYPED))
 def test_cli_exit_code_for_a_mistyped_field(tmp_path, capsys, case):
     """Every command that reads a JSON-lines file rejects a line whose
-    fields have the wrong types or hold a lone surrogate, naming
+    fields have the wrong types or hold a lone surrogate, or a transcript
+    line that holds both or neither of a response and an error, naming
     ``path:line``: exit 3 for a replayed transcript (whose content hash
     matches the changed fields), exit 2 for the rest, never 4 or 0."""
     files = _artifacts(tmp_path, capsys)
