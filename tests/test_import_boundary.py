@@ -260,6 +260,26 @@ def test_the_sha256_is_the_builtin_until_the_budget_is_hashed(unhashed):
     assert gateway._sha256(HASH_INPUTS).digest() == hashlib.sha256(b"".join(HASH_INPUTS)).digest()
 
 
+@pytest.mark.parametrize("hashed", [0, schedkit.gateway.HASH_BUDGET - 1, schedkit.gateway.HASH_BUDGET])
+def test_the_chosen_sha256_gives_hashlibs_digests(monkeypatch, hashed):
+    """In a process that has already hashed ``hashed`` bytes, the first
+    hash starts with the interpreter's own SHA-256 below the budget and
+    with ``hashlib``'s at it; either way every digest, piecewise ones
+    included, is ``hashlib``'s."""
+    monkeypatch.setattr(schedkit.gateway, "_hashed", hashed)
+    first = schedkit.gateway._sha256([HASH_INPUTS[1]])
+    chosen = schedkit.builtin_sha256() if hashed < schedkit.gateway.HASH_BUDGET else hashlib.sha256
+    assert type(first) is type(chosen())
+    assert first.hexdigest() == hashlib.sha256(HASH_INPUTS[1]).hexdigest()
+    for data in HASH_INPUTS:
+        assert schedkit.gateway._sha256([data]).hexdigest() == hashlib.sha256(data).hexdigest()
+    piecewise = schedkit.gateway._sha256([piece for data in HASH_INPUTS for piece in (data, b"")])
+    assert piecewise.digest() == hashlib.sha256(b"".join(HASH_INPUTS)).digest()
+    assert content_hash(EXCHANGE) == hashlib.sha256(
+        json.dumps(EXCHANGE, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
 def test_the_builtin_sha256_is_the_interpreters_own():
     own = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
     assert schedkit.builtin_sha256() is own.sha256
