@@ -3,7 +3,8 @@ masked-cell evaluation, and preference alignment.
 
 The package root holds what every stage shares and the CLI needs before it
 knows its command: the error bases it maps to exit codes, the reading and
-writing of files, and the interpreter's own SHA-256. It imports only the
+writing of files, the interpreter's own SHA-256, and the base of the
+classes that are not plain records (``Struct``). It imports only the
 standard library."""
 
 import io
@@ -30,6 +31,29 @@ class CorruptRecordError(DataError):
 class GatewayError(Exception):
     """Base of every failed chat-completion exchange (``gateway``). The CLI
     maps it to exit 3."""
+
+
+class Struct:
+    """Base of the package's classes that are mutable, validate what they
+    are given or keep a cache; its immutable records are ``NamedTuple``s.
+    Each subclass names its fields in ``_fields``, lists its slots, and
+    writes its own ``__init__``. Two instances of a class are equal when
+    their fields are, and one shows as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
 
 
 def builtin_sha256():

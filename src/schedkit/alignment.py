@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection
+from typing import Collection, NamedTuple
 
 import numpy as np
 
-from . import DataError, streamed
+from . import DataError, Struct, streamed
 from . import rng as prng
 from .knowledge import HashedNgramEmbedder
 from .preferences import PreferenceRecord
@@ -50,20 +49,18 @@ class DegenerateDataError(AlignmentError):
     pass
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 0.5
-    beta: float = 1.0
+class LossWeights(Struct):
+    _fields = __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
+    def __init__(self, alpha: float = 0.5, beta: float = 1.0):
+        for name, v in (("alpha", alpha), ("beta", beta)):
             if not math.isfinite(v) or v < 0:
                 raise AlignmentError(f"{name} must be finite and >= 0")
+        self.alpha = alpha
+        self.beta = beta
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     l_sft: float
     l_cr: float
     l_pa: float

@@ -7,11 +7,11 @@ CLI stage imports numpy through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
+from . import Struct
 from .knowledge import HashedNgramEmbedder
 from .schedule import COL_FINISH, COL_START, Schedule, canonical_row
 from .synthetic import SyntheticError
@@ -40,12 +40,20 @@ class EmptyColumnError(SyntheticError):
     pass
 
 
-@dataclass
-class AttributeMatrix:
-    labels: tuple[str, ...]
-    values: np.ndarray
-    kind: str
-    constant_labels: tuple[str, ...] = ()
+class AttributeMatrix(Struct):
+    _fields = __slots__ = ("labels", "values", "kind", "constant_labels")
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        values: np.ndarray,
+        kind: str,
+        constant_labels: tuple[str, ...] = (),
+    ):
+        self.labels = labels
+        self.values = values
+        self.kind = kind
+        self.constant_labels = constant_labels
 
     def render(self) -> str:
         lines = ["\t" + "\t".join(self.labels)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import io
 import itertools
 import json
@@ -242,7 +241,7 @@ def cmd_ingest(args, cfg) -> int:
     _write_schedule(out, sched)
     write_artifact(
         out / "validation.json",
-        json.dumps([v.__dict__ for v in report.violations], sort_keys=True, indent=2) + "\n",
+        json.dumps([v._asdict() for v in report.violations], sort_keys=True, indent=2) + "\n",
     )
     write_manifest(out, "ingest", cfg, {"schedule": args.schedule})
     print(
@@ -406,7 +405,7 @@ def cmd_run_eval(args, cfg) -> int:
     if kb is not None:
         for row_id, pieces in contexts.items():
             if retrieved := kb.retrieve(pieces.text()):
-                contexts[row_id] = dataclasses.replace(pieces, knowledge=retrieved)
+                contexts[row_id] = pieces._replace(knowledge=retrieved)
 
     mode = args.gateway or cfg.get("gateway", "mode")
     gateway = build_gateway(cfg, mode, schedule=sched)

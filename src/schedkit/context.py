@@ -10,9 +10,10 @@ Sampling for each target draws from a private stream derived from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
+from . import Struct
 from . import rng as prng
 from .graph import ScheduleGraph, UnknownNodeError
 from .prompt_forge import word_count
@@ -22,28 +23,34 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    max_sequential_hops: int = 3
-    max_wbs_levels: int = 2
-    paths_per_direction: int = 5
-    rng_seed: int = 42
+class SamplerConfig(Struct):
+    _fields = __slots__ = (
+        "max_sequential_hops", "max_wbs_levels", "paths_per_direction", "rng_seed"
+    )
 
-    def __post_init__(self):
-        if min(self.max_sequential_hops, self.max_wbs_levels, self.paths_per_direction) < 0:
+    def __init__(
+        self,
+        max_sequential_hops: int = 3,
+        max_wbs_levels: int = 2,
+        paths_per_direction: int = 5,
+        rng_seed: int = 42,
+    ):
+        if min(max_sequential_hops, max_wbs_levels, paths_per_direction) < 0:
             raise ValueError("sampler counts must be >= 0")
-        if self.max_sequential_hops > 16:
+        if max_sequential_hops > 16:
             raise ValueError("max_sequential_hops capped at 16")
+        self.max_sequential_hops = max_sequential_hops
+        self.max_wbs_levels = max_wbs_levels
+        self.paths_per_direction = paths_per_direction
+        self.rng_seed = rng_seed
 
 
-@dataclass(frozen=True, order=True)
-class SequentialPath:
+class SequentialPath(NamedTuple):
     direction: str
     nodes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ContextBundle:
+class ContextBundle(NamedTuple):
     """A target's sampled context. Its HIERARCHICAL relatives are the ids of
     ``wbs_bucket``, a key of ``ScheduleIndex.wbs_buckets``, less the target."""
 
@@ -129,8 +136,7 @@ def json_escape(text: str) -> str:
     return encode_basestring_ascii(text)[1:-1]
 
 
-@dataclass(frozen=True, slots=True)
-class ContextPieces:
+class ContextPieces(NamedTuple):
     """A rendered context in pieces: the texts retrieved for the target, if
     any (``knowledge``, each followed by ``\n``), the target's ``head``
     (TARGET, SEED, FIRST-ORDER and the ``HIERARCHICAL:`` label), the
@@ -227,10 +233,9 @@ def serialize_bundle(bundle: ContextBundle, schedule: Schedule) -> str:
     HIERARCHICAL list is cut from the bucket's encoded ids
     (``ScheduleIndex.wbs_ids``), which are built once per bucket."""
     hierarchical = schedule.index.wbs_ids(bundle.wbs_bucket).without(bundle.target)
-    # Tuples sort as the dataclass's fields do, without its Python ``__lt__``.
     sequential = ", ".join(
         f'{{"direction": {encode_basestring_ascii(direction)}, "nodes": {_json_ids(nodes)}}}'
-        for direction, nodes in sorted((p.direction, p.nodes) for p in bundle.sequential)
+        for direction, nodes in sorted(bundle.sequential)
     )
     return (
         f'{{"first_order": {_json_ids(sorted(bundle.first_order))}, '

@@ -20,11 +20,10 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import GatewayError, builtin_sha256
+from . import GatewayError, Struct, builtin_sha256
 from .records import encode_fields, object_parts, read_jsonl, write_line
 
 ROW_ID_LABEL = "Activity ID"
@@ -68,22 +67,37 @@ class TranscriptExhaustedError(GatewayError):
     pass
 
 
-@dataclass(frozen=True)
-class GatewayConfig:
-    endpoint_url: str = ""
-    model_name: str = ""
-    temperature: float = 0.0
-    request_seed: int = 12345
-    timeout_seconds: float = 60.0
-    retry_limit: int = 3
+class GatewayConfig(Struct):
+    _fields = __slots__ = (
+        "endpoint_url",
+        "model_name",
+        "temperature",
+        "request_seed",
+        "timeout_seconds",
+        "retry_limit",
+    )
 
-    def __post_init__(self):
-        if not 0 <= self.retry_limit <= 5:
+    def __init__(
+        self,
+        endpoint_url: str = "",
+        model_name: str = "",
+        temperature: float = 0.0,
+        request_seed: int = 12345,
+        timeout_seconds: float = 60.0,
+        retry_limit: int = 3,
+    ):
+        if not 0 <= retry_limit <= 5:
             raise ValueError("retry_limit must be in [0, 5]")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
-            raise ValueError(f"timeout_seconds must be finite and > 0, got {self.timeout_seconds}")
+        if not (math.isfinite(temperature) and temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+        if not (math.isfinite(timeout_seconds) and timeout_seconds > 0):
+            raise ValueError(f"timeout_seconds must be finite and > 0, got {timeout_seconds}")
+        self.endpoint_url = endpoint_url
+        self.model_name = model_name
+        self.temperature = temperature
+        self.request_seed = request_seed
+        self.timeout_seconds = timeout_seconds
+        self.retry_limit = retry_limit
 
 
 # Until a process has hashed this many bytes it hashes with the

@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import DataError
+from . import DataError, Struct
 from .schedule import DependencyLink, Schedule, validate
 
 
@@ -42,8 +42,7 @@ class UnknownNodeError(GraphError):
         self.node = node
 
 
-@dataclass(frozen=True)
-class ScheduleGraph:
+class ScheduleGraph(NamedTuple):
     """A validated view of ``schedule.index``: ``succs``/``preds`` are the
     index's links of each id, in its order (by other endpoint, relation)."""
 
@@ -71,14 +70,31 @@ class ScheduleGraph:
             raise UnknownNodeError(node)
 
 
-@dataclass
-class GraphStats:
-    degree_histogram: dict[int, int] = field(default_factory=dict)
-    degree_mean: float = 0.0
-    degree_max: int = 0
-    maxhop_histogram: dict[int, int] = field(default_factory=dict)
-    maxhop_mean: float = 0.0
-    maxhop_max: int = 0
+class GraphStats(Struct):
+    _fields = __slots__ = (
+        "degree_histogram",
+        "degree_mean",
+        "degree_max",
+        "maxhop_histogram",
+        "maxhop_mean",
+        "maxhop_max",
+    )
+
+    def __init__(
+        self,
+        degree_histogram: dict[int, int] | None = None,
+        degree_mean: float = 0.0,
+        degree_max: int = 0,
+        maxhop_histogram: dict[int, int] | None = None,
+        maxhop_mean: float = 0.0,
+        maxhop_max: int = 0,
+    ):
+        self.degree_histogram = {} if degree_histogram is None else degree_histogram
+        self.degree_mean = degree_mean
+        self.degree_max = degree_max
+        self.maxhop_histogram = {} if maxhop_histogram is None else maxhop_histogram
+        self.maxhop_mean = maxhop_mean
+        self.maxhop_max = maxhop_max
 
 
 def build_graph(schedule: Schedule) -> ScheduleGraph:

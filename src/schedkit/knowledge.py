@@ -26,13 +26,13 @@ import operator
 import struct
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import DataError, read_utf8, streamed, utf8_lines
-from .records import LineIndex, dataclass_fields, write_line
+from .records import LineIndex, record_fields, write_line
 from .prompt_forge import word_count
 from .rng import _FNV_PRIME, fnv1a64
 
@@ -179,14 +179,12 @@ def _unit(counts: np.ndarray) -> np.ndarray:
     return vector
 
 
-@dataclass(frozen=True)
-class TermEntry:
+class TermEntry(NamedTuple):
     term: str
     definition: str
 
 
-@dataclass(frozen=True)
-class KnowledgeChunk:
+class KnowledgeChunk(NamedTuple):
     doc_id: str
     chunk_index: int
     text: str
@@ -194,8 +192,8 @@ class KnowledgeChunk:
 
 
 # The fields of a line of ``terms.jsonl`` and of ``chunks.jsonl``.
-TERM_FIELDS = dataclass_fields(TermEntry)
-CHUNK_FIELDS = dataclass_fields(KnowledgeChunk)
+TERM_FIELDS = record_fields(TermEntry)
+CHUNK_FIELDS = record_fields(KnowledgeChunk)
 
 
 def chunk_document(

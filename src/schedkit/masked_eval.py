@@ -10,13 +10,12 @@ chosen/rejected preference pairs for alignment training.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
-from . import CorruptRecordError, DataError
+from . import CorruptRecordError, DataError, Struct
 from . import rng as prng
 from .gateway import (
     Gateway,
@@ -77,36 +76,63 @@ def _check_task_kind(kind: str) -> None:
         raise UnknownTaskKindError(f"unknown task kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    row_id: str
-    task_kind: str
-    masked_columns: tuple[str, ...]
-    ground_truth: dict[str, str]
+class MaskSpec(Struct):
+    _fields = __slots__ = ("row_id", "task_kind", "masked_columns", "ground_truth")
 
-    def __post_init__(self):
-        _check_task_kind(self.task_kind)
+    def __init__(
+        self,
+        row_id: str,
+        task_kind: str,
+        masked_columns: tuple[str, ...],
+        ground_truth: dict[str, str],
+    ):
+        _check_task_kind(task_kind)
+        self.row_id = row_id
+        self.task_kind = task_kind
+        self.masked_columns = masked_columns
+        self.ground_truth = ground_truth
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     raw_text: str
     parsed_cells: tuple[tuple[str, ...], ...]
     parse_ok: bool
 
 
-@dataclass
-class EvalInstance:
-    mask: MaskSpec
-    prompt_system: str
-    prompt_user: str
-    response_text: str | None
-    parse_ok: bool
-    cells_correct: tuple[bool, ...]
-    error: str | None = None
-    # The JSON encoding of ``prompt_user``, set by ``evaluate_tasks`` so
-    # that its transcript record and ``save_instances`` reuse it.
-    prompt_user_json: str | None = field(default=None, compare=False, repr=False)
+class EvalInstance(Struct):
+    _fields = (
+        "mask",
+        "prompt_system",
+        "prompt_user",
+        "response_text",
+        "parse_ok",
+        "cells_correct",
+        "error",
+    )
+    # ``prompt_user_json``, the JSON encoding of ``prompt_user``, is set by
+    # ``evaluate_tasks`` so that its transcript record and
+    # ``save_instances`` reuse it; it is no field.
+    __slots__ = (*_fields, "prompt_user_json")
+
+    def __init__(
+        self,
+        mask: MaskSpec,
+        prompt_system: str,
+        prompt_user: str,
+        response_text: str | None,
+        parse_ok: bool,
+        cells_correct: tuple[bool, ...],
+        error: str | None = None,
+        prompt_user_json: str | None = None,
+    ):
+        self.mask = mask
+        self.prompt_system = prompt_system
+        self.prompt_user = prompt_user
+        self.response_text = response_text
+        self.parse_ok = parse_ok
+        self.cells_correct = cells_correct
+        self.error = error
+        self.prompt_user_json = prompt_user_json
 
     @property
     def all_correct(self) -> bool:
@@ -389,17 +415,19 @@ def _synthesize_rejection(
     return None
 
 
-@dataclass(slots=True)
 class _PreferenceGroup:
     """What one ``(row_id, task_kind)`` group's record needs, kept while
     its instances are read: the chosen text (the first mask's truth), the
     positions of the first wrong and first fully correct instance, and the
     wrong response texts in order."""
 
-    chosen: str
-    wrong_at: int | None = None
-    correct_at: int | None = None
-    wrong: list[str] = field(default_factory=list)
+    __slots__ = ("chosen", "wrong_at", "correct_at", "wrong")
+
+    def __init__(self, chosen: str):
+        self.chosen = chosen
+        self.wrong_at: int | None = None
+        self.correct_at: int | None = None
+        self.wrong: list[str] = []
 
 
 def collect_preferences(

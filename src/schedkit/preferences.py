@@ -8,27 +8,27 @@ gateway modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import CorruptRecordError, DataError
-from .records import count_records, dataclass_fields, read_jsonl, write_line
+from .records import count_records, read_jsonl, record_fields, write_line
 
 
-@dataclass(frozen=True)
-class PreferenceRecord:
+class PreferenceRecord(NamedTuple):
     prompt_text: str
     chosen_text: str
     rejected_text: str
     task_kind: str
     row_id: str
     context_length_tokens: int
-    meta: dict = field(default_factory=dict)
+    # One empty dict for every record made without one; no record's meta
+    # is changed after it is made.
+    meta: dict = {}
 
 
-PREFERENCE_FIELDS = dataclass_fields(PreferenceRecord)
+PREFERENCE_FIELDS = record_fields(PreferenceRecord)
 
 
 class PreferenceStore:

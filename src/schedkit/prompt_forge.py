@@ -9,8 +9,8 @@ here.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import DataError
 
@@ -48,8 +48,7 @@ class MissingSectionError(PromptError):
     pass
 
 
-@dataclass(frozen=True)
-class TaskPrompt:
+class TaskPrompt(NamedTuple):
     """One prompt pair. ``pieces`` are ``(head, context, tail)``: they join
     to ``user_text``, and the context meets its neighbours at ``\n``, so
     whitespace token counts add up across them (see ``prompt_tokens``)."""

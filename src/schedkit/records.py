@@ -67,9 +67,9 @@ def object_parts(encoded: dict[str, str]) -> list[str]:
 # decoder reads it back.
 
 
-def dataclass_fields(cls) -> tuple:
-    """The field table of a flat dataclass: each field's name and annotated
-    type, none nullable."""
+def record_fields(cls) -> tuple:
+    """The field table of a flat ``NamedTuple`` record: each field's name
+    and annotated type, none nullable."""
     return tuple((name, kind, False) for name, kind in typing.get_type_hints(cls).items())
 
 
@@ -78,8 +78,7 @@ def encode_fields(fields, get, encoded=None) -> dict[str, str]:
     in the table ``fields``, by name; ``encoded`` supplies encodings the
     caller already has, and a None there is none. ``object_parts`` of the
     result is the record's line, ``json.dumps(..., sort_keys=True)``. A
-    dataclass record is read through ``partial(getattr, record)``, not
-    ``vars``, which would give each record a ``__dict__`` for its life."""
+    record is read through ``partial(getattr, record)``."""
     given = encoded or {}
     return {name: given.get(name) or encode_json(get(name)) for name, _, _ in fields}
 

@@ -7,16 +7,25 @@ overall and per schedule group, their JSON form and their table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from typing import Iterable
 
+from . import Struct
 
-@dataclass
-class TaskScore:
-    cells_total: int = 0
-    cells_correct: int = 0
-    rows_total: int = 0
-    rows_correct: int = 0
+
+class TaskScore(Struct):
+    _fields = __slots__ = ("cells_total", "cells_correct", "rows_total", "rows_correct")
+
+    def __init__(
+        self,
+        cells_total: int = 0,
+        cells_correct: int = 0,
+        rows_total: int = 0,
+        rows_correct: int = 0,
+    ):
+        self.cells_total = cells_total
+        self.cells_correct = cells_correct
+        self.rows_total = rows_total
+        self.rows_correct = rows_correct
 
     def add(self, correct_flags) -> None:
         self.cells_total += len(correct_flags)
@@ -30,13 +39,18 @@ class TaskScore:
         return 100.0 * hit / total if total else 0.0
 
 
-@dataclass
-class ScoreReport:
-    per_task: dict[str, TaskScore] = field(default_factory=dict)
-    group_breakdowns: dict[str, dict[str, dict[str, TaskScore]]] = field(
-        default_factory=dict
-    )
-    complete: bool = True
+class ScoreReport(Struct):
+    _fields = __slots__ = ("per_task", "group_breakdowns", "complete")
+
+    def __init__(
+        self,
+        per_task: dict[str, TaskScore] | None = None,
+        group_breakdowns: dict[str, dict[str, dict[str, TaskScore]]] | None = None,
+        complete: bool = True,
+    ):
+        self.per_task = {} if per_task is None else per_task
+        self.group_breakdowns = {} if group_breakdowns is None else group_breakdowns
+        self.complete = complete
 
     def accuracy(self, kind: str, denominator: str = "cells") -> float:
         score = self.per_task.get(kind)
@@ -81,7 +95,7 @@ class ScoreReport:
             return value
 
         def score(rec: dict) -> TaskScore:
-            s = TaskScore(*(count(rec, f.name) for f in fields(TaskScore)))
+            s = TaskScore(*(count(rec, name) for name in TaskScore._fields))
             if s.cells_correct > s.cells_total or s.rows_correct > s.rows_total:
                 raise ValueError(f"more correct than total: {s}")
             return s

@@ -18,14 +18,14 @@ import itertools
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, Iterator, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from . import DataError
+from . import DataError, Struct
 
 RELATIONS = ("FS", "SS", "FF", "SF")
 
@@ -110,8 +110,15 @@ class DuplicateIdError(ScheduleError):
         self.activity_id = activity_id
 
 
-@dataclass(frozen=True, slots=True)
-class Activity:
+# The extra attributes of an activity that has none; every activity
+# without extras shares it.
+NO_EXTRAS: Mapping[str, str] = MappingProxyType({})
+
+
+class Activity(NamedTuple):
+    """One row of a schedule. ``extra_attributes`` is read-only, so that
+    the activities whose extra cells are equal can share one mapping."""
+
     activity_id: str
     name: str
     status: str
@@ -122,27 +129,37 @@ class Activity:
     zone: str | None
     current_start: date
     current_finish: date
-    extra_attributes: dict[str, str] = field(default_factory=dict)
+    extra_attributes: Mapping[str, str] = NO_EXTRAS
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyLink:
+class DependencyLink(NamedTuple):
     predecessor_id: str
     successor_id: str
     relation: str = "FS"
     lag_days: int = 0
 
 
-@dataclass(frozen=True)
-class Schedule:
-    activities: tuple[Activity, ...]
-    links: tuple[DependencyLink, ...]
-    source_label: str = ""
+class Schedule(Struct):
+    _fields = ("activities", "links", "source_label")
+    __slots__ = (*_fields, "_index")
 
-    @cached_property
+    def __init__(
+        self,
+        activities: tuple[Activity, ...],
+        links: tuple[DependencyLink, ...],
+        source_label: str = "",
+    ):
+        self.activities = activities
+        self.links = links
+        self.source_label = source_label
+        self._index = None
+
+    @property
     def index(self) -> ScheduleIndex:
         """Per-activity lookups, built on first use and kept for the schedule."""
-        return ScheduleIndex(self)
+        if self._index is None:
+            self._index = ScheduleIndex(self)
+        return self._index
 
     def by_id(self) -> dict[str, Activity]:
         return dict(self.index.by_id)
@@ -365,16 +382,14 @@ class ScheduleIndex:
         return holders
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     row: int
     field: str
     kind: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     def ok(self) -> bool:
@@ -454,9 +469,11 @@ def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Sc
 
     Links come sorted by (predecessor, successor, relation), whichever
     cells declare them, so a parsed schedule serializes and parses back to
-    itself. Records are read one at a time, and each distinct cell value,
-    WBS segment, WBS path and relation is held once, however many rows
-    repeat it; a link's endpoints are its activities' own id strings.
+    itself. Records are read one at a time, and each distinct cell value
+    that an activity holds, WBS segment, WBS path and relation is held
+    once, however many rows repeat it; a link's endpoints are its
+    activities' own id strings, and rows with equal extra cells share one
+    read-only ``extra_attributes`` mapping.
     """
     lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
     # The lines up to the first non-blank one, read again as records.
@@ -484,7 +501,11 @@ def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Sc
         if col not in col_index:
             raise MissingColumnError(col)
 
-    shared: dict = {}  # each distinct value, as the one object every row holds
+    # Each distinct value that an activity or link holds, as the one object
+    # every row holds; dates and dependency cells are read once and dropped.
+    shared: dict = {}
+    # Each distinct row of extra cells, as the one mapping every row holds.
+    attributes: dict[tuple[str, ...], Mapping[str, str]] = {(): NO_EXTRAS}
     width = len(header)
     activities: list[Activity] = []
     ids: dict[str, str] = {}  # each id, as its activity holds it
@@ -494,9 +515,13 @@ def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Sc
         idx = col_index.get(col)
         return "" if idx is None else cells[idx]
 
+    def held(cells: list[str], col: str) -> str:
+        value = get(cells, col)
+        return shared.setdefault(value, value)
+
     for row_no, cells in records:
         # Stripped cells, padded to the header.
-        cells = [shared.setdefault(v, v) for v in (c.strip() for c in cells[:width])]
+        cells = [c.strip() for c in cells[:width]]
         cells += [""] * (width - len(cells))
         activity_id = get(cells, COL_ID)
         if not activity_id:
@@ -512,6 +537,12 @@ def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Sc
                 row_no, get(cells, COL_FINISH), f"finish precedes start {start.isoformat()}"
             )
 
+        extra = tuple(cells[idx] for _, idx in extras)
+        if extra not in attributes:
+            attributes[extra] = MappingProxyType(
+                {name: shared.setdefault(v, v) for (name, _), v in zip(extras, extra)}
+            )
+
         wbs_cell = get(cells, COL_WBS)
         wbs = tuple(shared.setdefault(seg, seg) for seg in wbs_cell.split(".") if seg != "")
         if not wbs:
@@ -520,16 +551,16 @@ def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Sc
         activities.append(
             Activity(
                 activity_id=activity_id,
-                name=get(cells, COL_NAME),
-                status=get(cells, COL_STATUS),
+                name=held(cells, COL_NAME),
+                status=held(cells, COL_STATUS),
                 wbs=shared.setdefault(wbs, wbs),
-                discipline=get(cells, COL_DISCIPLINE),
-                level=get(cells, COL_LEVEL),
-                area=get(cells, COL_AREA),
-                zone=get(cells, COL_ZONE) or None,
+                discipline=held(cells, COL_DISCIPLINE),
+                level=held(cells, COL_LEVEL),
+                area=held(cells, COL_AREA),
+                zone=held(cells, COL_ZONE) or None,
                 current_start=start,
                 current_finish=finish,
-                extra_attributes={name: cells[idx] for name, idx in extras},
+                extra_attributes=attributes[extra],
             )
         )
         dependency_cells.append((row_no, activity_id, get(cells, COL_PRED), get(cells, COL_SUCC)))

@@ -10,10 +10,9 @@ seed, so equal params mean byte-identical schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, timedelta
 
-from . import DataError
+from . import DataError, Struct
 from . import rng as prng
 from .schedule import Activity, DependencyLink, Schedule
 
@@ -61,14 +60,14 @@ class InfeasibleParamsError(SyntheticError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    n_activities: int = 200
-    seed: int = 42
+class GeneratorParams(Struct):
+    _fields = __slots__ = ("n_activities", "seed")
 
-    def __post_init__(self):
-        if self.n_activities < 1:
+    def __init__(self, n_activities: int = 200, seed: int = 42):
+        if n_activities < 1:
             raise InfeasibleParamsError("need at least one activity")
+        self.n_activities = n_activities
+        self.seed = seed
 
 
 def _pick(gen: prng.Rng, table) -> str:

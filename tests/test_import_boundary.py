@@ -2,7 +2,8 @@
 no other ``schedkit`` module, only the stages that compute on arrays load
 numpy, they load it with one BLAS thread unless the user sets another
 count, only a stage that hashes more than ``gateway.HASH_BUDGET`` bytes
-loads OpenSSL's hashing (``_hashlib``), and every module's errors share the
+loads OpenSSL's hashing (``_hashlib``), no stage loads ``dataclasses`` and
+none without numpy loads ``inspect``, and every module's errors share the
 base that the CLI maps to exit 2 or exit 3.
 
 Each stage runs in a fresh interpreter, because this test process has
@@ -11,6 +12,7 @@ loaded numpy and every ``schedkit`` module long before it runs.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import inspect
@@ -34,13 +36,13 @@ from schedkit.records import encode_fields
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs the CLI with the arguments given, then prints the modules loaded, of
-# numpy, schedkit, requests, urllib and _hashlib, as a JSON list on the last
-# line of stdout.
+# numpy, schedkit, requests, urllib, _hashlib, dataclasses and inspect, as a
+# JSON list on the last line of stdout.
 PROBE = (
     "import json, sys\n"
     "from schedkit.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "roots = ('numpy', 'schedkit', 'requests', 'urllib', '_hashlib')\n"
+    "roots = ('numpy', 'schedkit', 'requests', 'urllib', '_hashlib', 'dataclasses', 'inspect')\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
     "sys.exit(code)\n"
 )
@@ -88,8 +90,8 @@ def run_probe(cwd: Path, *code: str, exit_code: int = 0, env=None):
 
 def loaded_modules(cwd: Path, *code: str, exit_code: int = 0) -> set[str]:
     """The modules that ``python -c *code`` printed as loaded (``PROBE``
-    prints those of numpy, schedkit, requests, urllib and _hashlib); it
-    must exit with ``exit_code``."""
+    prints those of numpy, schedkit, requests, urllib, _hashlib,
+    dataclasses and inspect); it must exit with ``exit_code``."""
     return set(run_probe(cwd, *code, exit_code=exit_code))
 
 
@@ -128,7 +130,7 @@ def test_cli_import_loads_only_the_package_root(tmp_path):
         "schedkit",
         "schedkit.cli",
     }
-    assert "_hashlib" not in loaded
+    assert not {"_hashlib", "dataclasses", "inspect"} & loaded
 
 
 def test_stages_that_read_no_context_load_neither_eval_nor_context(stages):
@@ -172,6 +174,37 @@ def test_only_array_stages_load_numpy(stages, array_stages):
     # build-kb writes records and sends no exchange.
     assert "schedkit.records" in array_stages["build-kb"]
     assert "schedkit.gateway" not in array_stages["build-kb"]
+
+
+def test_no_stage_loads_dataclasses_and_none_without_numpy_loads_inspect(stages, array_stages):
+    """Records are ``NamedTuple``s and ``Struct`` classes, so no stage
+    loads ``dataclasses``, which costs about 1 MB and 7 ms a process and
+    about 1 ms of generated code per class, and no stage without numpy
+    loads ``inspect``, which ``dataclasses`` would bring."""
+    _, stage_modules = stages
+    for name, loaded in {**stage_modules, **array_stages}.items():
+        assert "dataclasses" not in loaded, name
+    for name, loaded in stage_modules.items():
+        assert "inspect" not in loaded, name
+    # The control: numpy loads ``inspect``, and the probe sees it there.
+    for name, loaded in array_stages.items():
+        assert "inspect" in loaded, name
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    """In the source too, so that a module no stage above runs, or an
+    import inside a function, cannot bring ``dataclasses`` back."""
+    paths = sorted((SRC / "schedkit").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
 
 
 def test_stages_below_the_hashing_budget_load_no_openssl_hashing(stages, array_stages):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import io
 import json
 import tempfile
-from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -573,13 +572,13 @@ def test_preference_store_large_round_trip_hash(tmp_path):
     loaded = preference_store_load(path)
     assert len(loaded) == 10_000
     digest_in = hashlib.sha256(
-        "".join(json.dumps(asdict(r), sort_keys=True) for r in loaded).encode()
+        "".join(json.dumps(r._asdict(), sort_keys=True) for r in loaded).encode()
     ).hexdigest()
     rewritten = tmp_path / "rewrite.jsonl"
     preference_store_append(rewritten, loaded)
     digest_out = hashlib.sha256(
         "".join(
-            json.dumps(asdict(r), sort_keys=True)
+            json.dumps(r._asdict(), sort_keys=True)
             for r in preference_store_load(rewritten)
         ).encode()
     ).hexdigest()
@@ -688,7 +687,7 @@ def test_sink_streams_the_lines_save_instances_writes():
 
 def test_transcript_token_counts_equal_whole_prompt_split(tmp_path):
     chain = tuple(DependencyLink(f"A{i:02d}", f"A{i + 1:02d}") for i in range(5))
-    sched = replace(rich_schedule(6), links=chain)
+    sched = Schedule(rich_schedule(6).activities, chain)
     tasks = [t for kind in ("MVP", "DA", "AP") for t in make_mask_tasks(sched, kind)]
     from schedkit.gateway import TranscriptLog
 
@@ -713,6 +712,6 @@ def test_a_mask_of_no_evaluation_task_cannot_be_built():
     task = next(make_mask_tasks(sched, "DA"))
     for kind in ("Polish", "da", "", "../x"):
         with pytest.raises(EvalError, match=f"unknown task kind {kind!r}"):
-            replace(task, task_kind=kind)
+            MaskSpec(task.row_id, kind, task.masked_columns, task.ground_truth)
         with pytest.raises(EvalError, match=f"unknown task kind {kind!r}"):
             make_mask_tasks(sched, kind)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import csv
 import io
 import tempfile
-from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -127,6 +126,40 @@ def test_a_repeated_header_keeps_its_first_column():
     assert (act.status, act.extra_attributes) == ("Not Started", {"Phase": "p1"})
     assert canonical_row(sched, act)["Activity Status"] == "Not Started"
     assert parse_schedule(csv_text(sched)) == sched
+
+
+def test_rows_with_equal_extra_cells_share_one_read_only_mapping():
+    """Each distinct row of extra cells is one read-only mapping, and a
+    schedule without extras shares one empty one; the schedule serializes
+    as it did with a dict per activity."""
+    header = HEADER + ",Project Phase,Subcontractor"
+    cells = ["Phase 1,SUB-1", "Phase 2,SUB-1", "Phase 1,SUB-1", "Phase 2,SUB-1", ",SUB-1"]
+    text = "\n".join([header, *(row(f"A{i}") + f",{c}" for i, c in enumerate(cells))])
+    sched = parse_schedule(text)
+    extras = [act.extra_attributes for act in sched.activities]
+    assert [dict(e) for e in extras] == [
+        dict(zip(("Project Phase", "Subcontractor"), c.split(","))) for c in cells
+    ]
+    assert extras[0] is extras[2] and extras[1] is extras[3]
+    assert len({id(e) for e in extras}) == 3
+    assert extras[0]["Subcontractor"] is extras[1]["Subcontractor"]
+    with pytest.raises(TypeError):
+        extras[0]["Project Phase"] = "Phase 3"
+    assert dict(extras[2]) == {"Project Phase": "Phase 1", "Subcontractor": "SUB-1"}
+
+    plain = Schedule(
+        tuple(act._replace(extra_attributes=dict(act.extra_attributes)) for act in sched.activities),
+        sched.links,
+    )
+    assert csv_text(sched) == csv_text(plain)
+    assert records_text(sched) == records_text(plain)
+
+    bare = parse_schedule("\n".join([HEADER, row("A1"), row("A2")]))
+    assert bare.activities[0].extra_attributes is bare.activities[1].extra_attributes
+    assert bare.activities[0].extra_attributes is sm.NO_EXTRAS
+    assert sm.Activity(*bare.activities[0][:10]).extra_attributes is sm.NO_EXTRAS
+    with pytest.raises(TypeError):
+        sm.NO_EXTRAS["Phase"] = "p1"
 
 
 def test_row_errors_come_before_link_errors():
@@ -294,14 +327,13 @@ _line_breaking = st.text(
 @given(schedules(), st.data())
 def test_cells_holding_line_boundaries_round_trip(sched, data):
     acts = tuple(
-        replace(
-            act,
+        act._replace(
             name=data.draw(_line_breaking),
             extra_attributes={"Project Phase": data.draw(_line_breaking)},
         )
         for act in sched.activities
     )
-    text = csv_text(replace(sched, activities=acts))
+    text = csv_text(Schedule(acts, sched.links))
     assert csv_text(parse_schedule(text)) == text
 
 
@@ -462,10 +494,10 @@ def test_line_breaks_in_cells_read_as_in_the_whole_text(sched, data, eol):
     a time as from the whole text."""
     breaking = st.text(alphabet='ab ,"\n\r\x0b\x1c\x85\u2028', max_size=8).map(lambda t: f"n{t}n")
     acts = tuple(
-        replace(act, name=data.draw(breaking), extra_attributes={"Project Phase": data.draw(breaking)})
+        act._replace(name=data.draw(breaking), extra_attributes={"Project Phase": data.draw(breaking)})
         for act in sched.activities
     )
-    text = csv_text(replace(sched, activities=acts)).replace("\n", eol)
+    text = csv_text(Schedule(acts, sched.links)).replace("\n", eol)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "schedule.csv"
         path.write_bytes(text.encode("utf-8"))

@@ -10,7 +10,6 @@ built from them must also escape and count as their joined text does.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import tempfile
@@ -316,10 +315,10 @@ def test_prompts_from_context_pieces_match_the_joined_text(sched, data):
     has the JSON encoding and token count of its whole text."""
     pieces = context_pieces(draw_bundle(sched, data)[0], sched)
     if data.draw(st.booleans()):  # a head that holds every escape case
-        pieces = dataclasses.replace(pieces, head=f"{ODD_NAME} knowledge\n{pieces.head}")
+        pieces = pieces._replace(head=f"{ODD_NAME} knowledge\n{pieces.head}")
     if data.draw(st.booleans()):  # as run-eval --kb leads the context
         knowledge = data.draw(st.lists(st.sampled_from([f"{ODD_NAME} term: its definition", "", "chunk\n"])))
-        pieces = dataclasses.replace(pieces, knowledge=tuple(knowledge))
+        pieces = pieces._replace(knowledge=tuple(knowledge))
     row_id = data.draw(st.sampled_from(sorted(sched.index.by_id)))
     columns = (COL_STATUS, COL_START, "Phase")
     tasks = [
