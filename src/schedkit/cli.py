@@ -38,31 +38,46 @@ EXIT_DATA = 2
 EXIT_GATEWAY = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_CONFIG = {
+
+def _positive(value) -> None:
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+
+
+def _finite_nonnegative(value) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"must be finite and >= 0, got {value}")
+
+
+# Every config key by section: its default, whose type (int, float or str)
+# is the key's, and the check of its value unless a config class checks it
+# (``SamplerConfig`` [sampler], ``GatewayConfig`` the [gateway] keys it
+# takes). A config file that names any other section or key is an error.
+CONFIG = {
     "gateway": {
-        "mode": "mock:echo",
-        "endpoint_url": "",
-        "model_name": "",
-        "temperature": "0.0",
-        "request_seed": "12345",
-        "timeout_seconds": "60.0",
-        "retry_limit": "3",
+        "mode": ("mock:echo", None),
+        "endpoint_url": ("", None),
+        "model_name": ("", None),
+        "temperature": (0.0, None),
+        "request_seed": (12345, None),
+        "timeout_seconds": (60.0, None),
+        "retry_limit": (3, None),
     },
     "sampler": {
-        "max_sequential_hops": "3",
-        "max_wbs_levels": "2",
-        "paths_per_direction": "5",
-        "rng_seed": "42",
+        "max_sequential_hops": (3, None),
+        "max_wbs_levels": (2, None),
+        "paths_per_direction": (5, None),
+        "rng_seed": (42, None),
     },
-    "eval": {"tasks": "MVP,DA,AP", "k": "2", "seed": "42"},
+    "eval": {"tasks": ("MVP,DA,AP", None), "k": (2, _positive), "seed": (42, None)},
     "loss": {
-        "beta": "1.0",
-        "epochs": "10",
-        "epochs_sft": "10",
-        "learning_rate": "1.0",
+        "beta": (1.0, _finite_nonnegative),
+        "epochs": (10, _finite_nonnegative),
+        "epochs_sft": (10, _finite_nonnegative),
+        "learning_rate": (1.0, _finite_nonnegative),
     },
-    "generate": {"n": "200", "seed": "42"},
-    "kb": {"chunk_tokens": "500"},
+    "generate": {"n": (200, _positive), "seed": (42, None)},
+    "kb": {"chunk_tokens": (500, _positive)},
 }
 
 
@@ -75,20 +90,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Config(configparser.ConfigParser):
-    """A config whose ``getint`` and ``getfloat`` raise ``UsageError``
-    naming ``[section] key`` for a value that is not a number."""
-
-    def _get_conv(self, section, option, conv, **kwargs):
-        try:
-            return super()._get_conv(section, option, conv, **kwargs)
-        except ValueError as exc:
-            raise UsageError(f"[{section}] {option}: {exc}") from None
-
-
 def load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = _Config()
-    cfg.read_dict(DEFAULT_CONFIG)
+    """The defaults of ``CONFIG``, overridden by the file at ``path`` if
+    any, which may name no section or key that ``CONFIG`` lacks, and no key
+    under [DEFAULT] (configparser copies those into every section)."""
+    cfg = configparser.ConfigParser()
+    cfg.read_dict({s: {k: d for k, (d, _) in keys.items()} for s, keys in CONFIG.items()})
     if path:
         if not Path(path).is_file():
             raise UsageError(f"config file not found: {path}")
@@ -96,7 +103,40 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             cfg.read_string(read_utf8(path, UsageError), source=path)
         except configparser.Error as exc:
             raise UsageError(str(exc)) from None
+        for key in cfg.defaults():
+            raise UsageError(f"{path}: [{cfg.default_section}] {key}: unknown key")
+        for section in cfg.sections():
+            if section not in CONFIG:
+                raise UsageError(f"{path}: [{section}]: unknown section")
+            for key in cfg.options(section):
+                if key not in CONFIG[section]:
+                    raise UsageError(f"{path}: [{section}] {key}: unknown key")
     return cfg
+
+
+def config_values(cfg, section: str, *keys: str, into=None, **flags):
+    """``[section]``'s values of ``keys`` (every key when none is named) by
+    key, each of its default's type and checked as ``CONFIG`` says; or the
+    class ``into`` made of them. A flag in ``flags`` that is not None stands
+    for its key. A bad value is a usage error naming ``[section] key`` or ``--key``."""
+    values = {}
+    for key in keys or CONFIG[section]:
+        default, check = CONFIG[section][key]
+        flag = flags.get(key)
+        try:
+            value = type(default)(cfg.get(section, key)) if flag is None else flag
+            if check:
+                check(value)
+        except (ValueError, configparser.Error) as exc:
+            name = f"[{section}] {key}" if flag is None else f"--{key}"
+            raise UsageError(f"{name}: {exc}") from None
+        values[key] = value
+    if into is None:
+        return values
+    try:
+        return into(**{key: values[key] for key in into._fields})
+    except ValueError as exc:
+        raise UsageError(f"[{section}] {exc}") from None
 
 
 def config_hash(cfg: configparser.ConfigParser) -> str:
@@ -113,56 +153,14 @@ def write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
         "version": __version__,
         "config_hash": config_hash(cfg),
         "seeds": {
-            "sampler": cfg.getint("sampler", "rng_seed"),
-            "eval": cfg.getint("eval", "seed"),
-            "generate": cfg.getint("generate", "seed"),
-            "request": cfg.getint("gateway", "request_seed"),
+            "sampler": config_values(cfg, "sampler", "rng_seed")["rng_seed"],
+            "eval": config_values(cfg, "eval", "seed")["seed"],
+            "generate": config_values(cfg, "generate", "seed")["seed"],
+            "request": config_values(cfg, "gateway", "request_seed")["request_seed"],
         },
         "inputs": inputs,
     }
     write_artifact(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def _sampler_config(cfg):
-    from .context import SamplerConfig
-
-    try:
-        # The [sampler] keys are SamplerConfig's fields.
-        return SamplerConfig(
-            **{key: cfg.getint("sampler", key) for key in DEFAULT_CONFIG["sampler"]}
-        )
-    except ValueError as exc:
-        raise UsageError(f"[sampler] {exc}") from None
-
-
-def _loss_config(cfg) -> dict:
-    """The ``[loss]`` values by key: finite and >= 0, with at least one
-    epoch in all."""
-    loss = {key: cfg.getint("loss", key) for key in ("epochs", "epochs_sft")}
-    for key in ("learning_rate", "beta"):
-        loss[key] = cfg.getfloat("loss", key)
-    for key, value in loss.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise UsageError(f"[loss] {key}: must be finite and >= 0, got {value}")
-    if loss["epochs"] + loss["epochs_sft"] == 0:
-        raise UsageError("[loss] epochs: epochs and epochs_sft are both 0, so nothing trains")
-    return loss
-
-
-def _gateway_config(cfg):
-    from .gateway import GatewayConfig
-
-    try:
-        return GatewayConfig(
-            endpoint_url=cfg.get("gateway", "endpoint_url"),
-            model_name=cfg.get("gateway", "model_name"),
-            temperature=cfg.getfloat("gateway", "temperature"),
-            request_seed=cfg.getint("gateway", "request_seed"),
-            timeout_seconds=cfg.getfloat("gateway", "timeout_seconds"),
-            retry_limit=cfg.getint("gateway", "retry_limit"),
-        )
-    except ValueError as exc:
-        raise UsageError(f"[gateway] {exc}") from None
 
 
 def build_gateway(cfg, mode: str, schedule=None):
@@ -173,9 +171,9 @@ def build_gateway(cfg, mode: str, schedule=None):
     A replay source is read to its end here, so the caller may start its
     own transcript at that very path once this returns.
     """
-    from .gateway import MOCKS, HttpGateway, load_transcript
+    from .gateway import MOCKS, GatewayConfig, HttpGateway, load_transcript
 
-    gw_cfg = _gateway_config(cfg)
+    gw_cfg = config_values(cfg, "gateway", into=GatewayConfig)
     kind, eq, path = mode.removeprefix("mock:").partition("=")
     if mode != "http" and not (
         mode.startswith("mock:") and kind in MOCKS and bool(eq) == (kind == "transcript")
@@ -222,9 +220,9 @@ def _out_dir(args) -> Path:
 def cmd_generate(args, cfg) -> int:
     from . import synthetic
 
+    params = config_values(cfg, "generate", n=args.n, seed=args.seed)
+    n, seed = params["n"], params["seed"]
     out = _out_dir(args)
-    n = args.n if args.n is not None else cfg.getint("generate", "n")
-    seed = args.seed if args.seed is not None else cfg.getint("generate", "seed")
     sched = synthetic.generate_schedule(synthetic.GeneratorParams(n_activities=n, seed=seed))
     _write_schedule(out, sched)
     write_manifest(out, "generate", cfg, {"n": n, "seed": seed})
@@ -283,9 +281,7 @@ def cmd_analyze_graph(args, cfg) -> int:
 def cmd_build_kb(args, cfg) -> int:
     if not (args.corpus_dir or args.terms_file):
         raise UsageError("build-kb: give --corpus-dir, --terms-file or both")
-    chunk_tokens = cfg.getint("kb", "chunk_tokens")
-    if chunk_tokens < 1:
-        raise UsageError(f"[kb] chunk_tokens: must be >= 1, got {chunk_tokens}")
+    chunk_tokens = config_values(cfg, "kb")["chunk_tokens"]
     # A missing directory would glob to no file and index nothing.
     if args.corpus_dir and not Path(args.corpus_dir).is_dir():
         raise DataError(f"{args.corpus_dir}: --corpus-dir is not a directory")
@@ -330,7 +326,7 @@ def _sampled_contexts(sched, cfg, targets, render):
     from . import context, graph
 
     g = graph.build_graph(sched)
-    sampler_cfg = _sampler_config(cfg)
+    sampler_cfg = config_values(cfg, "sampler", into=context.SamplerConfig)
 
     def sample(target):
         bundle = context.combined_context(g, sched, target, sampler_cfg)
@@ -362,7 +358,7 @@ def cmd_sample_context(args, cfg) -> int:
         cfg,
         {"schedule": args.schedule, "targets": args.targets or "all"},
     )
-    seed = cfg.getint("sampler", "rng_seed")
+    seed = config_values(cfg, "sampler", "rng_seed")["rng_seed"]
     print(f"sampled {len(targets)} context bundle(s) at seed {seed}")
     return EXIT_OK
 
@@ -372,13 +368,11 @@ def cmd_run_eval(args, cfg) -> int:
     from .gateway import TranscriptLog
     from .prompt_forge import PromptError
 
-    k = cfg.getint("eval", "k")
-    if k < 1:
-        raise UsageError(f"[eval] k: must be >= 1, got {k}")
+    evaluation = config_values(cfg, "eval")
     given = "--tasks" if args.tasks else "[eval] tasks"
     kinds = [
         kind.strip().upper()
-        for kind in (args.tasks or cfg.get("eval", "tasks")).split(",")
+        for kind in (args.tasks or evaluation["tasks"]).split(",")
         if kind.strip()
     ]
     if not kinds:
@@ -390,8 +384,7 @@ def cmd_run_eval(args, cfg) -> int:
     # Every input is read and checked before the transcript is started
     # empty, so a rejected run leaves the previous one whole. Each mask is
     # made as its prompt is sent.
-    seed = cfg.getint("eval", "seed")
-    masks = [masked_eval.make_mask_tasks(sched, kind, seed=seed) for kind in kinds]
+    masks = [masked_eval.make_mask_tasks(sched, kind, seed=evaluation["seed"]) for kind in kinds]
     rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
     kb = _load_kb(args.kb)
     # Each row's context as its pieces, not as text: rows of one WBS
@@ -407,7 +400,7 @@ def cmd_run_eval(args, cfg) -> int:
             if retrieved := kb.retrieve(pieces.text()):
                 contexts[row_id] = pieces._replace(knowledge=retrieved)
 
-    mode = args.gateway or cfg.get("gateway", "mode")
+    mode = args.gateway or config_values(cfg, "gateway", "mode")["mode"]
     gateway = build_gateway(cfg, mode, schedule=sched)
     failures = 0  # instances whose exchange failed
     with TranscriptLog(out / "transcript.jsonl") as log, streamed(out / "instances.jsonl") as fh:
@@ -424,7 +417,7 @@ def cmd_run_eval(args, cfg) -> int:
             transcript=log,
             rules=rules_text,
             context_provider=contexts.__getitem__,
-            k=k,
+            k=evaluation["k"],
             sink=save,
         )
     write_artifact(out / "report.json", report.to_json())
@@ -460,7 +453,7 @@ def cmd_collect_prefs(args, cfg) -> int:
         sched,
         masked_eval.load_instances(args.instances, rows=sched.index.by_id),
         synthesize_negatives=args.synthesize_negatives,
-        seed=cfg.getint("eval", "seed"),
+        seed=config_values(cfg, "eval", "seed")["seed"],
         reread=lambda positions: masked_eval.load_instances(args.instances, positions),
     )
     if args.prefs_db:
@@ -483,7 +476,10 @@ def cmd_collect_prefs(args, cfg) -> int:
 
 
 def cmd_train_scorer(args, cfg) -> int:
-    loss = _loss_config(cfg)
+    loss = config_values(cfg, "loss")
+    if loss["epochs"] + loss["epochs_sft"] == 0:
+        raise UsageError("[loss] epochs: epochs and epochs_sft are both 0, so nothing trains")
+    seed = config_values(cfg, "eval", "seed")["seed"]
     from . import alignment, preferences
 
     out = _out_dir(args)
@@ -494,7 +490,7 @@ def cmd_train_scorer(args, cfg) -> int:
         weights=alignment.LossWeights(beta=loss["beta"]),
         epochs=loss["epochs"],
         learning_rate=loss["learning_rate"],
-        seed=cfg.getint("eval", "seed"),
+        seed=seed,
         epochs_sft=loss["epochs_sft"],
     )
     scorer.save(out / "scorer.bin")

@@ -563,7 +563,10 @@ def parse_schedule(source: str | Iterable[str], *, source_label: str = "") -> Sc
                 extra_attributes=attributes[extra],
             )
         )
-        dependency_cells.append((row_no, activity_id, get(cells, COL_PRED), get(cells, COL_SUCC)))
+        pred_succ = get(cells, COL_PRED), get(cells, COL_SUCC)
+        for cell in pred_succ:  # syntax checked now: defects come in row order
+            parse_dependency_cell(cell, row=row_no)
+        dependency_cells.append((row_no, activity_id, *pred_succ))
 
     # Dependency cells now that every id is known. Each link is keyed by its
     # (predecessor, successor, relation), which then sorts the links.

@@ -760,23 +760,23 @@ def test_a_replay_of_failed_exchanges_records_them_unchanged(tmp_path, capsys):
     assert errors.count("TranscriptExhaustedError: no scripted response left for this prompt") == 16
 
 
-def test_a_config_that_sets_max_parallel_writes_the_same_run_eval_tree(tmp_path, capsys):
-    """``[gateway] max_parallel`` is no longer read: a config that still
-    sets it, to any value, gives the same files; only the manifest, whose
-    config hash covers the file, differs."""
+def test_a_config_that_sets_max_parallel_exits_1_and_keeps_the_run_eval_tree(tmp_path, capsys):
+    """``[gateway] max_parallel``, which once ran exchanges on a thread
+    pool, is no key of the config: a file that still sets it, to any value,
+    is a usage error that leaves the earlier run's files as they were."""
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
-    argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
-    assert run(["--out", str(tmp_path / "e"), *argv]) == EXIT_OK
-    expected = tree_bytes(tmp_path / "e")
+    out = tmp_path / "e"
+    argv = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
+    assert run(argv) == EXIT_OK
+    expected = tree_bytes(out)
     ini = tmp_path / "parallel.ini"
+    capsys.readouterr()
     for value in ("4", "100"):
         ini.write_text(f"[gateway]\nmax_parallel = {value}\n", "utf-8")
-        out = tmp_path / value
-        assert run(["--config", str(ini), "--out", str(out), *argv]) == EXIT_OK
-        tree = tree_bytes(out)
-        assert tree.pop("manifest.json") != expected["manifest.json"]
-        assert tree == {k: v for k, v in expected.items() if k != "manifest.json"}
+        assert run(["--config", str(ini), *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {ini}: [gateway] max_parallel: unknown key\n"
+        assert tree_bytes(out) == expected
 
 
 def _every_stage(root: Path, seed: int) -> list[tuple[str, list[str]]]:
@@ -1046,11 +1046,15 @@ def test_sample_context_without_targets_writes_the_same_files(tmp_path, capsys):
 
 
 def _traced_peak(argv) -> int:
-    """The tracemalloc peak of one CLI run, which must succeed."""
+    """The tracemalloc peak of one CLI run, which must succeed. Garbage that
+    earlier tests left is collected first, so none is freed mid-run."""
+    import gc
     import tracemalloc
 
     tracemalloc.start()
     try:
+        gc.collect()
+        tracemalloc.reset_peak()
         assert run(argv) == EXIT_OK
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1589,12 +1593,117 @@ def test_config_errors_are_usage_errors_naming_the_file_or_key(tmp_path, capsys)
         # Checked before the term file is read, and before numpy loads.
         (b"[kb]\nchunk_tokens = 0\n", kb_argv, "[kb] chunk_tokens: must be >= 1, got 0"),
         (b"[kb]\nchunk_tokens = -5\n", kb_argv, "[kb] chunk_tokens: must be >= 1, got -5"),
+        # Checked before the schedule is generated, which needs an activity.
+        (b"[generate]\nn = 0\n", ["generate"], "[generate] n: must be >= 1, got 0"),
+        (b"[generate]\nn = 5\n", ["generate", "--n", "0"], "--n: must be >= 1, got 0"),
+        # configparser reads a lone % as the start of a reference to a key.
+        (b"[gateway]\nmodel_name = 50%\n", eval_argv, "[gateway] model_name: '%' must be followed by"),
     ]
     for raw, argv, message in cases:
         ini.write_bytes(raw)
         assert run(["--config", str(ini), "--out", str(tmp_path / "o"), *argv]) == EXIT_USAGE, raw
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err, (raw, err)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # A misspelled key would otherwise leave the hops at their default.
+        ("[sampler]\nmax_sequentail_hops = 0\n", "[sampler] max_sequentail_hops: unknown key"),
+        ("[nosuch]\nx = 1\n", "[nosuch]: unknown section"),
+        # Sections are matched as written, keys in any case.
+        ("[Sampler]\nrng_seed = 1\n", "[Sampler]: unknown section"),
+        # configparser would copy a [DEFAULT] key into every section.
+        ("[DEFAULT]\nx = 1\n", "[DEFAULT] x: unknown key"),
+        ("[DEFAULT]\nrng_seed = 1\n", "[DEFAULT] rng_seed: unknown key"),
+        ("[sampler]\nrng_seed = 1\n[sampler_x]\n", "[sampler_x]: unknown section"),
+    ],
+    ids=["misspelled-key", "section", "section-case", "default", "default-known-key", "empty-section"],
+)
+def test_unknown_config_names_exit_1_before_anything_is_written(tmp_path, capsys, raw, message):
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    ini = tmp_path / "run.ini"
+    ini.write_text(raw, "utf-8")
+    out = tmp_path / "ctx"
+    for argv in (["sample-context", "--schedule", str(sched)], ["generate", "--n", "3"]):
+        assert run(["--config", str(ini), "--out", str(out), *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {ini}: {message}\n"
+        assert not out.exists()
+
+
+def test_a_key_in_another_case_is_that_key(tmp_path, capsys):
+    """``[eval] K = 3`` sets ``k``: the config's keys, as configparser's,
+    are matched in any case."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    argv = ["run-eval", "--schedule", str(sched), "--gateway", "mock:wrong", "--tasks", "DA"]
+    for name, raw in (("upper", "[eval]\nK = 3\n"), ("lower", "[eval]\nk = 3\n")):
+        (tmp_path / f"{name}.ini").write_text(raw, "utf-8")
+        assert run(["--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / name), *argv]) == EXIT_OK
+    assert run(["--out", str(tmp_path / "default"), *argv]) == EXIT_OK
+    upper, lower = tree_bytes(tmp_path / "upper"), tree_bytes(tmp_path / "lower")
+    assert upper == lower != tree_bytes(tmp_path / "default")
+
+
+def test_generate_of_no_activity_exits_1_before_writing(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[generate]\nn = 0\n", "utf-8")
+    out = tmp_path / "g"
+    for argv, message in (
+        (["--config", str(ini), "--out", str(out), "generate"], "[generate] n: must be >= 1, got 0"),
+        (["--out", str(out), "generate", "--n", "0"], "--n: must be >= 1, got 0"),
+    ):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+    # A flag stands for its key, whose value in the file is then not read.
+    assert run(["--config", str(ini), "--out", str(out), "generate", "--n", "2"]) == EXIT_OK
+
+
+def test_an_unknown_config_key_loads_no_stage_module(tmp_path):
+    """The config is held to its table before the command runs, so a
+    rejected key loads no module of any stage."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[eval]\nk = 2\nkk = 3\n", "utf-8")
+    probe = (
+        "import sys\n"
+        "from schedkit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('schedkit')))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "--config", str(ini), "--out", str(tmp_path / "e"),
+         "run-eval", "--schedule", "missing.csv"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == f"usage error: {ini}: [eval] kk: unknown key\n"
+    assert proc.stdout.splitlines()[-1] == "['schedkit', 'schedkit.cli']"
+    assert not (tmp_path / "e").exists()
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    """README's ``### Config file`` block is the default config: every
+    section and key of ``cli.CONFIG``, each with its default."""
+    import configparser
+
+    from schedkit.cli import CONFIG, load_config
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    block = re.search(r"### Config file\n\n```ini\n(.*?)```", readme, re.S).group(1)
+    documented = configparser.ConfigParser()
+    documented.read_string(block)
+    defaults = load_config(None)
+    assert documented.sections() == list(CONFIG) == defaults.sections()
+    for section in CONFIG:
+        assert dict(documented[section]) == dict(defaults[section]), section
 
 
 def test_gateway_modes_outside_mocks_are_usage_errors(tmp_path, capsys):
@@ -1856,13 +1965,16 @@ def test_scorer_artifacts_are_pinned(tmp_path, capsys):
     for argv in runs:
         assert run(argv) == EXIT_OK
     assert _digests(tmp_path / "s", SCORER_DIGESTS_N100) == SCORER_DIGESTS_N100
-    # [loss] has no alpha key: the context-rule term is 0, so a config that
-    # still sets alpha trains the same scorer.
+    # [loss] has no alpha key, as the context-rule term is 0: a config that
+    # still sets alpha is a usage error that leaves the scorer's files.
     ini = tmp_path / "alpha.ini"
     ini.write_text("[loss]\nalpha = 7\n", "utf-8")
-    argv = ["--config", str(ini), "--out", str(tmp_path / "a"), "train-scorer", "--prefs-db", prefs]
-    assert run(argv) == EXIT_OK
-    assert _digests(tmp_path / "a", SCORER_DIGESTS_N100) == SCORER_DIGESTS_N100
+    before = tree_bytes(tmp_path / "s")
+    capsys.readouterr()
+    argv = ["--config", str(ini), "--out", str(tmp_path / "s"), "train-scorer", "--prefs-db", prefs]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {ini}: [loss] alpha: unknown key\n"
+    assert tree_bytes(tmp_path / "s") == before
 
 
 # --- the schedule, read and written as a stream ---------------------------------
@@ -1969,12 +2081,17 @@ def test_reading_the_schedule_holds_no_copy_of_its_text(n2000):
     the traced peak of reading it stays under twice the size of the
     schedule it gives (1.8 times on Python 3.11), which reading the whole
     text first, and a StringIO copy of it, exceeded (3.2 times)."""
+    import gc
     import tracemalloc
 
     from schedkit.cli import _read_schedule
 
     tracemalloc.start()
     try:
+        # A full collection also empties the free lists that earlier tests
+        # filled, so every tuple the parse keeps is seen allocated.
+        gc.collect()
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         sched = _read_schedule(str(n2000))
         held, peak = (size - base for size in tracemalloc.get_traced_memory())

@@ -80,6 +80,20 @@ def test_bad_relation_rejected_at_parse():
         parse_dependency_cell("A100:FS+x", row=2)
 
 
+def test_defects_are_raised_in_row_order(tmp_path, capsys):
+    """A bad dependency cell on row 3 is raised before a bad date on row 4,
+    though links are resolved only once every row is read; ingest exits 2
+    naming row 3."""
+    text = "\n".join([HEADER, row("A"), row("B", pred="A:XX"), row("C", finish="2024-13-01")])
+    with pytest.raises(MalformedDependencyError, match="^row 3: bad dependency cell 'A:XX': "):
+        parse_schedule(text)
+    path = tmp_path / "rows.csv"
+    path.write_text(text + "\n", "utf-8")
+    assert main(["--out", str(tmp_path / "o"), "ingest", "--schedule", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: row 3: bad dependency cell 'A:XX': unknown relation 'XX'\n"
+
+
 def test_date_ordering_is_a_parse_error():
     text = "\n".join([HEADER, row("A1", start="2024-03-02", finish="2024-03-01")])
     with pytest.raises(MalformedDateError):
