@@ -147,17 +147,22 @@ def config_hash(cfg: configparser.ConfigParser) -> str:
     return builtin_sha256()(buf.getvalue().encode("utf-8")).hexdigest()
 
 
+def _seeds(cfg) -> dict:
+    """The four seeds a manifest records, by name."""
+    return {
+        "sampler": config_values(cfg, "sampler", "rng_seed")["rng_seed"],
+        "eval": config_values(cfg, "eval", "seed")["seed"],
+        "generate": config_values(cfg, "generate", "seed")["seed"],
+        "request": config_values(cfg, "gateway", "request_seed")["request_seed"],
+    }
+
+
 def write_manifest(out_dir: Path, command: str, cfg, inputs: dict) -> None:
     manifest = {
         "command": command,
         "version": __version__,
         "config_hash": config_hash(cfg),
-        "seeds": {
-            "sampler": config_values(cfg, "sampler", "rng_seed")["rng_seed"],
-            "eval": config_values(cfg, "eval", "seed")["seed"],
-            "generate": config_values(cfg, "generate", "seed")["seed"],
-            "request": config_values(cfg, "gateway", "request_seed")["request_seed"],
-        },
+        "seeds": _seeds(cfg),
         "inputs": inputs,
     }
     write_artifact(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -305,20 +310,6 @@ def cmd_build_kb(args, cfg) -> int:
     return EXIT_OK
 
 
-def _load_kb(kb_dir: str | None):
-    """The ``--kb`` knowledge base (``knowledge.KnowledgeBase``), or None
-    without one. A directory with neither manifest is rejected before
-    numpy loads."""
-    if not kb_dir:
-        return None
-    kb = Path(kb_dir)
-    if not ((kb / "terms.jsonl").is_file() or (kb / "chunks.jsonl").is_file()):
-        raise DataError(f"{kb_dir}: no knowledge store (neither terms.jsonl nor chunks.jsonl)")
-    from . import knowledge
-
-    return knowledge.KnowledgeBase(kb_dir)
-
-
 def _sampled_contexts(sched, cfg, targets, render):
     """Each target's sampled context bundle with ``render(bundle, sched)``,
     lazily and in order. The graph is built, and so the schedule validated,
@@ -333,6 +324,30 @@ def _sampled_contexts(sched, cfg, targets, render):
         return bundle, render(bundle, sched)
 
     return map(sample, targets)
+
+
+def _row_contexts(sched, cfg, kb_dir: str | None) -> dict:
+    """Each row's context as its pieces by row id: rows of one WBS bucket
+    share its HIERARCHICAL block. With ``kb_dir``, what each row retrieves
+    (``knowledge.KnowledgeBase``) leads, and rows that retrieve the same
+    texts share them; nothing holds the knowledge base once this returns.
+    A directory with neither manifest is rejected before numpy loads."""
+    from . import context
+
+    if kb_dir:
+        if not any((Path(kb_dir) / name).is_file() for name in ("terms.jsonl", "chunks.jsonl")):
+            raise DataError(f"{kb_dir}: no knowledge store (neither terms.jsonl nor chunks.jsonl)")
+        from . import knowledge
+
+        kb = knowledge.KnowledgeBase(kb_dir)
+    ids = [a.activity_id for a in sched.activities]
+    sampled = _sampled_contexts(sched, cfg, ids, context.context_pieces)
+    contexts = {bundle.target: pieces for bundle, pieces in sampled}
+    if kb_dir:
+        for row_id, pieces in contexts.items():
+            if retrieved := kb.retrieve(pieces.text()):
+                contexts[row_id] = pieces._replace(knowledge=retrieved)
+    return contexts
 
 
 def cmd_sample_context(args, cfg) -> int:
@@ -364,7 +379,7 @@ def cmd_sample_context(args, cfg) -> int:
 
 
 def cmd_run_eval(args, cfg) -> int:
-    from . import context, masked_eval
+    from . import masked_eval
     from .gateway import TranscriptLog
     from .prompt_forge import PromptError
 
@@ -386,20 +401,7 @@ def cmd_run_eval(args, cfg) -> int:
     # made as its prompt is sent.
     masks = [masked_eval.make_mask_tasks(sched, kind, seed=evaluation["seed"]) for kind in kinds]
     rules_text = read_utf8(args.rules, PromptError) if args.rules else ""
-    kb = _load_kb(args.kb)
-    # Each row's context as its pieces, not as text: rows of one WBS
-    # bucket share its HIERARCHICAL block, and rows that retrieve the
-    # same texts share them. Retrieved knowledge, if any, leads.
-    ids = [a.activity_id for a in sched.activities]
-    contexts = {
-        bundle.target: pieces
-        for bundle, pieces in _sampled_contexts(sched, cfg, ids, context.context_pieces)
-    }
-    if kb is not None:
-        for row_id, pieces in contexts.items():
-            if retrieved := kb.retrieve(pieces.text()):
-                contexts[row_id] = pieces._replace(knowledge=retrieved)
-
+    contexts = _row_contexts(sched, cfg, args.kb)
     mode = args.gateway or config_values(cfg, "gateway", "mode")["mode"]
     gateway = build_gateway(cfg, mode, schedule=sched)
     failures = 0  # instances whose exchange failed
@@ -651,6 +653,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
+        _seeds(cfg)  # a bad seed exits 1 before any command writes
         return COMMANDS[args.command](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

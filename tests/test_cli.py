@@ -8,11 +8,13 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from schedkit.cli import (
+    COMMANDS,
     EXIT_DATA,
     EXIT_GATEWAY,
     EXIT_OK,
@@ -261,6 +263,77 @@ def test_prompt_artifacts_are_pinned(tmp_path, capsys):
         assert run(argv) == EXIT_OK
     assert _digests(tmp_path, PROMPT_DIGESTS_N300) == PROMPT_DIGESTS_N300
     assert _digests(tmp_path, KB_DIGESTS) == KB_DIGESTS
+
+
+# sha256 of `run-eval --kb` for `generate --n 60 --seed 2`, recorded while
+# run-eval still held the knowledge base for the whole run: mock:echo with
+# a KB of PROMPT_TERMS alone ("terms"), a replay of that transcript with
+# the same KB ("replay"), and mock:wrong with a KB of PROMPT_CORPUS alone
+# ("chunks").
+KB_EVAL_DIGESTS_N60 = {
+    "terms/transcript.jsonl": "b70c3efb91921c478b24f252b711eb18f5fb1b64945b907bd0389627550b1c11",
+    "terms/instances.jsonl": "dfecf65c35ab6c01ecfe4df40a9e89480313e328003d17d22cde701a6cd87d38",
+    "terms/report.json": "013220b8937246615f1df30a35406249ea20861c729ad175b21acf440a31eac4",
+    "replay/transcript.jsonl": "b70c3efb91921c478b24f252b711eb18f5fb1b64945b907bd0389627550b1c11",
+    "replay/instances.jsonl": "dfecf65c35ab6c01ecfe4df40a9e89480313e328003d17d22cde701a6cd87d38",
+    "replay/report.json": "013220b8937246615f1df30a35406249ea20861c729ad175b21acf440a31eac4",
+    "chunks/transcript.jsonl": "fb30a4763099bc6cca326cae5324666a5a1bc658fd502f5f818fe2d2964f5ffb",
+    "chunks/instances.jsonl": "83884f5178986f80856aede3366a9f7e4af804252e5b0e38ca9755d1e95ba965",
+    "chunks/report.json": "23e1bcbb11096ad8b16502409f2d2b706de7fcdf403add4461043666327d5ce0",
+}
+
+
+def test_run_eval_with_one_store_is_pinned(tmp_path, capsys):
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in PROMPT_CORPUS.items():
+        (corpus / name).write_text(text, "utf-8")
+    terms = tmp_path / "terms.tsv"
+    terms.write_text(PROMPT_TERMS, "utf-8")
+    evaluate = ["run-eval", "--schedule", sched]
+    replay = f"mock:transcript={tmp_path / 'terms' / 'transcript.jsonl'}"
+    runs = (
+        ["--out", str(tmp_path / "gen"), "generate", "--n", "60", "--seed", "2"],
+        ["--out", str(tmp_path / "tkb"), "build-kb", "--terms-file", str(terms)],
+        ["--out", str(tmp_path / "ckb"), "build-kb", "--corpus-dir", str(corpus)],
+        ["--out", str(tmp_path / "terms"), *evaluate, "--gateway", "mock:echo", "--kb", str(tmp_path / "tkb")],
+        ["--out", str(tmp_path / "replay"), *evaluate, "--gateway", replay, "--kb", str(tmp_path / "tkb")],
+        ["--out", str(tmp_path / "chunks"), *evaluate, "--gateway", "mock:wrong", "--kb", str(tmp_path / "ckb")],
+    )
+    for argv in runs:
+        assert run(argv) == EXIT_OK
+    assert _digests(tmp_path, KB_EVAL_DIGESTS_N60) == KB_EVAL_DIGESTS_N60
+
+
+def test_run_eval_holds_no_knowledge_base_once_rows_have_retrieved(tmp_path, monkeypatch, capsys):
+    """Each row retrieves once, before any prompt is sent, so when the
+    gateway is built nothing holds the knowledge base any more: not the
+    object, its embedder and word-hash cache, its stores' matrices or
+    their line indexes. No garbage collection is asked for."""
+    from schedkit import cli, knowledge
+
+    sched, kb = _chain_kb(tmp_path)
+    held = []
+    init = knowledge.KnowledgeBase.__init__
+
+    def recording_init(self, kb_dir):
+        init(self, kb_dir)
+        parts = (self, self.embedder, self.embedder._word_hash, self.term_store.entries,
+                 self.term_store.matrix, self.chunk_store.chunks, self.chunk_store.matrix)
+        held.extend(map(weakref.ref, parts))
+
+    alive = []
+    build = cli.build_gateway
+
+    def checking_build(*args, **kwargs):
+        alive.extend(ref() is not None for ref in held)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(knowledge.KnowledgeBase, "__init__", recording_init)
+    monkeypatch.setattr(cli, "build_gateway", checking_build)
+    assert _eval_with_kb(tmp_path, sched, kb) == EXIT_OK
+    assert alive == [False] * 7
 
 
 def test_ingest_round_trip(tmp_path, capsys):
@@ -1631,6 +1704,41 @@ def test_unknown_config_names_exit_1_before_anything_is_written(tmp_path, capsys
         assert run(["--config", str(ini), "--out", str(out), *argv]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {ini}: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("sampler", "rng_seed"), ("eval", "seed"), ("generate", "seed"), ("gateway", "request_seed")],
+)
+def test_a_bad_seed_exits_1_before_any_command_writes(tmp_path, capsys, section, key):
+    """Every manifest records the four seeds, so each command reads them
+    all, also those of sections it does not otherwise read; a bad one
+    exits 1 before anything is written, even where a flag sets the seed
+    the command uses."""
+    sched = tmp_path / "chain.csv"
+    sched.write_text(CHAIN_CSV, "utf-8")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = x\n", "utf-8")
+    out = tmp_path / "o"
+    schedule = ["--schedule", str(sched)]
+    commands = {
+        "generate": ["--n", "3", "--seed", "5"],
+        "ingest": schedule,
+        "analyze-graph": schedule,
+        "build-kb": ["--terms-file", str(tmp_path / "terms.tsv")],
+        "sample-context": schedule,
+        "run-eval": [*schedule, "--gateway", "mock:echo"],
+        "collect-prefs": [*schedule, "--instances", str(tmp_path / "instances.jsonl")],
+        "train-scorer": ["--prefs-db", str(tmp_path / "prefs.jsonl")],
+        "polish": ["--instances", str(tmp_path / "instances.jsonl")],
+        "report": ["--report", str(tmp_path / "report.json")],
+    }
+    assert commands.keys() == COMMANDS.keys()
+    for command, argv in commands.items():
+        assert run(["--config", str(ini), "--out", str(out), command, *argv]) == EXIT_USAGE, command
+        err = capsys.readouterr().err
+        assert err == f"usage error: [{section}] {key}: invalid literal for int() with base 10: 'x'\n"
+        assert not out.exists(), command
 
 
 def test_a_key_in_another_case_is_that_key(tmp_path, capsys):
