@@ -112,26 +112,27 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pa_gradient(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """The preference term's gradient in the weights and the bias, where
+    the logistic scorer gives the probabilities ``p``."""
+    dz = (p - y) / len(y)
+    return X.T @ dz, float(np.sum(dz))
+
+
+def _sft_gradient(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """The supervised term's (mean -log p over hit-labeled examples only)
+    gradient in the weights and the bias, at the probabilities ``p``."""
+    dz = -(y * (1.0 - p)) / len(y)
+    return X.T @ dz, float(np.sum(dz))
+
+
 def pa_loss_and_gradient(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float
 ) -> tuple[float, np.ndarray, float]:
-    """Preference loss of the logistic scorer and its exact gradient."""
-    z = X @ w + b
-    p = _sigmoid(z)
-    value = loss_pa(list(p), list(y))
-    dz = (p - y) / len(y)
-    return value, X.T @ dz, float(np.sum(dz))
-
-
-def sft_loss_and_gradient(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float
-) -> tuple[float, np.ndarray, float]:
-    """Supervised term: mean -log p over hit-labeled examples only."""
-    z = X @ w + b
-    p = _sigmoid(z)
-    value = loss_sft(list(p), list(y))
-    dz = -(y * (1.0 - p)) / len(y)
-    return value, X.T @ dz, float(np.sum(dz))
+    """Preference loss of the logistic scorer and its exact gradient, as
+    ``train_scorer`` takes it."""
+    p = _sigmoid(X @ w + b)
+    return (loss_pa(list(p), list(y)), *_pa_gradient(X, y, p))
 
 
 class PreferenceScorer:
@@ -149,7 +150,6 @@ class PreferenceScorer:
             )
         self.bias = float(bias)
         self.training_log: list[LossBreakdown] = []
-        self.sft_epochs = 0
         # Feature rows train_scorer fitted on, for ranking_accuracy.
         self.training_features: np.ndarray | None = None
 
@@ -222,8 +222,9 @@ def train_scorer(
     Phase one minimizes the supervised term on chosen completions; phase
     two minimizes the combined total with the preference term over all
     examples. Each epoch logs the pre-update loss breakdown, whose
-    context-rule term is 0. ``records`` is counted, then iterated once, so
-    a ``preferences.PreferenceStore`` is read from disk and never held.
+    context-rule term is 0, and takes its gradients from one forward pass.
+    ``records`` is counted, then iterated once, so a
+    ``preferences.PreferenceStore`` is read from disk and never held.
     """
     scorer = PreferenceScorer()
     gen = prng.derive(seed, "scorer-init")
@@ -238,24 +239,24 @@ def train_scorer(
     if len(set(y.tolist())) < 2:
         raise DegenerateDataError("both labels must be represented")
 
-    def breakdown() -> LossBreakdown:
-        p = _sigmoid(X @ scorer.weights + scorer.bias)
-        return loss_total(loss_sft(list(p), list(y)), 0.0, loss_pa(list(p), list(y)), weights)
+    labels = list(y)
 
-    for _ in range(epochs_sft):
-        scorer.training_log.append(breakdown())
-        _, gw, gb = sft_loss_and_gradient(X, y, scorer.weights, scorer.bias)
+    def log(p: np.ndarray) -> None:
+        probs = list(p)
+        scorer.training_log.append(
+            loss_total(loss_sft(probs, labels), 0.0, loss_pa(probs, labels), weights)
+        )
+
+    for epoch in range(epochs_sft + epochs):
+        p = _sigmoid(X @ scorer.weights + scorer.bias)
+        log(p)
+        gw, gb = _sft_gradient(X, y, p)
+        if epoch >= epochs_sft:  # phase two adds the preference term
+            gw_p, gb_p = _pa_gradient(X, y, p)
+            gw, gb = gw + weights.beta * gw_p, gb + weights.beta * gb_p
         scorer.weights = scorer.weights - learning_rate * gw
         scorer.bias -= learning_rate * gb
-    scorer.sft_epochs = epochs_sft
-
-    for _ in range(epochs):
-        scorer.training_log.append(breakdown())
-        _, gw_s, gb_s = sft_loss_and_gradient(X, y, scorer.weights, scorer.bias)
-        _, gw_p, gb_p = pa_loss_and_gradient(X, y, scorer.weights, scorer.bias)
-        scorer.weights = scorer.weights - learning_rate * (gw_s + weights.beta * gw_p)
-        scorer.bias -= learning_rate * (gb_s + weights.beta * gb_p)
-    scorer.training_log.append(breakdown())
+    log(_sigmoid(X @ scorer.weights + scorer.bias))
     return scorer
 
 

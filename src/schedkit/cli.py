@@ -496,14 +496,10 @@ def cmd_train_scorer(args, cfg) -> int:
         epochs_sft=loss["epochs_sft"],
     )
     scorer.save(out / "scorer.bin")
-    log_lines = [
-        json.dumps(
-            {"epoch": i, "l_sft": bd.l_sft, "l_cr": bd.l_cr, "l_pa": bd.l_pa, "l_total": bd.l_total},
-            sort_keys=True,
-        )
-        for i, bd in enumerate(scorer.training_log)
-    ]
-    write_artifact(out / "training_log.jsonl", "\n".join(log_lines) + "\n")
+    log = [{"epoch": i, **bd._asdict()} for i, bd in enumerate(scorer.training_log)]
+    write_artifact(
+        out / "training_log.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
+    )
     features = scorer.training_features
     pairs = len(features) // 2
     accuracy = alignment.ranking_accuracy(scorer, features)
@@ -513,7 +509,7 @@ def cmd_train_scorer(args, cfg) -> int:
             {
                 "records": pairs,
                 "ranking_accuracy": accuracy,
-                "final": log_lines and json.loads(log_lines[-1]) or None,
+                "final": log[-1],
             },
             sort_keys=True,
             indent=2,

@@ -2,10 +2,11 @@
 
 This is the only nondeterministic boundary in the package.
 ``Gateway.complete`` returns one exchange's response text or raises its
-``GatewayError``, and records nothing. Its callers send one exchange at a
-time and write each, successful or not, to a ``TranscriptLog`` in task
-order, so a saved transcript can replay a run bit-for-bit without network
-access, failed exchanges included.
+``GatewayError``, and records nothing. ``exchange`` is the one step that
+sends a prompt: it times it, and writes the exchange, successful or not,
+to a ``TranscriptLog``. run-eval and polish send one exchange at a time in
+task order, so a saved transcript can replay a run bit-for-bit without
+network access, failed exchanges included.
 
 The oracle mocks answer masked-row prompts; they locate the row id and the
 masked column list via the labels below, which the masked-row renderer
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import GatewayError, Struct, builtin_sha256
+from .prompt_forge import word_count
 from .records import encode_fields, object_parts, read_jsonl, write_line
 
 ROW_ID_LABEL = "Activity ID"
@@ -238,22 +240,6 @@ class Gateway:
         return response
 
 
-def timed_complete(
-    gateway: Gateway, system_text: str, user_text: str
-) -> tuple[str | None, GatewayError | None, float]:
-    """``gateway.complete``'s ``(response, None, latency_ms)``, or ``(None,
-    error, latency_ms)`` for its ``GatewayError``; the latency is 0.0 unless
-    the class sets ``deterministic_latency = False``."""
-    started = time.monotonic()
-    try:
-        response, error = gateway.complete(system_text, user_text), None
-    except GatewayError as exc:
-        response, error = None, exc
-    if gateway.deterministic_latency:
-        return response, error, 0.0
-    return response, error, (time.monotonic() - started) * 1000.0
-
-
 class ReplayedError(GatewayError):
     """A failed exchange replayed from a transcript; its message is the
     ``error`` text the transcript recorded."""
@@ -269,6 +255,32 @@ def error_text(error: GatewayError | None) -> str | None:
     if isinstance(error, ReplayedError):
         return str(error)
     return f"{type(error).__name__}: {error}"
+
+
+def exchange(
+    gateway: Gateway, system_text: str, user_text: str, transcript: TranscriptLog | None = None,
+    prompt_tokens: int = 0, encoded: dict[str, str] | None = None,
+) -> tuple[str | None, GatewayError | None]:
+    """Send one prompt: ``gateway.complete``'s ``(response, None)``, or
+    ``(None, error)`` for its ``GatewayError``. The exchange, a failed one
+    included, goes to ``transcript`` (if any) with ``prompt_tokens``, the
+    response's ``word_count`` and its latency, which is 0.0 unless the
+    class sets ``deterministic_latency = False``. ``encoded`` passes on
+    encodings of the prompt that the caller already has
+    (``TranscriptLog.append``)."""
+    started = time.monotonic()
+    try:
+        response, error = gateway.complete(system_text, user_text), None
+    except GatewayError as exc:
+        response, error = None, exc
+    if transcript is not None:
+        latency_ms = 0.0 if gateway.deterministic_latency else (time.monotonic() - started) * 1000.0
+        transcript.append(
+            encoded, system_text=system_text, user_text=user_text, response_text=response,
+            error=error_text(error), latency_ms=latency_ms, prompt_tokens=prompt_tokens,
+            completion_tokens=word_count(response) if response else 0,
+        )
+    return response, error
 
 
 def _parse_row_id(user_text: str) -> str:

@@ -22,7 +22,7 @@ from .gateway import (
     MISSING_COLUMNS_LABEL,
     TranscriptLog,
     error_text,
-    timed_complete,
+    exchange,
     wire_values,
 )
 # The preference store lives in the numpy-free ``preferences`` module, which
@@ -109,8 +109,8 @@ class EvalInstance(Struct):
         "cells_correct",
         "error",
     )
-    # ``prompt_user_json``, the JSON encoding of ``prompt_user``, is set by
-    # ``evaluate_tasks`` so that its transcript record and
+    # ``prompt_user_json``, the JSON encoding of ``prompt_user``, is given
+    # by ``evaluate_tasks`` so that its transcript record and
     # ``save_instances`` reuse it; it is no field.
     __slots__ = (*_fields, "prompt_user_json")
 
@@ -174,23 +174,22 @@ def maskable_columns(row: dict[str, str]) -> list[str]:
 def make_mask_tasks(schedule: Schedule, kind: str, seed: int = 42) -> Iterator[MaskSpec]:
     """One MaskSpec per activity, in schedule order, each made as the
     returned iterator reaches it; MVP column picks are seeded per row. The
-    kind, and for MVP every row's pool of maskable columns, are checked
-    when this is called, so a bad input fails before any mask is used."""
+    kind is checked when this is called. An MVP row with fewer than 3
+    maskable columns raises ``TooFewColumnsError`` when its mask is made;
+    only a schedule built in memory has one, since a parsed row always
+    holds its WBS and both dates."""
     _check_task_kind(kind)
     rows = schedule.index.rows
-    if kind == MVP:
-        for act in schedule.activities:
-            pool = maskable_columns(rows[act.activity_id])
-            if len(pool) < 3:
-                raise TooFewColumnsError(
-                    f"row {act.activity_id!r} has only {len(pool)} maskable column(s)"
-                )
 
     def mask(act) -> MaskSpec:
         row = rows[act.activity_id]
         if kind == MVP:
-            gen = prng.derive(seed, "mask", act.activity_id)
-            columns = tuple(gen.sample(maskable_columns(row), 3))
+            pool = maskable_columns(row)
+            if len(pool) < 3:
+                raise TooFewColumnsError(
+                    f"row {act.activity_id!r} has only {len(pool)} maskable column(s)"
+                )
+            columns = tuple(prng.derive(seed, "mask", act.activity_id).sample(pool, 3))
         else:
             columns = RELATIONAL_COLUMNS if kind == DA else DATE_COLUMNS
         return MaskSpec(act.activity_id, kind, columns, {c: row[c] for c in columns})
@@ -292,11 +291,12 @@ def evaluate_tasks(
 
     Gateway failures are captured per instance rather than raised: a
     partial run still produces instances, and its report has ``complete``
-    False. Each task is built, sent and scored, then the fold writes its
-    exchange, a failed one included, to ``transcript`` (if any), its
-    instance to ``sink`` (if any), and hands the instance to
-    ``build_report``, which keeps no prompt text. A caller that wants the
-    instances passes ``sink=instances.append``.
+    False. Each pass of one loop renders a task's prompt, sends it through
+    ``gateway.exchange``, which writes the exchange, a failed one
+    included, to ``transcript`` (if any), then parses and scores the
+    response, builds the task's one ``EvalInstance``, hands it to ``sink``
+    (if any) and to ``build_report``, which keeps no prompt text. A caller
+    that wants the instances passes ``sink=instances.append``.
 
     ``context_provider`` maps a row id to its context's ``ContextPieces``;
     without it every prompt's context is empty. A prompt's JSON encoding
@@ -313,56 +313,39 @@ def evaluate_tasks(
     count = lru_cache(maxsize=None)(word_count)
     escape = lru_cache(maxsize=None)(json_escape)
 
-    def run_one(mask: MaskSpec) -> tuple[EvalInstance, dict | None]:
-        pieces = context_provider(mask.row_id) if context_provider else EMPTY_CONTEXT
-        prompt = build_task_prompt(
-            mask.task_kind,
-            render_masked_row(schedule, mask),
-            context_text=pieces.text(),
-            rules_text=rules,
-            masked_columns=mask.masked_columns,
-            top_k=k,
-        )
-        head, _, tail = prompt.pieces
-        user_json = "".join(
-            (encode_json(head)[:-1], *pieces.escaped(escape), encode_json(tail)[1:])
-        )
-        response, error, latency = timed_complete(gateway, prompt.system_text, prompt.user_text)
-        inst = EvalInstance(
-            mask=mask,
-            prompt_system=prompt.system_text,
-            prompt_user=prompt.user_text,
-            response_text=response,
-            parse_ok=False,
-            cells_correct=tuple(False for _ in mask.masked_columns),
-            error=error_text(error),
-            prompt_user_json=user_json,
-        )
-        if response is not None:
-            completion = parse_values(response, len(mask.masked_columns), k=k)
-            inst.parse_ok = completion.parse_ok
-            inst.cells_correct = score_completion(mask, completion)
-        if transcript is None:
-            return inst, None
-        return inst, dict(
-            latency_ms=latency,
-            prompt_tokens=prompt_tokens(prompt, count, pieces.tokens(count)),
-            completion_tokens=word_count(response) if response else 0,
-        )
-
-    def fold(results: Iterable[tuple[EvalInstance, dict | None]]) -> Iterator[EvalInstance]:
-        for inst, exchange in results:
-            if transcript is not None:
-                transcript.append(
-                    {"user_text": inst.prompt_user_json}, system_text=inst.prompt_system,
-                    user_text=inst.prompt_user, response_text=inst.response_text,
-                    error=inst.error, **exchange,
-                )
+    def evaluated() -> Iterator[EvalInstance]:
+        for mask in tasks:
+            pieces = context_provider(mask.row_id) if context_provider else EMPTY_CONTEXT
+            prompt = build_task_prompt(
+                mask.task_kind,
+                render_masked_row(schedule, mask),
+                context_text=pieces.text(),
+                rules_text=rules,
+                masked_columns=mask.masked_columns,
+                top_k=k,
+            )
+            head, _, tail = prompt.pieces
+            user_json = "".join(
+                (encode_json(head)[:-1], *pieces.escaped(escape), encode_json(tail)[1:])
+            )
+            response, error = exchange(
+                gateway, prompt.system_text, prompt.user_text, transcript,
+                prompt_tokens(prompt, count, pieces.tokens(count)), {"user_text": user_json},
+            )
+            if response is None:
+                parse_ok, cells_correct = False, (False,) * len(mask.masked_columns)
+            else:
+                completion = parse_values(response, len(mask.masked_columns), k=k)
+                parse_ok, cells_correct = completion.parse_ok, score_completion(mask, completion)
+            inst = EvalInstance(
+                mask, prompt.system_text, prompt.user_text, response, parse_ok, cells_correct,
+                error_text(error), user_json,
+            )
             if sink is not None:
                 sink(inst)
             yield inst
 
-    return build_report(schedule, fold(map(run_one, tasks)))
+    return build_report(schedule, evaluated())
 
 
 def build_report(schedule: Schedule, instances: Iterable[EvalInstance]) -> ScoreReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .gateway import TranscriptLog, error_text, timed_complete
+from .gateway import TranscriptLog, exchange
 from .prompt_forge import POLISH, SECTION_RAW, build_task_prompt, word_count
 
 
@@ -73,21 +73,17 @@ def polish_context(
 ) -> str:
     """Send raw prompt sections through the polishing prompt; track lengths.
 
-    The exchange goes to ``transcript`` (if any), a failed one before its
-    ``GatewayError`` is raised. Its token counts reuse the two that
-    ``stats`` takes, since newlines part the raw text from the header."""
+    The exchange goes to ``transcript`` (if any) through
+    ``gateway.exchange``, a failed one before its ``GatewayError`` is
+    raised. Its prompt's token count reuses the raw one that ``stats``
+    takes, since newlines part the raw text from the header."""
     prompt = build_task_prompt(POLISH, raw_text)
-    polished, error, latency = timed_complete(gateway, prompt.system_text, prompt.user_text)
     raw_tokens = word_count(raw_text)
-    polished_tokens = 0 if polished is None else word_count(polished)
-    if transcript is not None:
-        transcript.append(
-            system_text=prompt.system_text, user_text=prompt.user_text, response_text=polished,
-            error=error_text(error),
-            latency_ms=latency, completion_tokens=polished_tokens,
-            prompt_tokens=_count_once(prompt.system_text) + _count_once(SECTION_RAW) + raw_tokens,
-        )
+    polished, error = exchange(
+        gateway, prompt.system_text, prompt.user_text, transcript,
+        _count_once(prompt.system_text) + _count_once(SECTION_RAW) + raw_tokens,
+    )
     if error is not None:
         raise error
-    stats.add(task_kind, raw_tokens, polished_tokens)
+    stats.add(task_kind, raw_tokens, word_count(polished))
     return polished

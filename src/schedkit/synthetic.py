@@ -11,6 +11,7 @@ seed, so equal params mean byte-identical schedules.
 from __future__ import annotations
 
 from datetime import date, timedelta
+from types import MappingProxyType
 
 from . import DataError, Struct
 from . import rng as prng
@@ -48,6 +49,9 @@ _PHASE_BY_STATUS = {
     "In Progress": "Phase 2",
     "Not Started": "Phase 3",
 }
+
+# A generated activity's extra columns, in the order of its cells.
+_EXTRA_COLUMNS = ("Project Phase", "Subcontractor", "Superintendent")
 
 _NAME_VERBS = ("install", "erect", "rough-in", "pour", "fit-out", "test", "inspect")
 
@@ -136,10 +140,13 @@ def generate_schedule(params: GeneratorParams) -> Schedule:
         finish_of[node] = start + timedelta(days=traits[node]["duration"])
 
     activities = []
+    extras = {}  # one read-only mapping per distinct content, by its cells
     for i in range(n):
         t = traits[i]
-        family = t["discipline"].split(".")[0]
-        leaf = t["discipline"].split(".")[-1]
+        family, trade, leaf = t["discipline"].split(".")
+        cells = (_PHASE_BY_STATUS[t["status"]], f"SUB-{trade}", f"SUPT-{t['area']}")
+        if cells not in extras:
+            extras[cells] = MappingProxyType(dict(zip(_EXTRA_COLUMNS, cells)))
         activities.append(
             Activity(
                 activity_id=ids[i],
@@ -152,11 +159,7 @@ def generate_schedule(params: GeneratorParams) -> Schedule:
                 zone=t["zone"],
                 current_start=start_of[i],
                 current_finish=finish_of[i],
-                extra_attributes={
-                    "Project Phase": _PHASE_BY_STATUS[t["status"]],
-                    "Subcontractor": f"SUB-{t['discipline'].split('.')[1]}",
-                    "Superintendent": f"SUPT-{t['area']}",
-                },
+                extra_attributes=extras[cells],
             )
         )
 

@@ -390,11 +390,12 @@ def test_criterion_08_preference_training():
         ]
         scorer = train_scorer(records, epochs=190, learning_rate=5.0, epochs_sft=10)
         assert ranking_accuracy(scorer, scorer.training_features) >= 0.95
-        slow = train_scorer(records, epochs=30, learning_rate=0.05, epochs_sft=10)
+        sft_epochs = 10
+        slow = train_scorer(records, epochs=30, learning_rate=0.05, epochs_sft=sft_epochs)
         log = slow.training_log
-        for a, b in zip(log[: slow.sft_epochs], log[1 : slow.sft_epochs]):
+        for a, b in zip(log[:sft_epochs], log[1:sft_epochs]):
             assert b.l_sft <= a.l_sft + 1e-12
-        for a, b in zip(log[slow.sft_epochs :], log[slow.sft_epochs + 1 :]):
+        for a, b in zip(log[sft_epochs:], log[sft_epochs + 1 :]):
             assert b.l_total <= a.l_total + 1e-12
 
     _report(8, "preference training", 10.0, body)

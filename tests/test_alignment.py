@@ -214,10 +214,11 @@ def test_zero_learning_rate_freezes_weights():
 
 def test_training_loss_non_increasing_at_small_lr():
     records = separable_records(10)
-    scorer = train_scorer(records, epochs=30, learning_rate=0.05, epochs_sft=10)
+    sft_epochs = 10
+    scorer = train_scorer(records, epochs=30, learning_rate=0.05, epochs_sft=sft_epochs)
     log = scorer.training_log
-    sft_phase = [bd.l_sft for bd in log[: scorer.sft_epochs]]
-    total_phase = [bd.l_total for bd in log[scorer.sft_epochs :]]
+    sft_phase = [bd.l_sft for bd in log[:sft_epochs]]
+    total_phase = [bd.l_total for bd in log[sft_epochs:]]
     for a, b in zip(sft_phase, sft_phase[1:]):
         assert b <= a + 1e-12
     for a, b in zip(total_phase, total_phase[1:]):

@@ -1032,6 +1032,57 @@ def test_prefs_order_is_pinned(tmp_path, capsys):
     assert _prefs_order_digests(tmp_path) == PREFS_ORDER_DIGESTS
 
 
+# sha256 of the exchanges that `generate --n 60 --seed 2` leads to, on
+# their success and failure paths: `run-eval --gateway mock:wrong`
+# ("wrong"), `polish --gateway mock:stopword` of its instances ("polish"),
+# a run-eval replay of the first 20 lines of the "wrong" transcript
+# ("eval_cut", whose later exchanges fail) and a polish replay of the
+# first 20 lines of the polish transcript ("polish_cut", which stops at
+# its first failed exchange). Recorded while run-eval and polish each
+# wrote their own transcript records.
+EXCHANGE_DIGESTS_N60 = {
+    "polish/transcript.jsonl": "6aa0562e318eb20d7200d40e3999fdae65ebd538aa2a39677ad714977bc66010",
+    "polish/polished.jsonl": "ddcc9001780ba9c224317d9b4d5c968c90609c6e112ccf01e98a4d6176aa4a6a",
+    "polish/ctx_stats.json": "c41e89da0c08702c1e726e572927be973379c7ad180bbd38e0dae94ce6aa7c5d",
+    "eval_cut/transcript.jsonl": "14aaa62910ec7d8a0c38c706b3f057ee4d6cde9a9daf2b4f90f2ada55972ec5b",
+    "eval_cut/instances.jsonl": "e8076e032bf7459cd379ff90c08e5c406c64404c15e4f251554b6398ba561af6",
+    "eval_cut/report.json": "ec8050b143e368ec32c4d40428ddc5a2fbcdd894fca544adc35debb2e4a641a9",
+    "polish_cut/transcript.jsonl": "b983ea1249a486204ebe0b9e2ba070f0e0e85529dc61f103a07649c46918dbbb",
+}
+
+
+def test_exchange_records_are_pinned(tmp_path, capsys):
+    sched = str(tmp_path / "gen" / "schedule.csv")
+    for argv in (
+        ["--out", str(tmp_path / "gen"), "generate", "--n", "60", "--seed", "2"],
+        ["--out", str(tmp_path / "wrong"), "run-eval", "--schedule", sched, "--gateway", "mock:wrong"],
+        ["--out", str(tmp_path / "polish"), "polish", "--gateway", "mock:stopword",
+         "--instances", str(tmp_path / "wrong" / "instances.jsonl")],
+    ):
+        assert run(argv) == EXIT_OK
+    for source, cut in (("wrong", "eval_cut"), ("polish", "polish_cut")):
+        lines = (tmp_path / source / "transcript.jsonl").read_bytes().splitlines(keepends=True)
+        (tmp_path / f"{cut}.jsonl").write_bytes(b"".join(lines[:20]))
+    capsys.readouterr()
+    replay = f"mock:transcript={tmp_path / 'eval_cut.jsonl'}"
+    argv = ["--out", str(tmp_path / "eval_cut"), "run-eval", "--schedule", sched, "--gateway", replay]
+    assert run(argv) == EXIT_GATEWAY
+    assert capsys.readouterr().err == "warning: 160 instance(s) failed at the gateway\n"
+    replay = f"mock:transcript={tmp_path / 'polish_cut.jsonl'}"
+    argv = ["--out", str(tmp_path / "polish_cut"), "polish", "--gateway", replay,
+            "--instances", str(tmp_path / "wrong" / "instances.jsonl")]
+    assert run(argv) == EXIT_GATEWAY
+    assert capsys.readouterr().err == (
+        "gateway error: no scripted response left for this prompt\n"
+    )
+    records = (tmp_path / "polish_cut" / "transcript.jsonl").read_text("utf-8").splitlines()
+    assert len(records) == 21
+    assert json.loads(records[-1])["error"] == (
+        "TranscriptExhaustedError: no scripted response left for this prompt"
+    )
+    assert _digests(tmp_path, EXCHANGE_DIGESTS_N60) == EXCHANGE_DIGESTS_N60
+
+
 def test_named_prefs_db_accumulates(tmp_path, capsys):
     sched = tmp_path / "chain.csv"
     sched.write_text(CHAIN_CSV, "utf-8")
@@ -1860,31 +1911,6 @@ def test_rejected_run_eval_inputs_keep_the_previous_run(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err, err
         assert tree_bytes(out) == before, argv
-
-
-def test_a_row_with_too_few_maskable_columns_keeps_the_previous_run(tmp_path, monkeypatch, capsys):
-    """run-eval makes each mask as its prompt is sent, but checks every
-    row's MVP pool before the transcript is started: a row with fewer than
-    3 maskable columns exits 2, with MVP the last kind too, and the earlier
-    run's files stay as they were. A parsed row always has its WBS and both
-    dates, so the pool is cut short here."""
-    from schedkit import masked_eval
-
-    sched = tmp_path / "chain.csv"
-    sched.write_text(CHAIN_CSV, "utf-8")
-    out = tmp_path / "e"
-    evaluate = ["--out", str(out), "run-eval", "--schedule", str(sched), "--gateway", "mock:echo"]
-    assert run(evaluate) == EXIT_OK
-    before = tree_bytes(out)
-    pool = masked_eval.maskable_columns
-    monkeypatch.setattr(
-        masked_eval, "maskable_columns", lambda row: pool(row)[: 2 if row["Activity ID"] == "B" else None]
-    )
-    capsys.readouterr()
-    for tasks in ("MVP", "DA,AP,MVP"):
-        assert run([*evaluate, "--tasks", tasks]) == EXIT_DATA, tasks
-        assert capsys.readouterr().err == "data error: row 'B' has only 2 maskable column(s)\n"
-        assert tree_bytes(out) == before, tasks
 
 
 def _reject_schedule(tmp_path: Path, path: Path, message: str, capsys) -> None:

@@ -31,8 +31,9 @@ from schedkit.gateway import (
     StopwordStripperGateway,
     TranscriptExhaustedError,
     TranscriptLog,
+    error_text,
+    exchange,
     load_transcript,
-    timed_complete,
     wire_values,
 )
 from schedkit.masked_eval import evaluate_tasks, make_mask_tasks
@@ -355,6 +356,29 @@ def _http_cfg(url, retry_limit=2, timeout_seconds=5.0):
     )
 
 
+def _exchanged(tmp_path, g, user_text="u"):
+    """The error of one ``exchange`` through ``g``, and the one transcript
+    record it wrote, read back and checked."""
+    path = tmp_path / "transcript.jsonl"
+    with TranscriptLog(path) as log:
+        response, error = exchange(g, "s", user_text, log, prompt_tokens=2)
+    (record,) = load_transcript(path)
+    assert record["response_text"] == response
+    assert record["error"] == error_text(error)
+    assert record["prompt_tokens"] == 2
+    return error, record
+
+
+def test_a_mock_exchange_records_a_latency_of_zero(tmp_path):
+    error, record = _exchanged(tmp_path, IdentityGateway(), "RAW OUTPUT:\nthree words here")
+    assert error is None and record["response_text"] == "three words here"
+    assert record["completion_tokens"] == 3 and record["latency_ms"] == 0.0
+    error, record = _exchanged(tmp_path, ConstantWrongGateway())
+    assert isinstance(error, MalformedResponseError)
+    assert record["error"] == "MalformedResponseError: prompt carries no missing-columns line"
+    assert record["completion_tokens"] == 0 and record["latency_ms"] == 0.0
+
+
 def test_http_success_and_seed_forwarded(stub_server, monkeypatch):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     g = HttpGateway(_http_cfg(stub_server))
@@ -371,15 +395,22 @@ def test_http_retries_transient_then_succeeds(stub_server, monkeypatch):
     assert len(_StubHandler.calls) == 3
 
 
-def test_http_retries_exhausted(stub_server, monkeypatch):
+def test_http_exchange_records_its_latency(stub_server, tmp_path):
+    error, record = _exchanged(tmp_path, HttpGateway(_http_cfg(stub_server)))
+    assert error is None and record["response_text"] == "stub says hi"
+    assert record["completion_tokens"] == 3
+    # An HTTP exchange's latency is measured, not the mocks' 0.0.
+    assert record["latency_ms"] > 0.0
+
+
+def test_http_retries_exhausted(stub_server, monkeypatch, tmp_path):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     _StubHandler.behaviors = ["500", "500", "500"]
     g = HttpGateway(_http_cfg(stub_server, retry_limit=2))
-    response, error, latency_ms = timed_complete(g, "s", "u")
-    assert response is None and isinstance(error, RetriesExhaustedError)
-    assert str(error).startswith("gave up after 3 attempts: HTTP 500")
-    # An HTTP exchange's latency is measured, not the mocks' 0.0.
-    assert latency_ms > 0.0
+    error, record = _exchanged(tmp_path, g)
+    assert isinstance(error, RetriesExhaustedError)
+    assert record["error"].startswith("RetriesExhaustedError: gave up after 3 attempts: HTTP 500")
+    assert record["latency_ms"] > 0.0
 
 
 def test_http_client_error_no_retry(stub_server, monkeypatch):
@@ -402,17 +433,20 @@ def test_http_success_status_other_than_200_is_an_error_without_retry(stub_serve
     assert len(_StubHandler.calls) == 1
 
 
-def test_http_read_timeout_is_retried(stub_server, monkeypatch):
+def test_http_read_timeout_is_retried(stub_server, monkeypatch, tmp_path):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     _StubHandler.behaviors = ["slow", "slow"]
     g = HttpGateway(_http_cfg(stub_server, retry_limit=1, timeout_seconds=0.1))
-    response, error, _ = timed_complete(g, "s", "u")
-    assert response is None and isinstance(error, RetriesExhaustedError)
-    assert str(error) == "gave up after 2 attempts: no response within 0.1s"
+    error, record = _exchanged(tmp_path, g)
+    assert isinstance(error, RetriesExhaustedError)
+    assert record["error"] == (
+        "RetriesExhaustedError: gave up after 2 attempts: no response within 0.1s"
+    )
+    assert record["latency_ms"] >= 200.0  # two timeouts of 0.1 s
     assert len(_StubHandler.calls) == 2
 
 
-def test_http_connect_timeout_is_a_timeout(monkeypatch):
+def test_http_connect_timeout_is_a_timeout(monkeypatch, tmp_path):
     """urllib reports a connect timeout as a ``URLError`` whose reason is
     a ``TimeoutError``, not as the ``TimeoutError`` of a read."""
     import urllib.error
@@ -423,13 +457,14 @@ def test_http_connect_timeout_is_a_timeout(monkeypatch):
 
     monkeypatch.setattr(urllib.request, "urlopen", time_out)
     g = HttpGateway(_http_cfg("http://127.0.0.1:9/v1/chat/completions", retry_limit=0))
-    response, error, _ = timed_complete(g, "s", "u")
-    assert response is None
-    assert str(error) == "gave up after 1 attempts: no response within 5.0s"
+    error, record = _exchanged(tmp_path, g)
+    assert isinstance(error, RetriesExhaustedError)
+    assert record["error"] == "RetriesExhaustedError: gave up after 1 attempts: no response within 5.0s"
+    assert record["latency_ms"] > 0.0
 
 
 @pytest.mark.parametrize("failure", ["refused", "no scheme", "not http"])
-def test_http_transport_failures_are_retried(stub_server, monkeypatch, failure):
+def test_http_transport_failures_are_retried(stub_server, monkeypatch, tmp_path, failure):
     """A refused connection (an ``OSError``), an endpoint urllib cannot
     parse (a ``ValueError``) and a reply that is not HTTP (an
     ``http.client.HTTPException``) are each a retried transport failure."""
@@ -444,9 +479,12 @@ def test_http_transport_failures_are_retried(stub_server, monkeypatch, failure):
     else:
         _StubHandler.behaviors = ["not http", "not http"]
     g = HttpGateway(_http_cfg(url, retry_limit=1))
-    response, error, _ = timed_complete(g, "s", "u")
-    assert response is None and isinstance(error, RetriesExhaustedError)
-    assert str(error).startswith("gave up after 2 attempts: transport failure: "), str(error)
+    error, record = _exchanged(tmp_path, g)
+    assert isinstance(error, RetriesExhaustedError)
+    assert record["error"].startswith(
+        "RetriesExhaustedError: gave up after 2 attempts: transport failure: "
+    ), record["error"]
+    assert record["latency_ms"] > 0.0
 
 
 def test_http_malformed_body(stub_server, monkeypatch):
@@ -460,14 +498,15 @@ def test_http_malformed_body(stub_server, monkeypatch):
 
 @pytest.mark.parametrize("behavior", ["null", "parts"])
 def test_http_content_that_is_not_text_is_a_recorded_gateway_error(
-    stub_server, monkeypatch, behavior
+    stub_server, monkeypatch, tmp_path, behavior
 ):
     monkeypatch.setattr(gw, "_BACKOFF_BASE_SECONDS", 0.0)
     _StubHandler.behaviors = [behavior]
     g = HttpGateway(_http_cfg(stub_server))
-    response, error, _ = timed_complete(g, "s", "u")
-    assert response is None and isinstance(error, MalformedResponseError)
-    assert str(error).startswith("response is ")
+    error, record = _exchanged(tmp_path, g)
+    assert isinstance(error, MalformedResponseError)
+    assert record["error"].startswith("MalformedResponseError: response is ")
+    assert record["latency_ms"] > 0.0
     assert len(_StubHandler.calls) == 1
 
 

@@ -366,6 +366,23 @@ def test_blank_lines_are_skipped_and_take_no_row_number():
 
 
 @settings(max_examples=60, deadline=None)
+@given(schedules(), st.data())
+def test_every_parsed_row_has_three_maskable_columns(sched, data):
+    """A parsed row holds its WBS and both dates, whatever else is blank, so
+    an MVP mask of a parsed schedule never raises ``TooFewColumnsError``:
+    only a schedule built in memory can."""
+    from schedkit.masked_eval import maskable_columns
+
+    blank = dict(status="", discipline="", level="", area="", zone=None, extra_attributes={})
+    acts = tuple(
+        act._replace(**blank) if data.draw(st.booleans()) else act for act in sched.activities
+    )
+    parsed = parse_schedule(csv_text(Schedule(acts, sched.links)))
+    for act in parsed.activities:
+        assert len(maskable_columns(parsed.index.rows[act.activity_id])) >= 3, act
+
+
+@settings(max_examples=60, deadline=None)
 @given(schedules())
 def test_canonical_row_covers_all_columns(sched):
     for act in sched.activities:

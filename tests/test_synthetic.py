@@ -67,6 +67,16 @@ def test_generated_schedules_parse_back():
     assert set(reparsed.links) == set(sched.links)
 
 
+def test_generated_activities_share_read_only_extras():
+    """``Activity.extra_attributes`` is read-only, so activities whose extra
+    cells are equal share one mapping, as parsed ones do."""
+    acts = generate_schedule(GeneratorParams(n_activities=300, seed=4)).activities
+    distinct = {tuple(a.extra_attributes.items()) for a in acts}
+    assert len({id(a.extra_attributes) for a in acts}) == len(distinct) < len(acts)
+    with pytest.raises(TypeError):
+        acts[0].extra_attributes["Project Phase"] = "Phase 9"
+
+
 def test_infeasible_params():
     with pytest.raises(InfeasibleParamsError):
         GeneratorParams(n_activities=0)
